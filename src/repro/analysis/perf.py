@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import gc as _pygc
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.chameleon import Chameleon
 from repro.core.config import ToolConfig
@@ -46,8 +45,7 @@ from repro.runtime.vm import RuntimeEnvironment
 from repro.workloads import default_workload_registry
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "BenchRecord", "median_index",
-           "run_suite", "run_suite_section", "run_vm_cores_section",
-           "validate_document", "compare", "tick_divergences",
+           "run_suite", "run_suite_section", "validate_document", "compare", "tick_divergences",
            "render_summary"]
 
 SCHEMA = "chameleon-perf"
@@ -60,9 +58,9 @@ SCHEMA = "chameleon-perf"
 #: v4 switches aggregation from best-of-repeats to median-of-repeats
 #: (recording every repeat in the new per-record ``repeat_walls`` list),
 #: adds the ``op_dispatch_heavy`` synthetic benchmark, and adds the
-#: optional top-level ``vm_cores`` section: reference-vs-fast
-#: operation-pipeline wall clocks with a tick-identity bit and the
-#: runner's CPU count (single-core runners are too noisy to gate on).
+#: optional top-level ``vm_cores`` section, which only documents written
+#: while the operation pipeline had a user-selectable reference variant
+#: carry; it is still validated so those documents load.
 SCHEMA_VERSION = 4
 
 #: The default workload pair: the section 5.4 extremes.
@@ -226,26 +224,28 @@ def _build_mark_heavy_heap(seed: int, scale: float):
 
 
 def _bench_gc_mark_heavy(scale: float, seed: int, repeats: int,
-                         cycles: int = 8) -> BenchRecord:
+                         cycles: int = 8,
+                         collector: Optional[Callable[..., Any]] = None,
+                         ) -> BenchRecord:
     """Mark-loop microbenchmark over the synthetic heap shapes.
 
     Runs ``cycles`` back-to-back collections on the graph from
     :func:`_build_mark_heavy_heap` (with a little churn between cycles
-    so every cycle re-marks), charging into a plain counter.  Uses the
-    GC core selected by ``ToolConfig.gc_core`` / ``REPRO_GC_CORE``, so
-    core-vs-core wall comparisons come for free; the recorded ticks are
-    pure counts and identical across cores.
+    so every cycle re-marks), charging into a plain counter.
+    ``collector`` builds the collector (default
+    :class:`~repro.memory.gc.MarkSweepGC`); the recorded ticks are pure
+    counts, so any faithful collector reports the same ones.
     """
     from repro.memory.gc import MarkSweepGC
 
-    core = ToolConfig().gc_core
+    collector = collector or MarkSweepGC
     walls: List[float] = []
     ticks = 0
     allocated = 0
     for _ in range(max(repeats, 1)):
         heap = _build_mark_heavy_heap(seed, scale)
         charged: List[int] = []
-        gc = MarkSweepGC(heap, charge=charged.append, core=core)
+        gc = collector(heap, charge=charged.append)
         _pygc.collect()
         _pygc.disable()
         try:
@@ -277,27 +277,27 @@ def _bench_gc_mark_heavy(scale: float, seed: int, repeats: int,
 
 
 def _bench_op_dispatch_heavy(scale: float, repeats: int,
-                             vm_core: Optional[str] = None) -> BenchRecord:
+                             make_vm: Optional[Callable[..., Any]] = None,
+                             ) -> BenchRecord:
     """Operation-dispatch microbenchmark: read-dense wrapper traffic.
 
     A handful of long-lived collections take a large burst of O(1)
     recorded operations (list get/size/is_empty, map get/contains_key)
     under profiling, so the per-operation pipeline -- tick charge, op
     counter, size watermark, impl dispatch -- dominates the wall clock
-    instead of allocation or impl work.  This is the configuration the
-    ``vm_core`` fast path targets; run with ``vm_core`` overridden to
-    compare cores on identical simulated work (the recorded ticks are
-    byte-identical across cores).
+    instead of allocation or impl work.  ``make_vm`` builds the VM from a
+    ``profiler`` keyword (default: the default tool's ``make_vm``); the
+    recorded ticks are the same on any faithful op pipeline.
     """
     from repro.collections.wrappers import ChameleonList, ChameleonMap
 
     n_ops = max(1000, int(160_000 * scale))
-    config = ToolConfig() if vm_core is None else ToolConfig(vm_core=vm_core)
-    tool = Chameleon(config)
+    tool = Chameleon(ToolConfig())
+    make_vm = make_vm or tool.make_vm
     walls: List[float] = []
     vm = None
     for _ in range(max(repeats, 1)):
-        vm = tool.make_vm(profiler=tool._make_profiler())
+        vm = make_vm(profiler=tool._make_profiler())
         _pygc.collect()
         _pygc.disable()
         try:
@@ -402,61 +402,13 @@ def run_suite_section(scale: float = 0.1, resolution: int = 16384,
     }
 
 
-def run_vm_cores_section(scale: float = 0.2, repeats: int = 3,
-                         seed: int = 2009) -> dict:
-    """Measure the operation-pipeline cores against each other.
-
-    Runs the paper's allocation-dense extreme (``pmd`` with capture on)
-    and the dispatch-dense synthetic (:func:`_bench_op_dispatch_heavy`)
-    under ``vm_core="reference"`` and ``vm_core="fast"`` on identical
-    simulated work, and reports both wall clocks, the speedup, and
-    whether the virtual ticks matched -- they must; a tick divergence
-    here is a correctness bug, not a perf result.
-
-    The section records ``cpu_count`` because the wall numbers are only
-    gateable on a multi-core runner: on a single shared core the
-    run-to-run variance (frequency scaling, steal time) routinely
-    exceeds the effect being measured, which is exactly the
-    skip-with-reason case CI implements.
-    """
-    benchmarks: Dict[str, dict] = {}
-    pairs = [
-        ("pmd_capture_on",
-         lambda core: _bench("pmd_capture_on",
-                             Chameleon(ToolConfig(vm_core=core)), "pmd",
-                             scale, seed, repeats, capture=True)),
-        ("op_dispatch_heavy",
-         lambda core: _bench_op_dispatch_heavy(scale, repeats,
-                                               vm_core=core)),
-    ]
-    for name, bench in pairs:
-        reference = bench("reference")
-        fast = bench("fast")
-        benchmarks[name] = {
-            "reference_wall": reference.wall_seconds,
-            "fast_wall": fast.wall_seconds,
-            "speedup": (reference.wall_seconds / fast.wall_seconds
-                        if fast.wall_seconds else 0.0),
-            "ticks": reference.ticks,
-            "ticks_identical": reference.ticks == fast.ticks,
-        }
-    return {
-        "scale": scale,
-        "seed": seed,
-        "repeats": max(repeats, 1),
-        "cpu_count": os.cpu_count() or 1,
-        "benchmarks": benchmarks,
-    }
-
-
 def run_suite(scale: float = 0.2, repeats: int = 3, seed: int = 2009,
               workloads: Tuple[str, ...] = DEFAULT_WORKLOADS,
               include_gc_heavy: bool = True,
               cold_caches: bool = False,
               suite_jobs: Optional[int] = None,
               suite_scale: float = 0.1,
-              suite_resolution: int = 16384,
-              include_vm_cores: bool = True) -> dict:
+              suite_resolution: int = 16384) -> dict:
     """Run the full suite; returns the ``BENCH_chameleon.json`` document.
 
     Args:
@@ -476,9 +428,6 @@ def run_suite(scale: float = 0.2, repeats: int = 3, seed: int = 2009,
         suite_scale: Workload scale for the scheduler section.
         suite_resolution: Min-heap search resolution for the scheduler
             section.
-        include_vm_cores: Also measure the reference-vs-fast
-            operation-pipeline comparison (:func:`run_vm_cores_section`)
-            and record it under the document's ``vm_cores`` key.
     """
     if cold_caches:
         clear_capture_caches()
@@ -510,9 +459,6 @@ def run_suite(scale: float = 0.2, repeats: int = 3, seed: int = 2009,
         doc["suite"] = run_suite_section(scale=suite_scale,
                                          resolution=suite_resolution,
                                          jobs=suite_jobs)
-    if include_vm_cores:
-        doc["vm_cores"] = run_vm_cores_section(scale=scale, repeats=repeats,
-                                               seed=seed)
     return doc
 
 
@@ -542,7 +488,7 @@ _RECORD_FIELDS = {
     "allocated_objects": int,
 }
 
-#: Schema of the optional (v4+) top-level ``vm_cores`` section.
+#: Schema of the optional (v4) top-level ``vm_cores`` section.
 _VM_CORES_FIELDS = {
     "scale": (int, float),
     "seed": int,
@@ -676,8 +622,8 @@ def validate_document(doc: object) -> None:
                                 f"negative")
     vm_cores = doc.get("vm_cores")
     if vm_cores is not None:
-        # Optional section (schema v4+): absent in older documents,
-        # which therefore stay valid.
+        # Optional section that only older v4 documents carry; the
+        # harness no longer writes it.
         if not isinstance(vm_cores, dict):
             problems.append("vm_cores section is not an object")
         else:
@@ -761,17 +707,6 @@ def render_summary(doc: dict) -> str:
             f"{record['phases'].get('run', 0.0):>9.4f} "
             f"{record['ticks']:>12} {record['gc_cycles']:>5} "
             f"{record['allocated_objects']:>9}")
-    vm_cores = doc.get("vm_cores")
-    if vm_cores is not None:
-        for name, entry in vm_cores["benchmarks"].items():
-            lines.append(
-                f"vm_cores {name}: reference "
-                f"{entry['reference_wall']:.4f}s, fast "
-                f"{entry['fast_wall']:.4f}s ({entry['speedup']:.2f}x), "
-                f"ticks {'identical' if entry['ticks_identical'] else 'DIVERGED'}")
-        if vm_cores.get("cpu_count", 0) < 2:
-            lines.append("  (single-core runner: vm_cores walls are "
-                         "indicative only)")
     suite = doc.get("suite")
     if suite is not None:
         lines.append(

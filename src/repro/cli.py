@@ -86,27 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the bundled workloads")
 
-    def add_gc_core_arg(p):
-        # Exported as REPRO_GC_CORE / REPRO_VM_CORE before the command
-        # runs, so they also reach scheduler workers (forked), ToolConfig
-        # defaults and direct RuntimeEnvironment constructions.
-        p.add_argument("--gc-core", choices=["reference", "fast", "vector"],
-                       default=None,
-                       help="mark/account core for the simulated GC "
-                            "(byte-identical results; wall clock only; "
-                            "default: $REPRO_GC_CORE or 'fast')")
-        p.add_argument("--vm-core", choices=["reference", "fast"],
-                       default=None,
-                       help="operation-pipeline core for the runtime "
-                            "(byte-identical results; wall clock only; "
-                            "default: $REPRO_VM_CORE or 'fast')")
-
     def add_workload_args(p):
         p.add_argument("workload", help="workload name (see 'list')")
         p.add_argument("--scale", type=float, default=0.4,
                        help="workload scale factor (default 0.4)")
         p.add_argument("--seed", type=int, default=2009)
-        add_gc_core_arg(p)
 
     profile = sub.add_parser(
         "profile", help="run under semantic profiling; print the report")
@@ -161,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--no-index", action="store_true",
                             help="skip writing a run directory and "
                                  "indexing this invocation")
-    add_gc_core_arg(experiment)
 
     perf = sub.add_parser(
         "perf", help="wall-clock perf harness; emits BENCH_chameleon.json")
@@ -176,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default benchmarks/perf/BENCH_chameleon.json)")
     perf.add_argument("--no-gc-heavy", action="store_true",
                       help="skip the GC-stress configuration")
-    perf.add_argument("--no-vm-cores", action="store_true",
-                      help="skip the reference-vs-fast operation-"
-                           "pipeline comparison section")
     perf.add_argument("--check", metavar="PATH", default=None,
                       help="validate an existing BENCH json and exit")
     perf.add_argument("--baseline", metavar="PATH", default=None,
@@ -212,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="workload scale for the --suite section")
     perf.add_argument("--suite-resolution", type=int, default=16384,
                       help="min-heap resolution for the --suite section")
-    add_gc_core_arg(perf)
 
     history = sub.add_parser(
         "history", help="query the cross-run index: per-benchmark "
@@ -330,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_trace.add_argument("--sanitize", action="store_true",
                                help="attach the heap sanitizer to every "
                                     "compiled run")
-    add_gc_core_arg(compile_trace)
     return parser
 
 
@@ -491,8 +469,7 @@ def _cmd_perf(args) -> str:
                          include_gc_heavy=not args.no_gc_heavy,
                          suite_jobs=args.jobs if args.suite else None,
                          suite_scale=args.suite_scale,
-                         suite_resolution=args.suite_resolution,
-                         include_vm_cores=not args.no_vm_cores)
+                         suite_resolution=args.suite_resolution)
     wall_seconds = time.perf_counter() - start
     output = args.output
     if output is None:
@@ -759,9 +736,8 @@ def _cmd_compile_trace(args) -> str:
                 seed=args.seed))
             for path, program in programs]
 
-    # Output stays core-agnostic on purpose: CI byte-diffs this text
-    # across every gc-core/vm-core leg, so only simulated observables
-    # (ticks, cycle counts, verdicts) may appear.
+    # Only simulated observables (ticks, cycle counts, verdicts) appear,
+    # so the output of two runs can be byte-diffed.
     lines = []
     failed = False
     for label, workload in workloads:
@@ -823,14 +799,6 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "gc_core", None):
-        import os
-
-        os.environ["REPRO_GC_CORE"] = args.gc_core
-    if getattr(args, "vm_core", None):
-        import os
-
-        os.environ["REPRO_VM_CORE"] = args.vm_core
     output = _COMMANDS[args.command](args)
     print(output)
     return 0

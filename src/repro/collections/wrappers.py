@@ -41,26 +41,70 @@ __all__ = ["ChameleonCollection", "ChameleonList", "ChameleonSet",
            "ChameleonMap"]
 
 
+# ----------------------------------------------------------------------
+# Inline-cached dispatch
+# ----------------------------------------------------------------------
+#
+# Each single-element recorded op goes through a per-instance *plan*: a
+# tuple built lazily on first use that folds everything the plain
+# charge -> record_op -> impl-op -> record_size chain would re-derive on
+# every call.
+#
+# Plan layout (shared prefix, then kind-specific bound impl methods):
+#
+#   plan[0]  stamp        vm.dispatch_stamp captured at build time; the
+#                         op path rebuilds when the VM bumped it
+#                         (set_tracer / enable_profiling /
+#                         disable_profiling), and swap_to resets the
+#                         plan to None directly.
+#   plan[1]  clock        vm.clock -- per-op constants are added to its
+#                         `pending` accumulator (flushed at every
+#                         vm.now read; see VMClock).
+#   plan[2]  ticks        wrapper_delegation (+ profile_op when the
+#                         instance is profiled), validated non-negative
+#                         once at build time.
+#   plan[3]  counts       the ObjectContextInfo's dense counter array,
+#                         or None for unprofiled instances.
+#   plan[4]  oci          the ObjectContextInfo itself, or None.
+#   plan[5]  add_root     vm.add_root   (argument pinning, refcounted).
+#   plan[6]  remove_root  vm.remove_root.
+#   plan[7:] bound impl methods, one slot per recorded operation of the
+#            kind (invalidated with the plan on swap_to).
+#
+# Ticks are charged and the op counter incremented *before* the impl
+# call (a raising op stays counted), the size watermark is updated
+# *after* it, and heap-object arguments are rooted for the span of the
+# delegated operation in argument order.  Bulk operations (add_all,
+# put_all, ...) charge through `_record` instead -- interleaving
+# immediate `charge` calls with batched `pending` adds commutes, so
+# mixing the two lanes is unobservable.  The plain per-op chains in
+# repro.verify.oracle are the executable spec these methods are
+# differentially tested against.
+
+_OP_SIZE = Op.SIZE.index
+_OP_IS_EMPTY = Op.IS_EMPTY.index
+_OP_CLEAR = Op.CLEAR.index
+_OP_ITERATE = Op.ITERATE.index
+_OP_ITER_EMPTY = Op.ITER_EMPTY.index
+
+
 class ChameleonCollection:
     """Common wrapper machinery for the three ADT kinds."""
 
     KIND: CollectionKind
     DEFAULT_SRC_TYPE: str
 
-    #: Inline-cached dispatch plan (``vm_core="fast"`` only).  ``None``
-    #: means "stale": the next recorded op rebuilds it.  Kept as a class
-    #: default so reference instances carry it for free and ``swap_to``
-    #: can invalidate unconditionally.
+    #: Inline-cached dispatch plan (layout above).  ``None`` means
+    #: "stale": the next recorded op rebuilds it.
     _plan: Optional[tuple] = None
 
     def __new__(cls, vm: "RuntimeEnvironment", *args: Any, **kwargs: Any):
-        # Core selection happens at construction: under the fast
-        # operation pipeline the concrete class is swapped for its
-        # inline-cached variant, so per-op dispatch pays no core check.
-        # getattr keeps duck-typed stand-in VMs (tests) on the
-        # reference path.
-        if getattr(vm, "vm_core", None) == "fast":
-            cls = _FAST_VARIANTS.get(cls, cls)
+        # A VM may substitute subclasses for the wrappers built on it
+        # (the test oracle's reference VM does); getattr keeps duck-typed
+        # stand-in VMs working.
+        variants = getattr(vm, "wrapper_variants", None)
+        if variants:
+            cls = variants.get(cls, cls)
         return object.__new__(cls)
 
     def __init__(self, vm: "RuntimeEnvironment", *,
@@ -72,36 +116,59 @@ class ChameleonCollection:
                  registry: Optional[ImplementationRegistry] = None,
                  use_shared_empty_iterator: bool = False,
                  impl_kwargs: Optional[Dict[str, Any]] = None) -> None:
+        """Sampling decision, context capture, policy consultation, impl
+        creation, profiler registration, wrapper heap allocation,
+        adoption, copy fill and tracer callback, in that order.
+
+        The wrapper object size is computed once per VM, and the policy
+        consultation is skipped outright when the VM has no policy.
+        """
         self.vm = vm
-        self.registry = registry or default_registry()
-        self.src_type = src_type or self.DEFAULT_SRC_TYPE
+        self.registry = registry = registry or default_registry()
+        self.src_type = src_type = src_type or self.DEFAULT_SRC_TYPE
         self.use_shared_empty_iterator = use_shared_empty_iterator
         self._explicit_capacity = initial_capacity
 
-        profile = (vm.profiling_enabled
-                   and vm.profiler.should_sample(self.src_type))
-        if vm.profiling_enabled and not profile:
-            vm.profiler.on_unsampled_allocation(self.src_type)
+        profiler = vm.profiler
+        if vm.profiling_enabled:
+            profile = profiler.should_sample(src_type)
+            if not profile:
+                profiler.on_unsampled_allocation(src_type)
+        else:
+            profile = False
 
-        self.context_id = self._resolve_context(context, profile)
-        choice = vm.choose_implementation(self.src_type, self.context_id)
+        # Not inlined: capture_context charges per *walked* stack frame
+        # (internal frames included), so the helper frame is part of the
+        # priced semantics -- eliding it would change the tick total.
+        self.context_id = context_id = self._resolve_context(context,
+                                                             profile)
+        policy = vm.policy
 
         impl_name = impl
         capacity = initial_capacity
-        merged_kwargs = dict(impl_kwargs or {})
-        if choice is not None:
-            if impl_name is None and choice.impl_name is not None:
-                impl_name = choice.impl_name
-            if choice.initial_capacity is not None:
-                capacity = choice.initial_capacity
-            if choice.impl_kwargs:
-                merged_kwargs.update(choice.impl_kwargs)
+        if policy is None:
+            merged_kwargs = impl_kwargs
+        else:
+            choice = vm.choose_implementation(src_type, context_id)
+            merged_kwargs = dict(impl_kwargs or {})
+            if choice is not None:
+                if impl_name is None and choice.impl_name is not None:
+                    impl_name = choice.impl_name
+                if choice.initial_capacity is not None:
+                    capacity = choice.initial_capacity
+                if choice.impl_kwargs:
+                    merged_kwargs.update(choice.impl_kwargs)
         if impl_name is None:
-            impl_name = self.registry.default_impl_for(self.src_type)
+            impl_name = registry.default_impl_for(src_type)
 
-        self.impl: CollectionImpl = self.registry.create(
-            vm, impl_name, kind=self.KIND, initial_capacity=capacity,
-            context_id=self.context_id, **merged_kwargs)
+        if merged_kwargs:
+            self.impl: CollectionImpl = registry.create(
+                vm, impl_name, kind=self.KIND, initial_capacity=capacity,
+                context_id=context_id, **merged_kwargs)
+        else:
+            self.impl = registry.create(
+                vm, impl_name, kind=self.KIND, initial_capacity=capacity,
+                context_id=context_id)
 
         # Per-cycle footprint caches, keyed on the impl's structural
         # token (None = impl opted out of caching).  Invalidated on
@@ -114,18 +181,20 @@ class ChameleonCollection:
         self._oci = None
         on_death = None
         if profile:
-            self._oci = vm.profiler.on_allocation(
-                self.context_id, self.src_type, impl_name,
+            oci = self._oci = profiler.on_allocation(
+                context_id, src_type, impl_name,
                 initial_capacity=initial_capacity)
-            oci = self._oci
-            profiler = vm.profiler
             on_death = lambda heap_obj: profiler.on_death(oci)
 
-        wrapper_size = vm.model.object_size(ref_fields=1)
-        self.heap_obj: HeapObject = vm.allocate(
-            self.src_type, wrapper_size, payload=self,
-            context_id=self.context_id, on_death=on_death)
-        self.heap_obj.add_ref(self.impl.anchor_id)
+        try:
+            wrapper_size = vm._wrapper_size
+        except AttributeError:
+            wrapper_size = vm._wrapper_size = \
+                vm.model.object_size(ref_fields=1)
+        heap_obj = self.heap_obj = vm.allocate(
+            src_type, wrapper_size, payload=self,
+            context_id=context_id, on_death=on_death)
+        heap_obj.add_ref(self.impl.anchor_id)
         self.impl.adopt()
 
         if copy_from is not None:
@@ -210,6 +279,27 @@ class ChameleonCollection:
         """The instance's profiling record, if it was sampled."""
         return self._oci
 
+    def _plan_prefix(self) -> tuple:
+        vm = self.vm
+        costs = vm.costs
+        oci = self._oci
+        delegation = costs.wrapper_delegation
+        profile_op = costs.profile_op if oci is not None else 0
+        if delegation < 0 or profile_op < 0:
+            # The validated VMClock.charge surfaces negative ablation
+            # constants on the op itself; a batched accumulator must
+            # never go negative silently.
+            raise ValueError("cannot charge negative ticks")
+        counts = oci.counts if oci is not None else None
+        # Root pins bind the heap's methods directly: vm.add_root /
+        # vm.remove_root are pure one-line delegates to them.
+        heap = vm.heap
+        return (vm.dispatch_stamp, vm.clock, delegation + profile_op,
+                counts, oci, heap.add_root, heap.remove_root)
+
+    def _build_plan(self) -> tuple:  # pragma: no cover - kind-specific
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
     # Lifetime
     # ------------------------------------------------------------------
@@ -261,27 +351,54 @@ class ChameleonCollection:
     # ------------------------------------------------------------------
     def size(self) -> int:
         """Recorded ``size()`` operation."""
-        self._record(Op.SIZE)
+        plan = self._plan
+        if plan is None or plan[0] is not self.vm.dispatch_stamp:
+            plan = self._build_plan()
+        plan[1].pending += plan[2]
+        counts = plan[3]
+        if counts is not None:
+            counts[_OP_SIZE] += 1
         return self.impl.size
 
     def is_empty(self) -> bool:
         """Recorded ``isEmpty()`` operation."""
-        self._record(Op.IS_EMPTY)
+        plan = self._plan
+        if plan is None or plan[0] is not self.vm.dispatch_stamp:
+            plan = self._build_plan()
+        plan[1].pending += plan[2]
+        counts = plan[3]
+        if counts is not None:
+            counts[_OP_IS_EMPTY] += 1
         return self.impl.is_empty
 
     def clear(self) -> None:
         """Recorded ``clear()`` operation."""
-        self._record(Op.CLEAR)
-        self.impl.clear()
-        self._after_mutation()
+        plan = self._plan
+        if plan is None or plan[0] is not self.vm.dispatch_stamp:
+            plan = self._build_plan()
+        plan[1].pending += plan[2]
+        impl = self.impl
+        impl.clear()
+        oci = plan[4]
+        if oci is not None:
+            # clear() cannot fail mid-way, so count + size fuse into
+            # one post-op call.
+            oci.record_op_size(_OP_CLEAR, impl.size)
 
     def iterate(self) -> CollectionIterator:
         """Recorded iterator creation over the collection's values."""
-        empty = self.impl.is_empty
-        self._record(Op.ITERATE)
-        if self._oci is not None and empty:
-            self._oci.record_op(Op.ITER_EMPTY)
-        return make_iterator(self.vm, self.impl.iter_values(), empty=empty,
+        plan = self._plan
+        if plan is None or plan[0] is not self.vm.dispatch_stamp:
+            plan = self._build_plan()
+        impl = self.impl
+        empty = impl.is_empty
+        plan[1].pending += plan[2]
+        counts = plan[3]
+        if counts is not None:
+            counts[_OP_ITERATE] += 1
+            if empty:
+                counts[_OP_ITER_EMPTY] += 1
+        return make_iterator(self.vm, impl.iter_values(), empty=empty,
                              use_shared_empty=self.use_shared_empty_iterator,
                              context_id=self.context_id)
 
@@ -345,508 +462,6 @@ class ChameleonList(ChameleonCollection):
 
     impl: ListImpl
 
-    def add(self, value: Any) -> None:
-        """Append ``value`` (``add(Object)``)."""
-        self._record(Op.ADD)
-        pinned = self._pin_args((value,))
-        try:
-            self.impl.add(value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-
-    def add_at(self, index: int, value: Any) -> None:
-        """Insert at position (``add(int, Object)``)."""
-        self._record(Op.ADD_INDEX)
-        pinned = self._pin_args((value,))
-        try:
-            self.impl.add_at(index, value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-
-    def add_all(self, source: Union["ChameleonCollection", Iterable[Any]],
-                ) -> None:
-        """Append every element of ``source`` (``addAll(Collection)``).
-
-        Records one ``addAll`` here and one ``copied`` on a wrapped
-        source -- both sides of the interaction, per section 3.2.2.
-        """
-        self._record(Op.ADD_ALL)
-        values, pinned = self._source_values(source)
-        try:
-            for value in values:
-                self.impl.add(value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-
-    def add_all_at(self, index: int,
-                   source: Union["ChameleonCollection", Iterable[Any]],
-                   ) -> None:
-        """Insert every element of ``source`` at ``index``."""
-        self._record(Op.ADD_ALL_INDEX)
-        values, pinned = self._source_values(source)
-        try:
-            for offset, value in enumerate(values):
-                self.impl.add_at(index + offset, value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-
-    def _source_values(self, source):
-        """``(values, pinned)`` for a bulk insert.
-
-        Elements of a wrapped source stay reachable through the source
-        itself; plain Python iterables get stack-root treatment.
-        """
-        if isinstance(source, ChameleonCollection):
-            source.record_copied()
-            return source.impl.iter_values(), []
-        values = list(source)
-        return values, self._pin_args(values)
-
-    def get(self, index: int) -> Any:
-        """Positional read (``get(int)``)."""
-        self._record(Op.GET_INDEX)
-        return self.impl.get(index)
-
-    def set_at(self, index: int, value: Any) -> Any:
-        """Positional replace (``set(int, Object)``)."""
-        self._record(Op.SET_INDEX)
-        old = self.impl.set_at(index, value)
-        self._after_mutation()
-        return old
-
-    def remove_at(self, index: int) -> Any:
-        """Positional removal (``remove(int)``)."""
-        self._record(Op.REMOVE_INDEX)
-        old = self.impl.remove_at(index)
-        self._after_mutation()
-        return old
-
-    def remove_first(self) -> Any:
-        """Head removal (``removeFirst()``)."""
-        self._record(Op.REMOVE_FIRST)
-        old = self.impl.remove_first()
-        self._after_mutation()
-        return old
-
-    def remove_value(self, value: Any) -> bool:
-        """First-occurrence removal (``remove(Object)``)."""
-        self._record(Op.REMOVE_OBJECT)
-        removed = self.impl.remove_value(value)
-        self._after_mutation()
-        return removed
-
-    def contains(self, value: Any) -> bool:
-        """Membership test (``contains(Object)``)."""
-        self._record(Op.CONTAINS)
-        return self.impl.contains(value)
-
-    def index_of(self, value: Any) -> int:
-        """First-occurrence search (``indexOf(Object)``)."""
-        self._record(Op.INDEX_OF)
-        return self.impl.index_of(value)
-
-    def to_list(self) -> List[Any]:
-        """Recorded ``toArray()``: a charged copy of the contents."""
-        self._record(Op.TO_ARRAY)
-        return list(self.impl.iter_values())
-
-    def _bulk_absorb(self, source: ChameleonCollection) -> None:
-        for value in source.impl.iter_values():
-            self.impl.add(value)
-
-    def _migrate(self, old_impl: CollectionImpl,
-                 new_impl: CollectionImpl) -> None:
-        for value in old_impl.iter_values():
-            new_impl.add(value)
-
-
-class ChameleonSet(ChameleonCollection):
-    """The wrapped Set ADT."""
-
-    KIND = CollectionKind.SET
-    DEFAULT_SRC_TYPE = "HashSet"
-
-    impl: SetImpl
-
-    def add(self, value: Any) -> bool:
-        """Insert ``value``; False if already present."""
-        self._record(Op.ADD)
-        pinned = self._pin_args((value,))
-        try:
-            added = self.impl.add(value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-        return added
-
-    def add_all(self, source: Union["ChameleonCollection", Iterable[Any]],
-                ) -> None:
-        """Insert every element of ``source``."""
-        self._record(Op.ADD_ALL)
-        if isinstance(source, ChameleonCollection):
-            source.record_copied()
-            values, pinned = source.impl.iter_values(), []
-        else:
-            values = list(source)
-            pinned = self._pin_args(values)
-        try:
-            for value in values:
-                self.impl.add(value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-
-    def remove_value(self, value: Any) -> bool:
-        """Remove ``value``; True if it was present."""
-        self._record(Op.REMOVE_OBJECT)
-        removed = self.impl.remove_value(value)
-        self._after_mutation()
-        return removed
-
-    def contains(self, value: Any) -> bool:
-        """Membership test."""
-        self._record(Op.CONTAINS)
-        return self.impl.contains(value)
-
-    def _bulk_absorb(self, source: ChameleonCollection) -> None:
-        for value in source.impl.iter_values():
-            self.impl.add(value)
-
-    def _migrate(self, old_impl: CollectionImpl,
-                 new_impl: CollectionImpl) -> None:
-        for value in old_impl.iter_values():
-            new_impl.add(value)
-
-
-class ChameleonMap(ChameleonCollection):
-    """The wrapped Map ADT."""
-
-    KIND = CollectionKind.MAP
-    DEFAULT_SRC_TYPE = "HashMap"
-
-    impl: MapImpl
-
-    def put(self, key: Any, value: Any) -> Any:
-        """Associate ``key`` with ``value``; returns the previous value."""
-        self._record(Op.PUT)
-        pinned = self._pin_args((key, value))
-        try:
-            old = self.impl.put(key, value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-        return old
-
-    def get(self, key: Any) -> Any:
-        """Lookup (``get(Object)``)."""
-        self._record(Op.GET_OBJECT)
-        return self.impl.get(key)
-
-    def remove_key(self, key: Any) -> Any:
-        """Remove ``key``'s mapping; returns the removed value."""
-        self._record(Op.REMOVE_KEY)
-        old = self.impl.remove_key(key)
-        self._after_mutation()
-        return old
-
-    def contains_key(self, key: Any) -> bool:
-        """Key-membership test."""
-        self._record(Op.CONTAINS_KEY)
-        return self.impl.contains_key(key)
-
-    def contains_value(self, value: Any) -> bool:
-        """Value-membership test (linear)."""
-        self._record(Op.CONTAINS_VALUE)
-        return self.impl.contains_value(value)
-
-    def put_all(self, source: Union["ChameleonMap", Dict[Any, Any]]) -> None:
-        """Copy every mapping of ``source`` in (``putAll(Map)``)."""
-        self._record(Op.PUT_ALL)
-        if isinstance(source, ChameleonMap):
-            source.record_copied()
-            items, pinned = source.impl.iter_items(), []
-        else:
-            items = list(source.items())
-            pinned = self._pin_args(
-                part for pair in items for part in pair)
-        try:
-            for key, value in items:
-                self.impl.put(key, value)
-        finally:
-            self._unpin_args(pinned)
-        self._after_mutation()
-
-    def iterate_items(self) -> CollectionIterator:
-        """Recorded iterator over ``(key, value)`` pairs."""
-        empty = self.impl.is_empty
-        self._record(Op.ITERATE)
-        if self._oci is not None and empty:
-            self._oci.record_op(Op.ITER_EMPTY)
-        return make_iterator(self.vm, self.impl.iter_items(), empty=empty,
-                             use_shared_empty=self.use_shared_empty_iterator,
-                             context_id=self.context_id)
-
-    def iterate_keys(self) -> CollectionIterator:
-        """Recorded iterator over keys."""
-        empty = self.impl.is_empty
-        self._record(Op.ITERATE)
-        if self._oci is not None and empty:
-            self._oci.record_op(Op.ITER_EMPTY)
-        return make_iterator(self.vm, self.impl.iter_keys(), empty=empty,
-                             use_shared_empty=self.use_shared_empty_iterator,
-                             context_id=self.context_id)
-
-    def snapshot_items(self) -> List[Tuple[Any, Any]]:
-        """Current mappings without charging or recording."""
-        return self.impl.peek_items()
-
-    def _bulk_absorb(self, source: ChameleonCollection) -> None:
-        for key, value in source.impl.iter_items():
-            self.impl.put(key, value)
-
-    def _migrate(self, old_impl: CollectionImpl,
-                 new_impl: CollectionImpl) -> None:
-        for key, value in old_impl.iter_items():
-            new_impl.put(key, value)
-
-
-# ----------------------------------------------------------------------
-# vm_core="fast": inline-cached dispatch variants
-# ----------------------------------------------------------------------
-#
-# One subclass per wrapper kind, selected by ChameleonCollection.__new__
-# when the owning VM runs the fast operation pipeline.  Each recorded op
-# goes through a per-instance *plan*: a tuple built lazily on first use
-# that folds everything the reference `_record` -> charge -> record_op ->
-# impl-op -> `_after_mutation` chain re-derives on every call.
-#
-# Plan layout (shared prefix, then kind-specific bound impl methods):
-#
-#   plan[0]  stamp        vm.dispatch_stamp captured at build time; the
-#                         op path rebuilds when the VM bumped it
-#                         (set_tracer / enable_profiling /
-#                         disable_profiling), and swap_to resets the
-#                         plan to None directly.
-#   plan[1]  clock        vm.clock -- per-op constants are added to its
-#                         `pending` accumulator (flushed at every
-#                         vm.now read; see VMClock).
-#   plan[2]  ticks        wrapper_delegation (+ profile_op when the
-#                         instance is profiled), validated non-negative
-#                         once at build time.
-#   plan[3]  counts       the ObjectContextInfo's dense counter array,
-#                         or None for unprofiled instances.
-#   plan[4]  oci          the ObjectContextInfo itself, or None.
-#   plan[5]  add_root     vm.add_root   (argument pinning, refcounted).
-#   plan[6]  remove_root  vm.remove_root.
-#   plan[7:] bound impl methods, one slot per recorded operation of the
-#            kind (invalidated with the plan on swap_to).
-#
-# Byte-identity discipline mirrors the reference chain exactly: ticks
-# are charged and the op counter incremented *before* the impl call (a
-# raising op stays counted, as in `_record`), the size watermark is
-# updated *after* it, and heap-object arguments are rooted for the span
-# of the delegated operation in argument order.  Bulk operations
-# (add_all, put_all, ...) and everything else not overridden here
-# inherit the reference methods -- interleaving immediate `charge`
-# calls with batched `pending` adds commutes, so mixing the two lanes
-# is unobservable.
-
-_OP_SIZE = Op.SIZE.index
-_OP_IS_EMPTY = Op.IS_EMPTY.index
-_OP_CLEAR = Op.CLEAR.index
-_OP_ITERATE = Op.ITERATE.index
-_OP_ITER_EMPTY = Op.ITER_EMPTY.index
-
-
-class _FastDispatchMixin:
-    """Shared plan machinery + the kind-agnostic recorded operations."""
-
-    def __init__(self, vm: "RuntimeEnvironment", *,
-                 src_type: Optional[str] = None,
-                 initial_capacity: Optional[int] = None,
-                 context: Optional[ContextKey] = None,
-                 impl: Optional[str] = None,
-                 copy_from: Optional["ChameleonCollection"] = None,
-                 registry: Optional[ImplementationRegistry] = None,
-                 use_shared_empty_iterator: bool = False,
-                 impl_kwargs: Optional[Dict[str, Any]] = None) -> None:
-        """Byte-identical twin of :meth:`ChameleonCollection.__init__`.
-
-        Same events in the same order (sampling decision, context
-        capture, policy consultation, impl creation, profiler
-        registration, wrapper heap allocation, adoption, copy fill,
-        tracer callback) with the constant-per-VM work hoisted: the
-        wrapper object size is computed once per VM, and the policy /
-        context helper frames are inlined for the policy-free common
-        case.  The differential vm-core tests hold the two constructors
-        to the same observables.
-        """
-        self.vm = vm
-        self.registry = registry = registry or default_registry()
-        self.src_type = src_type = src_type or self.DEFAULT_SRC_TYPE
-        self.use_shared_empty_iterator = use_shared_empty_iterator
-        self._explicit_capacity = initial_capacity
-
-        profiler = vm.profiler
-        if vm.profiling_enabled:
-            profile = profiler.should_sample(src_type)
-            if not profile:
-                profiler.on_unsampled_allocation(src_type)
-        else:
-            profile = False
-
-        # Not inlined: capture_context charges per *walked* stack frame
-        # (internal frames included), so the helper frame is part of the
-        # priced semantics -- eliding it would change the tick total.
-        self.context_id = context_id = self._resolve_context(context,
-                                                             profile)
-        policy = vm.policy
-
-        impl_name = impl
-        capacity = initial_capacity
-        if policy is None:
-            merged_kwargs = impl_kwargs
-        else:
-            choice = vm.choose_implementation(src_type, context_id)
-            merged_kwargs = dict(impl_kwargs or {})
-            if choice is not None:
-                if impl_name is None and choice.impl_name is not None:
-                    impl_name = choice.impl_name
-                if choice.initial_capacity is not None:
-                    capacity = choice.initial_capacity
-                if choice.impl_kwargs:
-                    merged_kwargs.update(choice.impl_kwargs)
-        if impl_name is None:
-            impl_name = registry.default_impl_for(src_type)
-
-        if merged_kwargs:
-            self.impl = registry.create(
-                vm, impl_name, kind=self.KIND, initial_capacity=capacity,
-                context_id=context_id, **merged_kwargs)
-        else:
-            self.impl = registry.create(
-                vm, impl_name, kind=self.KIND, initial_capacity=capacity,
-                context_id=context_id)
-
-        self._fp_token = None
-        self._fp_triple = None
-        self._ids_token = None
-        self._ids_list = []
-
-        self._oci = None
-        on_death = None
-        if profile:
-            oci = self._oci = profiler.on_allocation(
-                context_id, src_type, impl_name,
-                initial_capacity=initial_capacity)
-            on_death = lambda heap_obj: profiler.on_death(oci)
-
-        try:
-            wrapper_size = vm._wrapper_size
-        except AttributeError:
-            wrapper_size = vm._wrapper_size = \
-                vm.model.object_size(ref_fields=1)
-        heap_obj = self.heap_obj = vm.allocate(
-            src_type, wrapper_size, payload=self,
-            context_id=context_id, on_death=on_death)
-        heap_obj.add_ref(self.impl.anchor_id)
-        self.impl.adopt()
-
-        if copy_from is not None:
-            self._fill_from(copy_from)
-
-        tracer = vm.tracer
-        if tracer is not None:
-            tracer.on_collection_created(self)
-
-    # ------------------------------------------------------------------
-    # Plan construction
-    # ------------------------------------------------------------------
-    def _plan_prefix(self) -> tuple:
-        vm = self.vm
-        costs = vm.costs
-        oci = self._oci
-        delegation = costs.wrapper_delegation
-        profile_op = costs.profile_op if oci is not None else 0
-        if delegation < 0 or profile_op < 0:
-            # The reference path surfaces negative ablation constants
-            # through the validated VMClock.charge on the op itself;
-            # a batched accumulator must never go negative silently.
-            raise ValueError("cannot charge negative ticks")
-        counts = oci.counts if oci is not None else None
-        # Root pins bind the heap's methods directly: vm.add_root /
-        # vm.remove_root are pure one-line delegates to them.
-        heap = vm.heap
-        return (vm.dispatch_stamp, vm.clock, delegation + profile_op,
-                counts, oci, heap.add_root, heap.remove_root)
-
-    def _build_plan(self) -> tuple:  # pragma: no cover - kind-specific
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Kind-agnostic recorded operations
-    # ------------------------------------------------------------------
-    def size(self) -> int:
-        """Recorded ``size()`` operation."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
-        if counts is not None:
-            counts[_OP_SIZE] += 1
-        return self.impl.size
-
-    def is_empty(self) -> bool:
-        """Recorded ``isEmpty()`` operation."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
-        if counts is not None:
-            counts[_OP_IS_EMPTY] += 1
-        return self.impl.is_empty
-
-    def clear(self) -> None:
-        """Recorded ``clear()`` operation."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        impl = self.impl
-        impl.clear()
-        oci = plan[4]
-        if oci is not None:
-            # clear() cannot fail mid-way, so count + size fuse into
-            # one post-op call.
-            oci.record_op_size(_OP_CLEAR, impl.size)
-
-    def iterate(self) -> CollectionIterator:
-        """Recorded iterator creation over the collection's values."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        impl = self.impl
-        empty = impl.is_empty
-        plan[1].pending += plan[2]
-        counts = plan[3]
-        if counts is not None:
-            counts[_OP_ITERATE] += 1
-            if empty:
-                counts[_OP_ITER_EMPTY] += 1
-        return make_iterator(self.vm, impl.iter_values(), empty=empty,
-                             use_shared_empty=self.use_shared_empty_iterator,
-                             context_id=self.context_id)
-
-
-class _FastChameleonList(_FastDispatchMixin, ChameleonList):
-    """``ChameleonList`` with inline-cached op dispatch."""
-
     def _build_plan(self) -> tuple:
         impl = self.impl
         plan = self._plan_prefix() + (
@@ -904,6 +519,47 @@ class _FastChameleonList(_FastDispatchMixin, ChameleonList):
             oci.final_size = size
             if size > oci.max_size:
                 oci.max_size = size
+
+    def add_all(self, source: Union["ChameleonCollection", Iterable[Any]],
+                ) -> None:
+        """Append every element of ``source`` (``addAll(Collection)``).
+
+        Records one ``addAll`` here and one ``copied`` on a wrapped
+        source -- both sides of the interaction, per section 3.2.2.
+        """
+        self._record(Op.ADD_ALL)
+        values, pinned = self._source_values(source)
+        try:
+            for value in values:
+                self.impl.add(value)
+        finally:
+            self._unpin_args(pinned)
+        self._after_mutation()
+
+    def add_all_at(self, index: int,
+                   source: Union["ChameleonCollection", Iterable[Any]],
+                   ) -> None:
+        """Insert every element of ``source`` at ``index``."""
+        self._record(Op.ADD_ALL_INDEX)
+        values, pinned = self._source_values(source)
+        try:
+            for offset, value in enumerate(values):
+                self.impl.add_at(index + offset, value)
+        finally:
+            self._unpin_args(pinned)
+        self._after_mutation()
+
+    def _source_values(self, source):
+        """``(values, pinned)`` for a bulk insert.
+
+        Elements of a wrapped source stay reachable through the source
+        itself; plain Python iterables get stack-root treatment.
+        """
+        if isinstance(source, ChameleonCollection):
+            source.record_copied()
+            return source.impl.iter_values(), []
+        values = list(source)
+        return values, self._pin_args(values)
 
     def get(self, index: int, _idx: int = Op.GET_INDEX.index) -> Any:
         """Positional read (``get(int)``)."""
@@ -1013,9 +669,28 @@ class _FastChameleonList(_FastDispatchMixin, ChameleonList):
             counts[_idx] += 1
         return plan[15](value)
 
+    def to_list(self) -> List[Any]:
+        """Recorded ``toArray()``: a charged copy of the contents."""
+        self._record(Op.TO_ARRAY)
+        return list(self.impl.iter_values())
 
-class _FastChameleonSet(_FastDispatchMixin, ChameleonSet):
-    """``ChameleonSet`` with inline-cached op dispatch."""
+    def _bulk_absorb(self, source: ChameleonCollection) -> None:
+        for value in source.impl.iter_values():
+            self.impl.add(value)
+
+    def _migrate(self, old_impl: CollectionImpl,
+                 new_impl: CollectionImpl) -> None:
+        for value in old_impl.iter_values():
+            new_impl.add(value)
+
+
+class ChameleonSet(ChameleonCollection):
+    """The wrapped Set ADT."""
+
+    KIND = CollectionKind.SET
+    DEFAULT_SRC_TYPE = "HashSet"
+
+    impl: SetImpl
 
     def _build_plan(self) -> tuple:
         impl = self.impl
@@ -1049,6 +724,23 @@ class _FastChameleonSet(_FastDispatchMixin, ChameleonSet):
                 oci.max_size = size
         return added
 
+    def add_all(self, source: Union["ChameleonCollection", Iterable[Any]],
+                ) -> None:
+        """Insert every element of ``source``."""
+        self._record(Op.ADD_ALL)
+        if isinstance(source, ChameleonCollection):
+            source.record_copied()
+            values, pinned = source.impl.iter_values(), []
+        else:
+            values = list(source)
+            pinned = self._pin_args(values)
+        try:
+            for value in values:
+                self.impl.add(value)
+        finally:
+            self._unpin_args(pinned)
+        self._after_mutation()
+
     def remove_value(self, value: Any,
                      _idx: int = Op.REMOVE_OBJECT.index) -> bool:
         """Remove ``value``; True if it was present."""
@@ -1079,9 +771,23 @@ class _FastChameleonSet(_FastDispatchMixin, ChameleonSet):
             counts[_idx] += 1
         return plan[9](value)
 
+    def _bulk_absorb(self, source: ChameleonCollection) -> None:
+        for value in source.impl.iter_values():
+            self.impl.add(value)
 
-class _FastChameleonMap(_FastDispatchMixin, ChameleonMap):
-    """``ChameleonMap`` with inline-cached op dispatch."""
+    def _migrate(self, old_impl: CollectionImpl,
+                 new_impl: CollectionImpl) -> None:
+        for value in old_impl.iter_values():
+            new_impl.add(value)
+
+
+class ChameleonMap(ChameleonCollection):
+    """The wrapped Map ADT."""
+
+    KIND = CollectionKind.MAP
+    DEFAULT_SRC_TYPE = "HashMap"
+
+    impl: MapImpl
 
     def _build_plan(self) -> tuple:
         impl = self.impl
@@ -1177,6 +883,23 @@ class _FastChameleonMap(_FastDispatchMixin, ChameleonMap):
             counts[_idx] += 1
         return plan[11](value)
 
+    def put_all(self, source: Union["ChameleonMap", Dict[Any, Any]]) -> None:
+        """Copy every mapping of ``source`` in (``putAll(Map)``)."""
+        self._record(Op.PUT_ALL)
+        if isinstance(source, ChameleonMap):
+            source.record_copied()
+            items, pinned = source.impl.iter_items(), []
+        else:
+            items = list(source.items())
+            pinned = self._pin_args(
+                part for pair in items for part in pair)
+        try:
+            for key, value in items:
+                self.impl.put(key, value)
+        finally:
+            self._unpin_args(pinned)
+        self._after_mutation()
+
     def iterate_items(self) -> CollectionIterator:
         """Recorded iterator over ``(key, value)`` pairs."""
         plan = self._plan
@@ -1211,12 +934,15 @@ class _FastChameleonMap(_FastDispatchMixin, ChameleonMap):
                              use_shared_empty=self.use_shared_empty_iterator,
                              context_id=self.context_id)
 
+    def snapshot_items(self) -> List[Tuple[Any, Any]]:
+        """Current mappings without charging or recording."""
+        return self.impl.peek_items()
 
-#: Reference class -> fast variant, consulted by
-#: ``ChameleonCollection.__new__``.  Unlisted classes (including the
-#: fast variants themselves) construct as-is.
-_FAST_VARIANTS = {
-    ChameleonList: _FastChameleonList,
-    ChameleonSet: _FastChameleonSet,
-    ChameleonMap: _FastChameleonMap,
-}
+    def _bulk_absorb(self, source: ChameleonCollection) -> None:
+        for key, value in source.impl.iter_items():
+            self.impl.put(key, value)
+
+    def _migrate(self, old_impl: CollectionImpl,
+                 new_impl: CollectionImpl) -> None:
+        for key, value in old_impl.iter_items():
+            new_impl.put(key, value)

@@ -317,9 +317,7 @@ class Chameleon:
             gc_threshold_bytes=self.config.gc_threshold_bytes,
             context_depth=self.config.context_depth,
             profiler=profiler,
-            policy=policy,
-            gc_core=self.config.gc_core,
-            vm_core=self.config.vm_core)
+            policy=policy)
 
     def _make_profiler(self) -> SemanticProfiler:
         if self.config.sampling_rate <= 1:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -51,20 +50,6 @@ class ToolConfig:
         top_contexts_to_apply: How many ranked suggestions the apply step
             takes (the paper modified "the top allocation contexts",
             e.g. 5 for TVLA).
-        gc_core: Which mark/account core the collector uses
-            ("reference", "fast", or "vector").  All cores are
-            byte-identical in every observable (ticks, GC stats, rendered
-            reports); the flag only trades wall-clock speed, so it is
-            deliberately *excluded* from :meth:`fingerprint` -- sessions
-            profiled under one core are valid cache hits under another.
-            The ``REPRO_GC_CORE`` environment variable overrides the
-            default (that is how pool workers and CI legs select a core
-            without threading it through every constructor).
-        vm_core: Which operation-pipeline core the runtime uses
-            ("reference" or "fast").  Exactly the ``gc_core`` contract
-            one layer up: byte-identical ticks, GC stats and profiler
-            reports under either core, wall-clock speed only, excluded
-            from :meth:`fingerprint`, defaulted from ``REPRO_VM_CORE``.
     """
 
     constants: Dict[str, float] = field(default_factory=dict)
@@ -79,26 +64,12 @@ class ToolConfig:
     online_decide_after: int = 8
     online_retrofit_live: bool = False
     top_contexts_to_apply: Optional[int] = None
-    gc_core: str = field(
-        default_factory=lambda: os.environ.get("REPRO_GC_CORE", "fast"))
-    vm_core: str = field(
-        default_factory=lambda: os.environ.get("REPRO_VM_CORE", "fast"))
 
     def __post_init__(self) -> None:
         if self.sampling_rate < 1:
             raise ValueError("sampling_rate must be >= 1")
         if self.online_decide_after < 1:
             raise ValueError("online_decide_after must be >= 1")
-        from repro.memory.gc import MarkSweepGC
-        if self.gc_core not in MarkSweepGC.CORES:
-            raise ValueError(
-                f"gc_core must be one of {MarkSweepGC.CORES}, "
-                f"got {self.gc_core!r}")
-        from repro.runtime.vm import RuntimeEnvironment
-        if self.vm_core not in RuntimeEnvironment.VM_CORES:
-            raise ValueError(
-                f"vm_core must be one of {RuntimeEnvironment.VM_CORES}, "
-                f"got {self.vm_core!r}")
 
     def fingerprint(self) -> str:
         """A stable digest of every semantic field.
@@ -110,11 +81,5 @@ class ToolConfig:
         stable across processes and interpreter invocations.
         """
         payload = dataclasses.asdict(self)
-        # The GC and VM core selections change wall-clock speed only,
-        # never the simulated run; excluding them keeps session-cache
-        # entries shared across cores (and lets CI diff fast vs
-        # reference runs that hit the same cached sessions).
-        payload.pop("gc_core", None)
-        payload.pop("vm_core", None)
         canonical = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

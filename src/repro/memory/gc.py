@@ -19,7 +19,6 @@ object instead of actual threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Set, Tuple
 
@@ -28,26 +27,6 @@ from repro.memory.semantic_maps import SemanticMap, SemanticMapRegistry
 from repro.memory.stats import GcCycleStats, HeapTimeline
 
 __all__ = ["GcCostParameters", "MarkSweepGC"]
-
-_NUMPY = None
-_NUMPY_CHECKED = False
-
-
-def _numpy():
-    """The numpy module, or ``None`` when not installed (checked once)."""
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        try:
-            import numpy
-            _NUMPY = numpy
-        except ImportError:  # pragma: no cover - numpy ships in CI
-            _NUMPY = None
-        _NUMPY_CHECKED = True
-    return _NUMPY
-
-
-def _have_numpy() -> bool:
-    return _numpy() is not None
 
 
 @dataclass(frozen=True)
@@ -68,32 +47,20 @@ class GcCostParameters:
 class MarkSweepGC:
     """Mark-sweep collector over a :class:`SimHeap` with semantic maps.
 
-    The mark and account phases exist in interchangeable *cores* selected
-    by :meth:`set_core` (``ToolConfig.gc_core`` end to end):
-
-    * ``"reference"`` -- the straightforward per-object BFS and
-      accounting loops, kept as the executable specification.
-    * ``"fast"`` (default) -- batched set-frontier marking and a single
-      allocation-order accounting sweep over the heap store.
-    * ``"vector"`` -- the fast account plus a flat-adjacency-array mark
-      closure vectorised with numpy; silently falls back to ``"fast"``
-      when numpy is unavailable.
-
-    Every core charges identical ticks (charges are pure counts) and
-    produces identical :class:`GcCycleStats` including dict insertion
-    order: both cores visit marked objects in allocation order (ids are
-    dense and monotonically increasing, so ascending id order *is*
-    allocation order).  The differential property test in
-    ``tests/verify`` enforces byte-identity over the trace corpus.
+    Marking unions whole frontiers at the C level and accounting is a
+    single allocation-order sweep over the heap store.  The textbook
+    loops live on as :class:`repro.verify.oracle.ReferenceMarkSweepGC`,
+    the executable specification this class is differentially tested
+    against: identical ticks (charges are pure counts) and identical
+    :class:`GcCycleStats` including dict insertion order -- both visit
+    marked objects in allocation order (ids are dense and monotonically
+    increasing, so ascending id order *is* allocation order).
     """
-
-    CORES = ("reference", "fast", "vector")
 
     def __init__(self, heap: SimHeap,
                  semantic_maps: Optional[SemanticMapRegistry] = None,
                  charge: Optional[Callable[[int], None]] = None,
-                 costs: Optional[GcCostParameters] = None,
-                 core: str = "fast") -> None:
+                 costs: Optional[GcCostParameters] = None) -> None:
         self.heap = heap
         self.semantic_maps = semantic_maps or SemanticMapRegistry()
         self.timeline = HeapTimeline()
@@ -103,7 +70,6 @@ class MarkSweepGC:
         self._collecting = False
         self._live_bytes_stamp: Optional[tuple] = None
         self._live_bytes_value = 0
-        self.set_core(core)
         # Sanitizer/observer hook points.  Pre hooks run before marking;
         # post hooks run after the sweep with the marked set and any
         # deliberately kept (e.g. tenured) ids.  Hooks are observers:
@@ -174,111 +140,9 @@ class MarkSweepGC:
         return stats
 
     # ------------------------------------------------------------------
-    # Core selection
+    # Phases
     # ------------------------------------------------------------------
-    def set_core(self, core: str) -> None:
-        """Select the mark/account core (``reference``/``fast``/``vector``).
-
-        Cores are byte-identical; switching mid-run is therefore safe.
-        ``vector`` requires numpy and degrades to ``fast`` without it.
-        """
-        if core not in self.CORES:
-            raise ValueError(f"unknown gc core {core!r}; "
-                             f"expected one of {self.CORES}")
-        if core == "vector" and not _have_numpy():
-            core = "fast"
-        self.core = core
-        if core == "reference":
-            self._mark = self._mark_reference
-            self._account = self._account_reference
-        elif core == "vector":
-            self._mark = self._mark_vector
-            self._account = self._account_fast
-        else:
-            self._mark = self._mark_fast
-            self._account = self._account_fast
-
-    # ------------------------------------------------------------------
-    # Phases -- reference core
-    # ------------------------------------------------------------------
-    def _mark_reference(self) -> Set[int]:
-        """Transitive closure from the heap's root set (per-object BFS)."""
-        live = self.heap.ids()
-        heap_get = self.heap.get
-        marked: Set[int] = set()
-        worklist = deque(
-            root_id for root_id in self.heap.root_ids() if root_id in live
-        )
-        marked.update(worklist)
-        popleft = worklist.popleft
-        append = worklist.append
-        while worklist:
-            obj = heap_get(popleft())
-            for ref_id in obj.refs.keys():
-                if ref_id not in marked and ref_id in live:
-                    marked.add(ref_id)
-                    append(ref_id)
-        return marked
-
-    def _account_reference(self, marked: Set[int],
-                           stats: GcCycleStats) -> None:
-        """Compute Table 3 statistics over the marked set.
-
-        Runs in two passes so the result is independent of visit order:
-        first find every ADT anchor and the internal objects it claims,
-        then attribute bytes.  An anchor that is itself claimed by another
-        anchor (e.g. a backing implementation owned by a wrapper) is folded
-        into its owner rather than reported separately.  Objects are
-        visited in ascending id (= allocation) order so the statistics
-        dicts carry the same insertion order as the fast core's
-        allocation-order sweep.
-        """
-        anchors: List[Tuple[HeapObject, SemanticMap]] = []
-        claimed: Set[int] = set()
-        heap_get = self.heap.get
-        lookup = self.semantic_maps.lookup
-        for obj_id in sorted(marked):
-            obj = heap_get(obj_id)
-            stats.live_data += obj.size
-            semantic_map = lookup(obj)
-            if semantic_map is not None:
-                # A half-built ADT (construction-rooted, not yet adopted
-                # by an owner) cannot answer the footprint protocol yet;
-                # account it as plain data for this cycle.
-                payload = obj.payload
-                if payload is not None and getattr(
-                        payload, "_construction_rooted", False):
-                    continue
-                anchors.append((obj, semantic_map))
-
-        for anchor, semantic_map in anchors:
-            claimed.update(semantic_map.internal_ids(anchor))
-
-        anchor_ids = {a.obj_id for a, _ in anchors}
-        for anchor, semantic_map in anchors:
-            if anchor.obj_id in claimed:
-                continue  # owned by an enclosing ADT (wrapper)
-            triple = semantic_map.footprint(anchor)
-            stats.collection_live += triple.live
-            stats.collection_used += triple.used
-            stats.collection_core += triple.core
-            stats.collection_objects += 1
-            stats.add_type_bytes(anchor.type_name, triple.live)
-            context_id = semantic_map.context_id(anchor)
-            if context_id is not None:
-                stats.context(context_id).add(
-                    triple.live, triple.used, triple.core)
-
-        for obj_id in sorted(marked):
-            if obj_id in claimed or obj_id in anchor_ids:
-                continue
-            obj = heap_get(obj_id)
-            stats.add_type_bytes(obj.type_name, obj.size)
-
-    # ------------------------------------------------------------------
-    # Phases -- fast core
-    # ------------------------------------------------------------------
-    def _mark_fast(self) -> Set[int]:
+    def _mark(self) -> Set[int]:
         """Transitive closure via whole-frontier set algebra.
 
         Instead of testing every edge against the marked set one by one,
@@ -311,14 +175,17 @@ class MarkSweepGC:
             frontier = fresh
         return marked
 
-    def _account_fast(self, marked: Set[int], stats: GcCycleStats) -> None:
+    def _account(self, marked: Set[int], stats: GcCycleStats) -> None:
         """Table 3 statistics via one allocation-order sweep.
 
-        Semantics are identical to :meth:`_account_reference`; the loop
-        iterates the heap store directly (dict insertion order =
-        allocation order = ascending id, matching the reference core's
-        sorted visits), skips the per-id ``heap.get`` calls, and folds
-        the three reference passes' bookkeeping into local variables.
+        First find every ADT anchor and the internal objects it claims,
+        then attribute bytes, so the result is independent of visit
+        order.  An anchor that is itself claimed by another anchor (e.g.
+        a backing implementation owned by a wrapper) is folded into its
+        owner rather than reported separately.  The loop iterates the
+        heap store directly (dict insertion order = allocation order =
+        ascending id, matching the reference's sorted visits) and keeps
+        the bookkeeping in local variables.
         """
         objects = self.heap._objects
         registry = self.semantic_maps
@@ -352,8 +219,9 @@ class MarkSweepGC:
             payload = obj.payload
             if payload is not None and getattr(
                     payload, "_construction_rooted", False):
-                # A half-built ADT is accounted as plain data this cycle,
-                # exactly as in the reference core.
+                # A half-built ADT (construction-rooted, not yet adopted
+                # by an owner) cannot answer the footprint protocol yet;
+                # account it as plain data for this cycle.
                 plain_append(obj)
                 continue
             anchors.append((obj, semantic_map))
@@ -388,63 +256,13 @@ class MarkSweepGC:
         get_bytes = type_distribution.get
         for obj in plain:
             # ``plain`` preserves the visit order, so insertion order in
-            # the distribution matches the reference core; anchors never
+            # the distribution is allocation order; anchors never
             # receive plain attribution (claimed or not), internals
             # claimed by an ADT are attributed to their owner above.
             if obj.obj_id in claimed:
                 continue
             name = obj.type_name
             type_distribution[name] = get_bytes(name, 0) + obj.size
-
-    # ------------------------------------------------------------------
-    # Phases -- vector core (numpy flat-adjacency mark)
-    # ------------------------------------------------------------------
-    def _mark_vector(self) -> Set[int]:
-        """Mark closure over flat adjacency arrays (numpy frontier).
-
-        Builds a CSR-style (heads, edges) pair for the current object
-        graph, then expands the root frontier with vectorised gather /
-        unique passes.  Reaches exactly the reference closure.
-        """
-        np = _numpy()
-        objects = self.heap._objects
-        if not objects:
-            return set()
-        index_of = {obj_id: i for i, obj_id in enumerate(objects)}
-        n = len(index_of)
-        heads = [0] * (n + 1)
-        flat: List[int] = []
-        append = flat.extend
-        for i, obj in enumerate(objects.values()):
-            refs = obj.refs
-            if refs:
-                append(idx for ref_id in refs
-                       if (idx := index_of.get(ref_id)) is not None)
-            heads[i + 1] = len(flat)
-        heads_arr = np.asarray(heads, dtype=np.int64)
-        edges = np.asarray(flat, dtype=np.int64)
-        counts = heads_arr[1:] - heads_arr[:-1]
-
-        marked = np.zeros(n, dtype=bool)
-        frontier = np.asarray(
-            sorted({index_of[rid] for rid in self.heap._roots
-                    if rid in index_of}), dtype=np.int64)
-        marked[frontier] = True
-        while frontier.size:
-            spans_from = heads_arr[frontier]
-            spans_len = counts[frontier]
-            total = int(spans_len.sum())
-            if not total:
-                break
-            gather = np.repeat(spans_from + spans_len
-                               - spans_len.cumsum(), spans_len)
-            gather += np.arange(total, dtype=np.int64)
-            targets = edges[gather]
-            fresh = np.unique(targets[~marked[targets]])
-            marked[fresh] = True
-            frontier = fresh
-        ids = np.fromiter(objects.keys(), dtype=np.int64, count=n)
-        return set(ids[marked].tolist())
 
     def _sweep(self, marked: Set[int], stats: GcCycleStats) -> None:
         """Free unmarked objects, invoking death hooks as they die.

@@ -107,15 +107,14 @@ class VMClock:
 
     Two charge lanes feed the same total:
 
-    * :meth:`charge` -- the validated call every reference-path component
-      uses;
-    * :attr:`pending` -- a plain integer accumulator the ``vm_core="fast"``
-      operation pipeline adds pre-validated constants to without a call.
+    * :meth:`charge` -- the validated call most components use;
+    * :attr:`pending` -- a plain integer accumulator the wrappers'
+      inline-cached op plans add pre-validated constants to without a call.
 
     Tick addition is commutative, so batching is unobservable as long as
     ``pending`` is folded in before anyone reads the clock; :attr:`now`
-    (the *only* read point) does exactly that, which is what keeps the
-    fast pipeline byte-identical at every GC trigger, tracer callback,
+    (the *only* read point) does exactly that, which is what keeps
+    batching byte-identical at every GC trigger, tracer callback,
     timeline snapshot and end-of-run report.
     """
 

@@ -22,9 +22,8 @@ edit, and the re-run program pays nothing at runtime for it.
 
 from __future__ import annotations
 
-import os
-from typing import (TYPE_CHECKING, Any, Callable, List, Optional, Protocol,
-                    Tuple, runtime_checkable)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Protocol, Tuple, runtime_checkable)
 
 from repro.memory.gc import GcCostParameters, MarkSweepGC
 from repro.memory.heap import HeapObject, OutOfMemoryError, SimHeap
@@ -104,14 +103,11 @@ class ReplacementPolicyProtocol(Protocol):
 class RuntimeEnvironment:
     """The simulated VM every workload and collection runs inside."""
 
-    #: Interchangeable operation-pipeline cores, mirroring
-    #: ``MarkSweepGC.CORES``: ``reference`` runs today's per-op loops
-    #: (kept as the executable spec), ``fast`` batches tick charges into
-    #: ``clock.pending`` and lets the collection wrappers dispatch
-    #: through per-instance inline-cached op plans.  Every core is
-    #: byte-identical in simulated observables (ticks, GC stats,
-    #: profiler reports); the selection trades wall-clock speed only.
-    VM_CORES = ("reference", "fast")
+    #: Wrapper subclasses to construct in place of the requested wrapper
+    #: classes (consulted by ``ChameleonCollection.__new__``).  Empty
+    #: here; the reference VM of :mod:`repro.verify.oracle` maps each
+    #: wrapper to its per-op twin.
+    wrapper_variants: Dict[type, type] = {}
 
     def __init__(self,
                  model: Optional[MemoryModel] = None,
@@ -125,9 +121,7 @@ class RuntimeEnvironment:
                  gc_overhead_fraction: float = 0.04,
                  gc_overhead_limit: int = 4,
                  collector_factory: Optional[Callable[..., MarkSweepGC]]
-                 = None,
-                 gc_core: Optional[str] = None,
-                 vm_core: Optional[str] = None) -> None:
+                 = None) -> None:
         self.model = model or MemoryModel.for_32bit()
         self.costs = cost_model or CostModel()
         self.clock = VMClock()
@@ -143,11 +137,6 @@ class RuntimeEnvironment:
         factory = collector_factory or MarkSweepGC
         self.gc = factory(self.heap, self.semantic_maps,
                           charge=self.clock.charge, costs=gc_costs)
-        if gc_core is not None:
-            # Applied post-construction so custom collector factories
-            # (e.g. GenerationalGC) keep their signatures; every core is
-            # byte-identical in simulated observables.
-            self.gc.set_core(gc_core)
         from repro.profiler.profiler import SemanticProfiler
 
         self.contexts = ContextRegistry(depth=context_depth)
@@ -171,16 +160,6 @@ class RuntimeEnvironment:
         # wrapper's operations without charging ticks, so a recorded run
         # is byte-identical to a plain one.
         self.tracer: Optional[Any] = None
-        # Operation-pipeline core selection.  The environment variable
-        # mirrors REPRO_GC_CORE: it is how pool workers, CI legs and
-        # direct RuntimeEnvironment() constructions pick a core without
-        # threading it through every call site.
-        if vm_core is None:
-            vm_core = os.environ.get("REPRO_VM_CORE", "fast")
-        if vm_core not in self.VM_CORES:
-            raise ValueError(f"vm_core must be one of {self.VM_CORES}, "
-                             f"got {vm_core!r}")
-        self.vm_core = vm_core
         # Structural version token for the wrappers' inline-cached op
         # plans (the adt_footprint_token idea applied to dispatch):
         # plans capture the current stamp at build time and rebuild
@@ -188,14 +167,12 @@ class RuntimeEnvironment:
         # toggles -- anything that could change what a recorded op must
         # do.  `object()` gives a fresh, never-reused identity.
         self.dispatch_stamp: object = object()
-        if (vm_core == "fast" and self.costs.alloc_base >= 0
-                and self.costs.alloc_per_16_bytes >= 0):
-            # Same instance-attribute trick as `charge`: the fast
-            # allocation path shadows the reference `allocate` def,
-            # which stays below as the executable spec (and serves the
-            # reference core plus the fast path's own rare branches).
-            # Negative ablation constants keep the reference def so the
-            # validated `charge` raises exactly as it always has.
+        if self.costs.alloc_base >= 0 and self.costs.alloc_per_16_bytes >= 0:
+            # Same instance-attribute trick as `charge`: the inlined
+            # common-case allocator shadows the general `allocate` def,
+            # which stays below for the rare branches.  Negative
+            # ablation constants keep the general def so the validated
+            # `charge` raises exactly as it always has.
             self._install_fast_allocate()
         for hook in _vm_created_hooks:
             hook(self)
@@ -213,9 +190,8 @@ class RuntimeEnvironment:
         """Current virtual time in ticks.
 
         This is the simulation's *only* clock read point; it flushes any
-        batched fast-path charges first, so every observer (GC cycle
-        stamps, timeline snapshots, run metrics) sees the same total the
-        reference core would have accumulated charge by charge.
+        batched charges first, so every observer (GC cycle stamps,
+        timeline snapshots, run metrics) sees every charge made so far.
         """
         return self.clock.now
 
@@ -233,6 +209,10 @@ class RuntimeEnvironment:
         if the limit still cannot be met after collecting,
         :class:`OutOfMemoryError` is raised -- the signal the minimal-heap
         search binary-searches against.
+
+        This is the general path: the VM shadows it with an inlined
+        common-case twin (:meth:`_install_fast_allocate`) that delegates
+        every rare branch back here.
         """
         aligned = self.model.align(size)
         if self.gc.collecting:
@@ -270,7 +250,7 @@ class RuntimeEnvironment:
                                   context_id=context_id, on_death=on_death)
 
     def _install_fast_allocate(self) -> None:
-        """Install the ``vm_core="fast"`` twin of :meth:`allocate`.
+        """Install the inlined common-case twin of :meth:`allocate`.
 
         Byte-identical semantics with the per-allocation call chain
         (``model.align`` -> ``gc.collecting`` -> ``would_overflow`` ->
@@ -286,8 +266,7 @@ class RuntimeEnvironment:
         mask); ``gc_threshold_bytes`` and ``_bytes_since_gc`` stay live
         attribute reads because callers mutate them mid-run.  Every rare
         branch -- a byte-limited heap, allocation from inside a death
-        hook, a negative size -- delegates to the reference def above,
-        which remains the executable spec for exactly that reason.
+        hook, a negative size -- delegates to the general def above.
         """
         vm = self
         heap = self.heap
@@ -297,7 +276,7 @@ class RuntimeEnvironment:
         mask = self.model.alignment - 1
         alloc_base = self.costs.alloc_base
         alloc_per_16 = self.costs.alloc_per_16_bytes
-        reference_allocate = RuntimeEnvironment.allocate
+        general_allocate = RuntimeEnvironment.allocate
         new_object = HeapObject.__new__
 
         def allocate(type_name: str, size: int, *,
@@ -306,7 +285,7 @@ class RuntimeEnvironment:
                      on_death: Optional[Callable[[HeapObject], None]]
                      = None) -> HeapObject:
             if heap.limit is not None or gc.collecting or size < 0:
-                return reference_allocate(
+                return general_allocate(
                     vm, type_name, size, payload=payload,
                     context_id=context_id, on_death=on_death)
             aligned = (size + mask) & ~mask
@@ -417,7 +396,7 @@ class RuntimeEnvironment:
     # ------------------------------------------------------------------
     def finish(self) -> None:
         """End-of-run bookkeeping: final GC, flush live profiles."""
-        # Fold batched fast-path charges first (collect() would do it
+        # Fold batched charges first (collect() would do it
         # through its `tick=now` stamp anyway; being explicit keeps the
         # end-of-run flush boundary visible and hook-order independent).
         self.clock.flush()

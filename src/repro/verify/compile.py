@@ -14,11 +14,11 @@ truncates them heavy-tailed, perturbs their value payloads, and weaves
 several of them through a single VM.
 
 The compiled path is a second implementation of replay semantics, so it
-is held to the same standard as the GC and VM cores: the conformance
-harness (``tests/verify/test_conformance.py``) pins the executed tick
-stream and per-step outcomes byte-identical to ``replay_trace`` of the
-source trace, across every ``gc_core``/``vm_core`` combination, with the
-heap sanitizer clean.  ``_apply_op`` in :mod:`repro.verify.trace` stays
+is held to the same standard as the collector and op pipeline: the
+conformance harness (``tests/verify/test_conformance.py``) pins the
+executed tick stream and per-step outcomes byte-identical to
+``replay_trace`` of the source trace, under the production and reference
+pipelines alike, with the heap sanitizer clean.  ``_apply_op`` in :mod:`repro.verify.trace` stays
 the executable spec; this module is the fast path.
 
 Two deliberate semantic mirrors of the interpreter:

@@ -537,8 +537,8 @@ def _state_snapshot(wrapper: ChameleonCollection,
 def replay_trace(trace: Trace, impl_name: str,
                  registry: Optional[ImplementationRegistry] = None,
                  sanitize: bool = False,
-                 gc_core: Optional[str] = None,
-                 vm_core: Optional[str] = None,
+                 vm_factory: Callable[..., RuntimeEnvironment]
+                 = RuntimeEnvironment,
                  gc_detail: bool = False) -> ReplayResult:
     """Replay ``trace`` against ``impl_name`` in a fresh, isolated VM.
 
@@ -547,15 +547,14 @@ def replay_trace(trace: Trace, impl_name: str,
     An :class:`UnsupportedOperation`/``TypeError`` from the implementation
     records an ``unsup`` outcome and stops the replay (drop-out).
 
-    ``gc_core`` selects the collector's mark/account core and
-    ``vm_core`` the runtime's operation-pipeline core for this replay
-    (default: the config defaults); with ``gc_detail`` the result
-    carries the replay's full GC observable record, so two replays can
-    be diffed core-against-core along either axis.
+    ``vm_factory`` builds the replay's VM (called with
+    ``gc_threshold_bytes=None``; the differential tests pass
+    :func:`repro.verify.oracle.oracle_vm` variants).  With ``gc_detail``
+    the result carries the replay's full GC observable record, so two
+    replays can be diffed against each other.
     """
     registry = registry or default_registry()
-    vm = RuntimeEnvironment(gc_threshold_bytes=None, gc_core=gc_core,
-                            vm_core=vm_core)
+    vm = vm_factory(gc_threshold_bytes=None)
     sanitizer = None
     if sanitize:
         from repro.verify.sanitizer import HeapSanitizer
@@ -599,7 +598,6 @@ def replay_trace(trace: Trace, impl_name: str,
         import dataclasses
 
         detail = {
-            "core": vm.gc.core,
             "freed_ids": list(freed_ids),  # sweep order, not sorted
             "surviving_ids": sorted(vm.heap._objects),
             "cycles": [dataclasses.asdict(cycle)

@@ -28,7 +28,7 @@ Determinism contract: all randomness is string-seeded from the scenario
 name + workload seed (hash-independent), so every scenario run is
 byte-reproducible -- the conformance harness
 (``tests/verify/test_conformance.py``) holds the whole library to tick
-identity across the ``gc_core`` x ``vm_core`` grid and sanitizer
+identity across the production/reference pipeline grid and sanitizer
 cleanliness, and pins the pure-replay posture tick-identical to
 ``replay_trace`` of the source trace.
 """

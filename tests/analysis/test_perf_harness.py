@@ -68,16 +68,16 @@ class TestRunSuite:
         assert mark_heavy["ticks"] > 0
         assert mark_heavy["wall_seconds"] > 0
 
-    def test_gc_mark_heavy_is_deterministic_across_cores(self, monkeypatch):
+    def test_gc_mark_heavy_is_deterministic_across_cores(self):
         """Pure tick counts: the microbenchmark measures the same
-        simulated work whichever mark/account core runs it."""
-        ticks = set()
-        for core in ("reference", "fast", "vector"):
-            monkeypatch.setenv("REPRO_GC_CORE", core)
-            record = perf._bench_gc_mark_heavy(scale=0.05, seed=2009,
-                                               repeats=1)
-            ticks.add(record.ticks)
-        assert len(ticks) == 1, f"core-dependent ticks: {ticks}"
+        simulated work on the collector and on its reference oracle."""
+        from repro.verify.oracle import ReferenceMarkSweepGC
+
+        ticks = {perf._bench_gc_mark_heavy(scale=0.05, seed=2009,
+                                           repeats=1,
+                                           collector=collector).ticks
+                 for collector in (None, ReferenceMarkSweepGC)}
+        assert len(ticks) == 1, f"collector-dependent ticks: {ticks}"
 
     def test_render_summary_names_every_benchmark(self, doc):
         text = perf.render_summary(doc)
@@ -98,8 +98,7 @@ class TestMedianOfRepeats:
     def test_reported_wall_is_the_median_repeat(self):
         multi = perf.run_suite(scale=0.05, repeats=3,
                                workloads=("tvla",),
-                               include_gc_heavy=False,
-                               include_vm_cores=False)
+                               include_gc_heavy=False)
         for record in multi["benchmarks"]:
             walls = record["repeat_walls"]
             assert len(walls) == 3
@@ -118,60 +117,26 @@ class TestOpDispatchHeavy:
 
     def test_deterministic_across_vm_cores(self):
         """Pure tick counts: the microbenchmark measures the same
-        simulated work whichever op-pipeline core runs it."""
+        simulated work on the op pipeline and on its reference oracle."""
+        from repro.verify.oracle import ReferenceRuntimeEnvironment
+
         ticks = {perf._bench_op_dispatch_heavy(scale=0.02, repeats=1,
-                                               vm_core=core).ticks
-                 for core in ("reference", "fast")}
-        assert len(ticks) == 1, f"core-dependent ticks: {ticks}"
+                                               make_vm=make_vm).ticks
+                 for make_vm in (None, ReferenceRuntimeEnvironment)}
+        assert len(ticks) == 1, f"pipeline-dependent ticks: {ticks}"
 
     def test_included_in_the_gc_heavy_suite(self):
         stressed = perf.run_suite(scale=0.05, repeats=1,
                                   workloads=("tvla",),
-                                  include_gc_heavy=True,
-                                  include_vm_cores=False)
+                                  include_gc_heavy=True)
         names = [r["name"] for r in stressed["benchmarks"]]
         assert "op_dispatch_heavy" in names
 
 
-class TestVmCoresSection:
-    """The schema-v4 ``vm_cores`` section: reference-vs-fast op-pipeline
-    walls with the tick-identity contract asserted on every perf run."""
-
-    @pytest.fixture(scope="class")
-    def section(self):
-        return perf.run_vm_cores_section(scale=0.02, repeats=1)
-
-    def test_measures_both_benchmarks(self, section):
-        assert set(section["benchmarks"]) \
-            == {"pmd_capture_on", "op_dispatch_heavy"}
-        for entry in section["benchmarks"].values():
-            assert entry["reference_wall"] > 0
-            assert entry["fast_wall"] > 0
-            assert entry["speedup"] > 0
-
-    def test_ticks_are_identical(self, section):
-        """The byte-identity contract: a divergence here is a
-        correctness bug, not a perf result."""
-        for name, entry in section["benchmarks"].items():
-            assert entry["ticks_identical"] is True, (name, entry)
-
-    def test_records_the_runner_cpu_count(self, section):
-        assert section["cpu_count"] >= 1
-
-    def test_valid_inside_a_document(self, doc, section):
-        extended = copy.deepcopy(doc)
-        extended["vm_cores"] = section
-        perf.validate_document(extended)  # must not raise
-        assert "vm_cores pmd_capture_on" \
-            in perf.render_summary(extended)
-
-    def test_run_suite_attaches_the_section(self, doc):
-        # The shared fixture runs with the default include_vm_cores.
-        assert "vm_cores" in doc
-        perf.validate_document(doc)
-
-
 class TestVmCoresValidation:
+    """The harness no longer writes the ``vm_cores`` section, but older
+    schema-v4 documents carry it and must still load and validate."""
+
     def _doc_with_section(self, doc, **overrides):
         extended = copy.deepcopy(doc)
         extended["vm_cores"] = {

@@ -33,8 +33,10 @@ class TestValidation:
             ToolConfig(online_decide_after=0)
 
     def test_vm_core(self):
-        with pytest.raises(ValueError):
-            ToolConfig(vm_core="warp")
+        """The op pipeline is no longer selectable: a caller still
+        passing the retired knob fails loudly."""
+        with pytest.raises(TypeError):
+            ToolConfig(vm_core="reference")
 
 
 class TestFingerprint:
@@ -59,10 +61,10 @@ class TestFingerprint:
         "top_contexts_to_apply": 5,
     }
 
-    # Fields that deliberately do NOT alter the fingerprint: they change
-    # wall-clock behaviour only, never the simulated run, so sessions
-    # cached under one value stay valid under another.
-    EXCLUDED = {"gc_core", "vm_core"}
+    # ToolConfig().fingerprint() while the retired gc_core/vm_core knobs
+    # still existed (they were excluded from the digest): sessions cached
+    # then must stay cache hits.
+    KNOB_ERA_FINGERPRINT = "152cf7ca487b72a1"
 
     def test_equal_configs_equal_fingerprints(self):
         assert ToolConfig().fingerprint() == ToolConfig().fingerprint()
@@ -78,29 +80,28 @@ class TestFingerprint:
 
         base = ToolConfig().fingerprint()
         field_names = {f.name for f in dataclasses.fields(ToolConfig)}
-        assert field_names == set(self.CHANGED) | self.EXCLUDED, \
-            "CHANGED/EXCLUDED must cover every ToolConfig field"
+        assert field_names == set(self.CHANGED), \
+            "CHANGED must cover every ToolConfig field"
         for name, value in self.CHANGED.items():
             changed = ToolConfig(**{name: value}).fingerprint()
             assert changed != base, f"field {name!r} not in fingerprint"
 
     def test_gc_core_does_not_alter_the_fingerprint(self):
-        """All GC cores are byte-identical, so cached sessions must be
-        shared across them."""
-        base = ToolConfig().fingerprint()
-        assert ToolConfig(gc_core="reference").fingerprint() == base
-        assert ToolConfig(gc_core="vector").fingerprint() == base
+        """Removing the GC-core knob kept the digest."""
+        assert ToolConfig().fingerprint() == self.KNOB_ERA_FINGERPRINT
 
     def test_gc_core_validation(self):
-        with pytest.raises(ValueError):
-            ToolConfig(gc_core="warp")
+        """The collector is no longer selectable: a caller still passing
+        the retired knob fails loudly."""
+        with pytest.raises(TypeError):
+            ToolConfig(gc_core="reference")
 
     def test_vm_core_does_not_alter_the_fingerprint(self):
-        """Both op-pipeline cores are byte-identical, so cached sessions
-        must be shared across them."""
-        base = ToolConfig().fingerprint()
-        assert ToolConfig(vm_core="reference").fingerprint() == base
-        assert ToolConfig(vm_core="fast").fingerprint() == base
+        """Removing the op-pipeline knob kept the digest."""
+        import dataclasses
+
+        assert "vm_core" not in dataclasses.asdict(ToolConfig())
+        assert ToolConfig().fingerprint() == self.KNOB_ERA_FINGERPRINT
 
 
 class TestPlumbing:
@@ -117,14 +118,6 @@ class TestPlumbing:
         assert vm.costs.hash_compute == 99
         assert vm.gc_threshold_bytes == 1234
         assert vm.contexts.depth == 3
-
-    def test_vm_core_reaches_the_vm(self, monkeypatch):
-        from repro.core.chameleon import Chameleon
-
-        vm = Chameleon(ToolConfig(vm_core="reference")).make_vm()
-        assert vm.vm_core == "reference"
-        monkeypatch.setenv("REPRO_VM_CORE", "reference")
-        assert Chameleon(ToolConfig()).make_vm().vm_core == "reference"
 
     def test_constants_reach_the_engine(self):
         from repro.core.chameleon import Chameleon

@@ -1,4 +1,4 @@
-"""Cross-core conformance harness for the compiled scenario library.
+"""Cross-pipeline conformance harness for the compiled scenario library.
 
 Every scenario in :mod:`repro.workloads.compiled` must uphold the
 guarantees the verification subsystem established for hand-written
@@ -7,9 +7,10 @@ replays before it may claim to be a workload:
 (a) **replay anchor** -- executing a scenario's source trace through the
     compiled path in the pure-replay posture is tick- and
     outcome-identical to :func:`repro.verify.trace.replay_trace`;
-(b) **core-grid identity** -- a full scenario run produces a
-    byte-identical tick count and GC-cycle record on every
-    ``gc_core`` x ``vm_core`` combination;
+(b) **pipeline-grid identity** -- a full scenario run produces a
+    byte-identical tick count and GC-cycle record whether the op
+    pipeline and the collector run the production code or the
+    reference code of :mod:`repro.verify.oracle` (all four pairings);
 (c) **sanitizer-clean** -- a full scenario run under a tight GC
     threshold triggers real collections and zero heap-soundness
     violations.
@@ -24,20 +25,17 @@ import pytest
 
 from repro.runtime.vm import RuntimeEnvironment
 from repro.verify.compile import TraceInstance, compile_trace
+from repro.verify.oracle import PIPELINES, oracle_vm
 from repro.verify.sanitizer import HeapSanitizer
 from repro.verify.trace import replay_trace
 from repro.workloads.compiled import SCENARIOS, make_scenario
 
 SCENARIO_NAMES = sorted(SCENARIOS)
 
-GC_CORES = ("reference", "fast", "vector")
-VM_CORES = ("reference", "fast")
 
-
-def _scenario_observables(name, gc_core, vm_core):
+def _scenario_observables(name, ops, gc):
     """One full scenario run's simulated observables under real GC."""
-    vm = RuntimeEnvironment(gc_threshold_bytes=64 * 1024, gc_core=gc_core,
-                            vm_core=vm_core)
+    vm = oracle_vm(ops=ops, gc=gc, gc_threshold_bytes=64 * 1024)
     make_scenario(name).run(vm)
     vm.finish()
     return {
@@ -79,15 +77,15 @@ class TestConformance:
             assert instance.dropped_at == reference.dropped_at
 
     def test_core_grid_byte_identical(self, name):
-        """(b): ticks and GC record equal on every core combination."""
+        """(b): ticks and GC record equal on every pipeline pairing."""
         reference = _scenario_observables(name, "reference", "reference")
         assert reference["cycles"], "scenario must trigger real GC"
-        for gc_core in GC_CORES:
-            for vm_core in VM_CORES:
-                if (gc_core, vm_core) == ("reference", "reference"):
+        for ops in PIPELINES:
+            for gc in PIPELINES:
+                if (ops, gc) == ("reference", "reference"):
                     continue
-                leg = _scenario_observables(name, gc_core, vm_core)
-                assert leg == reference, (gc_core, vm_core)
+                leg = _scenario_observables(name, ops, gc)
+                assert leg == reference, (ops, gc)
 
     def test_sanitizer_clean(self, name):
         """(c): a tight-threshold run collects repeatedly, soundly."""
@@ -101,6 +99,6 @@ class TestConformance:
 
     def test_deterministic_across_runs(self, name):
         """Same seed, same scale -> byte-identical repeat runs."""
-        first = _scenario_observables(name, "fast", "fast")
-        second = _scenario_observables(name, "fast", "fast")
+        first = _scenario_observables(name, "production", "production")
+        second = _scenario_observables(name, "production", "production")
         assert first == second

@@ -1,61 +1,62 @@
-"""Differential byte-identity of the interchangeable GC cores.
+"""Differential byte-identity of the collector against its oracle.
 
-``MarkSweepGC`` ships three mark/account cores (``reference``, ``fast``,
-``vector``) that must be observably indistinguishable: same charged
-ticks, same per-cycle statistics (including dict *insertion order*,
-which JSON round-trips preserve), same freed-object sequence, same
-surviving heap.  This suite checks that contract differentially --
-over the committed trace corpus (real workload operation mixes), over
-generated fuzz traces, and over raw synthetic heap shapes driven
-straight through ``collect()`` -- with the heap sanitizer attached to
-the non-reference replays.
+``MarkSweepGC``'s batched mark and account phases must be observably
+indistinguishable from the textbook loops kept as
+:class:`repro.verify.oracle.ReferenceMarkSweepGC`: same charged ticks,
+same per-cycle statistics (including dict *insertion order*, which JSON
+round-trips preserve), same freed-object sequence, same surviving heap.
+This suite checks that contract differentially -- over the committed
+trace corpus (real workload operation mixes), over generated fuzz
+traces, and over raw synthetic heap shapes driven straight through
+``collect()`` -- with the heap sanitizer attached to the production
+replays.
 """
 
+import dataclasses
+import functools
 import json
 import pathlib
 import random
 
 import pytest
 
-from repro.memory.gc import MarkSweepGC, _have_numpy
+from repro.memory.gc import MarkSweepGC
 from repro.memory.heap import SimHeap
 from repro.verify.generate import generate_trace
+from repro.verify.oracle import ReferenceMarkSweepGC, oracle_vm
 from repro.verify.trace import BASELINE_IMPLS, Trace, replay_trace
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))
 
-CORES = ("reference", "fast", "vector")
 
-
-def _replay(trace: Trace, core: str):
+def _replay(trace: Trace, gc: str):
     impl = BASELINE_IMPLS[trace.kind]
-    return replay_trace(trace, impl, gc_core=core, gc_detail=True,
-                        sanitize=(core != "reference"))
+    return replay_trace(
+        trace, impl, gc_detail=True, sanitize=(gc != "reference"),
+        vm_factory=functools.partial(oracle_vm, ops="production", gc=gc))
 
 
 def _assert_identical(trace: Trace) -> None:
     reference = _replay(trace, "reference")
     assert reference.gc_detail["cycles"], "replay never collected"
-    for core in CORES[1:]:
-        result = _replay(trace, core)
-        assert not result.violations, \
-            f"{core}: sanitizer violations {result.violations}"
-        assert result.ticks == reference.ticks, f"{core}: tick divergence"
-        assert result.outcomes == reference.outcomes, \
-            f"{core}: observable outcome divergence"
-        # Full GC record, sweep order included.  Comparing the JSON
-        # serialisation also pins dict insertion order (type
-        # distributions, per-context stats), the strictest observable.
-        assert json.dumps(result.gc_detail["freed_ids"]) \
-            == json.dumps(reference.gc_detail["freed_ids"]), \
-            f"{core}: freed-object sequence divergence"
-        assert result.gc_detail["surviving_ids"] \
-            == reference.gc_detail["surviving_ids"], \
-            f"{core}: surviving-heap divergence"
-        assert json.dumps(result.gc_detail["cycles"]) \
-            == json.dumps(reference.gc_detail["cycles"]), \
-            f"{core}: per-cycle GC stats divergence"
+    result = _replay(trace, "production")
+    assert not result.violations, \
+        f"sanitizer violations {result.violations}"
+    assert result.ticks == reference.ticks, "tick divergence"
+    assert result.outcomes == reference.outcomes, \
+        "observable outcome divergence"
+    # Full GC record, sweep order included.  Comparing the JSON
+    # serialisation also pins dict insertion order (type distributions,
+    # per-context stats), the strictest observable.
+    assert json.dumps(result.gc_detail["freed_ids"]) \
+        == json.dumps(reference.gc_detail["freed_ids"]), \
+        "freed-object sequence divergence"
+    assert result.gc_detail["surviving_ids"] \
+        == reference.gc_detail["surviving_ids"], "surviving-heap divergence"
+    assert json.dumps(result.gc_detail["cycles"]) \
+        == json.dumps(reference.gc_detail["cycles"]), \
+        "per-cycle GC stats divergence"
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
@@ -88,13 +89,10 @@ def _random_heap(seed: int) -> SimHeap:
     return heap
 
 
-def _collect_record(seed: int, core: str) -> dict:
-    import dataclasses
-
+def _collect_record(seed: int, collector) -> dict:
     heap = _random_heap(seed)
     charged = []
-    gc = MarkSweepGC(heap, charge=charged.append, core=core)
-    freed = []
+    gc = collector(heap, charge=charged.append)
     cycles = []
     for tick in range(3):
         stats = gc.collect(tick=tick)
@@ -116,24 +114,7 @@ def _collect_record(seed: int, core: str) -> dict:
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_heaps_identical_across_cores(seed):
-    reference = _collect_record(seed, "reference")
-    for core in CORES[1:]:
-        record = _collect_record(seed, core)
-        assert json.dumps(record) == json.dumps(reference), \
-            f"core {core!r} diverges from reference on seed {seed}"
-
-
-def test_vector_core_degrades_without_numpy(monkeypatch):
-    import repro.memory.gc as gc_mod
-
-    monkeypatch.setattr(gc_mod, "_NUMPY", None)
-    monkeypatch.setattr(gc_mod, "_NUMPY_CHECKED", True)
-    gc = MarkSweepGC(SimHeap(), core="vector")
-    assert gc.core == "fast"
-
-
-def test_vector_core_engages_with_numpy():
-    if not _have_numpy():
-        pytest.skip("numpy unavailable in this environment")
-    gc = MarkSweepGC(SimHeap(), core="vector")
-    assert gc.core == "vector"
+    reference = _collect_record(seed, ReferenceMarkSweepGC)
+    record = _collect_record(seed, MarkSweepGC)
+    assert json.dumps(record) == json.dumps(reference), \
+        f"collector diverges from its oracle on seed {seed}"

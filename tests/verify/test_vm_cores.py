@@ -1,10 +1,10 @@
-"""Differential byte-identity of the operation-pipeline cores.
+"""Differential byte-identity of the operation pipeline against its oracle.
 
-``RuntimeEnvironment`` ships two op-pipeline cores (``reference``,
-``fast``) that must be observably indistinguishable: same virtual ticks,
-same GC cycle statistics, same profiler reports (down to the JSON
-serialisation, which pins dict insertion order).  The fast core batches
-tick charges into ``clock.pending`` and dispatches recorded wrapper
+The production op pipeline must be observably indistinguishable from the
+plain per-op call chains kept in :mod:`repro.verify.oracle`: same virtual
+ticks, same GC cycle statistics, same profiler reports (down to the JSON
+serialisation, which pins dict insertion order).  It batches tick
+charges into ``clock.pending`` and dispatches recorded wrapper
 operations through inline-cached plans, so the hazards this suite hunts
 are *flush boundaries* (a clock read that misses pending charges) and
 *stale plans* (an op recorded against a plan built before
@@ -12,11 +12,12 @@ are *flush boundaries* (a clock read that misses pending charges) and
 ``swap_to`` changed what recording must do).
 
 Checked differentially over the committed trace corpus, generated fuzz
-traces, and all six paper workloads, across the full
-``vm_core x gc_core`` grid.
+traces, and all six paper workloads, across the 2 x 2 grid of op
+pipeline x collector (production or reference each).
 """
 
 import dataclasses
+import functools
 import json
 import pathlib
 
@@ -25,41 +26,41 @@ import pytest
 from repro.collections.wrappers import (ChameleonList, ChameleonMap,
                                         ChameleonSet)
 from repro.core.chameleon import Chameleon
-from repro.core.config import ToolConfig
 from repro.memory.heap import HeapObject, OutOfMemoryError
 from repro.profiler.profiler import SemanticProfiler
 from repro.profiler.report import build_report
 from repro.runtime.vm import RuntimeEnvironment
 from repro.verify.generate import generate_trace
+from repro.verify.oracle import (PIPELINES, ReferenceRuntimeEnvironment,
+                                 oracle_vm)
 from repro.verify.trace import BASELINE_IMPLS, Trace, replay_trace
 from repro.workloads import BENCHMARKS
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))
 
-VM_CORES = RuntimeEnvironment.VM_CORES
-GC_CORES = ("reference", "fast", "vector")
-GRID = [(vm_core, gc_core)
-        for vm_core in VM_CORES for gc_core in GC_CORES]
+#: (ops, gc) legs; the first is the all-reference baseline.
+GRID = [(ops, gc) for ops in PIPELINES for gc in PIPELINES]
 
 
 # ----------------------------------------------------------------------
-# Trace replay across the full core grid
+# Trace replay across the pipeline grid
 # ----------------------------------------------------------------------
 
 
-def _replay(trace: Trace, vm_core: str, gc_core: str):
+def _replay(trace: Trace, ops: str, gc: str):
     impl = BASELINE_IMPLS[trace.kind]
-    baseline = (vm_core, gc_core) == ("reference", "reference")
-    return replay_trace(trace, impl, vm_core=vm_core, gc_core=gc_core,
-                        gc_detail=True, sanitize=not baseline)
+    baseline = (ops, gc) == GRID[0]
+    return replay_trace(
+        trace, impl, gc_detail=True, sanitize=not baseline,
+        vm_factory=functools.partial(oracle_vm, ops=ops, gc=gc))
 
 
 def _assert_identical(trace: Trace) -> None:
-    reference = _replay(trace, "reference", "reference")
-    for vm_core, gc_core in GRID[1:]:
-        leg = f"vm={vm_core} gc={gc_core}"
-        result = _replay(trace, vm_core, gc_core)
+    reference = _replay(trace, *GRID[0])
+    for ops, gc in GRID[1:]:
+        leg = f"ops={ops} gc={gc}"
+        result = _replay(trace, ops, gc)
         assert not result.violations, \
             f"{leg}: sanitizer violations {result.violations}"
         assert result.ticks == reference.ticks, f"{leg}: tick divergence"
@@ -92,10 +93,11 @@ def test_generated_traces_identical_across_cores(adt, seed):
 # ----------------------------------------------------------------------
 
 
-def _profile_record(workload_class, vm_core: str) -> dict:
-    tool = Chameleon(ToolConfig(vm_core=vm_core))
+def _profile_record(workload_class, ops: str) -> dict:
+    tool = Chameleon()
     workload = workload_class(seed=2009, scale=0.02)
-    vm = tool.make_vm(profiler=tool._make_profiler())
+    vm = oracle_vm(ops=ops, gc="production",
+                   profiler=tool._make_profiler())
     workload.run(vm)
     vm.finish()
     report = build_report(vm.profiler, vm.timeline, vm.contexts)
@@ -116,10 +118,10 @@ def _profile_record(workload_class, vm_core: str) -> dict:
 def test_workload_profile_runs_identical_across_cores(workload_class):
     reference = _profile_record(workload_class, "reference")
     assert reference["gc_cycles"] > 0, "run never collected"
-    fast = _profile_record(workload_class, "fast")
+    production = _profile_record(workload_class, "production")
     for key in reference:
-        assert fast[key] == reference[key], \
-            f"{workload_class.name}: {key} diverges under vm_core=fast"
+        assert production[key] == reference[key], \
+            f"{workload_class.name}: {key} diverges on the production ops"
 
 
 # ----------------------------------------------------------------------
@@ -149,26 +151,24 @@ def _burst(vm, read_points):
 class TestClockFlushBoundaries:
     def test_now_mid_burst_flushes_and_matches_reference(self):
         read_points = {3, 17, 40}
-        ref_vm = RuntimeEnvironment(gc_threshold_bytes=None,
-                                    profiler=SemanticProfiler(),
-                                    vm_core="reference")
+        ref_vm = ReferenceRuntimeEnvironment(gc_threshold_bytes=None,
+                                             profiler=SemanticProfiler())
         fast_vm = RuntimeEnvironment(gc_threshold_bytes=None,
-                                     profiler=SemanticProfiler(),
-                                     vm_core="fast")
+                                     profiler=SemanticProfiler())
         ref_observed, ref_final = _burst(ref_vm, read_points)
         fast_observed, fast_final = _burst(fast_vm, read_points)
         assert fast_observed == ref_observed, \
-            "mid-burst vm.now reads diverge from the reference core"
+            "mid-burst vm.now reads diverge from the reference ops"
         assert fast_final == ref_final
 
     def test_now_drains_the_pending_accumulator(self):
-        vm = RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast")
+        vm = RuntimeEnvironment(gc_threshold_bytes=None)
         lst = ChameleonList(vm)
         lst.pin()
         for i in range(8):
             lst.add(i)
         assert vm.clock.pending > 0, \
-            "fast core never batched a charge (test is vacuous)"
+            "op pipeline never batched a charge (test is vacuous)"
         before = vm.clock.pending
         now = vm.now
         assert vm.clock.pending == 0
@@ -176,7 +176,7 @@ class TestClockFlushBoundaries:
         assert now >= before
 
     def test_finish_flushes_pending(self):
-        vm = RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast")
+        vm = RuntimeEnvironment(gc_threshold_bytes=None)
         lst = ChameleonList(vm)
         lst.pin()
         lst.add(1)
@@ -198,7 +198,7 @@ def _toggle_script(vm):
     for i in range(10):
         lst.add(i)
     profiler = vm.enable_profiling(SemanticProfiler())
-    # Allocated *after* the toggle: profiled under both cores.
+    # Allocated *after* the toggle: profiled on both pipelines.
     mapping = ChameleonMap(vm)
     mapping.pin()
     for i in range(10):
@@ -241,7 +241,7 @@ class TestPlanInvalidation:
         lambda vm: vm.set_tracer(None),
     ], ids=["enable_profiling", "disable_profiling", "set_tracer"])
     def test_vm_transitions_stale_the_plan(self, bump):
-        vm = RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast")
+        vm = RuntimeEnvironment(gc_threshold_bytes=None)
         lst = self._built(vm)
         stale = lst._plan
         bump(vm)
@@ -252,7 +252,7 @@ class TestPlanInvalidation:
         assert lst._plan[0] is vm.dispatch_stamp
 
     def test_swap_to_drops_the_plan(self):
-        vm = RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast")
+        vm = RuntimeEnvironment(gc_threshold_bytes=None)
         lst = self._built(vm)
         stale = lst._plan
         lst.swap_to("LinkedList")
@@ -265,10 +265,9 @@ class TestPlanInvalidation:
 
     def test_mid_run_toggles_match_reference(self):
         reference = _toggle_script(
-            RuntimeEnvironment(gc_threshold_bytes=None,
-                               vm_core="reference"))
+            ReferenceRuntimeEnvironment(gc_threshold_bytes=None))
         fast = _toggle_script(
-            RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast"))
+            RuntimeEnvironment(gc_threshold_bytes=None))
         assert fast == reference
 
     def test_swap_to_matches_reference(self):
@@ -284,10 +283,9 @@ class TestPlanInvalidation:
             vm.finish()
             return vm.now, list(seto.object_info.counts)
 
-        reference = script(RuntimeEnvironment(gc_threshold_bytes=None,
-                                              vm_core="reference"))
-        fast = script(RuntimeEnvironment(gc_threshold_bytes=None,
-                                         vm_core="fast"))
+        reference = script(
+            ReferenceRuntimeEnvironment(gc_threshold_bytes=None))
+        fast = script(RuntimeEnvironment(gc_threshold_bytes=None))
         assert fast == reference
 
 
@@ -298,8 +296,8 @@ class TestPlanInvalidation:
 
 class TestFastAllocate:
     def _pair(self, **kwargs):
-        return (RuntimeEnvironment(vm_core="reference", **kwargs),
-                RuntimeEnvironment(vm_core="fast", **kwargs))
+        return (ReferenceRuntimeEnvironment(**kwargs),
+                RuntimeEnvironment(**kwargs))
 
     def test_fast_allocate_matches_reference_fields(self):
         """Pins the HeapObject field list the inlined constructor in
@@ -361,7 +359,7 @@ class TestFastAllocate:
     def test_gc_threshold_stays_live(self):
         """The fast closure must read ``gc_threshold_bytes`` per call:
         the perf harness mutates it mid-run to provoke cycles."""
-        vm = RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast")
+        vm = RuntimeEnvironment(gc_threshold_bytes=None)
         for _ in range(8):
             vm.allocate("Garbage", 64)
         assert len(vm.timeline.cycles) == 0
@@ -373,39 +371,24 @@ class TestFastAllocate:
 
 
 # ----------------------------------------------------------------------
-# Core selection plumbing
+# Oracle plumbing
 # ----------------------------------------------------------------------
 
 
 class TestCoreSelection:
     def test_invalid_core_rejected(self):
-        with pytest.raises(ValueError, match="vm_core"):
-            RuntimeEnvironment(vm_core="warp")
-
-    def test_env_var_selects_the_core(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VM_CORE", "reference")
-        vm = RuntimeEnvironment(gc_threshold_bytes=None)
-        assert vm.vm_core == "reference"
-        assert type(ChameleonList(vm)) is ChameleonList
-
-    def test_explicit_core_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VM_CORE", "reference")
-        vm = RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast")
-        assert vm.vm_core == "fast"
+        with pytest.raises(ValueError, match="ops"):
+            oracle_vm(ops="warp")
+        with pytest.raises(ValueError, match="gc"):
+            oracle_vm(gc="warp")
 
     def test_fast_core_selects_fast_wrapper_classes(self):
-        vm = RuntimeEnvironment(gc_threshold_bytes=None, vm_core="fast")
+        """The production VM builds the plan-dispatch wrappers as-is;
+        the oracle's reference VM substitutes its per-op twins."""
+        vm = RuntimeEnvironment(gc_threshold_bytes=None)
+        ref_vm = ReferenceRuntimeEnvironment(gc_threshold_bytes=None)
         for cls in (ChameleonList, ChameleonSet, ChameleonMap):
-            wrapper = cls(vm)
-            assert type(wrapper) is not cls
-            assert isinstance(wrapper, cls)
-
-    def test_duck_typed_vm_falls_back_to_reference_classes(self):
-        """Test stand-in VMs without a ``vm_core`` attribute must keep
-        constructing plain reference wrappers."""
-
-        class _Stub:
-            pass
-
-        assert ChameleonList.__new__(ChameleonList, _Stub()).__class__ \
-            is ChameleonList
+            assert type(cls(vm)) is cls
+            twin = cls(ref_vm)
+            assert type(twin) is not cls
+            assert isinstance(twin, cls)
