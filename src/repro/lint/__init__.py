@@ -34,12 +34,12 @@ from repro.lint.findings import (Finding, Related, RuleValidationError,
 from repro.lint.interproc import (InterprocReport, SiteReport,
                                   analyze_paths, analyze_source,
                                   export_signatures)
-from repro.lint.intervals import Interval, Tri, analyze_condition
 from repro.lint.rule_checker import (check_rules, load_rules_file,
                                      overlap_report, validate_rules)
 from repro.lint.sarif import emit_sarif, validate_sarif
 from repro.lint.usage import (StaticPrediction, lint_paths,
                               lint_paths_detailed)
+from repro.rules.evaluator import Interval, Tri, analyze_condition
 
 __all__ = [
     "DriftEntry", "ThreeWayEntry", "drift_report", "three_way_report",

@@ -29,10 +29,12 @@ while tolerating multi-line allocation statements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.lint.findings import Finding, Severity, Span
 from repro.lint.usage import StaticPrediction
+from repro.rules.evaluator import Tri
 
 __all__ = ["DriftEntry", "ThreeWayEntry", "drift_report",
            "three_way_report", "load_sessions", "LINE_TOLERANCE"]
@@ -225,18 +227,19 @@ class ThreeWayEntry:
     interprocedural analysis had an opinion."""
 
 
-_VERDICT_NAMES = {"TRUE": "must", "UNKNOWN": "may", "FALSE": "refuted"}
+_VERDICT_NAMES = {Tri.TRUE: "must", Tri.UNKNOWN: "may",
+                  Tri.FALSE: "refuted"}
 
 
 def three_way_report(predictions: Sequence[StaticPrediction],
                      sessions: Sequence,
-                     classify,
+                     classify: Callable[[StaticPrediction], Tri],
                      proposals: Sequence[Tuple[str, int, str, str, str]] = (),
                      ) -> Tuple[List[Finding], List[ThreeWayEntry]]:
     """Diff coarse predictions, interval verdicts and dynamic sessions.
 
     ``classify`` is a callable mapping a :class:`StaticPrediction` to a
-    :class:`repro.lint.intervals.Tri` (dependency-injected so this
+    :class:`~repro.rules.evaluator.Tri` (dependency-injected so this
     module needs no import of the interprocedural engine;
     :meth:`repro.lint.interproc.InterprocReport.classify` fits).
     ``proposals`` are ``(location, line, src_type, rule, detail)`` rows
@@ -260,15 +263,13 @@ def three_way_report(predictions: Sequence[StaticPrediction],
       ``proposal-conflict`` (warning) flags a static *must* decision
       the dynamic engine contradicts.
     """
-    from repro.lint.intervals import Tri
-
     dynamic = _dynamic_index(sessions)
     findings: List[Finding] = []
     entries: List[ThreeWayEntry] = []
 
     for prediction in predictions:
         verdict_tri = classify(prediction)
-        verdict = _VERDICT_NAMES.get(verdict_tri.name, "may")
+        verdict = _VERDICT_NAMES[verdict_tri]
         agreed: Optional[Tuple[str, _DynSite]] = None
         profiled: Optional[Tuple[str, _DynSite]] = None
         for src_type in sorted(prediction.src_types):

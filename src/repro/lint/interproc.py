@@ -10,18 +10,18 @@ and feeds them through the *actual* rule engine
 three-valued verdicts per builtin rule:
 
 * ``must``   -- the rule's condition holds for every concrete run
-  (:data:`~repro.lint.intervals.Tri.TRUE` after refinement), so the
+  (:data:`~repro.rules.evaluator.Tri.TRUE` after refinement), so the
   engine's suggestion becomes a *static* :class:`ReplacementMap`
   proposal;
 * ``may``    -- the intervals straddle a threshold; the coarse fact is
   carried to the drift report unconfirmed;
 * ``refuted``-- the condition cannot hold
-  (:data:`~repro.lint.intervals.Tri.FALSE`), so a coarse prediction at
+  (:data:`~repro.rules.evaluator.Tri.FALSE`), so a coarse prediction at
   this site is a static false positive.
 
 Abstract domain
 ---------------
-Values are intervals (:class:`~repro.lint.intervals.Interval`), string
+Values are intervals (:class:`~repro.rules.evaluator.Interval`), string
 constants, ``None``-ness, site references, and tuples thereof; anything
 else is *unknown*.  Every tracked collection allocation gets a
 :class:`SiteState` holding per-instance op-count intervals, a running
@@ -58,12 +58,12 @@ from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
 from repro.lint.findings import Finding, Related, Severity, Span
-from repro.lint.intervals import (EMPTY, Interval, NON_NEGATIVE, TOP,
-                                  Tri, point)
 from repro.lint.usage import (WRAPPER_KINDS, StaticPrediction,
                               _expand_paths, _literal_src_types,
                               _module_name, _NEUTRAL_ATTRS,
                               _NEUTRAL_METHODS)
+from repro.rules.evaluator import (EMPTY, Interval, NON_NEGATIVE, TOP, Tri,
+                                   point)
 
 __all__ = ["SiteReport", "InterprocReport", "analyze_paths",
            "analyze_source", "export_signatures", "REAL_KINDS"]
@@ -2308,10 +2308,9 @@ def _evaluate_site(site: SiteState, engine) -> SiteReport:
         if src_type is None:
             break
         profile = _synthetic_profile(site, src_type, env)
-        results, decision = engine.evaluate_intervals(
+        verdicts, decision = engine.evaluate_intervals(
             profile, env, size_stable)
-        report.verdicts[src_type] = {
-            res.rule: res.verdict for res in results}
+        report.verdicts[src_type] = verdicts
         if decision is not None:
             report.decisions[src_type] = decision
     return report

@@ -17,7 +17,7 @@ Four check families, each with stable finding ids:
   (``L1-unknown-src-type``).
 * **Interval domain** -- conditions must be satisfiable
   (``L1-unsatisfiable``) and not tautological (``L1-tautology``); see
-  :mod:`repro.lint.intervals`.
+  :mod:`repro.rules.evaluator`.
 * **Pairwise overlap** -- two rules on overlapping type domains whose
   conditions are jointly satisfiable both fire on the same context; the
   engine's first-match priority makes the later one secondary.  An
@@ -40,11 +40,11 @@ from repro.collections.base import CollectionKind
 from repro.collections.registry import (ImplementationRegistry,
                                         default_registry)
 from repro.lint.findings import Finding, RuleValidationError, Severity, Span
-from repro.lint.intervals import Tri, analyze_condition
 from repro.rules.ast import (ActionKind, AndCond, BinaryOp, Comparison,
                              Condition, ConstRef, DataRef, Expr, NotCond,
                              OpCount, OpVariance, OrCond, Rule)
 from repro.rules.builtin import RuleSpec
+from repro.rules.evaluator import Tri, analyze_condition
 from repro.rules.parser import DATA_NAMES, ParseError, parse_rule
 from repro.rules.suggestions import RuleCategory
 

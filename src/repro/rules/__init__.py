@@ -4,8 +4,9 @@ from repro.rules.ast import (Action, ActionKind, CAPACITY_MAX_SIZE, Rule)
 from repro.rules.builtin import (BUILTIN_RULES, DEFAULT_CONSTANTS, RuleSpec,
                                  builtin_rules)
 from repro.rules.engine import RuleEngine
-from repro.rules.evaluator import (EvaluationError, RuleEnvironment,
-                                   evaluate_condition, evaluate_expression)
+from repro.rules.evaluator import (EvaluationError, Interval, Tri,
+                                   analyze_condition, decide_condition,
+                                   point_environment)
 from repro.rules.lexer import LexError, tokenize
 from repro.rules.parser import ParseError, parse_condition, parse_rule
 from repro.rules.suggestions import RuleCategory, Suggestion
@@ -13,7 +14,8 @@ from repro.rules.suggestions import RuleCategory, Suggestion
 __all__ = [
     "Action", "ActionKind", "CAPACITY_MAX_SIZE", "Rule", "BUILTIN_RULES",
     "DEFAULT_CONSTANTS", "RuleSpec", "builtin_rules", "RuleEngine",
-    "EvaluationError", "RuleEnvironment", "evaluate_condition",
-    "evaluate_expression", "LexError", "tokenize", "ParseError",
-    "parse_condition", "parse_rule", "RuleCategory", "Suggestion",
+    "EvaluationError", "Interval", "Tri", "analyze_condition",
+    "decide_condition", "point_environment", "LexError", "tokenize",
+    "ParseError", "parse_condition", "parse_rule", "RuleCategory",
+    "Suggestion",
 ]

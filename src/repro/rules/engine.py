@@ -19,34 +19,25 @@ potential, matching the tool behaviour of section 2.1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from repro.collections.base import CollectionKind
 from repro.profiler.report import ContextProfile, ProfileReport
 from repro.profiler.stability import StabilityPolicy
-from repro.rules.ast import Action, ActionKind, CAPACITY_MAX_SIZE
+from repro.rules.ast import (Action, ActionKind, CAPACITY_MAX_SIZE,
+                             Condition)
 from repro.rules.builtin import DEFAULT_CONSTANTS, RuleSpec, builtin_rules
-from repro.rules.evaluator import RuleEnvironment, evaluate_condition
+from repro.rules.evaluator import (Interval, Tri, analyze_condition,
+                                   decide_condition, point_environment,
+                                   tri_and)
 from repro.rules.suggestions import RuleCategory, Suggestion
 
-__all__ = ["RuleEngine", "IntervalRuleResult"]
+__all__ = ["RuleEngine"]
 
 
-@dataclass
-class IntervalRuleResult:
-    """Three-valued static outcome of one rule over interval inputs.
-
-    ``verdict`` is a :class:`repro.lint.intervals.Tri`; the two gate
-    flags record *why* a TRUE condition may still not fire at runtime
-    (stability demotions already show as UNKNOWN; the space gate is
-    runtime-only and purely informational here).
-    """
-
-    rule: str
-    verdict: "object"
-    stability_gated: bool = False
-    space_gated: bool = False
+def _tri(flag: bool) -> Tri:
+    return Tri.TRUE if flag else Tri.FALSE
 
 
 _KIND_NAMES = {
@@ -97,24 +88,21 @@ class RuleEngine:
 
     def evaluate_context(self, profile: ContextProfile,
                          ) -> Optional[Suggestion]:
-        """The primary suggestion for one context (secondaries attached)."""
-        matches: List[Suggestion] = []
-        env = RuleEnvironment(profile, self.constants)
-        size_stable = None  # lazily computed, shared across rules
-        for spec in self.rules:
-            if not self._type_matches(spec.rule.src_type, profile):
-                continue
-            if spec.requires_stable_size:
-                if size_stable is None:
-                    size_stable = bool(
-                        self.stability.context_is_stable(profile.info))
-                if not size_stable:
-                    continue
-            if spec.space_gated and not self._clears_potential(profile):
-                continue
-            if not evaluate_condition(spec.rule.condition, env):
-                continue
-            matches.append(self._make_suggestion(spec, profile))
+        """The primary suggestion for one context (secondaries attached).
+
+        The context's statistics are a point environment, so every rule
+        that clears its gates gets a TRUE or FALSE verdict (or raises
+        :class:`~repro.rules.evaluator.EvaluationError`).
+        """
+        env = point_environment(profile)
+        verdicts = self._verdicts(
+            profile,
+            lambda condition: decide_condition(condition, env,
+                                               self.constants),
+            stable=_tri(self.stability.context_is_stable(profile.info)),
+            space=_tri(self._clears_potential(profile)))
+        matches = [self._make_suggestion(spec, profile)
+                   for spec, verdict in verdicts if verdict is Tri.TRUE]
         if not matches:
             return None
         primary = matches[0]
@@ -122,17 +110,16 @@ class RuleEngine:
         return primary
 
     def evaluate_intervals(self, profile: ContextProfile,
-                           env: Mapping[str, "object"],
+                           env: Mapping[str, Interval],
                            size_stable: bool,
-                           ) -> "tuple":
+                           ) -> Tuple[Dict[str, Tri], Optional[tuple]]:
         """Static rule evaluation over inferred statistic *intervals*.
 
         The Layer 2.5 interprocedural linter
         (:mod:`repro.lint.interproc`) infers an interval per statistic
-        instead of a number; this walks the same rules, in the same
-        priority order, with the same type gate, but evaluates each
-        condition three-valuedly via
-        :func:`repro.lint.intervals.analyze_condition`.
+        instead of a number; this runs the same rule loop as
+        :meth:`evaluate_context` with
+        :func:`~repro.rules.evaluator.analyze_condition` verdicts.
 
         A condition that is TRUE but size-gated
         (``requires_stable_size``) while the static size is *not*
@@ -142,40 +129,50 @@ class RuleEngine:
         runtime quantity -- so a returned decision means "the dynamic
         engine decides this rule whenever its space gate clears".
 
-        Returns ``(results, decision)``: one
-        :class:`IntervalRuleResult` per type-matching rule, plus the
-        first provably-firing rule as ``(rule_name, Suggestion)`` when
-        every higher-priority matching rule is provably FALSE (the
-        only case in which the dynamic engine is guaranteed to reach
-        and pick it), else ``None``.
+        Returns ``(verdicts, decision)``: the verdict of every
+        type-matching rule by name, in priority order, plus the first
+        provably-firing rule as ``(rule_name, Suggestion)`` when every
+        higher-priority matching rule is provably FALSE (the only case
+        in which the dynamic engine is guaranteed to reach and pick
+        it), else ``None``.
         """
-        from repro.lint.intervals import Tri, analyze_condition
-
-        results: List[IntervalRuleResult] = []
+        verdicts: Dict[str, Tri] = {}
         decision = None
         blocked = False      # an earlier rule *might* fire dynamically
-        for spec in self.rules:
-            if not self._type_matches(spec.rule.src_type, profile):
-                continue
-            verdict = analyze_condition(spec.rule.condition,
-                                        constants=self.constants,
-                                        env=env).verdict
-            stability_gated = False
-            if verdict is Tri.TRUE and spec.requires_stable_size \
-                    and not size_stable:
-                verdict = Tri.UNKNOWN
-                stability_gated = True
-            results.append(IntervalRuleResult(
-                rule=spec.name, verdict=verdict,
-                stability_gated=stability_gated,
-                space_gated=spec.space_gated))
-            if decision is None and not blocked \
-                    and verdict is Tri.TRUE:
+        for spec, verdict in self._verdicts(
+                profile,
+                lambda condition: analyze_condition(
+                    condition, self.constants, env).verdict,
+                stable=Tri.TRUE if size_stable else Tri.UNKNOWN,
+                space=Tri.TRUE):
+            verdicts[spec.name] = verdict
+            if not blocked and verdict is Tri.TRUE:
                 decision = (spec.name,
                             self._make_suggestion(spec, profile))
             if verdict is not Tri.FALSE:
                 blocked = True
-        return results, decision
+        return verdicts, decision
+
+    def _verdicts(self, profile: ContextProfile,
+                  verdict_of: Callable[[Condition], Tri],
+                  stable: Tri, space: Tri,
+                  ) -> Iterator[Tuple[RuleSpec, Tri]]:
+        """The one rule loop: every type-matching rule in priority order
+        with its verdict -- the stability and space gates (``stable``,
+        ``space``) conjoined with ``verdict_of`` its condition.  A rule
+        whose gate is FALSE is FALSE without its condition being
+        evaluated."""
+        for spec in self.rules:
+            if not self._type_matches(spec.rule.src_type, profile):
+                continue
+            gate = Tri.TRUE
+            if spec.requires_stable_size:
+                gate = stable
+            if spec.space_gated:
+                gate = tri_and(gate, space)
+            if gate is not Tri.FALSE:
+                gate = tri_and(gate, verdict_of(spec.rule.condition))
+            yield spec, gate
 
     # ------------------------------------------------------------------
     # Gates

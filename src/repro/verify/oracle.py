@@ -19,13 +19,19 @@ Nothing in the tool imports this module.
   built on it is a ``Reference*`` twin that charges each recorded
   operation through the validated ``vm.charge``;
 * :func:`oracle_vm` -- either operation pipeline with either collector,
-  the 2 x 2 grid the differential tests sweep.
+  the 2 x 2 grid the differential tests sweep;
+* :func:`evaluate_condition` -- the concrete float walk of a rule
+  condition over one profile (:class:`RuleEnvironment`), and
+  :func:`reference_matches`, the rule loop around it: the specification
+  ``tests/rules/test_equivalence.py`` holds the interval evaluator's
+  point verdicts (:mod:`repro.rules.evaluator`) to.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.collections.iterators import CollectionIterator, make_iterator
 from repro.collections.registry import ImplementationRegistry, default_registry
@@ -36,12 +42,20 @@ from repro.memory.heap import HeapObject
 from repro.memory.semantic_maps import SemanticMap
 from repro.memory.stats import GcCycleStats
 from repro.profiler.counters import Op
+from repro.profiler.report import ContextProfile
+from repro.rules.ast import (AndCond, BinaryOp, Comparison, Condition,
+                             ConstRef, DataRef, Expr, Number, NotCond,
+                             OpCount, OpVariance, OrCond)
+from repro.rules.engine import RuleEngine
+from repro.rules.evaluator import EvaluationError
 from repro.runtime.context import ContextKey
 from repro.runtime.vm import RuntimeEnvironment
 
 __all__ = ["PIPELINES", "ReferenceChameleonList", "ReferenceChameleonMap",
            "ReferenceChameleonSet", "ReferenceMarkSweepGC",
-           "ReferenceRuntimeEnvironment", "oracle_vm"]
+           "ReferenceRuntimeEnvironment", "RuleEnvironment",
+           "evaluate_condition", "evaluate_expression", "oracle_vm",
+           "reference_matches"]
 
 #: The two implementations of each hot path: this module's loops and the
 #: production code.
@@ -393,3 +407,154 @@ def oracle_vm(ops: str = "reference", gc: str = "reference",
     vm_class = (ReferenceRuntimeEnvironment if ops == "reference"
                 else RuntimeEnvironment)
     return vm_class(**kwargs)
+
+
+# ----------------------------------------------------------------------
+# Rule conditions
+# ----------------------------------------------------------------------
+_EPSILON = 1e-9
+
+
+class RuleEnvironment:
+    """Binds rule identifiers for one allocation context."""
+
+    def __init__(self, profile: ContextProfile,
+                 constants: Optional[Mapping[str, float]] = None) -> None:
+        self.profile = profile
+        self.constants: Dict[str, float] = dict(constants or {})
+
+    # ------------------------------------------------------------------
+    # Identifier resolution
+    # ------------------------------------------------------------------
+    def constant(self, name: str) -> float:
+        try:
+            return float(self.constants[name])
+        except KeyError:
+            raise EvaluationError(
+                f"rule constant {name!r} is not bound; known constants: "
+                f"{sorted(self.constants)}") from None
+
+    def data(self, name: str) -> float:
+        info = self.profile.info
+        heap = self.profile.heap
+        if name == "size":
+            return info.final_size_stats.mean if info.final_size_stats.count else 0.0
+        if name in ("maxSize", "avgMaxSize"):
+            return info.avg_max_size
+        if name == "maxMaxSize":
+            return info.max_max_size
+        if name == "initialCapacity":
+            return info.avg_initial_capacity
+        if name == "instances":
+            return float(info.instances_allocated)
+        if name == "deadInstances":
+            return float(info.instances_dead)
+        if name == "allOps":
+            return info.all_ops_mean
+        if name == "swaps":
+            return float(info.swap_count)
+        if name == "totLive":
+            return float(heap.live.total) if heap else 0.0
+        if name == "maxLive":
+            return float(heap.live.max) if heap else 0.0
+        if name == "totUsed":
+            return float(heap.used.total) if heap else 0.0
+        if name == "maxUsed":
+            return float(heap.used.max) if heap else 0.0
+        if name == "totCore":
+            return float(heap.core.total) if heap else 0.0
+        if name == "maxCore":
+            return float(heap.core.max) if heap else 0.0
+        if name == "liveCount":
+            return float(heap.object_count.total) if heap else 0.0
+        if name == "maxLiveCount":
+            return float(heap.object_count.max) if heap else 0.0
+        if name == "potential":
+            return float(self.profile.total_potential)
+        if name == "maxPotential":
+            return float(self.profile.max_potential)
+        raise EvaluationError(f"unknown data identifier {name!r}")
+
+
+def evaluate_expression(expr: Expr, env: RuleEnvironment) -> float:
+    """Evaluate an arithmetic expression to a float."""
+    if isinstance(expr, Number):
+        return expr.value
+    if isinstance(expr, ConstRef):
+        return env.constant(expr.name)
+    if isinstance(expr, OpCount):
+        return env.profile.info.op_mean(expr.op)
+    if isinstance(expr, OpVariance):
+        return env.profile.info.op_stddev(expr.op)
+    if isinstance(expr, DataRef):
+        return env.data(expr.name)
+    if isinstance(expr, BinaryOp):
+        left = evaluate_expression(expr.left, env)
+        right = evaluate_expression(expr.right, env)
+        if expr.operator == "+":
+            return left + right
+        if expr.operator == "-":
+            return left - right
+        if expr.operator == "*":
+            return left * right
+        if expr.operator == "/":
+            if abs(right) < _EPSILON:
+                raise EvaluationError("division by zero in rule expression")
+            return left / right
+        raise EvaluationError(f"unknown operator {expr.operator!r}")
+    raise EvaluationError(f"cannot evaluate {type(expr).__name__} as value")
+
+
+def evaluate_condition(condition: Condition, env: RuleEnvironment) -> bool:
+    """Evaluate a boolean condition."""
+    if isinstance(condition, Comparison):
+        left = evaluate_expression(condition.left, env)
+        right = evaluate_expression(condition.right, env)
+        if condition.operator == "==":
+            return math.isclose(left, right, abs_tol=_EPSILON)
+        if condition.operator == "!=":
+            return not math.isclose(left, right, abs_tol=_EPSILON)
+        if condition.operator == "<":
+            return left < right
+        if condition.operator == "<=":
+            return left <= right + _EPSILON
+        if condition.operator == ">":
+            return left > right
+        if condition.operator == ">=":
+            return left >= right - _EPSILON
+        raise EvaluationError(f"unknown comparator {condition.operator!r}")
+    if isinstance(condition, AndCond):
+        return (evaluate_condition(condition.left, env)
+                and evaluate_condition(condition.right, env))
+    if isinstance(condition, OrCond):
+        return (evaluate_condition(condition.left, env)
+                or evaluate_condition(condition.right, env))
+    if isinstance(condition, NotCond):
+        return not evaluate_condition(condition.operand, env)
+    raise EvaluationError(
+        f"cannot evaluate {type(condition).__name__} as boolean")
+
+
+def reference_matches(engine: RuleEngine,
+                      profile: ContextProfile) -> List[str]:
+    """Names of the rules ``engine`` fires at ``profile``, primary
+    first: its type, stability and potential gates, then the concrete
+    :func:`evaluate_condition`."""
+    matches: List[str] = []
+    env = RuleEnvironment(profile, engine.constants)
+    size_stable = None  # lazily computed, shared across rules
+    for spec in engine.rules:
+        if not engine._type_matches(spec.rule.src_type, profile):
+            continue
+        if spec.requires_stable_size:
+            if size_stable is None:
+                size_stable = bool(
+                    engine.stability.context_is_stable(profile.info))
+            if not size_stable:
+                continue
+        if spec.space_gated and not engine._clears_potential(profile):
+            continue
+        if not evaluate_condition(spec.rule.condition, env):
+            continue
+        matches.append(spec.name)
+    return matches

@@ -8,6 +8,7 @@ one agreement, at least one static-only, at least one dynamic-only.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -19,9 +20,9 @@ from repro.lint.findings import Severity
 from repro.lint.usage import StaticPrediction, lint_paths
 from repro.workloads.tvla import TvlaWorkload
 
-TVLA_SOURCE = os.path.join(os.path.dirname(__file__), os.pardir,
-                           os.pardir, "src", "repro", "workloads",
-                           "tvla.py")
+WORKLOADS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                             os.pardir, "src", "repro", "workloads")
+TVLA_SOURCE = os.path.join(WORKLOADS_DIR, "tvla.py")
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +175,7 @@ class TestThreeWayReport:
         return helper._session(dynamic_line=dynamic_line)
 
     def _classify(self, verdict):
-        from repro.lint.intervals import Tri
+        from repro.rules.evaluator import Tri
         return lambda _prediction: Tri[verdict]
 
     def test_agreement_carries_verdict(self):
@@ -280,3 +281,26 @@ class TestThreeWayReport:
         for entry in by_status.get("agreement", []):
             assert entry.verdict != "refuted"
         assert not by_status.get("proposal-conflict")
+
+
+class TestPinnedThreeWayTallies:
+    def test_workload_sources_against_three_sessions(self):
+        # The EXPERIMENTS.md three-way drift numbers: src/repro/workloads
+        # against tvla, pmd and bloat optimized at scale 0.1.  A shift in
+        # any interval verdict moves these counts.
+        from repro.lint.interproc import analyze_paths
+        from repro.lint.usage import lint_paths_detailed
+        from repro.workloads import BloatWorkload, PmdWorkload
+
+        tool = Chameleon()
+        sessions = [tool.optimize(cls(scale=0.1)).session
+                    for cls in (TvlaWorkload, PmdWorkload, BloatWorkload)]
+        paths = [WORKLOADS_DIR]
+        _findings, predictions, _waived = lint_paths_detailed(paths)
+        report = analyze_paths(paths)
+        _findings, entries = three_way_report(
+            predictions, sessions, report.classify, report.proposal_rows())
+        assert Counter(entry.status for entry in entries) == {
+            "agreement": 2, "refuted": 3, "coverage-gap": 1,
+            "unsubstantiated": 5, "dynamic-only": 10,
+            "proposal-confirmed": 1, "proposal-new": 2}

@@ -5,7 +5,7 @@ import textwrap
 
 from repro.lint.interproc import (InterprocReport, analyze_source,
                                   export_signatures)
-from repro.lint.intervals import Tri
+from repro.rules.evaluator import Tri
 
 
 def analyze(source, path="src/repro/workloads/example.py"):

@@ -1,22 +1,23 @@
 """Interval domain: three-valued analysis of rule conditions.
 
 The hypothesis property at the bottom pins the domain's soundness
-contract against a concrete evaluator: a FALSE verdict means *no*
-admissible valuation satisfies the condition, a TRUE verdict means
-*every* one does.  Valuations are non-negative integers, matching the
-metric schema (every identifier is a count, size or byte aggregate).
+contract against the reference concrete walker
+(:mod:`repro.verify.oracle`): a FALSE verdict means *no* admissible
+valuation satisfies the condition, a TRUE verdict means *every* one
+does.  Valuations are non-negative integers or floats, matching the
+metric schema (every identifier is a count, size or byte aggregate, or
+a fractional average of one).
 """
 
-import operator
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.lint.intervals import (EMPTY, Interval, NON_NEGATIVE, TOP, Tri,
-                                  analyze_condition, canonical_ref)
-from repro.rules.ast import (AndCond, BinaryOp, Comparison, NotCond,
-                             Number, OrCond)
+from repro.rules.evaluator import (EMPTY, Interval, NON_NEGATIVE, TOP, Tri,
+                                   analyze_condition, canonical_ref)
 from repro.rules.parser import parse_condition
+from repro.verify.oracle import RuleEnvironment, evaluate_condition
 
 
 def analyze(text, constants=None):
@@ -105,7 +106,7 @@ class TestContingent:
 
 
 # ----------------------------------------------------------------------
-# Soundness property: interval verdicts vs a concrete evaluator
+# Soundness property: interval verdicts vs the reference walker
 # ----------------------------------------------------------------------
 _IDENTS = ("#add", "#contains", "instances", "initialCapacity",
            "swaps", "liveCount")
@@ -113,36 +114,20 @@ _IDENTS = ("#add", "#contains", "instances", "initialCapacity",
 # other, so independent valuations are admissible.
 _KEYS = {ident: canonical_ref(parse_condition(f"{ident} >= 0").left)
          for ident in _IDENTS}
-
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARATORS = ("<", "<=", ">", ">=", "==", "!=")
+_ARITH = ("+", "-", "*")
 
 
-def _concrete_expr(expr, valuation):
-    if isinstance(expr, Number):
-        return expr.value
-    key = canonical_ref(expr)
-    if key is not None:
-        return valuation[key]
-    assert isinstance(expr, BinaryOp)
-    return _ARITH[expr.operator](_concrete_expr(expr.left, valuation),
-                                 _concrete_expr(expr.right, valuation))
+class _Valuation(RuleEnvironment):
+    """The reference walker's environment over a bare valuation."""
 
+    def __init__(self, valuation):
+        super().__init__(SimpleNamespace(info=SimpleNamespace(
+            op_mean=lambda op: valuation[op.dsl_name])))
+        self.valuation = valuation
 
-def _concrete(condition, valuation):
-    if isinstance(condition, Comparison):
-        return _COMPARE[condition.operator](
-            _concrete_expr(condition.left, valuation),
-            _concrete_expr(condition.right, valuation))
-    if isinstance(condition, AndCond):
-        return (_concrete(condition.left, valuation)
-                and _concrete(condition.right, valuation))
-    if isinstance(condition, OrCond):
-        return (_concrete(condition.left, valuation)
-                or _concrete(condition.right, valuation))
-    assert isinstance(condition, NotCond)
-    return not _concrete(condition.operand, valuation)
+    def data(self, name):
+        return self.valuation[name]
 
 
 _atom = st.one_of(st.sampled_from(_IDENTS),
@@ -150,9 +135,9 @@ _atom = st.one_of(st.sampled_from(_IDENTS),
 _expr = st.one_of(
     _atom,
     st.builds("({} {} {})".format, _atom,
-              st.sampled_from(sorted(_ARITH)), _atom))
+              st.sampled_from(_ARITH), _atom))
 _comparison = st.builds("{} {} {}".format, _expr,
-                        st.sampled_from(sorted(_COMPARE)), _expr)
+                        st.sampled_from(_COMPARATORS), _expr)
 _condition = st.recursive(
     _comparison,
     lambda inner: st.one_of(
@@ -160,16 +145,27 @@ _condition = st.recursive(
         st.builds("({}) | ({})".format, inner, inner),
         inner.map("!({})".format)),
     max_leaves=4)
+# A nonzero statistic is never within the 1e-9 tolerance of zero (the
+# domain's resolution fact), so float valuations start above it.
 _valuation = st.fixed_dictionaries(
-    {key: st.integers(0, 6) for key in _KEYS.values()})
+    {key: st.one_of(st.integers(0, 6),
+                    st.floats(1e-9, 6, exclude_min=True))
+     for key in _KEYS.values()})
+_BOUNDARY = {key: 0 for key in _KEYS.values()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=_condition, valuation=_valuation)
+# Inside the engine's 1e-9 tolerance: refinement must not call these
+# unsatisfiable.
+@example(text="(#add <= 4) & (#add > 4)",
+         valuation={**_BOUNDARY, "#add": 4 + 5e-10})
+@example(text="(instances == 3) & (instances > 3)",
+         valuation={**_BOUNDARY, "instances": 3 + 2e-9})
 def test_interval_verdicts_sound(text, valuation):
     condition = parse_condition(text)
     verdict = analyze_condition(condition, constants={}).verdict
-    actual = _concrete(condition, valuation)
+    actual = evaluate_condition(condition, _Valuation(valuation))
     if verdict is Tri.FALSE:
         assert actual is False, (
             f"{text!r} declared unsatisfiable but {valuation} satisfies it")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lint.findings import RuleValidationError, Severity
-from repro.lint.intervals import analyze_condition
+from repro.rules.evaluator import analyze_condition
 from repro.lint.rule_checker import (check_rules, overlap_report,
                                      validate_rules)
 from repro.rules.builtin import BUILTIN_RULES, DEFAULT_CONSTANTS, RuleSpec

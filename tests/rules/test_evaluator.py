@@ -1,4 +1,4 @@
-"""Rule-condition evaluation against context profiles."""
+"""Rule-condition evaluation against context profiles (point verdicts)."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from repro.profiler.context_info import ContextInfo
 from repro.profiler.counters import Op
 from repro.profiler.object_info import ObjectContextInfo
 from repro.profiler.report import ContextProfile
-from repro.rules.evaluator import (EvaluationError, RuleEnvironment,
-                                   evaluate_condition, evaluate_expression)
+from repro.rules.evaluator import (EvaluationError, Tri, decide_condition,
+                                   point_environment)
 from repro.rules.parser import parse_condition
 
 
@@ -42,8 +42,10 @@ def make_profile(ops=(), sizes=(), capacities=(), heap_cycles=(),
 
 
 def check(text, profile, constants=None):
-    env = RuleEnvironment(profile, constants or {})
-    return evaluate_condition(parse_condition(text), env)
+    verdict = decide_condition(parse_condition(text),
+                               point_environment(profile), constants or {})
+    assert verdict is not Tri.UNKNOWN
+    return verdict is Tri.TRUE
 
 
 class TestOperationBindings:
@@ -145,10 +147,3 @@ class TestConstants:
             check("maxSize < SMALL", profile)
         assert "SMALL" in str(excinfo.value)
 
-
-class TestExpressionEntryPoint:
-    def test_evaluate_expression_direct(self):
-        from repro.rules.ast import Number
-        profile = make_profile(sizes=[1])
-        env = RuleEnvironment(profile)
-        assert evaluate_expression(Number(3.5), env) == 3.5
