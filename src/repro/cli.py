@@ -21,7 +21,7 @@ Examples::
     chameleon-repro fuzz --adt all --seeds 50
     chameleon-repro fuzz --record tvla --scale 0.05
     chameleon-repro compile-trace tests/verify/corpus/tvla-map-000.json \\
-        --rounds 3 --check --sanitize
+        --rounds 3 --sanitize
     chameleon-repro compile-trace tests/verify/corpus/*.json --multi-tenant
     chameleon-repro lint --paths src/repro/workloads --format sarif \\
         --output lint.sarif
@@ -281,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_trace = sub.add_parser(
         "compile-trace",
-        help="compile recorded trace(s) into runnable workloads; "
-             "optionally conformance-check against direct replay")
+        help="compile recorded trace(s) into runnable workloads")
     compile_trace.add_argument("traces", nargs="+", metavar="TRACE",
                                help="trace JSON file(s) -- corpus entries, "
                                     "'fuzz --record --save-corpus' output "
@@ -302,10 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="weave all given traces through one "
                                     "VM instead of running them one by "
                                     "one")
-    compile_trace.add_argument("--check", action="store_true",
-                               help="assert the compiled execution is "
-                                    "tick- and outcome-identical to "
-                                    "replay_trace of the source trace")
     compile_trace.add_argument("--sanitize", action="store_true",
                                help="attach the heap sanitizer to every "
                                     "compiled run")
@@ -706,9 +701,7 @@ def _cmd_fuzz(args) -> str:
 
 def _cmd_compile_trace(args) -> str:
     from repro.runtime.vm import RuntimeEnvironment
-    from repro.verify import replay_trace
-    from repro.verify.compile import (TraceInstance, compile_trace,
-                                      load_trace_file)
+    from repro.verify.compile import compile_trace, load_trace_file
     from repro.verify.sanitizer import HeapSanitizer
     from repro.workloads.compiled import (CompiledTraceWorkload,
                                           MultiTenantWorkload)
@@ -756,24 +749,6 @@ def _cmd_compile_trace(args) -> str:
                      else f" sanitizer={count} violation(s)")
             failed = failed or bool(count)
         lines.append(line)
-
-    if args.check:
-        for path, program in programs:
-            trace = program.trace
-            impl = args.impl or trace.baseline_impl
-            ref = replay_trace(trace, impl)
-            vm = RuntimeEnvironment(gc_threshold_bytes=None)
-            instance = TraceInstance(vm, program, impl=impl,
-                                     collect_outcomes=True)
-            instance.run()
-            vm.collect()
-            ok = (vm.now == ref.ticks
-                  and instance.outcomes == ref.outcomes
-                  and instance.dropped_at == ref.dropped_at)
-            lines.append(f"{path}: replay-anchor "
-                         + ("ok" if ok else "MISMATCH")
-                         + f" ops={len(trace.ops)} ticks={vm.now}")
-            failed = failed or not ok
 
     if failed:
         print("\n".join(lines))

@@ -1,40 +1,38 @@
-"""Trace compiler: recorded traces become standalone workload programs.
+"""Trace compiler and executor: the one way a recorded trace runs.
 
 MapReplay (PAPERS.md) generates benchmarks by compiling recorded traces;
-this module is that idea applied to ``repro.verify`` traces.  Where
-:func:`repro.verify.trace.replay_trace` *interprets* a trace -- decoding
-every tagged argument from JSON on every step, for one replay in one
-throwaway VM -- :func:`compile_trace` lowers the trace once into a
-:class:`CompiledProgram` of pre-decoded steps that a
+this module is that idea applied to ``repro.verify`` traces.
+:func:`compile_trace` lowers a trace once -- decoding every tagged
+argument -- into a :class:`CompiledProgram` of pre-decoded steps that a
 :class:`TraceInstance` can execute any number of times, inside any VM,
-against any implementation.  That is what turns one recorded trace into
-a *family* of scenarios: the workload layer
-(:mod:`repro.workloads.compiled`) replays compiled programs in rounds,
-truncates them heavy-tailed, perturbs their value payloads, and weaves
-several of them through a single VM.
+against any implementation.  :func:`repro.verify.trace.replay_trace` and
+:func:`~repro.verify.trace.diff_trace` (and so fuzz and shrink) execute
+traces this way, with outcome collection on; the workload layer
+(:mod:`repro.workloads.compiled`) turns one recorded trace into a
+*family* of scenarios by replaying compiled programs in rounds,
+truncating them heavy-tailed, perturbing their value payloads, and
+weaving several of them through a single VM.
 
-The compiled path is a second implementation of replay semantics, so it
-is held to the same standard as the collector and op pipeline: the
-conformance harness (``tests/verify/test_conformance.py``) pins the
-executed tick stream and per-step outcomes byte-identical to
-``replay_trace`` of the source trace, under the production and reference
-pipelines alike, with the heap sanitizer clean.  ``_apply_op`` in :mod:`repro.verify.trace` stays
-the executable spec; this module is the fast path.
+An interpretive replay, which decodes and dispatches each op as it goes,
+is kept only as the test oracle :func:`repro.verify.oracle.reference_replay`;
+the conformance harness (``tests/verify/test_conformance.py``) pins
+``replay_trace``'s ticks, per-step outcomes and drop-out step to it.
 
-Two deliberate semantic mirrors of the interpreter:
+Semantics worth knowing:
 
 * ``init`` contents are applied at the implementation level (they model
-  copy-construction, not program operations), so they charge the same
-  ticks as replay and stay invisible to an attached
-  :class:`~repro.verify.trace.TraceRecorder` -- exactly as a recording
-  of the original program would have seen them.
+  copy-construction, not program operations), so they stay invisible to
+  an attached :class:`~repro.verify.trace.TraceRecorder` -- exactly as a
+  recording of the original program would have seen them.
 * ``put_all`` goes through the wrapper with a :class:`_PairSource`
   (an ``items()`` duck type over the recorded pair list), never a dict:
   a dict would collapse Java-distinct keys (``1`` vs ``True`` vs
-  ``1.0``).  Unlike the interpreter's ``_replay_put_all`` shortcut this
-  keeps the wrapper's argument pinning, so compiled programs stay
-  GC-sound in VMs with real allocation thresholds; the pinning itself
-  is tick-free, preserving byte-identity with replay.
+  ``1.0``).  Going through the wrapper keeps its argument pinning, so
+  compiled programs stay GC-sound in VMs with real allocation
+  thresholds; the pinning itself is tick-free.
+* A ``swap`` with outcomes collected checks that the collection's
+  contents survive the swap unchanged, reporting ``swap-mismatch``
+  otherwise; without outcome collection the check is skipped.
 """
 
 from __future__ import annotations
@@ -44,13 +42,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.collections.base import CollectionKind, UnsupportedOperation
 from repro.collections.registry import ImplementationRegistry
+from repro.collections.wrappers import ChameleonCollection
 from repro.memory.heap import HeapObject
 from repro.runtime.context import ContextKey
 from repro.runtime.vm import RuntimeEnvironment
-from repro.verify.trace import (ITER_METHODS, HandleTable, Trace,
+from repro.verify.trace import (_WRAPPER_CLASSES, ITER_METHODS, HandleTable,
+                                Trace, _bind, _canon, _decode_symbolic,
                                 encode_value, max_handle, ops_for_kind)
 
-__all__ = ["CompiledProgram", "TraceInstance", "HandleRef", "compile_trace",
+__all__ = ["CompiledProgram", "TraceInstance", "compile_trace",
            "perturb_ops", "load_trace_file"]
 
 # Step opcodes.  A compiled step is a plain tuple whose first element is
@@ -63,59 +63,6 @@ STEP_SWAP = 4       # (SWAP, target_impl, kwargs_dict)
 STEP_ITER_NEW = 5   # (ITER_NEW, wrapper_method, slot)
 STEP_ITER_NEXT = 6  # (ITER_NEXT, slot)
 STEP_NOP = 7        # (NOP,)
-
-
-class HandleRef:
-    """Compile-time placeholder for a trace object handle.
-
-    Handles are per-VM (each instance allocates fresh simulated objects),
-    so compiled arguments carry these symbolic references; binding
-    substitutes the executing instance's objects.
-    """
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HandleRef({self.index})"
-
-
-def _decode_symbolic(enc: list) -> Tuple[Any, bool]:
-    """Decode a tagged value with handles left symbolic.
-
-    Returns ``(value, has_handles)`` -- the flag lets binding skip
-    handle-free arguments entirely.
-    """
-    tag = enc[0]
-    if tag == "n":
-        return None, False
-    if tag in ("b", "i", "s", "x"):
-        return enc[1], False
-    if tag == "f":
-        return float(enc[1]), False
-    if tag == "o":
-        return HandleRef(enc[1]), True
-    if tag == "p":
-        first, f1 = _decode_symbolic(enc[1][0])
-        second, f2 = _decode_symbolic(enc[1][1])
-        return (first, second), f1 or f2
-    if tag == "l":
-        items = [_decode_symbolic(item) for item in enc[1]]
-        return [value for value, _ in items], any(flag for _, flag in items)
-    raise ValueError(f"unknown value tag {tag!r}")
-
-
-def _bind(value: Any, objects: List[HeapObject]) -> Any:
-    """Substitute this instance's heap objects for symbolic handles."""
-    if isinstance(value, HandleRef):
-        return objects[value.index]
-    if isinstance(value, tuple):
-        return tuple(_bind(item, objects) for item in value)
-    if isinstance(value, list):
-        return [_bind(item, objects) for item in value]
-    return value
 
 
 class _PairSource:
@@ -214,7 +161,7 @@ class CompiledProgram:
         """The program of the trace's first ``n_ops`` operations.
 
         Recompiled from the truncated op list so handle preloading
-        matches what ``replay_trace`` of the same prefix would do.
+        covers only the handles the prefix references.
         """
         if n_ops >= len(self.trace.ops):
             return self
@@ -232,9 +179,9 @@ class CompiledProgram:
 def compile_trace(trace: Trace) -> CompiledProgram:
     """Lower ``trace`` into a :class:`CompiledProgram`.
 
-    Faithful to the interpreter including its tolerance: unknown op
-    names, arity mismatches and invalid iterator modes compile to no-ops
-    exactly where ``_apply_op`` would return ``["nop"]``.
+    Tolerant of malformed traces (as the shrinker produces): unknown op
+    names, arity mismatches and invalid iterator modes compile to no-ops,
+    which execute as a ``["nop"]`` outcome.
     """
     surface = ops_for_kind(trace.kind)
     steps = tuple(_compile_op(op, trace.kind, surface) for op in trace.ops)
@@ -351,29 +298,28 @@ def perturb_ops(ops: List[list], rng: random.Random,
 # Execution
 # ----------------------------------------------------------------------
 
-_WRAPPER_CLASSES_BY_KIND: Dict[CollectionKind, Any] = {}
-
-
-def _wrapper_cls(kind: CollectionKind):
-    # Deferred import: wrappers import heavy modules the compile step
-    # itself does not need.
-    if not _WRAPPER_CLASSES_BY_KIND:
-        from repro.collections.wrappers import (ChameleonList, ChameleonMap,
-                                                ChameleonSet)
-        _WRAPPER_CLASSES_BY_KIND.update({
-            CollectionKind.LIST: ChameleonList,
-            CollectionKind.SET: ChameleonSet,
-            CollectionKind.MAP: ChameleonMap,
-        })
-    return _WRAPPER_CLASSES_BY_KIND[kind]
+def _state_snapshot(wrapper: ChameleonCollection,
+                    handles: HandleTable) -> List[str]:
+    """Canonical contents for swap state-equivalence: ordered for lists,
+    sorted multiset for sets/maps.  Uses the replay's handle table so
+    object identities encode stably regardless of iteration order."""
+    if wrapper.KIND is CollectionKind.MAP:
+        encoded = [_canon(encode_value(tuple(item), handles))
+                   for item in wrapper.impl.peek_items()]
+        return sorted(encoded)
+    encoded = [_canon(encode_value(v, handles))
+               for v in wrapper.impl.peek_values()]
+    if wrapper.KIND is CollectionKind.SET:
+        return sorted(encoded)
+    return encoded
 
 
 class TraceInstance:
     """One live collection driven by a compiled program inside a VM.
 
-    Mirrors ``replay_trace`` exactly: handle objects are allocated and
-    rooted first, then the wrapper is constructed (explicit context, so
-    interning is tick-free) and pinned, then steps execute.  The caller
+    Handle objects are allocated and rooted first, then the wrapper is
+    constructed (explicit context, so interning is tick-free) and
+    pinned, then steps execute.  The caller
     owns the end-of-run ``vm.collect()`` and the eventual
     :meth:`release`, which is what lets several instances share a VM --
     the multi-tenant and phase-shifting scenarios -- or die mid-run for
@@ -395,7 +341,7 @@ class TraceInstance:
             obj = vm.allocate_data("TraceObj", ref_fields=1)
             vm.add_root(obj)
             self.objects.append(obj)
-        self.wrapper = _wrapper_cls(program.kind)(
+        self.wrapper = _WRAPPER_CLASSES[program.kind](
             vm, src_type=program.src_type, impl=impl, registry=registry,
             context=context
             or ContextKey.synthetic("repro.workloads.compiled"))
@@ -443,7 +389,7 @@ class TraceInstance:
             self.outcomes.append(outcome)
         if outcome[0] == "unsup":
             # Drop-out: the implementation rejects this operation; the
-            # rest of the program is not executed (interpreter parity).
+            # rest of the program is not executed.
             self.dropped_at = self._cursor
             return False
         self._cursor += 1
@@ -511,9 +457,18 @@ class TraceInstance:
             self.vm.collect()
             return ["ok", ["n"]]
         if opcode == STEP_SWAP:
+            # The swap state-equivalence check is an observable outcome,
+            # so it runs only when outcomes are collected.
+            handles = self._handles
+            before = (None if handles is None
+                      else _state_snapshot(wrapper, handles))
             try:
                 wrapper.swap_to(step[1], impl_kwargs=dict(step[2]) or None)
             except (UnsupportedOperation, TypeError):
                 return ["unsup"]
+            if handles is not None:
+                after = _state_snapshot(wrapper, handles)
+                if before != after:
+                    return ["swap-mismatch", before, after]
             return ["ok", ["n"]]
         return ["nop"]  # STEP_NOP

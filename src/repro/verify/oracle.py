@@ -24,15 +24,21 @@ Nothing in the tool imports this module.
   condition over one profile (:class:`RuleEnvironment`), and
   :func:`reference_matches`, the rule loop around it: the specification
   ``tests/rules/test_equivalence.py`` holds the interval evaluator's
-  point verdicts (:mod:`repro.rules.evaluator`) to.
+  point verdicts (:mod:`repro.rules.evaluator`) to;
+* :func:`reference_replay` -- the interpretive trace replay that decodes
+  and dispatches each op as it goes (``_apply_op``): the specification
+  ``test_conformance.py`` and ``tests/collections/test_iterators.py``
+  hold :func:`~repro.verify.trace.replay_trace`, which executes the
+  compiled program (:class:`~repro.verify.compile.TraceInstance`), to.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
+from repro.collections.base import CollectionKind, UnsupportedOperation
 from repro.collections.iterators import CollectionIterator, make_iterator
 from repro.collections.registry import ImplementationRegistry, default_registry
 from repro.collections.wrappers import (ChameleonCollection, ChameleonList,
@@ -50,12 +56,16 @@ from repro.rules.engine import RuleEngine
 from repro.rules.evaluator import EvaluationError
 from repro.runtime.context import ContextKey
 from repro.runtime.vm import RuntimeEnvironment
+from repro.verify.compile import _state_snapshot
+from repro.verify.trace import (_WRAPPER_CLASSES, ITER_METHODS, HandleTable,
+                                ReplayResult, Trace, decode_value,
+                                encode_value, max_handle, ops_for_kind)
 
 __all__ = ["PIPELINES", "ReferenceChameleonList", "ReferenceChameleonMap",
            "ReferenceChameleonSet", "ReferenceMarkSweepGC",
            "ReferenceRuntimeEnvironment", "RuleEnvironment",
            "evaluate_condition", "evaluate_expression", "oracle_vm",
-           "reference_matches"]
+           "reference_matches", "reference_replay"]
 
 #: The two implementations of each hot path: this module's loops and the
 #: production code.
@@ -558,3 +568,148 @@ def reference_matches(engine: RuleEngine,
             continue
         matches.append(spec.name)
     return matches
+
+
+# ----------------------------------------------------------------------
+# Trace replay
+# ----------------------------------------------------------------------
+def reference_replay(trace: Trace, impl_name: str,
+                     registry: Optional[ImplementationRegistry] = None,
+                     vm_factory: Callable[..., RuntimeEnvironment]
+                     = RuntimeEnvironment) -> ReplayResult:
+    """Replay ``trace`` against ``impl_name`` in a fresh, isolated VM,
+    decoding and dispatching every op as it goes.
+
+    The specification :func:`repro.verify.trace.replay_trace` (which
+    compiles the trace and runs a
+    :class:`~repro.verify.compile.TraceInstance`) is held to: identical
+    ticks, per-step outcomes and drop-out step.
+    """
+    registry = registry or default_registry()
+    vm = vm_factory(gc_threshold_bytes=None)
+
+    handles = HandleTable()
+    for handle in range(max_handle(trace.ops) + 1):
+        obj = vm.allocate_data("TraceObj", ref_fields=1)
+        vm.add_root(obj)
+        handles.handle_for(obj)
+        del handle
+
+    wrapper_cls = _WRAPPER_CLASSES[trace.kind]
+    wrapper = wrapper_cls(
+        vm, src_type=trace.src_type, impl=impl_name, registry=registry,
+        context=ContextKey.synthetic("repro.verify.replay"))
+    wrapper.pin()
+
+    outcomes: List[list] = []
+    iterators: Dict[int, Any] = {}
+    dropped_at: Optional[int] = None
+    for step, op in enumerate(trace.ops):
+        outcome = _apply_op(vm, wrapper, iterators, handles, op)
+        outcomes.append(outcome)
+        if outcome[0] == "unsup":
+            dropped_at = step
+            break
+    vm.collect()
+    return ReplayResult(impl_name=impl_name, outcomes=outcomes,
+                        dropped_at=dropped_at, ticks=vm.now)
+
+
+def _apply_op(vm: RuntimeEnvironment, wrapper: ChameleonCollection,
+              iterators: Dict[int, Any], handles: HandleTable,
+              op: list) -> list:
+    name = op[0]
+    kind = wrapper.KIND
+    if name == "init":
+        try:
+            for enc in op[1]:
+                value = decode_value(enc, handles)
+                if kind is CollectionKind.MAP:
+                    wrapper.impl.put(value[0], value[1])
+                else:
+                    wrapper.impl.add(value)
+        except (UnsupportedOperation, TypeError):
+            return ["unsup"]
+        return ["ok", ["n"]]
+    if name == "gc":
+        vm.collect()
+        return ["ok", ["n"]]
+    if name == "swap":
+        target, kwargs = op[1], (op[2] if len(op) > 2 else {})
+        before = _state_snapshot(wrapper, handles)
+        try:
+            wrapper.swap_to(target, impl_kwargs=dict(kwargs) or None)
+        except (UnsupportedOperation, TypeError):
+            return ["unsup"]
+        after = _state_snapshot(wrapper, handles)
+        if before != after:
+            return ["swap-mismatch", before, after]
+        return ["ok", ["n"]]
+    if name == "iter_new":
+        slot, mode = op[1], op[2]
+        method_name = ITER_METHODS.get(mode)
+        if method_name is None or (mode != "values"
+                                   and kind is not CollectionKind.MAP):
+            return ["nop"]
+        iterators[slot] = getattr(wrapper, method_name)()
+        return ["ok", ["n"]]
+    if name == "iter_next":
+        iterator = iterators.get(op[1])
+        if iterator is None:
+            return ["nop"]
+        try:
+            value = next(iterator)
+        except StopIteration:
+            return ["stop"]
+        return ["ok", encode_value(value, handles)]
+
+    spec = ops_for_kind(kind).get(name)
+    if spec is None:
+        return ["nop"]
+    args = _decode_call_args(spec, op[1:], handles)
+    if args is None:
+        return ["nop"]
+    if name == "put_all":
+        # Through a pair list, not a dict: a dict would collapse
+        # Java-distinct keys (1 vs True vs 1.0).
+        method: Any = _replay_put_all
+        args = (wrapper,) + args
+    else:
+        method = getattr(wrapper, name)
+    try:
+        result = method(*args)
+    except UnsupportedOperation:
+        return ["unsup"]
+    except TypeError:
+        return ["unsup"]
+    except (IndexError, KeyError) as exc:
+        return ["raise", type(exc).__name__]
+    return ["ok", encode_value(result, handles)]
+
+
+def _decode_call_args(spec: Tuple[str, ...], raw_args: list,
+                      handles: HandleTable) -> Optional[tuple]:
+    if len(raw_args) != len(spec):
+        return None
+    args: List[Any] = []
+    for kind, raw in zip(spec, raw_args):
+        if kind == "v":
+            args.append(decode_value(raw, handles))
+        elif kind == "i":
+            args.append(raw)
+        elif kind == "vs":
+            args.append([decode_value(enc, handles) for enc in raw])
+        elif kind == "ps":
+            args.append([decode_value(enc, handles) for enc in raw])
+    return tuple(args)
+
+
+def _replay_put_all(wrapper: ChameleonMap, pairs: List[Tuple[Any, Any]],
+                    ) -> None:
+    """Replay ``put_all`` from a pair list, mirroring the wrapper's
+    bookkeeping (op record + size sample) without building a dict."""
+    from repro.profiler.counters import Op
+    wrapper._record(Op.PUT_ALL)
+    for key, value in pairs:
+        wrapper.impl.put(key, value)
+    wrapper._after_mutation()

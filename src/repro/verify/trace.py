@@ -9,7 +9,11 @@ instance, the sequence of operations the program performed (name,
 arguments, observed result); :func:`replay_trace` re-executes such a trace
 against any single implementation in a fresh VM; and :func:`diff_trace`
 replays it against *every* eligible implementation of the ADT kind and
-diffs the observable outcomes step by step.
+diffs the observable outcomes step by step.  Both compile the trace
+(:func:`repro.verify.compile.compile_trace`, once per ``diff_trace``) and
+execute it with :class:`repro.verify.compile.TraceInstance`, the one trace
+executor; an interpretive replay is kept only as the test oracle
+:func:`repro.verify.oracle.reference_replay`.
 
 Recording is a pure observation: the recorder patches the wrapper's
 recorded methods on the *instance*, never charges the virtual clock, never
@@ -22,14 +26,18 @@ that Java-like element identity survives the round trip: primitives carry
 their type tag (``1``, ``True`` and ``1.0`` stay distinct, as boxed
 ``Integer``/``Boolean``/``Double`` would), while application heap objects
 become *handles* -- indices into a per-trace table -- replayed as fresh
-simulated objects with the same identity structure.
+simulated objects with the same identity structure.  Decoding leaves
+handles symbolic (:class:`HandleRef`) until they are bound to the
+executing VM's objects.
 
 Legitimate, documented differences between implementations are normalised
 rather than flagged:
 
 * An implementation that raises :class:`UnsupportedOperation` (or rejects
   a value type with ``TypeError``, as the primitive arrays do) *drops out*
-  at that step; its remaining steps are not compared.
+  at that step; its remaining steps are not compared.  A ``swap`` that
+  changes the collection's contents is flagged in every replay that
+  shows it, the baseline included.
 * Set and map iteration order is implementation-defined (hash order vs
   array order vs insertion order), so ``iter_next`` values are compared as
   per-iterator multisets; list iteration stays order-sensitive.
@@ -43,7 +51,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Tuple)
 
 from repro.collections.base import CollectionKind, UnsupportedOperation
 from repro.collections.registry import (ImplementationRegistry,
@@ -54,9 +63,12 @@ from repro.memory.heap import HeapObject
 from repro.runtime.context import ContextKey, capture_context
 from repro.runtime.vm import RuntimeEnvironment
 
+if TYPE_CHECKING:
+    from repro.verify.compile import CompiledProgram
+
 __all__ = ["Trace", "TraceRecorder", "ReplayResult", "Divergence",
            "DiffReport", "replay_trace", "diff_trace", "eligible_impls",
-           "encode_value", "decode_value", "BASELINE_IMPLS",
+           "encode_value", "decode_value", "HandleRef", "BASELINE_IMPLS",
            "TRACE_FORMAT_VERSION"]
 
 TRACE_FORMAT_VERSION = 1
@@ -100,9 +112,6 @@ class HandleTable:
             self.objects.append(obj)
         return handle
 
-    def object_for(self, handle: int) -> HeapObject:
-        return self.objects[handle]
-
     def preload(self, objects: List[HeapObject]) -> None:
         for obj in objects:
             self.handle_for(obj)
@@ -131,23 +140,62 @@ def encode_value(value: Any, handles: HandleTable) -> list:
     return ["x", f"{type(value).__name__}:{value!r}"]
 
 
-def decode_value(enc: list, handles: HandleTable) -> Any:
-    """Decode a tagged value; handles resolve through ``handles``."""
+class HandleRef:
+    """Symbolic reference to a trace object handle.
+
+    Handles are per-VM (each replay allocates fresh simulated objects),
+    so decoded values carry these placeholders until :func:`_bind`
+    substitutes the executing VM's objects.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"HandleRef({self.index})"
+
+
+def _decode_symbolic(enc: list) -> Tuple[Any, bool]:
+    """Decode a tagged value with handles left symbolic.
+
+    Returns ``(value, has_handles)`` -- the flag lets binding skip
+    handle-free arguments entirely.
+    """
     tag = enc[0]
     if tag == "n":
-        return None
+        return None, False
     if tag in ("b", "i", "s", "x"):
-        return enc[1]
+        return enc[1], False
     if tag == "f":
-        return float(enc[1])
+        return float(enc[1]), False
     if tag == "o":
-        return handles.object_for(enc[1])
+        return HandleRef(enc[1]), True
     if tag == "p":
-        return (decode_value(enc[1][0], handles),
-                decode_value(enc[1][1], handles))
+        first, f1 = _decode_symbolic(enc[1][0])
+        second, f2 = _decode_symbolic(enc[1][1])
+        return (first, second), f1 or f2
     if tag == "l":
-        return [decode_value(item, handles) for item in enc[1]]
+        items = [_decode_symbolic(item) for item in enc[1]]
+        return [value for value, _ in items], any(flag for _, flag in items)
     raise ValueError(f"unknown value tag {tag!r}")
+
+
+def _bind(value: Any, objects: List[HeapObject]) -> Any:
+    """Substitute ``objects`` for the symbolic handles in ``value``."""
+    if isinstance(value, HandleRef):
+        return objects[value.index]
+    if isinstance(value, tuple):
+        return tuple(_bind(item, objects) for item in value)
+    if isinstance(value, list):
+        return [_bind(item, objects) for item in value]
+    return value
+
+
+def decode_value(enc: list, handles: HandleTable) -> Any:
+    """Decode a tagged value; handles resolve through ``handles``."""
+    return _bind(_decode_symbolic(enc)[0], handles.objects)
 
 
 def _scan_handles(node: Any, found: set) -> None:
@@ -518,22 +566,6 @@ def _canon(enc: Any) -> str:
     return json.dumps(enc, sort_keys=True)
 
 
-def _state_snapshot(wrapper: ChameleonCollection,
-                    handles: HandleTable) -> List[str]:
-    """Canonical contents for swap state-equivalence: ordered for lists,
-    sorted multiset for sets/maps.  Uses the replay's handle table so
-    object identities encode stably regardless of iteration order."""
-    if wrapper.KIND is CollectionKind.MAP:
-        encoded = [_canon(encode_value(tuple(item), handles))
-                   for item in wrapper.impl.peek_items()]
-        return sorted(encoded)
-    encoded = [_canon(encode_value(v, handles))
-               for v in wrapper.impl.peek_values()]
-    if wrapper.KIND is CollectionKind.SET:
-        return sorted(encoded)
-    return encoded
-
-
 def replay_trace(trace: Trace, impl_name: str,
                  registry: Optional[ImplementationRegistry] = None,
                  sanitize: bool = False,
@@ -542,10 +574,13 @@ def replay_trace(trace: Trace, impl_name: str,
                  gc_detail: bool = False) -> ReplayResult:
     """Replay ``trace`` against ``impl_name`` in a fresh, isolated VM.
 
-    Malformed traces (as the shrinker produces: orphan ``iter_next``,
-    unknown slots) replay as deterministic no-ops rather than crashing.
-    An :class:`UnsupportedOperation`/``TypeError`` from the implementation
-    records an ``unsup`` outcome and stops the replay (drop-out).
+    The trace is compiled (:func:`repro.verify.compile.compile_trace`)
+    and executed by a :class:`~repro.verify.compile.TraceInstance` with
+    outcome collection on.  Malformed traces (as the shrinker produces:
+    orphan ``iter_next``, unknown slots) replay as deterministic no-ops
+    rather than crashing.  An :class:`UnsupportedOperation`/``TypeError``
+    from the implementation records an ``unsup`` outcome and stops the
+    replay (drop-out).
 
     ``vm_factory`` builds the replay's VM (called with
     ``gc_threshold_bytes=None``; the differential tests pass
@@ -553,7 +588,21 @@ def replay_trace(trace: Trace, impl_name: str,
     the result carries the replay's full GC observable record, so two
     replays can be diffed against each other.
     """
-    registry = registry or default_registry()
+    # Deferred imports here and below: repro.verify.compile imports this
+    # module.
+    from repro.verify.compile import compile_trace
+    return _replay_program(compile_trace(trace), impl_name, registry,
+                           sanitize, vm_factory, gc_detail)
+
+
+def _replay_program(program: CompiledProgram, impl_name: str,
+                    registry: Optional[ImplementationRegistry],
+                    sanitize: bool,
+                    vm_factory: Callable[..., RuntimeEnvironment]
+                    = RuntimeEnvironment,
+                    gc_detail: bool = False) -> ReplayResult:
+    """Execute a compiled trace against ``impl_name`` in a fresh VM."""
+    from repro.verify.compile import TraceInstance
     vm = vm_factory(gc_threshold_bytes=None)
     sanitizer = None
     if sanitize:
@@ -570,28 +619,10 @@ def replay_trace(trace: Trace, impl_name: str,
 
         vm.heap.free = recording_free  # type: ignore[method-assign]
 
-    handles = HandleTable()
-    for handle in range(max_handle(trace.ops) + 1):
-        obj = vm.allocate_data("TraceObj", ref_fields=1)
-        vm.add_root(obj)
-        handles.handle_for(obj)
-        del handle
-
-    wrapper_cls = _WRAPPER_CLASSES[trace.kind]
-    wrapper = wrapper_cls(
-        vm, src_type=trace.src_type, impl=impl_name, registry=registry,
-        context=ContextKey.synthetic("repro.verify.replay"))
-    wrapper.pin()
-
-    outcomes: List[list] = []
-    iterators: Dict[int, Any] = {}
-    dropped_at: Optional[int] = None
-    for step, op in enumerate(trace.ops):
-        outcome = _apply_op(vm, wrapper, iterators, handles, op)
-        outcomes.append(outcome)
-        if outcome[0] == "unsup":
-            dropped_at = step
-            break
+    instance = TraceInstance(
+        vm, program, impl=impl_name, registry=registry,
+        context=ContextKey.synthetic("repro.verify.replay"),
+        collect_outcomes=True).run()
     vm.collect()
     detail: Optional[dict] = None
     if gc_detail:
@@ -603,111 +634,11 @@ def replay_trace(trace: Trace, impl_name: str,
             "cycles": [dataclasses.asdict(cycle)
                        for cycle in vm.timeline.cycles],
         }
-    return ReplayResult(impl_name=impl_name, outcomes=outcomes,
-                        dropped_at=dropped_at, ticks=vm.now,
+    return ReplayResult(impl_name=impl_name, outcomes=instance.outcomes,
+                        dropped_at=instance.dropped_at, ticks=vm.now,
                         violations=list(sanitizer.violations)
                         if sanitizer is not None else [],
                         gc_detail=detail)
-
-
-def _apply_op(vm: RuntimeEnvironment, wrapper: ChameleonCollection,
-              iterators: Dict[int, Any], handles: HandleTable,
-              op: list) -> list:
-    name = op[0]
-    kind = wrapper.KIND
-    if name == "init":
-        try:
-            for enc in op[1]:
-                value = decode_value(enc, handles)
-                if kind is CollectionKind.MAP:
-                    wrapper.impl.put(value[0], value[1])
-                else:
-                    wrapper.impl.add(value)
-        except (UnsupportedOperation, TypeError):
-            return ["unsup"]
-        return ["ok", ["n"]]
-    if name == "gc":
-        vm.collect()
-        return ["ok", ["n"]]
-    if name == "swap":
-        target, kwargs = op[1], (op[2] if len(op) > 2 else {})
-        before = _state_snapshot(wrapper, handles)
-        try:
-            wrapper.swap_to(target, impl_kwargs=dict(kwargs) or None)
-        except (UnsupportedOperation, TypeError):
-            return ["unsup"]
-        after = _state_snapshot(wrapper, handles)
-        if before != after:
-            return ["swap-mismatch", before, after]
-        return ["ok", ["n"]]
-    if name == "iter_new":
-        slot, mode = op[1], op[2]
-        method_name = ITER_METHODS.get(mode)
-        if method_name is None or (mode != "values"
-                                   and kind is not CollectionKind.MAP):
-            return ["nop"]
-        iterators[slot] = getattr(wrapper, method_name)()
-        return ["ok", ["n"]]
-    if name == "iter_next":
-        iterator = iterators.get(op[1])
-        if iterator is None:
-            return ["nop"]
-        try:
-            value = next(iterator)
-        except StopIteration:
-            return ["stop"]
-        return ["ok", encode_value(value, handles)]
-
-    spec = ops_for_kind(kind).get(name)
-    if spec is None:
-        return ["nop"]
-    args = _decode_call_args(spec, op[1:], handles)
-    if args is None:
-        return ["nop"]
-    if name == "put_all":
-        # Through a pair list, not a dict: a dict would collapse
-        # Java-distinct keys (1 vs True vs 1.0).
-        method: Any = _replay_put_all
-        args = (wrapper,) + args
-    else:
-        method = getattr(wrapper, name)
-    try:
-        result = method(*args)
-    except UnsupportedOperation:
-        return ["unsup"]
-    except TypeError:
-        return ["unsup"]
-    except (IndexError, KeyError) as exc:
-        return ["raise", type(exc).__name__]
-    return ["ok", encode_value(result, handles)]
-
-
-def _decode_call_args(spec: Tuple[str, ...], raw_args: list,
-                      handles: HandleTable) -> Optional[tuple]:
-    if len(raw_args) != len(spec):
-        return None
-    args: List[Any] = []
-    for kind, raw in zip(spec, raw_args):
-        if kind == "v":
-            args.append(decode_value(raw, handles))
-        elif kind == "i":
-            args.append(raw)
-        elif kind == "vs":
-            args.append([decode_value(enc, handles) for enc in raw])
-        elif kind == "ps":
-            args.append([decode_value(enc, handles) for enc in raw])
-    return tuple(args)
-
-
-def _replay_put_all(wrapper: ChameleonMap, pairs: List[Tuple[Any, Any]],
-                    ) -> None:
-    """Replay ``put_all`` from a pair list, mirroring the wrapper's
-    bookkeeping (op record + size sample) without building a dict."""
-    from repro.profiler.counters import Op
-    wrapper._record(Op.PUT_ALL)
-    for key, value in pairs:
-        wrapper.impl.put(key, value)
-    wrapper._after_mutation()
 
 
 # ----------------------------------------------------------------------
@@ -849,7 +780,8 @@ def diff_trace(trace: Trace, impls: Optional[List[str]] = None,
 
     The reference is the *baseline replay* (the kind's default
     implementation), not the recorded results: the recording run may
-    itself have used a non-default or swapped implementation.
+    itself have used a non-default or swapped implementation.  The trace
+    is compiled once; the immutable program backs every replay.
     """
     registry = registry or default_registry()
     if impls is None:
@@ -857,8 +789,9 @@ def diff_trace(trace: Trace, impls: Optional[List[str]] = None,
     baseline = baseline or BASELINE_IMPLS[trace.kind]
     ordered = [baseline] + [name for name in impls if name != baseline]
 
-    results = {name: replay_trace(trace, name, registry=registry,
-                                  sanitize=sanitize)
+    from repro.verify.compile import compile_trace
+    program = compile_trace(trace)
+    results = {name: _replay_program(program, name, registry, sanitize)
                for name in ordered}
     reference = results[baseline]
     divergences: List[Divergence] = []

@@ -29,8 +29,10 @@ name + workload seed (hash-independent), so every scenario run is
 byte-reproducible -- the conformance harness
 (``tests/verify/test_conformance.py``) holds the whole library to tick
 identity across the production/reference pipeline grid and sanitizer
-cleanliness, and pins the pure-replay posture tick-identical to
-``replay_trace`` of the source trace.
+cleanliness, and pins :func:`~repro.verify.trace.replay_trace` of each
+source trace -- the same :class:`~repro.verify.compile.TraceInstance`
+executor these workloads run -- tick- and outcome-identical to the
+interpretive test oracle :func:`repro.verify.oracle.reference_replay`.
 """
 
 from __future__ import annotations
@@ -118,9 +120,8 @@ class CompiledTraceWorkload(_CompiledWorkloadBase):
     primitive payloads).  Instances from finished rounds are released so
     their whole subgraph becomes garbage; the final round stays pinned
     through the closing collection, which makes the ``rounds=1,
-    perturb=0`` posture step-for-step identical to
-    :func:`repro.verify.trace.replay_trace` -- the anchor the
-    conformance harness ties ticks to.
+    perturb=0`` posture execute exactly as
+    :func:`repro.verify.trace.replay_trace` does.
     """
 
     def __init__(self, program: CompiledProgram, scenario: str,

@@ -215,30 +215,25 @@ class TestUniformSemanticsViaCompiledWorkloads:
     Hand-written fills above choose their own values; here the op mix
     comes from recorded benchmark traces (including live iterators racing
     mutations), executed through the compiled path against every
-    eligible implementation.  Outcome- and drop-out-parity with
-    ``replay_trace`` per implementation is exactly the interchangeability
-    contract, proven beyond the baseline implementation and beyond
-    hand-picked operations.
+    eligible implementation.  Outcome- and drop-out-parity with the
+    interpretive ``reference_replay`` per implementation is exactly the
+    interchangeability contract, proven beyond the baseline
+    implementation and beyond hand-picked operations.
     """
 
     @pytest.mark.parametrize("workload,impl", _compiled_matrix_cases())
     def test_compiled_matches_replay_per_impl(self, workload, impl):
-        from repro.runtime.vm import RuntimeEnvironment
-        from repro.verify.compile import TraceInstance, compile_trace
+        from repro.verify.oracle import reference_replay
         from repro.verify.trace import replay_trace
         from repro.workloads.compiled import make_scenario
 
         trace = make_scenario(workload).source_traces()[0]
-        reference = replay_trace(trace, impl, sanitize=True)
-        assert reference.violations == []
-        vm = RuntimeEnvironment(gc_threshold_bytes=None)
-        instance = TraceInstance(vm, compile_trace(trace), impl=impl,
-                                 collect_outcomes=True)
-        instance.run()
-        vm.collect()
-        assert instance.outcomes == reference.outcomes
-        assert instance.dropped_at == reference.dropped_at
-        assert vm.now == reference.ticks
+        reference = reference_replay(trace, impl)
+        result = replay_trace(trace, impl, sanitize=True)
+        assert result.violations == []
+        assert result.outcomes == reference.outcomes
+        assert result.dropped_at == reference.dropped_at
+        assert result.ticks == reference.ticks
 
     @pytest.mark.parametrize("workload", ["compiled-tvla-map",
                                           "compiled-pmd-set"])

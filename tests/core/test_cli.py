@@ -123,10 +123,9 @@ class TestCommands:
         code, out = run_cli(capsys, "compile-trace",
                             str(corpus / "tvla-map-000.json"),
                             str(corpus / "bloat-list-000.json"),
-                            "--rounds", "2", "--check", "--sanitize")
+                            "--rounds", "2", "--sanitize")
         assert code == 0
         assert out.count("sanitizer=clean") == 2
-        assert out.count("replay-anchor ok") == 2
 
     def test_compile_trace_multi_tenant(self, capsys):
         corpus = pathlib.Path(__file__).parents[1] / "verify" / "corpus"

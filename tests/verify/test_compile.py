@@ -1,7 +1,8 @@
 """The trace compiler: lowering, perturbation, and generator closure.
 
-The conformance harness (``test_conformance.py``) pins compiled
-execution to ``replay_trace`` for the bundled scenario sources; this
+The conformance harness (``test_conformance.py``) pins ``replay_trace``
+(compiled execution) to the oracle's interpretive ``reference_replay``
+for the bundled scenario sources; this
 module covers the compiler itself -- step lowering, parameterization --
 and the property that makes the whole pipeline trustworthy for *any*
 trace: the generator -> compiler -> recorder path is closed.  Compiling
@@ -24,7 +25,9 @@ from repro.verify.compile import (STEP_CALL, STEP_GC, STEP_INIT,
                                   STEP_SWAP, TraceInstance, compile_trace,
                                   perturb_ops)
 from repro.verify.generate import ADT_KINDS, generate_trace
-from repro.verify.trace import Trace, TraceRecorder, replay_trace
+from repro.verify.oracle import reference_replay
+from repro.verify.trace import (Trace, TraceRecorder, eligible_impls,
+                                replay_trace)
 
 KINDS = {"list": CollectionKind.LIST, "set": CollectionKind.SET,
          "map": CollectionKind.MAP}
@@ -61,13 +64,16 @@ class TestLowering:
 
     def test_interpreter_tolerance_is_mirrored_as_nops(self):
         # Unknown op, wrong arity, and an invalid iterator mode must
-        # lower to no-ops exactly where _apply_op would return ["nop"].
+        # lower to no-ops exactly where the oracle's reference_replay
+        # (repro.verify.oracle._apply_op) returns ["nop"].
         program = compile_trace(_trace("list", [
             ["frobnicate", ["i", 1]],
             ["add", ["i", 1], ["i", 2]],
             ["iter_new", 0, "items"],
         ]))
         assert [step[0] for step in program.steps] == [STEP_NOP] * 3
+        assert (reference_replay(program.trace, "ArrayList").outcomes
+                == [["nop"]] * 3)
 
     def test_handles_stay_symbolic_until_bound(self):
         program = compile_trace(_trace("list", [["add", ["o", 3]]]))
@@ -175,3 +181,18 @@ def test_generator_compiler_recorder_closure(adt, seed):
 
     visible = [op for op in trace.ops if op[0] not in ("gc", "init")]
     assert _renumber(retrace.ops) == _renumber(visible)
+
+
+@pytest.mark.parametrize("adt", sorted(ADT_KINDS))
+def test_replay_matches_reference_replay_on_generated_traces(adt):
+    """Generated traces reach what recorded scenario traces rarely do --
+    raised exceptions, drop-outs, swaps -- so the replay anchor is also
+    held over them, for every eligible implementation."""
+    for seed in range(8):
+        trace = generate_trace(adt, seed, n_ops=60)
+        for impl in eligible_impls(trace):
+            reference = reference_replay(trace, impl)
+            result = replay_trace(trace, impl)
+            assert (result.ticks, result.outcomes, result.dropped_at) == (
+                reference.ticks, reference.outcomes,
+                reference.dropped_at), (adt, seed, impl)

@@ -4,9 +4,10 @@ Every scenario in :mod:`repro.workloads.compiled` must uphold the
 guarantees the verification subsystem established for hand-written
 replays before it may claim to be a workload:
 
-(a) **replay anchor** -- executing a scenario's source trace through the
-    compiled path in the pure-replay posture is tick- and
-    outcome-identical to :func:`repro.verify.trace.replay_trace`;
+(a) **replay anchor** -- :func:`repro.verify.trace.replay_trace` of a
+    scenario's source trace, which executes the compiled program, is
+    tick- and outcome-identical to the interpretive
+    :func:`repro.verify.oracle.reference_replay`;
 (b) **pipeline-grid identity** -- a full scenario run produces a
     byte-identical tick count and GC-cycle record whether the op
     pipeline and the collector run the production code or the
@@ -24,8 +25,7 @@ import dataclasses
 import pytest
 
 from repro.runtime.vm import RuntimeEnvironment
-from repro.verify.compile import TraceInstance, compile_trace
-from repro.verify.oracle import PIPELINES, oracle_vm
+from repro.verify.oracle import PIPELINES, oracle_vm, reference_replay
 from repro.verify.sanitizer import HeapSanitizer
 from repro.verify.trace import replay_trace
 from repro.workloads.compiled import SCENARIOS, make_scenario
@@ -62,19 +62,14 @@ class TestScenarioLibraryShape:
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 class TestConformance:
     def test_replay_anchor(self, name):
-        """(a): compiled execution == replay_trace, per source trace."""
+        """(a): replay_trace == reference_replay, per source trace."""
         workload = make_scenario(name)
         for trace in workload.source_traces():
-            reference = replay_trace(trace, trace.baseline_impl)
-            vm = RuntimeEnvironment(gc_threshold_bytes=None)
-            instance = TraceInstance(vm, compile_trace(trace),
-                                     impl=trace.baseline_impl,
-                                     collect_outcomes=True)
-            instance.run()
-            vm.collect()
-            assert vm.now == reference.ticks
-            assert instance.outcomes == reference.outcomes
-            assert instance.dropped_at == reference.dropped_at
+            reference = reference_replay(trace, trace.baseline_impl)
+            result = replay_trace(trace, trace.baseline_impl)
+            assert result.ticks == reference.ticks
+            assert result.outcomes == reference.outcomes
+            assert result.dropped_at == reference.dropped_at
 
     def test_core_grid_byte_identical(self, name):
         """(b): ticks and GC record equal on every pipeline pairing."""

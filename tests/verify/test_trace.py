@@ -240,6 +240,40 @@ class TestDiffTrace:
         assert not report.ok
         assert report.failure_signature() == ("LinkedList", "contains")
 
+    def test_swap_that_loses_an_element_is_reported(self):
+        """A swap must carry the collection's contents over unchanged;
+        an implementation that drops an element while being loaded by a
+        swap is reported even though every replay agrees step by step."""
+        from repro.collections.lists import ArrayListImpl
+        from repro.collections.registry import ImplementationRegistry
+
+        class LossyList(ArrayListImpl):
+            IMPL_NAME = "LossyList"
+
+            def adopt(self):
+                if self.size:  # non-empty only when loaded by a swap
+                    self.remove_at(self.size - 1)
+                return super().adopt()
+
+        registry = ImplementationRegistry()
+        registry.register("ArrayList", ArrayListImpl, [CollectionKind.LIST])
+        registry.register("LossyList", LossyList, [CollectionKind.LIST])
+        registry.register_source_type("ArrayList", CollectionKind.LIST,
+                                      "ArrayList")
+        trace = Trace(kind=CollectionKind.LIST, src_type="ArrayList",
+                      baseline_impl="ArrayList", context="test/lossy",
+                      ops=[["add", ["i", 1]], ["add", ["i", 2]],
+                           ["swap", "LossyList", {}], ["size"]])
+        report = diff_trace(trace, registry=registry)
+        assert not report.ok
+        swap_divergences = [
+            d for d in report.divergences
+            if d.note == "collection contents changed across swap"]
+        assert swap_divergences, report.summary()
+        assert all(d.step == 2 for d in swap_divergences)
+        assert len(swap_divergences[0].expected) == 2
+        assert len(swap_divergences[0].actual) == 1
+
     def test_unsupported_operation_propagates_to_caller(self, vm):
         """The recorder re-raises after noting the drop-out, so recording
         does not change what the program observes."""
