@@ -11,18 +11,18 @@ itself cannot fit).
 are deterministic, the search is exact down to the requested resolution.
 
 The search is expressed as a *probe plan* (:func:`_search_steps`, a
-generator that yields limits and receives outcomes), which allows two
-drivers over the identical plan:
-
-* the serial driver evaluates one probe at a time -- the reference path;
-* the speculative driver explores the plan's decision tree ahead of the
-  next unknown probe and evaluates up to ``width`` candidate limits per
-  round through a batch function (a :class:`~repro.analysis.scheduler.
-  Scheduler` pool in practice), then replays the plan against the cached
-  outcomes.  Every bracket decision is still taken by the same plan, so
-  the returned ``(minimum, probes)`` is byte-identical at any
-  parallelism -- speculation only changes how many *extra* probes are
-  evaluated and how much wall-clock each round costs.
+generator that yields limits and receives outcomes) with one driver: it
+explores the plan's decision tree ahead of the next unknown probe,
+evaluates up to ``width`` candidate limits per round through a batch
+function (a :class:`~repro.analysis.scheduler.Scheduler` pool in
+practice), then replays the plan against the cached outcomes.  At width
+1 the frontier is the plan's next probe alone, so a round is one serial
+step.  Every bracket decision is taken by the same plan, so the
+returned ``(minimum, probes)`` is byte-identical at any width --
+speculation only changes how many *extra* probes are evaluated and how
+much wall-clock each round costs.  The plain one-probe-at-a-time loop
+survives as the test oracle's
+:func:`~repro.verify.oracle.reference_find_min_heap`.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def _speculative_frontier(low: int, high: int, resolution: int,
     """Up to ``width`` uncached limits the plan may probe next.
 
     Explores the plan's decision tree from the current outcome cache:
-    the single depth-1 node is the probe the serial driver would run
-    now; depth-``d`` nodes are reachable after ``d - 1`` more outcomes.
+    the single depth-1 node is the plan's next probe; depth-``d`` nodes
+    are reachable after ``d - 1`` more outcomes.
     Nodes are ordered shallowest-first (they are the most certain to be
     needed), ties broken by limit value, so the frontier is
     deterministic.
@@ -177,25 +177,26 @@ def find_min_heap(attempt: Callable[[int], bool], low: int, high: int,
         high: Upper bracket; doubled until it succeeds.
         resolution: Terminate when the bracket is this tight.
         attempt_many: Optional batch evaluator: given a list of limits,
-            returns their outcomes in order.  Supplying it (with
-            ``width > 1``) turns on speculative parallel bisection.
-        width: Maximum probes evaluated per speculative round.
+            returns their outcomes in order.  Without it, ``attempt``
+            evaluates one limit per round.
+        width: Maximum probes evaluated per round (at least 1); above
+            1 the rounds speculate on the plan's decision tree.
 
     Returns:
-        ``(min_heap_bytes, probes)`` -- identical for the serial and
-        speculative drivers; ``probes`` counts the plan's probes, not
-        the (possibly larger) number of speculative evaluations.
+        ``(min_heap_bytes, probes)`` -- identical at every width;
+        ``probes`` counts the plan's probes, not the (possibly larger)
+        number of speculative evaluations.
     """
     if low < 0 or high <= low:
         raise ValueError("need 0 <= low < high")
-    if attempt_many is None or width <= 1:
-        plan = _search_steps(low, high, resolution)
-        try:
-            limit = next(plan)
-            while True:
-                limit = plan.send(attempt(limit))
-        except StopIteration as stop:
-            return stop.value
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if attempt_many is None:
+        # A one-limit frontier is exactly the plan's next probe.
+        width = 1
+
+        def attempt_many(limits: Sequence[int]) -> List[bool]:
+            return [attempt(limit) for limit in limits]
     outcomes: Dict[int, bool] = {}
     while True:
         status, payload = _replay(low, high, resolution, outcomes)
@@ -228,9 +229,9 @@ def min_heap_probe(config: ToolConfig, workload: Workload,
     """One minimal-heap probe: completes under ``limit`` or OOMs.
 
     Top-level and argument-picklable so a :class:`~repro.analysis.
-    scheduler.Scheduler` can fan probes out to pool workers; the serial
-    driver funnels through it too, so both paths run the identical
-    probe (fresh workload instance, same tool construction).
+    scheduler.Scheduler` can fan probes out to pool workers; in-process
+    probes funnel through it too, so both paths run the identical probe
+    (fresh workload instance, same tool construction).
     """
     tool = _probe_tool(config)
     try:
@@ -253,7 +254,7 @@ def measure_min_heap(tool: Chameleon, workload: Workload,
     A :class:`~repro.analysis.scheduler.Scheduler` with ``jobs > 1``
     enables speculative parallel bisection: each round batch-evaluates up
     to ``jobs`` candidate limits on the pool instead of one, and the
-    result is byte-identical to the serial search.
+    result is byte-identical to the in-process search.
     """
     _, metrics = tool.plain_run(workload.fresh(), policy=policy)
     peak = max(metrics.peak_live_bytes, resolution)

@@ -45,6 +45,12 @@ class OutOfMemoryError(Exception):
         self.live = live
         self.limit = limit
 
+    def __reduce__(self):
+        # The default exception pickling calls ``cls(*self.args)`` with
+        # the one formatted message; rebuild from the three fields so the
+        # error survives the trip back from a pool worker.
+        return type(self), (self.requested, self.live, self.limit)
+
 
 @dataclass
 class HeapObject:
@@ -291,9 +297,3 @@ class SimHeap:
     def occupied_bytes(self) -> int:
         """Bytes held by every not-yet-swept object (live or garbage)."""
         return self.total_allocated_bytes - self.total_freed_bytes
-
-    def would_overflow(self, size: int) -> bool:
-        """Whether allocating ``size`` more bytes would exceed the limit."""
-        if self.limit is None:
-            return False
-        return self.occupied_bytes + self.model.align(size) > self.limit

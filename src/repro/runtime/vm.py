@@ -18,6 +18,12 @@ capture performed *for instrumentation* (profiling, online replacement) is
 charged through the cost model, while capture performed only to look up an
 offline-applied replacement policy is free -- an offline fix is a source
 edit, and the re-run program pays nothing at runtime for it.
+
+Allocation has one implementation, bounded heap or not: the closure
+:meth:`RuntimeEnvironment._install_allocate` binds, which leaves its
+straight line only to collect for an allocation that would overflow the
+limit.  The general one-call-per-step allocator survives only as the
+test oracle's ``ReferenceRuntimeEnvironment.allocate``.
 """
 
 from __future__ import annotations
@@ -167,13 +173,10 @@ class RuntimeEnvironment:
         # toggles -- anything that could change what a recorded op must
         # do.  `object()` gives a fresh, never-reused identity.
         self.dispatch_stamp: object = object()
-        if self.costs.alloc_base >= 0 and self.costs.alloc_per_16_bytes >= 0:
-            # Same instance-attribute trick as `charge`: the inlined
-            # common-case allocator shadows the general `allocate` def,
-            # which stays below for the rare branches.  Negative
-            # ablation constants keep the general def so the validated
-            # `charge` raises exactly as it always has.
-            self._install_fast_allocate()
+        # Same instance-attribute trick as `charge`: the allocator is a
+        # closure bound here, before the creation hooks run, so a hook
+        # may wrap it.
+        self._install_allocate()
         for hook in _vm_created_hooks:
             hook(self)
 
@@ -198,75 +201,24 @@ class RuntimeEnvironment:
     # ------------------------------------------------------------------
     # Allocation and GC
     # ------------------------------------------------------------------
-    def allocate(self, type_name: str, size: int, *, payload: Any = None,
-                 context_id: Optional[int] = None,
-                 on_death: Optional[Callable[[HeapObject], None]] = None,
-                 ) -> HeapObject:
-        """Allocate an object, triggering GC / OOM per the heap budget.
+    def _install_allocate(self) -> None:
+        """Install the VM's allocator as the ``allocate`` attribute.
 
-        A collection runs when the periodic allocation threshold fills (the
-        young-generation analog) or when the byte limit would be exceeded;
-        if the limit still cannot be met after collecting,
-        :class:`OutOfMemoryError` is raised -- the signal the minimal-heap
-        search binary-searches against.
+        A collection runs when the periodic allocation threshold fills
+        (the young-generation analog) or when the byte limit would be
+        exceeded; if the limit still cannot be met after collecting,
+        :meth:`_make_room` raises :class:`OutOfMemoryError` -- the
+        signal the minimal-heap search binary-searches against.
 
-        This is the general path: the VM shadows it with an inlined
-        common-case twin (:meth:`_install_fast_allocate`) that delegates
-        every rare branch back here.
-        """
-        aligned = self.model.align(size)
-        if self.gc.collecting:
-            # Allocation from inside a death hook: never start a nested
-            # cycle mid-sweep; the object is picked up by the next cycle.
-            self._bytes_since_gc += aligned
-            self.charge(self.costs.allocation_ticks(aligned))
-            return self.heap.allocate(type_name, aligned, payload=payload,
-                                      context_id=context_id,
-                                      on_death=on_death)
-        if (self.gc_threshold_bytes is not None
-                and self._bytes_since_gc >= self.gc_threshold_bytes):
-            # Periodic (young-generation analog) cycles are minor under
-            # a generational collector; heap-pressure cycles are major.
-            self.collect(major=False)
-        if self.heap.would_overflow(aligned):
-            stats = self.collect()
-            if self.heap.would_overflow(aligned):
-                self.oom_raised = True
-                raise OutOfMemoryError(aligned, self.heap.occupied_bytes,
-                                       self.heap.limit or 0)
-            min_yield = self.gc_overhead_fraction * (self.heap.limit or 0)
-            if stats.freed_bytes < min_yield:
-                self._low_yield_gcs += 1
-                if self._low_yield_gcs >= self.gc_overhead_limit:
-                    self.oom_raised = True
-                    raise OutOfMemoryError(aligned,
-                                           self.heap.occupied_bytes,
-                                           self.heap.limit or 0)
-            else:
-                self._low_yield_gcs = 0
-        self._bytes_since_gc += aligned
-        self.charge(self.costs.allocation_ticks(aligned))
-        return self.heap.allocate(type_name, aligned, payload=payload,
-                                  context_id=context_id, on_death=on_death)
-
-    def _install_fast_allocate(self) -> None:
-        """Install the inlined common-case twin of :meth:`allocate`.
-
-        Byte-identical semantics with the per-allocation call chain
-        (``model.align`` -> ``gc.collecting`` -> ``would_overflow`` ->
-        ``allocation_ticks`` -> ``charge`` -> ``heap.allocate``) folded
-        into local arithmetic, one batched ``clock.pending`` add, and an
-        inlined heap store (``self.heap`` shares ``self.model``, so the
-        alignment below is exactly the one ``SimHeap.allocate`` would
-        re-apply; the store mirrors its body field for field, with the
-        :class:`HeapObject` built by direct attribute stores --
-        ``test_fast_allocate_matches_reference_fields`` pins the field
-        list).  The twin is a closure over everything that is fixed for
-        the VM's lifetime (heap, gc, clock, cost constants, alignment
-        mask); ``gc_threshold_bytes`` and ``_bytes_since_gc`` stay live
-        attribute reads because callers mutate them mid-run.  Every rare
-        branch -- a byte-limited heap, allocation from inside a death
-        hook, a negative size -- delegates to the general def above.
+        The call chain (``model.align`` -> overflow test ->
+        ``allocation_ticks`` -> ``charge`` -> ``heap.allocate``) is
+        folded into local arithmetic, one batched ``clock.pending`` add
+        (hence the constants' sign check, made once here), and an
+        inlined heap store that mirrors ``SimHeap.allocate`` field for
+        field (``test_fast_allocate_matches_reference_fields`` pins the
+        list).  ``heap.limit``, ``gc_threshold_bytes`` and
+        ``_bytes_since_gc`` stay live attribute reads because callers
+        may mutate them mid-run.
         """
         vm = self
         heap = self.heap
@@ -276,7 +228,8 @@ class RuntimeEnvironment:
         mask = self.model.alignment - 1
         alloc_base = self.costs.alloc_base
         alloc_per_16 = self.costs.alloc_per_16_bytes
-        general_allocate = RuntimeEnvironment.allocate
+        if alloc_base < 0 or alloc_per_16 < 0:
+            raise ValueError("cannot charge negative ticks")
         new_object = HeapObject.__new__
 
         def allocate(type_name: str, size: int, *,
@@ -284,17 +237,25 @@ class RuntimeEnvironment:
                      context_id: Optional[int] = None,
                      on_death: Optional[Callable[[HeapObject], None]]
                      = None) -> HeapObject:
-            if heap.limit is not None or gc.collecting or size < 0:
-                return general_allocate(
-                    vm, type_name, size, payload=payload,
-                    context_id=context_id, on_death=on_death)
+            if size < 0:
+                raise ValueError("allocation size cannot be negative")
             aligned = (size + mask) & ~mask
-            threshold = vm.gc_threshold_bytes
-            if threshold is not None and vm._bytes_since_gc >= threshold:
-                # collect() resets _bytes_since_gc and, via the
-                # `tick=now` stamp, flushes pending charges -- the
-                # GC-trigger flush boundary of the batching contract.
-                vm.collect(major=False)
+            # Allocation from inside a death hook never starts a nested
+            # cycle mid-sweep; the object is picked up by the next cycle.
+            if not gc.collecting:
+                threshold = vm.gc_threshold_bytes
+                if threshold is not None and vm._bytes_since_gc >= threshold:
+                    # Periodic (young-generation analog) cycles are minor
+                    # under a generational collector.  collect() resets
+                    # _bytes_since_gc and, via the `tick=now` stamp,
+                    # flushes pending charges -- the GC-trigger flush
+                    # boundary of the batching contract.
+                    vm.collect(major=False)
+                limit = heap.limit
+                if limit is not None and (heap.total_allocated_bytes
+                                          - heap.total_freed_bytes
+                                          + aligned > limit):
+                    vm._make_room(aligned, limit)
             vm._bytes_since_gc += aligned
             clock.pending += alloc_base + (aligned // 16) * alloc_per_16
             obj = new_object(HeapObject)
@@ -314,6 +275,24 @@ class RuntimeEnvironment:
             return obj
 
         self.allocate = allocate
+
+    def _make_room(self, aligned: int, limit: int) -> None:
+        """Collect for an allocation of ``aligned`` bytes that would
+        exceed ``limit``; raise :class:`OutOfMemoryError` if it still
+        does not fit, or if too many such heap-pressure (major) cycles
+        in a row reclaimed almost nothing."""
+        stats = self.collect()
+        heap = self.heap
+        if heap.occupied_bytes + aligned > limit:
+            self.oom_raised = True
+            raise OutOfMemoryError(aligned, heap.occupied_bytes, limit)
+        if stats.freed_bytes < self.gc_overhead_fraction * limit:
+            self._low_yield_gcs += 1
+            if self._low_yield_gcs >= self.gc_overhead_limit:
+                self.oom_raised = True
+                raise OutOfMemoryError(aligned, heap.occupied_bytes, limit)
+        else:
+            self._low_yield_gcs = 0
 
     def allocate_data(self, type_name: str = "AppData", ref_fields: int = 0,
                       int_fields: int = 0,

@@ -3,7 +3,7 @@
 The collector's mark and account phases
 (:class:`~repro.memory.gc.MarkSweepGC`) and the runtime's operation
 pipeline -- batched tick charging, inline-cached wrapper dispatch, the
-inlined common-case allocator -- are optimised rewrites of
+inlined allocator -- are optimised rewrites of
 straightforward loops.  Those loops live on here as the executable
 specification the differential tests (``tests/verify/test_gc_cores.py``,
 ``test_vm_cores.py``, ``test_conformance.py``) hold the production code
@@ -15,9 +15,12 @@ Nothing in the tool imports this module.
 * :class:`ReferenceMarkSweepGC` -- per-object BFS marking and the
   two-pass, visit-order-independent Table 3 accounting;
 * :class:`ReferenceRuntimeEnvironment` -- every allocation takes the
-  general :meth:`RuntimeEnvironment.allocate` path, and every wrapper
-  built on it is a ``Reference*`` twin that charges each recorded
-  operation through the validated ``vm.charge``;
+  general :meth:`~ReferenceRuntimeEnvironment.allocate` def (one call
+  per step: align, overflow test, validated ``charge``,
+  ``SimHeap.allocate``), the specification the production VM's single
+  inlined allocator is held to with and without a heap limit; every
+  wrapper built on it is a ``Reference*`` twin that charges each
+  recorded operation through the validated ``vm.charge``;
 * :func:`oracle_vm` -- either operation pipeline with either collector,
   the 2 x 2 grid the differential tests sweep;
 * :func:`evaluate_condition` -- the concrete float walk of a rule
@@ -29,7 +32,11 @@ Nothing in the tool imports this module.
   and dispatches each op as it goes (``_apply_op``): the specification
   ``test_conformance.py`` and ``tests/collections/test_iterators.py``
   hold :func:`~repro.verify.trace.replay_trace`, which executes the
-  compiled program (:class:`~repro.verify.compile.TraceInstance`), to.
+  compiled program (:class:`~repro.verify.compile.TraceInstance`), to;
+* :func:`reference_find_min_heap` -- the minimal-heap probe plan driven
+  one probe at a time: the specification ``tests/analysis/
+  test_minheap.py`` holds :func:`~repro.analysis.minheap.find_min_heap`,
+  which evaluates the plan in (possibly speculative) rounds, to.
 """
 
 from __future__ import annotations
@@ -38,13 +45,14 @@ import math
 from collections import deque
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
+from repro.analysis.minheap import _search_steps
 from repro.collections.base import CollectionKind, UnsupportedOperation
 from repro.collections.iterators import CollectionIterator, make_iterator
 from repro.collections.registry import ImplementationRegistry, default_registry
 from repro.collections.wrappers import (ChameleonCollection, ChameleonList,
                                         ChameleonMap, ChameleonSet)
 from repro.memory.gc import MarkSweepGC
-from repro.memory.heap import HeapObject
+from repro.memory.heap import HeapObject, OutOfMemoryError
 from repro.memory.semantic_maps import SemanticMap
 from repro.memory.stats import GcCycleStats
 from repro.profiler.counters import Op
@@ -387,9 +395,9 @@ class ReferenceChameleonMap(_ReferenceOps, ChameleonMap):
 class ReferenceRuntimeEnvironment(RuntimeEnvironment):
     """A VM on the reference operation pipeline.
 
-    Every allocation takes the general :meth:`RuntimeEnvironment.allocate`
-    def, and every wrapper constructed on this VM is its ``Reference*``
-    twin.  The collector is whatever ``collector_factory`` builds (the
+    Every allocation takes the general :meth:`allocate` def below, and
+    every wrapper constructed on this VM is its ``Reference*`` twin.
+    The collector is whatever ``collector_factory`` builds (the
     production one by default).
     """
 
@@ -399,8 +407,62 @@ class ReferenceRuntimeEnvironment(RuntimeEnvironment):
         ChameleonMap: ReferenceChameleonMap,
     }
 
-    def _install_fast_allocate(self) -> None:
-        """Keep the general ``allocate`` def for every allocation."""
+    def _install_allocate(self) -> None:
+        """Keep the class-level :meth:`allocate` def for every
+        allocation (no instance attribute shadows it)."""
+
+    def allocate(self, type_name: str, size: int, *, payload: Any = None,
+                 context_id: Optional[int] = None,
+                 on_death: Optional[Callable[[HeapObject], None]] = None,
+                 ) -> HeapObject:
+        """Allocate an object, triggering GC / OOM per the heap budget.
+
+        The general path, one call per step: ``model.align``, the
+        overflow test, ``allocation_ticks`` through the validated
+        ``charge``, and ``SimHeap.allocate``.
+        """
+        aligned = self.model.align(size)
+        if self.gc.collecting:
+            # Allocation from inside a death hook: never start a nested
+            # cycle mid-sweep; the object is picked up by the next cycle.
+            self._bytes_since_gc += aligned
+            self.charge(self.costs.allocation_ticks(aligned))
+            return self.heap.allocate(type_name, aligned, payload=payload,
+                                      context_id=context_id,
+                                      on_death=on_death)
+        if (self.gc_threshold_bytes is not None
+                and self._bytes_since_gc >= self.gc_threshold_bytes):
+            # Periodic (young-generation analog) cycles are minor under
+            # a generational collector; heap-pressure cycles are major.
+            self.collect(major=False)
+        if self._would_overflow(aligned):
+            stats = self.collect()
+            if self._would_overflow(aligned):
+                self.oom_raised = True
+                raise OutOfMemoryError(aligned, self.heap.occupied_bytes,
+                                       self.heap.limit or 0)
+            min_yield = self.gc_overhead_fraction * (self.heap.limit or 0)
+            if stats.freed_bytes < min_yield:
+                self._low_yield_gcs += 1
+                if self._low_yield_gcs >= self.gc_overhead_limit:
+                    self.oom_raised = True
+                    raise OutOfMemoryError(aligned,
+                                           self.heap.occupied_bytes,
+                                           self.heap.limit or 0)
+            else:
+                self._low_yield_gcs = 0
+        self._bytes_since_gc += aligned
+        self.charge(self.costs.allocation_ticks(aligned))
+        return self.heap.allocate(type_name, aligned, payload=payload,
+                                  context_id=context_id, on_death=on_death)
+
+    def _would_overflow(self, size: int) -> bool:
+        """Whether allocating ``size`` more bytes would exceed the
+        heap's byte limit."""
+        heap = self.heap
+        if heap.limit is None:
+            return False
+        return heap.occupied_bytes + heap.model.align(size) > heap.limit
 
 
 def oracle_vm(ops: str = "reference", gc: str = "reference",
@@ -713,3 +775,26 @@ def _replay_put_all(wrapper: ChameleonMap, pairs: List[Tuple[Any, Any]],
     for key, value in pairs:
         wrapper.impl.put(key, value)
     wrapper._after_mutation()
+
+
+# ----------------------------------------------------------------------
+# Minimal-heap search
+# ----------------------------------------------------------------------
+def reference_find_min_heap(attempt: Callable[[int], bool], low: int,
+                            high: int, resolution: int = 2048) -> tuple:
+    """Run the minimal-heap probe plan one ``attempt`` at a time.
+
+    The specification :func:`repro.analysis.minheap.find_min_heap`
+    (which batches probes per round, speculatively above width 1) is
+    held to: the same ``(min_heap_bytes, probes)`` and, at width 1, the
+    same probe sequence.
+    """
+    if low < 0 or high <= low:
+        raise ValueError("need 0 <= low < high")
+    plan = _search_steps(low, high, resolution)
+    try:
+        limit = next(plan)
+        while True:
+            limit = plan.send(attempt(limit))
+    except StopIteration as stop:
+        return stop.value

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.minheap import MinHeapResult, find_min_heap, measure_min_heap
 from repro.core.chameleon import Chameleon
 from repro.collections.wrappers import ChameleonList
+from repro.verify.oracle import reference_find_min_heap
 from repro.workloads.base import Workload
 
 
@@ -39,6 +40,12 @@ class TestFindMinHeap:
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             find_min_heap(lambda limit: True, low=100, high=100)
+
+    def test_invalid_width(self):
+        """An empty frontier would never advance the plan."""
+        with pytest.raises(ValueError, match="width"):
+            find_min_heap(lambda limit: True, low=1, high=2,
+                          attempt_many=lambda limits: [], width=0)
 
     def test_never_succeeding_run_raises(self):
         with pytest.raises(RuntimeError):
@@ -92,8 +99,9 @@ class TestLowerBracketVerification:
 
 
 class TestSpeculativeSearch:
-    """The speculative driver must return byte-identical results to the
-    serial plan at any width, including the below-seed regression case."""
+    """The driver must return byte-identical results to the oracle's
+    one-probe-at-a-time plan loop at any width, including the below-seed
+    regression case."""
 
     # (low, high, resolution, threshold) covering: plain bisection,
     # upper-bracket doubling, the true-minimum-below-seed regression
@@ -109,7 +117,7 @@ class TestSpeculativeSearch:
     ]
 
     @pytest.mark.parametrize("low,high,resolution,threshold", GRID)
-    @pytest.mark.parametrize("width", [2, 3, 4, 8])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
     def test_matches_serial_across_grid(self, low, high, resolution,
                                         threshold, width):
         def attempt(limit):
@@ -118,8 +126,8 @@ class TestSpeculativeSearch:
         def attempt_many(limits):
             return [attempt(limit) for limit in limits]
 
-        serial = find_min_heap(attempt, low=low, high=high,
-                               resolution=resolution)
+        serial = reference_find_min_heap(attempt, low=low, high=high,
+                                         resolution=resolution)
         speculative = find_min_heap(attempt, low=low, high=high,
                                     resolution=resolution,
                                     attempt_many=attempt_many, width=width)
@@ -148,14 +156,30 @@ class TestSpeculativeSearch:
             find_min_heap(lambda limit: False, low=1, high=2, resolution=1,
                           attempt_many=attempt_many, width=4)
 
-    def test_width_one_uses_the_serial_driver(self):
-        def attempt_many(limits):  # pragma: no cover - must not be called
-            raise AssertionError("width=1 must not batch")
+    def test_width_one_probes_the_reference_sequence(self):
+        """Width 1 evaluates one limit per round, in exactly the order
+        the oracle's plan loop probes them."""
+        for low, high, resolution, threshold in self.GRID:
+            reference = []
 
-        found, _ = find_min_heap(lambda limit: limit >= 10_000,
-                                 low=16, high=32, resolution=16,
-                                 attempt_many=attempt_many, width=1)
-        assert 10_000 <= found < 10_016
+            def attempt(limit):
+                reference.append(limit)
+                return limit >= threshold
+
+            rounds = []
+
+            def attempt_many(limits):
+                rounds.append(list(limits))
+                return [limit >= threshold for limit in limits]
+
+            expected = reference_find_min_heap(attempt, low=low, high=high,
+                                               resolution=resolution)
+            found = find_min_heap(attempt, low=low, high=high,
+                                  resolution=resolution,
+                                  attempt_many=attempt_many, width=1)
+            assert found == expected
+            assert rounds == [[limit] for limit in reference]
+            assert len(rounds) == expected[1]
 
 
 class GrowingWorkload(Workload):

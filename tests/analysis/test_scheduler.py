@@ -1,11 +1,19 @@
 """Process-pool experiment scheduler: graph semantics and determinism."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import pytest
 
 from repro.analysis import scheduler as scheduler_mod
 from repro.analysis.scheduler import Job, JobError, JobGraph, Scheduler
+from repro.memory.heap import OutOfMemoryError
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 # Job functions must be module-level so pool workers can unpickle them.
 
@@ -25,6 +33,10 @@ def combine(deps, suffix):
 
 def boom():
     raise RuntimeError("kaboom")
+
+
+def out_of_memory():
+    raise OutOfMemoryError(requested=64, live=2000, limit=2048)
 
 
 def make_graph():
@@ -109,6 +121,36 @@ class TestPoolScheduler:
         with Scheduler(jobs=2) as scheduler:
             with pytest.raises(JobError, match="explodes"):
                 scheduler.run(graph)
+
+    def test_out_of_memory_in_a_worker_raises_job_error(self):
+        """An exception crosses back from a worker pickled; one that
+        cannot be rebuilt kills the pool's result handler and leaves
+        ``run`` waiting forever.  Run in a subprocess so a regression
+        fails on the timeout instead of hanging the suite."""
+        script = textwrap.dedent("""
+            from repro.analysis.scheduler import JobError, Scheduler
+            from tests.analysis.test_scheduler import out_of_memory
+
+            for jobs in (1, 2):
+                with Scheduler(jobs=jobs) as scheduler:
+                    try:
+                        scheduler.map(out_of_memory, [()], prefix="oom")
+                    except JobError as exc:
+                        print(exc)
+        """)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
+                                              str(REPO_ROOT)])}
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              cwd=str(REPO_ROOT), env=env)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2, done.stdout + done.stderr
+        serial, pooled = lines
+        assert pooled == serial
+        assert pooled.startswith("job 'oom:0000' failed: "
+                                 "OutOfMemoryError: out of memory")
 
     def test_pool_survives_multiple_runs(self):
         with Scheduler(jobs=2) as scheduler:

@@ -1,5 +1,7 @@
 """SimHeap: the object store, reference edges, roots and occupancy."""
 
+import pickle
+
 import pytest
 
 from repro.memory.heap import OutOfMemoryError, SimHeap
@@ -104,18 +106,18 @@ class TestRoots:
 
 
 class TestLimit:
-    def test_would_overflow_without_limit(self, heap):
-        assert not heap.would_overflow(1 << 40)
-
-    def test_would_overflow_with_limit(self):
-        heap = SimHeap(limit=64)
-        heap.allocate("A", 48)
-        assert not heap.would_overflow(16)
-        assert heap.would_overflow(24)
-
     def test_oom_error_carries_details(self):
         error = OutOfMemoryError(requested=100, live=900, limit=1000)
         assert error.requested == 100
         assert error.live == 900
         assert error.limit == 1000
         assert "out of memory" in str(error)
+
+    def test_oom_error_survives_pickling(self):
+        """A pool worker ships the error back pickled; the round trip
+        must rebuild it, or the pool's result handler dies."""
+        error = OutOfMemoryError(requested=100, live=900, limit=1000)
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone) is OutOfMemoryError
+        assert str(clone) == str(error)
+        assert (clone.requested, clone.live, clone.limit) == (100, 900, 1000)

@@ -13,7 +13,9 @@ are *flush boundaries* (a clock read that misses pending charges) and
 
 Checked differentially over the committed trace corpus, generated fuzz
 traces, and all six paper workloads, across the 2 x 2 grid of op
-pipeline x collector (production or reference each).
+pipeline x collector (production or reference each); and, for the
+allocator, under heap limits that bind, that the live set cannot meet,
+that starve the collector (GC-overhead OOM), and that are never reached.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from repro.core.chameleon import Chameleon
 from repro.memory.heap import HeapObject, OutOfMemoryError
 from repro.profiler.profiler import SemanticProfiler
 from repro.profiler.report import build_report
+from repro.runtime.costs import CostModel
 from repro.runtime.vm import RuntimeEnvironment
 from repro.verify.generate import generate_trace
 from repro.verify.oracle import (PIPELINES, ReferenceRuntimeEnvironment,
@@ -290,7 +293,7 @@ class TestPlanInvalidation:
 
 
 # ----------------------------------------------------------------------
-# The fast allocator: field pinning and rare-branch delegation
+# The allocator: field pinning and its rare branches
 # ----------------------------------------------------------------------
 
 
@@ -301,7 +304,7 @@ class TestFastAllocate:
 
     def test_fast_allocate_matches_reference_fields(self):
         """Pins the HeapObject field list the inlined constructor in
-        ``RuntimeEnvironment._install_fast_allocate`` stores by hand: a
+        ``RuntimeEnvironment._install_allocate`` stores by hand: a
         field added to the dataclass without a matching store here must
         fail loudly, not ship objects with missing attributes."""
         ref_vm, fast_vm = self._pair(gc_threshold_bytes=None)
@@ -318,7 +321,7 @@ class TestFastAllocate:
         assert fast_vm.heap.total_allocated_bytes \
             == ref_vm.heap.total_allocated_bytes
 
-    def test_negative_size_delegates_to_reference_behaviour(self):
+    def test_negative_size_matches_reference(self):
         def outcome(vm):
             try:
                 obj = vm.allocate("T", -8)
@@ -328,6 +331,22 @@ class TestFastAllocate:
 
         ref_vm, fast_vm = self._pair(gc_threshold_bytes=None)
         assert outcome(fast_vm) == outcome(ref_vm)
+        # The production allocator rejects the size before any side
+        # effect: no tick, no threshold credit, no heap store.
+        assert fast_vm.now == 0
+        assert fast_vm._bytes_since_gc == 0
+        assert fast_vm.heap.total_allocated_objects == 0
+
+    @pytest.mark.parametrize("constant", ["alloc_base",
+                                          "alloc_per_16_bytes"])
+    def test_negative_cost_constants_rejected_at_construction(self,
+                                                             constant):
+        """The allocator batches its charge into ``clock.pending``, which
+        must never go negative, so the constants are validated once,
+        when the VM installs the allocator."""
+        costs = CostModel().with_overrides(**{constant: -1})
+        with pytest.raises(ValueError, match="cannot charge negative ticks"):
+            RuntimeEnvironment(cost_model=costs)
 
     def test_limited_heap_oom_matches_reference(self):
         def fill(vm):
@@ -368,6 +387,139 @@ class TestFastAllocate:
         for _ in range(8):
             vm.allocate("Garbage", 64)
         assert len(vm.timeline.cycles) > 0
+
+
+# ----------------------------------------------------------------------
+# Bounded heaps: the limit test, its collection and both OOM flavours
+# ----------------------------------------------------------------------
+
+
+def _bounded_record(vm_class, run, heap_limit, **kwargs) -> dict:
+    """Run ``run(vm)`` to completion or OOM on a fresh ``vm_class``;
+    returns its observable record."""
+    vm = vm_class(heap_limit=heap_limit, **kwargs)
+    try:
+        run(vm)
+        vm.finish()
+        oom = None
+    except OutOfMemoryError as exc:
+        oom = str(exc)
+    return {
+        "ticks": vm.now,
+        "cycles": json.dumps([dataclasses.asdict(cycle)
+                              for cycle in vm.timeline.cycles]),
+        "gc_cycles": len(vm.timeline.cycles),
+        "peak_live": vm.timeline.max_live_data,
+        "oom": oom,
+        "oom_raised": vm.oom_raised,
+        "allocated": vm.heap.total_allocated_objects,
+        "occupied": vm.heap.occupied_bytes,
+    }
+
+
+def _bounded_pair(run, heap_limit, **kwargs):
+    """(reference, production) records of the same bounded run."""
+    reference = _bounded_record(ReferenceRuntimeEnvironment, run,
+                                heap_limit, **kwargs)
+    production = _bounded_record(RuntimeEnvironment, run, heap_limit,
+                                 **kwargs)
+    return reference, production
+
+
+def _workload_run(workload_class):
+    """A plain (Fig. 7 configuration) run of a scale-0.05 benchmark on
+    the tool's default VM settings."""
+    config = Chameleon().config
+    workload = workload_class(seed=2009, scale=0.05)
+    vm_kwargs = {"model": config.memory_model,
+                 "cost_model": config.cost_model,
+                 "gc_threshold_bytes": config.gc_threshold_bytes,
+                 "context_depth": config.context_depth}
+
+    def run(vm):
+        workload.fresh().run(vm)
+
+    return run, vm_kwargs
+
+
+_BOUNDED_WORKLOADS = [cls for cls in BENCHMARKS
+                      if cls.name in ("tvla", "pmd")]
+
+
+@functools.lru_cache(maxsize=None)
+def _unbounded(workload_class):
+    run, vm_kwargs = _workload_run(workload_class)
+    return _bounded_pair(run, None, **vm_kwargs)
+
+
+class TestBoundedHeap:
+    @pytest.mark.parametrize("workload_class", _BOUNDED_WORKLOADS,
+                             ids=lambda w: w.name)
+    def test_binding_limit_completes_identically(self, workload_class):
+        run, vm_kwargs = _workload_run(workload_class)
+        reference_free, _ = _unbounded(workload_class)
+        limit = reference_free["peak_live"] * 5 // 4
+        reference, production = _bounded_pair(run, limit, **vm_kwargs)
+        assert reference["oom"] is None, "limit too tight to complete"
+        assert reference["gc_cycles"] > reference_free["gc_cycles"], \
+            "limit never bound: no extra heap-pressure collections"
+        assert production == reference
+
+    @pytest.mark.parametrize("workload_class", _BOUNDED_WORKLOADS,
+                             ids=lambda w: w.name)
+    def test_limit_below_peak_live_ooms_identically(self, workload_class):
+        run, vm_kwargs = _workload_run(workload_class)
+        limit = _unbounded(workload_class)[0]["peak_live"] * 9 // 10
+        reference, production = _bounded_pair(run, limit, **vm_kwargs)
+        assert reference["oom"] is not None
+        assert reference["oom_raised"]
+        assert production == reference
+
+    def test_low_yield_collections_oom_identically(self):
+        """Pinned data fills all but two slots; every heap-pressure
+        cycle then reclaims two garbage objects (128 B, under the 4%
+        yield floor of a 4096 B heap), so the fourth such cycle in a
+        row is a GC-overhead OOM although the request still fits."""
+        limit = 4096
+
+        def run(vm):
+            for _ in range(62):
+                vm.add_root(vm.allocate("Pinned", 64))
+            for _ in range(64):
+                vm.allocate("Garbage", 64)
+
+        reference, production = _bounded_pair(run, limit,
+                                              gc_threshold_bytes=None)
+        assert reference["oom"] is not None
+        assert reference["gc_cycles"] == 4
+        assert reference["occupied"] + 64 <= limit, \
+            "capacity OOM, not the low-yield one"
+        assert production == reference
+
+    def test_exact_fit_does_not_collect(self):
+        """``occupied + aligned == limit`` fits; one alignment unit more
+        collects first."""
+        def run(vm):
+            vm.add_root(vm.allocate("Pinned", 48))
+            vm.allocate("Garbage", 16)
+            assert len(vm.timeline.cycles) == 0
+            vm.allocate("Garbage", 8)
+            assert len(vm.timeline.cycles) == 1
+
+        reference, production = _bounded_pair(run, 64,
+                                              gc_threshold_bytes=None)
+        assert reference["oom"] is None
+        assert production == reference
+
+    @pytest.mark.parametrize("workload_class", _BOUNDED_WORKLOADS,
+                             ids=lambda w: w.name)
+    def test_unreachable_limit_matches_unbounded(self, workload_class):
+        run, vm_kwargs = _workload_run(workload_class)
+        reference_free, production_free = _unbounded(workload_class)
+        reference, production = _bounded_pair(run, 1 << 40, **vm_kwargs)
+        assert production == reference
+        assert production == production_free
+        assert reference_free == production_free
 
 
 # ----------------------------------------------------------------------
