@@ -353,14 +353,14 @@ class Fig7Result:
 def _fig7_benchmark_job(workload_class, scale: float,
                         resolution: int) -> Dict[str, int]:
     """One Fig. 7 bar (scheduler job): search the original minimal heap,
-    then time baseline and optimized under it."""
+    then time optimized under it; the baseline is the search's own run
+    at that minimum."""
     tool = _tool()
     workload = workload_class(scale=scale)
     session = tool.profile(workload_class(scale=scale))
     policy = tool.build_policy(session.suggestions)
-    base_heap = measure_min_heap(tool, workload,
-                                 resolution=resolution).min_heap_bytes
-    _, baseline = tool.plain_run(workload.fresh(), heap_limit=base_heap)
+    search = measure_min_heap(tool, workload, resolution=resolution)
+    base_heap, baseline = search.min_heap_bytes, search.at_minimum
     if workload.name == "bloat":
         # The paper's bloat fix is the manual lazy allocation.
         _, optimized = tool.plain_run(

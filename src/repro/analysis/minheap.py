@@ -23,15 +23,34 @@ speculation only changes how many *extra* probes are evaluated and how
 much wall-clock each round costs.  The plain one-probe-at-a-time loop
 survives as the test oracle's
 :func:`~repro.verify.oracle.reference_find_min_heap`.
+
+*Decided probes.*  :func:`measure_min_heap` already makes one
+unconstrained run, and that run decides two kinds of probe without
+running them:
+
+* a limit below its ``peak_live_bytes`` OOMs.  A plain run carries no
+  death hooks, so nothing it does depends on GC timing; every allocation
+  passes the limit test, so occupancy never exceeds the limit; yet at the
+  program point of the peak cycle the reachable set -- at least
+  ``peak_live_bytes`` -- is still allocated.
+* a limit at or above its ``total_allocated_bytes`` completes.
+  Occupancy never exceeds total allocation, so the limit test never
+  trips and the run *is* the unconstrained run: same ticks, same GC
+  cycles.
+
+Both arguments need ``heap.limit`` to be read by the allocator alone.
+The driver answers decided limits from these bounds (``floor`` and
+``ceiling`` of :func:`find_min_heap`) and never spends a speculative
+slot on one; the plan, hence every reported minimum, is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.apply import ReplacementMap
-from repro.core.chameleon import Chameleon
+from repro.core.chameleon import Chameleon, RunMetrics
 from repro.core.config import ToolConfig
 from repro.memory.heap import OutOfMemoryError
 from repro.workloads.base import Workload
@@ -45,11 +64,19 @@ _LIMIT_CEILING = 1 << 40
 
 @dataclass(frozen=True)
 class MinHeapResult:
-    """Outcome of one minimal-heap search."""
+    """Outcome of one minimal-heap search.
+
+    ``probes`` counts the probe runs the search actually executed: the
+    plan's probes minus those the unconstrained run decided (see the
+    module docstring).  ``at_minimum`` is the run under
+    ``min_heap_bytes`` -- the unconstrained run's metrics when the
+    minimum is at or above its total allocation.
+    """
 
     min_heap_bytes: int
     probes: int
     unconstrained_peak: int
+    at_minimum: RunMetrics
 
     @property
     def headroom(self) -> float:
@@ -99,31 +126,52 @@ def _search_steps(low: int, high: int, resolution: int):
     return high, probes
 
 
+def _decided(limit: int, floor: int, ceiling: Optional[int]
+             ) -> Optional[bool]:
+    """The outcome the bounds decide for ``limit``, or ``None``."""
+    if limit < floor:
+        return False
+    if ceiling is not None and limit >= ceiling:
+        return True
+    return None
+
+
 def _replay(low: int, high: int, resolution: int,
-            outcomes: Dict[int, bool]):
-    """Drive the plan against cached outcomes.
+            outcomes: Dict[int, bool], floor: int,
+            ceiling: Optional[int]):
+    """Drive the plan against the bounds and cached outcomes.
 
     Returns ``("done", (min_heap, probes))`` when the plan finishes, or
     ``("need", limit)`` at the first probe whose outcome is unknown.
+    ``probes`` leaves out the probes the bounds decided.
     """
     plan = _search_steps(low, high, resolution)
+    decided = 0
     try:
         limit = next(plan)
-        while limit in outcomes:
-            limit = plan.send(outcomes[limit])
-        return "need", limit
+        while True:
+            outcome = _decided(limit, floor, ceiling)
+            if outcome is not None:
+                decided += 1
+            elif limit in outcomes:
+                outcome = outcomes[limit]
+            else:
+                return "need", limit
+            limit = plan.send(outcome)
     except StopIteration as stop:
-        return "done", stop.value
+        min_heap, probes = stop.value
+        return "done", (min_heap, probes - decided)
 
 
 def _speculative_frontier(low: int, high: int, resolution: int,
                           outcomes: Dict[int, bool],
-                          width: int) -> List[int]:
-    """Up to ``width`` uncached limits the plan may probe next.
+                          width: int, floor: int,
+                          ceiling: Optional[int]) -> List[int]:
+    """Up to ``width`` uncached, undecided limits the plan may probe next.
 
-    Explores the plan's decision tree from the current outcome cache:
-    the single depth-1 node is the plan's next probe; depth-``d`` nodes
-    are reachable after ``d - 1`` more outcomes.
+    Explores the plan's decision tree from the bounds and the current
+    outcome cache: the single depth-1 node is the plan's next probe;
+    depth-``d`` nodes are reachable after ``d - 1`` more outcomes.
     Nodes are ordered shallowest-first (they are the most certain to be
     needed), ties broken by limit value, so the frontier is
     deterministic.
@@ -137,12 +185,12 @@ def _speculative_frontier(low: int, high: int, resolution: int,
         try:
             limit = next(plan)
             while True:
-                if limit in outcomes:
-                    limit = plan.send(outcomes[limit])
-                elif limit in hypothetical:
-                    limit = plan.send(hypothetical[limit])
-                else:
+                outcome = _decided(limit, floor, ceiling)
+                if outcome is None:
+                    outcome = outcomes.get(limit, hypothetical.get(limit))
+                if outcome is None:
                     break
+                limit = plan.send(outcome)
         except StopIteration:
             return
         except RuntimeError:
@@ -165,13 +213,14 @@ def find_min_heap(attempt: Callable[[int], bool], low: int, high: int,
                   resolution: int = 2048,
                   attempt_many: Optional[
                       Callable[[Sequence[int]], Sequence[bool]]] = None,
-                  width: int = 1) -> tuple:
+                  width: int = 1, floor: int = 0,
+                  ceiling: Optional[int] = None) -> tuple:
     """Search the smallest ``limit`` for which ``attempt(limit)``
     succeeds.
 
     Args:
-        attempt: Runs the program under a byte limit; True on completion,
-            False on OOM.  Must be deterministic.
+        attempt: Runs the program under a byte limit; truthy on
+            completion, falsy on OOM.  Must be deterministic.
         low: Initial lower bracket (verified; the search probes below it
             when it unexpectedly succeeds).
         high: Upper bracket; doubled until it succeeds.
@@ -181,16 +230,23 @@ def find_min_heap(attempt: Callable[[int], bool], low: int, high: int,
             evaluates one limit per round.
         width: Maximum probes evaluated per round (at least 1); above
             1 the rounds speculate on the plan's decision tree.
+        floor: Every limit below it is known to fail; such probes are
+            answered without evaluating them.
+        ceiling: Every limit at or above it is known to succeed (``None``:
+            no such bound); such probes are answered likewise.
 
     Returns:
         ``(min_heap_bytes, probes)`` -- identical at every width;
-        ``probes`` counts the plan's probes, not the (possibly larger)
-        number of speculative evaluations.
+        ``probes`` counts the plan's probes the bounds left undecided,
+        not the (possibly larger) number of speculative evaluations.
+        The bounds change only ``probes``, never the minimum.
     """
     if low < 0 or high <= low:
         raise ValueError("need 0 <= low < high")
     if width < 1:
         raise ValueError("width must be >= 1")
+    if ceiling is not None and ceiling < floor:
+        raise ValueError("need floor <= ceiling")
     if attempt_many is None:
         # A one-limit frontier is exactly the plan's next probe.
         width = 1
@@ -199,11 +255,12 @@ def find_min_heap(attempt: Callable[[int], bool], low: int, high: int,
             return [attempt(limit) for limit in limits]
     outcomes: Dict[int, bool] = {}
     while True:
-        status, payload = _replay(low, high, resolution, outcomes)
+        status, payload = _replay(low, high, resolution, outcomes,
+                                  floor, ceiling)
         if status == "done":
             return payload
         frontier = _speculative_frontier(low, high, resolution, outcomes,
-                                         width)
+                                         width, floor, ceiling)
         for limit, outcome in zip(frontier, attempt_many(frontier)):
             outcomes[limit] = bool(outcome)
 
@@ -225,8 +282,10 @@ def _probe_tool(config: ToolConfig) -> Chameleon:
 
 
 def min_heap_probe(config: ToolConfig, workload: Workload,
-                   policy: Optional[ReplacementMap], limit: int) -> bool:
-    """One minimal-heap probe: completes under ``limit`` or OOMs.
+                   policy: Optional[ReplacementMap],
+                   limit: int) -> Optional[RunMetrics]:
+    """One minimal-heap probe: the run's metrics under ``limit``, or
+    ``None`` if it OOMs.
 
     Top-level and argument-picklable so a :class:`~repro.analysis.
     scheduler.Scheduler` can fan probes out to pool workers; in-process
@@ -235,10 +294,11 @@ def min_heap_probe(config: ToolConfig, workload: Workload,
     """
     tool = _probe_tool(config)
     try:
-        tool.plain_run(workload.fresh(), policy=policy, heap_limit=limit)
-        return True
+        _, metrics = tool.plain_run(workload.fresh(), policy=policy,
+                                    heap_limit=limit)
+        return metrics
     except OutOfMemoryError:
-        return False
+        return None
 
 
 def measure_min_heap(tool: Chameleon, workload: Workload,
@@ -247,9 +307,11 @@ def measure_min_heap(tool: Chameleon, workload: Workload,
                      scheduler=None) -> MinHeapResult:
     """Minimal heap for ``workload`` under ``tool``'s VM configuration.
 
-    The unconstrained peak-live footprint seeds the search bracket: the
-    true minimum is at least the peak live set and (for these workloads)
-    at most a small multiple of it.
+    The unconstrained run seeds the search bracket -- the true minimum
+    is at least the peak live set and (for these workloads) at most a
+    small multiple of it -- and decides every probe below its peak live
+    bytes (OOM) or at or above its total allocation (completes), so
+    only the limits in between are run.
 
     A :class:`~repro.analysis.scheduler.Scheduler` with ``jobs > 1``
     enables speculative parallel bisection: each round batch-evaluates up
@@ -258,9 +320,12 @@ def measure_min_heap(tool: Chameleon, workload: Workload,
     """
     _, metrics = tool.plain_run(workload.fresh(), policy=policy)
     peak = max(metrics.peak_live_bytes, resolution)
+    runs: Dict[int, Optional[RunMetrics]] = {}
 
-    def attempt(limit: int) -> bool:
-        return min_heap_probe(tool.config, workload, policy, limit)
+    def attempt(limit: int) -> Optional[RunMetrics]:
+        runs[limit] = run = min_heap_probe(tool.config, workload, policy,
+                                           limit)
+        return run
 
     attempt_many = None
     width = 1
@@ -270,15 +335,21 @@ def measure_min_heap(tool: Chameleon, workload: Workload,
         # references into a live VM, which must not cross the pool.
         clone = workload.fresh()
 
-        def attempt_many(limits: Sequence[int]) -> List[bool]:
-            return scheduler.map(
+        def attempt_many(limits: Sequence[int]) -> List[Optional[RunMetrics]]:
+            batch = scheduler.map(
                 min_heap_probe,
                 [(tool.config, clone, policy, limit)
                  for limit in limits],
                 prefix=f"minheap:{workload.name}")
+            runs.update(zip(limits, batch))
+            return batch
 
+    ceiling = metrics.total_allocated_bytes
     min_heap, probes = find_min_heap(attempt, low=max(peak // 2, 1),
                                      high=peak * 2, resolution=resolution,
-                                     attempt_many=attempt_many, width=width)
-    return MinHeapResult(min_heap_bytes=min_heap, probes=probes,
-                         unconstrained_peak=peak)
+                                     attempt_many=attempt_many, width=width,
+                                     floor=metrics.peak_live_bytes,
+                                     ceiling=ceiling)
+    return MinHeapResult(
+        min_heap_bytes=min_heap, probes=probes, unconstrained_peak=peak,
+        at_minimum=metrics if min_heap >= ceiling else runs[min_heap])

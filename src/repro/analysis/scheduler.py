@@ -61,6 +61,11 @@ __all__ = ["Job", "JobGraph", "JobError", "Scheduler", "SchedulerStats"]
 #: :meth:`Scheduler._ensure_pool`).
 WORKER_HASHSEED = "2009"
 
+#: How often a pooled run that is waiting for results checks that no
+#: worker has died.  A result arriving wakes the wait at once, so this
+#: only bounds how long a lost job goes unnoticed.
+_LIVENESS_POLL_SECONDS = 0.2
+
 
 class JobError(RuntimeError):
     """A job raised; carries the job id so failures are attributable."""
@@ -228,6 +233,10 @@ class Scheduler:
     ``warmup`` is a picklable top-level function (or ``(fn, args)``
     tuple) run once in each worker at pool creation -- attach the shared
     session store, pre-import the workload stack, etc.
+
+    A worker that dies mid-run (killed, crashed) fails the run with a
+    :class:`JobError` naming the unfinished jobs, and the pool is torn
+    down so the next :meth:`run` starts a fresh one.
     """
 
     def __init__(self, jobs: int = 1,
@@ -244,6 +253,7 @@ class Scheduler:
         else:
             self._warmup_fn, self._warmup_args = warmup[0], tuple(warmup[1])
         self._pool = None
+        self._workers: List[Any] = []
         self.stats = SchedulerStats()
 
     # ------------------------------------------------------------------
@@ -279,8 +289,21 @@ class Scheduler:
                 initializer=_pool_initializer,
                 initargs=(self._hashseed, self._warmup_fn,
                           self._warmup_args))
+            # The pool silently replaces a worker that dies, and the job
+            # it was running never completes; keeping the original
+            # processes lets _run_streaming notice the death instead.
+            self._workers = list(self._pool._pool)
             self.stats.spawn_seconds += time.perf_counter() - spawn_start
         return self._pool
+
+    def _dead_worker(self) -> Optional[str]:
+        """Describe the first pool worker that has exited, if any; pool
+        workers only exit when the pool shuts down."""
+        for process in self._workers:
+            if process.exitcode is not None:
+                return (f"pool worker pid {process.pid} exited with code "
+                        f"{process.exitcode}")
+        return None
 
     def close(self) -> None:
         """Graceful shutdown (idempotent): waits for outstanding work
@@ -290,6 +313,7 @@ class Scheduler:
             self._pool.close()
             self._pool.join()
             self._pool = None
+            self._workers = []
 
     def terminate(self) -> None:
         """Hard shutdown (idempotent): kill workers without waiting.
@@ -299,6 +323,7 @@ class Scheduler:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+            self._workers = []
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -383,14 +408,26 @@ class Scheduler:
         stats = self.stats
         done = 0
         total = len(graph)
+        dead = None
         while done < total:
             with cond:
-                while not arrivals and not failures:
-                    cond.wait()
+                while not arrivals and not failures and dead is None:
+                    if not cond.wait(_LIVENESS_POLL_SECONDS):
+                        dead = self._dead_worker()
                 if failures:
                     job_id, exc = failures[0]
                     raise JobError(job_id, exc) from exc
-                job_id, (result, worker_wall), arrival = arrivals.popleft()
+                arrived = arrivals.popleft() if arrivals else None
+            if arrived is None:
+                # A job the dead worker held will never arrive.  Tear the
+                # pool down (outside the lock: its result handler may be
+                # waiting for it) so the next run starts a fresh one.
+                self.terminate()
+                unfinished = [job_id for job_id in submit_times
+                              if job_id not in results]
+                raise JobError(unfinished[0], RuntimeError(
+                    f"{dead}; unfinished: {', '.join(unfinished)}"))
+            job_id, (result, worker_wall), arrival = arrived
             merge_start = time.perf_counter()
             results[job_id] = result
             stats.jobs_executed += 1

@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.analysis.minheap import MinHeapResult, find_min_heap, measure_min_heap
+from repro.analysis import experiments
+from repro.analysis.minheap import (MinHeapResult, find_min_heap,
+                                    measure_min_heap, min_heap_probe)
 from repro.core.chameleon import Chameleon
 from repro.collections.wrappers import ChameleonList
 from repro.verify.oracle import reference_find_min_heap
+from repro.workloads import BENCHMARKS, CONTROLS, TvlaWorkload
 from repro.workloads.base import Workload
+from repro.workloads.compiled import SCENARIOS, make_scenario
 
 
 class TestFindMinHeap:
@@ -40,6 +44,11 @@ class TestFindMinHeap:
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             find_min_heap(lambda limit: True, low=100, high=100)
+
+    def test_contradictory_bounds(self):
+        with pytest.raises(ValueError, match="floor"):
+            find_min_heap(lambda limit: True, low=1, high=2, floor=10,
+                          ceiling=5)
 
     def test_invalid_width(self):
         """An empty frontier would never advance the plan."""
@@ -133,6 +142,39 @@ class TestSpeculativeSearch:
                                     attempt_many=attempt_many, width=width)
         assert speculative == serial
 
+    @pytest.mark.parametrize("low,high,resolution,threshold", GRID)
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_bounds_skip_decided_limits(self, low, high, resolution,
+                                        threshold, width):
+        """With a floor and a ceiling around the threshold, no width
+        evaluates a decided limit, the minimum is the oracle's, and
+        ``probes`` counts only the oracle's undecided limits."""
+        floor, ceiling = threshold * 3 // 4, threshold + threshold // 4 + 1
+        reference = []
+
+        def attempt(limit):
+            reference.append(limit)
+            return limit >= threshold
+
+        evaluated = []
+
+        def attempt_many(limits):
+            evaluated.extend(limits)
+            return [limit >= threshold for limit in limits]
+
+        minimum, _ = reference_find_min_heap(attempt, low=low, high=high,
+                                             resolution=resolution)
+        undecided = [limit for limit in reference
+                     if floor <= limit < ceiling]
+        found = find_min_heap(attempt, low=low, high=high,
+                              resolution=resolution,
+                              attempt_many=attempt_many, width=width,
+                              floor=floor, ceiling=ceiling)
+        assert found == (minimum, len(undecided))
+        assert all(floor <= limit < ceiling for limit in evaluated)
+        if width == 1:
+            assert evaluated == undecided
+
     def test_speculation_compresses_rounds(self):
         """Each round evaluates a batch, so the number of serial rounds
         drops well below the plan's probe count."""
@@ -196,13 +238,21 @@ class TestMeasureMinHeap:
     def test_min_heap_brackets_peak_live(self):
         tool = Chameleon()
         result = measure_min_heap(tool, GrowingWorkload(), resolution=1024)
+        _, unconstrained = tool.plain_run(GrowingWorkload())
         assert isinstance(result, MinHeapResult)
         # The program cannot run below its live set, and the GC-overhead
         # guard keeps the answer within a small factor above it.
-        assert result.min_heap_bytes >= result.unconstrained_peak * 0.9
+        assert result.min_heap_bytes >= unconstrained.peak_live_bytes
         assert result.min_heap_bytes <= result.unconstrained_peak * 1.6
         assert result.probes > 0
         assert result.headroom >= 0.9
+
+    def test_at_minimum_is_the_run_at_the_minimum(self):
+        tool = Chameleon()
+        result = measure_min_heap(tool, GrowingWorkload(), resolution=1024)
+        _, fresh = tool.plain_run(GrowingWorkload(),
+                                  heap_limit=result.min_heap_bytes)
+        assert result.at_minimum == fresh
 
     def test_deterministic(self):
         tool = Chameleon()
@@ -254,3 +304,98 @@ class TestMeasureMinHeap:
         optimized = measure_min_heap(tool, workload, policy=policy,
                                      resolution=1024)
         assert optimized.min_heap_bytes < base.min_heap_bytes
+
+
+SCALE = 0.05
+
+
+def _soundness_cases():
+    """(label, workload, policy) for the paper's six benchmarks (base,
+    auto and manual), the scenario library and the DaCapo controls."""
+    tool = Chameleon()
+    cases = []
+    for workload_class in BENCHMARKS:
+        session = tool.profile(workload_class(scale=SCALE))
+        policy = tool.build_policy(session.suggestions)
+        name = workload_class.name
+        cases += [(f"{name}:base", workload_class(scale=SCALE), None),
+                  (f"{name}:auto", workload_class(scale=SCALE), policy),
+                  (f"{name}:manual",
+                   workload_class(scale=SCALE, manual_fixes=True), None)]
+    cases += [(name, make_scenario(name, scale=SCALE), None)
+              for name in SCENARIOS]
+    cases += [(workload_class.name, workload_class(scale=SCALE), None)
+              for workload_class in CONTROLS]
+    return cases
+
+
+class TestDecidedProbes:
+    """The two bounds the unconstrained run decides probes with, checked
+    against real runs: a limit below the peak live set OOMs, and a limit
+    at the total allocation replays the unconstrained run exactly."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _soundness_cases()
+
+    def test_probe_below_peak_live_runs_out_of_memory(self, cases):
+        tool = Chameleon()
+        for label, workload, policy in cases:
+            _, metrics = tool.plain_run(workload.fresh(), policy=policy)
+            if metrics.peak_live_bytes == 0:
+                continue  # floor 0: nothing below it to decide
+            assert min_heap_probe(tool.config, workload, policy,
+                                  metrics.peak_live_bytes - 1) is None, label
+
+    def test_run_at_total_allocation_is_the_unconstrained_run(self, cases):
+        tool = Chameleon()
+        for label, workload, policy in cases:
+            vm, metrics = tool.plain_run(workload.fresh(), policy=policy)
+            bounded_vm, bounded = tool.plain_run(
+                workload.fresh(), policy=policy,
+                heap_limit=metrics.total_allocated_bytes)
+            assert bounded == metrics, label
+            assert bounded_vm.timeline.cycles == vm.timeline.cycles, label
+
+    @pytest.mark.parametrize("workload_class", BENCHMARKS,
+                             ids=lambda cls: cls.name)
+    def test_search_matches_the_oracle_probing_every_limit(
+            self, workload_class):
+        """Same bytes as the oracle, which runs every probe; ``probes``
+        is the number of oracle limits in ``[floor, ceiling)``."""
+        resolution = 8192
+        tool = Chameleon()
+        workload = workload_class(scale=SCALE)
+        _, metrics = tool.plain_run(workload.fresh())
+        peak = max(metrics.peak_live_bytes, resolution)
+        limits = []
+
+        def attempt(limit):
+            limits.append(limit)
+            return min_heap_probe(tool.config, workload, None,
+                                  limit) is not None
+
+        minimum, _ = reference_find_min_heap(
+            attempt, low=max(peak // 2, 1), high=peak * 2,
+            resolution=resolution)
+        result = measure_min_heap(tool, workload, resolution=resolution)
+        assert result.min_heap_bytes == minimum
+        assert result.probes == sum(
+            metrics.peak_live_bytes <= limit < metrics.total_allocated_bytes
+            for limit in limits)
+
+
+class TestFig7Baseline:
+    def test_baseline_is_a_fresh_run_at_the_minimum(self):
+        """Fig. 7 takes its baseline from the search's run at the
+        minimum; it must equal a fresh run under the same limit."""
+        resolution = 8192
+        bar = experiments._fig7_benchmark_job(TvlaWorkload, SCALE,
+                                              resolution)
+        tool = Chameleon()
+        minimum = measure_min_heap(tool, TvlaWorkload(scale=SCALE),
+                                   resolution=resolution).min_heap_bytes
+        _, fresh = tool.plain_run(TvlaWorkload(scale=SCALE),
+                                  heap_limit=minimum)
+        assert (bar["baseline_ticks"], bar["baseline_gcs"]) == (
+            fresh.ticks, fresh.gc_cycles)

@@ -39,6 +39,14 @@ def out_of_memory():
     raise OutOfMemoryError(requested=64, live=2000, limit=2048)
 
 
+def exit_on_one(x):
+    """Kill the worker process outright on input 1, as the kernel's OOM
+    killer or a segfault would."""
+    if x == 1:
+        os._exit(3)
+    return x
+
+
 def make_graph():
     graph = JobGraph()
     graph.add("a", add, 1, 2)
@@ -152,6 +160,50 @@ class TestPoolScheduler:
         assert pooled.startswith("job 'oom:0000' failed: "
                                  "OutOfMemoryError: out of memory")
 
+    def test_dead_worker_raises_job_error(self):
+        """A worker that dies takes its job with it, and only job
+        callbacks would wake ``run``.  It must notice the death, raise
+        ``JobError`` naming the lost job, and leave a fresh, warmed pool
+        for the next run.  In a subprocess, like the test above, so a
+        regression fails on the timeout instead of hanging the suite."""
+        script = textwrap.dedent("""
+            import tempfile
+            import time
+            from repro.analysis.scheduler import JobError, Scheduler
+            from tests.analysis.test_scheduler import (
+                exit_on_one, is_warm, make_graph, warm_stamp)
+
+            stamps = tempfile.mkdtemp()
+            with Scheduler(jobs=2,
+                           warmup=(warm_stamp, (stamps,))) as scheduler:
+                start = time.perf_counter()
+                try:
+                    scheduler.map(exit_on_one, [(0,), (1,), (2,)],
+                                  prefix="die")
+                except JobError as exc:
+                    print(exc)
+                print(time.perf_counter() - start < 10)
+                print(scheduler.run(make_graph()))
+                print(scheduler.map(is_warm, [(stamps,)] * 4))
+        """)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
+                                              str(REPO_ROOT)])}
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              cwd=str(REPO_ROOT), env=env)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 4, done.stdout + done.stderr
+        error, fast, graph, warm = lines
+        assert error.startswith("job 'die:0001' failed: RuntimeError: "
+                                "pool worker pid "), error
+        assert "exited with code 3" in error
+        assert "die:0001" in error.split("unfinished: ")[1]
+        assert fast == "True"
+        assert graph == str(Scheduler(jobs=1).run(make_graph()))
+        assert warm == "[True, True, True, True]"
+
     def test_pool_survives_multiple_runs(self):
         with Scheduler(jobs=2) as scheduler:
             first = scheduler.run(make_graph())
@@ -240,6 +292,13 @@ class TestStreamingAndStats:
         with Scheduler(jobs=2, warmup=warm_cwd_stamp) as scheduler:
             scheduler.map(square, [(1,), (2,)])
         assert list(tmp_path.glob("warm-*"))
+
+
+def is_warm(directory):
+    """Whether the warmup hook ran in this worker process."""
+    import os
+    import pathlib
+    return pathlib.Path(directory, f"warm-{os.getpid()}").exists()
 
 
 def warm_cwd_stamp():
