@@ -649,16 +649,18 @@ def _cmd_lint(args) -> str:
     else:
         report = findings_mod.emit_text(all_findings, waived=waived,
                                         show_waived=args.show_waived)
+    threshold = (findings_mod.Severity.WARNING
+                 if args.fail_on == "warning"
+                 else findings_mod.Severity.ERROR)
+    failing = [f for f in all_findings if f.severity >= threshold]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
         report = f"wrote {args.output} ({len(all_findings)} finding(s))"
-
-    threshold = (findings_mod.Severity.WARNING
-                 if args.fail_on == "warning"
-                 else findings_mod.Severity.ERROR)
-    worst = findings_mod.worst_severity(all_findings)
-    if worst is not None and worst >= threshold:
+        if failing:
+            # The log must name what failed, not only where it went.
+            report += "\n" + findings_mod.emit_text(failing)
+    if failing:
         print(report)
         raise SystemExit(1)
     return report

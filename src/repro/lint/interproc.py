@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -75,6 +75,9 @@ MAYBE = Interval(0.0, 1.0)
 UNBOUNDED = Interval(0.0, _INF)
 
 REAL_KINDS = ("list", "set", "map")
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
 
 #: Default statement budget per analyzed module; exhausting it bails the
 #: current root out conservatively instead of hanging on large inputs.
@@ -287,7 +290,10 @@ class SiteState:
     elem: Any = _NONE              # element abstraction (pylist only)
 
     def clone(self) -> "SiteState":
-        return replace(self, ops=dict(self.ops))
+        twin = object.__new__(SiteState)
+        twin.__dict__.update(self.__dict__)
+        twin.ops = dict(self.ops)
+        return twin
 
     def charge(self, dsl: str, count: Interval = ONE,
                exact: bool = True) -> None:
@@ -470,7 +476,7 @@ class _ModuleAnalysis:
                               Optional[_Summary]] = {}
         self._in_progress: Set[Tuple[Optional[str], str]] = set()
         self._collect()
-        self.address_taken: FrozenSet[str] = self._find_address_taken()
+        self._prescan()
 
     # -- collection ----------------------------------------------------
     def _record_const(self, table: Dict[str, Optional[ast.expr]],
@@ -498,54 +504,81 @@ class _ModuleAnalysis:
                                                    sub.value)
                 self.classes[stmt.name] = methods
                 self.class_consts[stmt.name] = consts
-                for method in methods.values():
-                    for node in ast.walk(method):
-                        if not isinstance(node, ast.Assign):
-                            continue
-                        for target in node.targets:
-                            if (isinstance(target, ast.Attribute)
-                                    and isinstance(target.value, ast.Name)
-                                    and target.value.id == "self"):
-                                self._record_const(consts, target.attr,
-                                                   node.value)
             elif isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
                         self._record_const(self.module_consts,
                                            target.id, stmt.value)
 
-    def _find_address_taken(self) -> FrozenSet[str]:
-        """Function/method names whose call sites the analysis cannot
-        enumerate: referenced as *values* rather than called directly
-        (stored in tables, returned as callbacks), or referenced at all
-        inside nested functions, whose bodies the interpreter does not
-        execute.  Whatever such a function returns may be used
-        arbitrarily by code the analysis never sees."""
+    def _prescan(self) -> None:
+        """One traversal of the module for three facts the interpreter
+        needs before it runs.
+
+        * ``self.<attr> = ...`` assignments anywhere in a method are
+          recorded as constants of its class.
+        * ``root_names`` -- every name used in a modeled function: a
+          module-level collection they name can be mutated through the
+          global namespace.
+        * ``address_taken`` -- function/method names whose call sites
+          the analysis cannot enumerate: referenced as *values* rather
+          than called directly (stored in tables, returned as
+          callbacks), or referenced at all inside code the interpreter
+          does not execute -- bodies of defs it does not model (nested
+          and async defs), lambdas, and the elements, targets and
+          conditions of comprehensions (their iterables are evaluated).
+          Whatever such a function returns may be used arbitrarily by
+          code the analysis never sees.
+        """
         known: Set[str] = set(self.functions)
-        for methods in self.classes.values():
+        roots: Dict[int, Optional[Dict[str, Optional[ast.expr]]]] = {
+            id(fn): None for fn in self.functions.values()}
+        for cls, methods in self.classes.items():
             known.update(methods)
-        modeled = set(self.functions.values())
-        for methods in self.classes.values():
-            modeled.update(methods.values())
-        nested: Set[int] = set()
-        for fn in modeled:
-            for node in ast.walk(fn):
-                if isinstance(node, ast.FunctionDef) and node is not fn:
-                    for sub in ast.walk(node):
-                        nested.add(id(sub))
-        call_funcs: Set[int] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Call):
-                call_funcs.add(id(node.func))
+            for fn in methods.values():
+                roots[id(fn)] = self.class_consts[cls]
         taken: Set[str] = set()
-        for node in ast.walk(self.tree):
-            if id(node) in call_funcs and id(node) not in nested:
-                continue
-            if isinstance(node, ast.Attribute) and node.attr in known:
-                taken.add(node.attr)
-            elif isinstance(node, ast.Name) and node.id in known:
-                taken.add(node.id)
-        return frozenset(taken)
+        root_names: Set[str] = set()
+        # (node, inside unexecuted code, is a Call's callee, inside a
+        #  modeled function, that method's class constants)
+        stack: List[Tuple[ast.AST, bool, bool, bool, Any]] = [
+            (self.tree, False, False, False, None)]
+        while stack:
+            node, hidden, callee, in_root, consts = stack.pop()
+            if isinstance(node, ast.Name):
+                if in_root:
+                    root_names.add(node.id)
+                if node.id in known and (hidden or not callee):
+                    taken.add(node.id)
+                continue                # its one child is the load/store ctx
+            if isinstance(node, ast.Attribute):
+                if node.attr in known and (hidden or not callee):
+                    taken.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if id(node) in roots:
+                    in_root, consts = True, roots[id(node)]
+                else:
+                    hidden = True
+            elif isinstance(node, ast.Lambda):
+                hidden = True
+            elif isinstance(node, ast.Assign) and consts is not None:
+                for target in node.targets:
+                    if (isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"):
+                        self._record_const(consts, target.attr, node.value)
+            executed: Optional[Sequence[ast.AST]] = None
+            if isinstance(node, _COMPREHENSIONS):
+                executed = node.generators
+            elif isinstance(node, ast.comprehension):
+                executed = (node.iter,)
+            func = node.func if isinstance(node, ast.Call) else None
+            for child in ast.iter_child_nodes(node):
+                stack.append((child,
+                              hidden or (executed is not None
+                                         and child not in executed),
+                              child is func, in_root, consts))
+        self.address_taken: FrozenSet[str] = frozenset(taken)
+        self.root_names: FrozenSet[str] = frozenset(root_names)
 
     # -- ids / budget --------------------------------------------------
     def alloc_site_id(self) -> int:
@@ -1211,8 +1244,7 @@ class _FuncInterp:
             value = self._eval(node.value, state)
             self._bind(node.target, value, state)
             return value
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp)):
+        if isinstance(node, _COMPREHENSIONS):
             for comp in node.generators:
                 source = self._eval(comp.iter, state)
                 element = self._element_of(source, state)
@@ -2250,13 +2282,8 @@ def _collect_sites(owner: _ModuleAnalysis) -> List[SiteState]:
     if module_final is not None:
         # A module-level collection referenced from any function body
         # can be mutated through the global namespace.
-        used_names: Set[str] = set()
-        for _cls, _name, node in owner.iter_roots():
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    used_names.add(sub.id)
         for name, value in module_final.env.items():
-            if name in used_names:
+            if name in owner.root_names:
                 module_final.escape_value(value)
         root_finals.append(((None, "<module>"), module_final))
 

@@ -29,7 +29,8 @@ Four check families, each with stable finding ids:
 :func:`validate_rules` is the eager construction-time subset: only the
 defects that would otherwise surface as a raw ``KeyError`` deep in
 evaluation or apply (unknown constants, unregistered replacement
-targets, unknown metrics) raise a :class:`RuleValidationError`.
+targets, unknown metrics) raise a :class:`RuleValidationError`, and only
+the resolution and action checks that can find them run.
 """
 
 from __future__ import annotations
@@ -107,11 +108,15 @@ def _type_domain(src_type: str,
 
 class _RuleChecker:
     def __init__(self, specs: Sequence[RuleSpec],
-                 constants: Mapping[str, float],
-                 registry: ImplementationRegistry) -> None:
-        self.specs = specs
-        self.constants = constants
-        self.registry = registry
+                 constants: Optional[Mapping[str, float]],
+                 registry: Optional[ImplementationRegistry]) -> None:
+        from repro.rules.builtin import DEFAULT_CONSTANTS
+
+        self.specs = list(specs)
+        self.constants = dict(DEFAULT_CONSTANTS)
+        if constants:
+            self.constants.update(constants)
+        self.registry = registry or default_registry()
         self.findings: List[Finding] = []
 
     def report(self, finding_id: str, severity: Severity, spec: RuleSpec,
@@ -292,13 +297,7 @@ def check_rules(specs: Sequence[RuleSpec],
     ``constants`` defaults to :data:`DEFAULT_CONSTANTS`; ``registry`` to
     the process-wide implementation registry.
     """
-    from repro.rules.builtin import DEFAULT_CONSTANTS
-
-    merged = dict(DEFAULT_CONSTANTS)
-    if constants:
-        merged.update(constants)
-    return _RuleChecker(list(specs), merged,
-                        registry or default_registry()).run()
+    return _RuleChecker(specs, constants, registry).run()
 
 
 def validate_rules(specs: Sequence[RuleSpec],
@@ -312,8 +311,18 @@ def validate_rules(specs: Sequence[RuleSpec],
     constants, unknown metrics/operations, unregistered replacement
     targets.  Warnings and overlap notes never block construction --
     ``check_rules`` reports them through the lint CLI instead.
+
+    Every fatal id comes from the resolution and action checks, so only
+    those run: the condition and pairwise-overlap analyses (the latter
+    quadratic in the rule count) can never fail construction.  The
+    findings, and their order, are those of ``check_rules`` filtered to
+    the fatal ids.
     """
-    fatal = [finding for finding in check_rules(specs, constants, registry)
+    checker = _RuleChecker(specs, constants, registry)
+    for spec in checker.specs:
+        checker.check_references(spec)
+        checker.check_action(spec)
+    fatal = [finding for finding in checker.findings
              if finding.id in _FATAL_IDS]
     if fatal:
         raise RuleValidationError(fatal)

@@ -83,6 +83,22 @@ class TestFormats:
         assert f"wrote {target}" in out
         assert validate_sarif(target.read_text()) == []
 
+    def test_failing_output_run_names_the_failing_findings(self, capsys,
+                                                           tmp_path):
+        # One invocation both writes the artifact and gates: the log
+        # must say what failed, not only where the report went.
+        target = tmp_path / "lint.sarif"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "lint", "--rules", PLANTED, "--format",
+                    "sarif", "--output", str(target), "--fail-on", "error")
+        assert excinfo.value.code == 1
+        out = capsys.readouterr().out
+        assert f"wrote {target}" in out
+        assert "L1-unknown-constant" in out
+        assert "L1-unknown-impl" in out
+        assert "L1-overlap-conflict" not in out  # a warning: below the bar
+        assert validate_sarif(target.read_text()) == []
+
 
 class TestDriftThroughCli:
     @pytest.fixture(scope="class")

@@ -1,15 +1,30 @@
 """Layer 2.5 interprocedural interval analysis: domain, loops,
 summaries, rule verdicts and the static proposal."""
 
+import ast
+import dataclasses
+import glob
+import os
 import textwrap
+from typing import Set
 
-from repro.lint.interproc import (InterprocReport, analyze_source,
-                                  export_signatures)
+import pytest
+
+from repro.lint.interproc import (InterprocReport, SiteState,
+                                  _collect_sites, _ModuleAnalysis,
+                                  analyze_source, export_signatures)
 from repro.rules.evaluator import Tri
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 
 
 def analyze(source, path="src/repro/workloads/example.py"):
     return analyze_source(textwrap.dedent(source), path)
+
+
+def _module(source, path="example.py"):
+    return _ModuleAnalysis(ast.parse(textwrap.dedent(source)), "example",
+                           path)
 
 
 def site_named(report, variable):
@@ -364,3 +379,182 @@ class TestSignatureExport:
         assert isinstance(report, InterprocReport)
         assert any(f.id == "L2-syntax-error" for f in report.findings)
         assert report.sites == []
+
+
+class TestUnexecutedCallers:
+    """A function called only from code the interpreter never executes
+    has callers the analysis cannot see, so what it returns escapes."""
+
+    def test_factory_called_in_a_comprehension_is_not_a_must(self):
+        report = analyze("""
+            from repro.collections import ChameleonList
+
+            class W:
+                def make(self, vm):
+                    return ChameleonList(vm)
+
+                def run(self, vm):
+                    lists = [self.make(vm) for _ in range(50)]
+                    for lst in lists:
+                        for i in range(100):
+                            lst.add(i)
+        """)
+        (site,) = report.sites
+        assert site.location.endswith("make")
+        assert site.escaped
+        assert site.max_size.hi == float("inf")
+        assert not [f for f in report.findings
+                    if f.id == "L2I-interval-must"]
+
+    def test_factory_called_in_a_lambda_is_not_a_must(self):
+        report = analyze("""
+            from repro.collections import ChameleonList
+
+            def helper(vm):
+                return ChameleonList(vm)
+
+            def run(vm):
+                f = lambda: helper(vm)
+                a = f()
+                for i in range(100):
+                    a.add(i)
+        """)
+        (site,) = report.sites
+        assert site.location.endswith("helper")
+        assert site.escaped
+        assert not [f for f in report.findings
+                    if f.id == "L2I-interval-must"]
+
+    @pytest.mark.parametrize("expr, taken", [
+        ("[helper(x) for x in items]", True),
+        ("[x for x in items if helper(x)]", True),
+        ("{helper(x): x for x in items}", True),
+        ("(x for x in items for y in helper(x))", False),
+        ("[x for x in helper(items)]", False),
+        ("sorted(items, key=lambda x: helper(x))", True),
+        ("helper(items)", False),
+        ("helper", True),
+    ])
+    def test_comprehension_iterables_are_executed(self, expr, taken):
+        owner = _module(f"""
+            def helper(x):
+                return x
+
+            def run(items):
+                return {expr}
+        """)
+        assert ("helper" in owner.address_taken) is taken
+
+
+class TestModuleGlobals:
+    @pytest.mark.parametrize("user, escapes", [
+        ("def register(x):\n    return REGISTRY", True),
+        ("class C:\n    def get(self):\n        return REGISTRY", True),
+        ("def register(x):\n    return lambda: REGISTRY", True),
+        ("def register(x):\n    return x", False),
+    ])
+    def test_collection_named_in_a_function_escapes(self, user, escapes):
+        # Code reached through the global namespace may mutate it.
+        report = analyze_source(
+            "from repro.collections import ChameleonList\n"
+            "REGISTRY = ChameleonList(None)\n"
+            "REGISTRY.add(1)\n\n" + user + "\n",
+            "src/repro/workloads/example.py")
+        (site,) = report.sites
+        assert site.escaped is escapes
+        assert bool(report.findings) is not escapes
+
+
+def _reference_address_taken(owner: _ModuleAnalysis) -> frozenset:
+    """The address-taken scan as three walks (nested plain defs only);
+    kept as the oracle for the single-pass ``_prescan``."""
+    known: Set[str] = set(owner.functions)
+    for methods in owner.classes.values():
+        known.update(methods)
+    modeled = set(owner.functions.values())
+    for methods in owner.classes.values():
+        modeled.update(methods.values())
+    nested: Set[int] = set()
+    for fn in modeled:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.FunctionDef) and node is not fn:
+                for sub in ast.walk(node):
+                    nested.add(id(sub))
+    call_funcs: Set[int] = set()
+    for node in ast.walk(owner.tree):
+        if isinstance(node, ast.Call):
+            call_funcs.add(id(node.func))
+    taken: Set[str] = set()
+    for node in ast.walk(owner.tree):
+        if id(node) in call_funcs and id(node) not in nested:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in known:
+            taken.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in known:
+            taken.add(node.id)
+    return frozenset(taken)
+
+
+_HIDING = (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+           ast.GeneratorExp, ast.AsyncFunctionDef)
+
+
+def _repo_modules():
+    found = []
+    for root in ("src/repro", "examples", "tests"):
+        found += glob.glob(os.path.join(REPO, root, "**", "*.py"),
+                           recursive=True)
+    return sorted(found)
+
+
+class TestAddressTakenOracle:
+    def test_single_pass_covers_the_three_walks(self):
+        """Superset everywhere (the sound direction), and equal in every
+        module without the lambdas, comprehensions or async defs the
+        single pass newly counts as unexecuted code."""
+        modules = _repo_modules()
+        assert len(modules) > 100
+        for path in modules:
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            owner = _ModuleAnalysis(tree, "module", path)
+            reference = _reference_address_taken(owner)
+            assert owner.address_taken >= reference, path
+            if not any(isinstance(node, _HIDING)
+                       for node in ast.walk(tree)):
+                assert owner.address_taken == reference, path
+
+
+class TestSiteStateClone:
+    def test_field_list_is_pinned(self):
+        # clone() copies ``ops`` and shares every other field: review it
+        # before adding a mutable field.
+        assert [f.name for f in dataclasses.fields(SiteState)] == [
+            "site_id", "kind", "src_types", "variable", "location",
+            "file", "line", "coarse_location", "coarse_line", "chain",
+            "ops", "size", "max_size", "growth", "peak", "capacity",
+            "capacity_unknown", "escaped", "conditional", "returned",
+            "instances", "elem"]
+
+    def test_clone_matches_replace_on_workload_sites(self):
+        sites = []
+        for path in sorted(glob.glob(os.path.join(
+                REPO, "src", "repro", "workloads", "*.py"))):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            sites += _collect_sites(_ModuleAnalysis(tree, "module", path))
+        assert len(sites) > 20
+        for site in sites:
+            expected = dataclasses.replace(site, ops=dict(site.ops))
+            twin = site.clone()
+            assert type(twin) is SiteState
+            assert vars(twin).keys() == vars(expected).keys()
+            for field in dataclasses.fields(SiteState):
+                if field.name == "ops":
+                    assert twin.ops == site.ops
+                    assert twin.ops is not site.ops
+                else:
+                    assert getattr(twin, field.name) is \
+                        getattr(expected, field.name), field.name
+            twin.charge("#add")
+            assert twin.ops != site.ops

@@ -164,3 +164,93 @@ class TestOverlapChecks:
             spec("HashSet : maxSize < SMALL_SIZE -> ArraySet", name="a"),
             spec("HashMap : maxSize < SMALL_SIZE -> ArrayMap", name="b")])
         assert not any(f.id.startswith("L1-overlap") for f in findings)
+
+
+def _ast_spec(condition):
+    """A spec whose condition no parser can produce (off-schema refs)."""
+    import dataclasses
+
+    base = spec("HashMap : maxSize > 1 -> ArrayMap", name="ast-built")
+    return dataclasses.replace(
+        base, rule=dataclasses.replace(base.rule, condition=condition))
+
+
+def _fatal_specs():
+    from repro.rules.ast import Comparison, DataRef, Number, OpCount
+
+    return {
+        "L1-unknown-constant": [spec("HashMap : maxSize < NOPE -> ArrayMap")],
+        "L1-unknown-impl": [spec("HashMap : maxSize > 0 -> FrobMap")],
+        "L1-unknown-data": [_ast_spec(
+            Comparison(">", DataRef("frobCount"), Number(1.0)))],
+        "L1-unknown-op": [_ast_spec(
+            Comparison(">", OpCount("#frob"), Number(1.0)))],
+    }
+
+
+def _validation_cases():
+    from repro.lint.rule_checker import load_rules_file
+
+    planted = os.path.join(os.path.dirname(__file__),
+                           "planted_defects.rules")
+    # An off-vocabulary op stops check_rules itself: its condition
+    # analysis cannot name the op.  Validation never analyses
+    # conditions, so that case is only in test_each_fatal_id_is_reachable.
+    fatal = {finding_id: specs
+             for finding_id, specs in _fatal_specs().items()
+             if finding_id != "L1-unknown-op"}
+    cases = {"builtin": list(BUILTIN_RULES),
+             "planted": load_rules_file(planted), **fatal}
+    # Every fatal defect at once, between overlapping and non-fatal
+    # rules, so the order across specs and checks is pinned too.
+    cases["mixed"] = (
+        [spec("HashSet : maxSize > 0 -> ArrayMap", name="mismatch")]
+        + [s for specs in fatal.values() for s in specs]
+        + [spec("HashMap : maxSize < 0 -> ArrayMap", name="unsat"),
+           spec("HashMap : maxSize < NOPE & size < ALSO_NOPE -> FrobMap",
+                name="two-defects")]
+        + list(BUILTIN_RULES[:4]))
+    return cases
+
+
+class TestValidationIsTheFatalSubset:
+    """``validate_rules`` runs only the resolution and action checks,
+    yet raises exactly the fatal findings the full checker reports."""
+
+    @pytest.mark.parametrize("case", sorted(_validation_cases()))
+    def test_raises_iff_filtered_check_rules_is_nonempty(self, case):
+        from repro.lint.rule_checker import _FATAL_IDS
+
+        specs = _validation_cases()[case]
+        expected = [finding for finding in check_rules(specs)
+                    if finding.id in _FATAL_IDS]
+        if not expected:
+            validate_rules(specs)
+            return
+        with pytest.raises(RuleValidationError) as excinfo:
+            validate_rules(specs)
+        assert excinfo.value.findings == expected
+
+    @pytest.mark.parametrize("finding_id", sorted(_fatal_specs()))
+    def test_each_fatal_id_is_reachable(self, finding_id):
+        with pytest.raises(RuleValidationError) as excinfo:
+            validate_rules(_fatal_specs()[finding_id])
+        assert [f.id for f in excinfo.value.findings] == [finding_id]
+
+    def test_engine_construction_skips_condition_and_overlap_checks(
+            self, monkeypatch):
+        from repro.lint import rule_checker
+        from repro.rules.engine import RuleEngine
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("validation ran a non-fatal check")
+
+        monkeypatch.setattr(rule_checker._RuleChecker, "check_overlaps",
+                            forbidden)
+        monkeypatch.setattr(rule_checker._RuleChecker, "check_condition",
+                            forbidden)
+        RuleEngine(BUILTIN_RULES, DEFAULT_CONSTANTS)
+        with pytest.raises(RuleValidationError):
+            RuleEngine([spec("HashMap : maxSize > 0 -> FrobMap")])
+        with pytest.raises(AssertionError):
+            check_rules(BUILTIN_RULES)  # the patch is live
