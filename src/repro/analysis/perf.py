@@ -26,6 +26,14 @@ suite reports the *median* repeat (plus every repeat's wall in
 ``repeat_walls``) instead of the minimum -- the minimum systematically
 rewards the repeat that dodged the most machine noise, while the median
 tracks what a user actually observes.
+
+The same hygiene makes CPython's collector a layer this harness cannot
+see.  Its cost does not show in ``BENCH_chameleon.json``, so neither
+does the change that made swept collections die by reference counting
+(the sweep drops a dead object's payload; DESIGN.md section 3.5).  Most
+of the cyclic garbage that change removed was the simulator's own swept
+collections.  The repo benchmark (``perfbench/``) runs with the
+collector on, so its end-to-end figures include that cost.
 """
 
 from __future__ import annotations

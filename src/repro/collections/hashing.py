@@ -54,7 +54,14 @@ class HashTableEngine:
                  load_factor: float = 0.75, lazy: bool = False) -> None:
         if load_factor <= 0:
             raise ValueError("load factor must be positive")
-        self.owner = owner
+        # The five owner fields the engine reads, bound once instead of
+        # an ``owner`` back-pointer: with no engine -> impl edge, a swept
+        # impl is freed by reference counting (DESIGN.md section 3.5).
+        self.vm = owner.vm
+        self.anchor = owner.anchor
+        self.boxes = owner.boxes
+        self.charge = owner.charge
+        self.context_id = owner.context_id
         self.is_map = is_map
         self.linked = linked
         self.load_factor = load_factor
@@ -71,7 +78,7 @@ class HashTableEngine:
         self._version = 0
         self._ids_version = -1
         self._ids_list: List[int] = []
-        model = owner.vm.model
+        model = self.vm.model
         refs = 5 if linked else 3
         self._entry_size = model.object_size(ref_fields=refs, int_fields=1)
         if not lazy:
@@ -96,16 +103,16 @@ class HashTableEngine:
         return f"{base}$Entry"
 
     def _allocate_table(self, capacity: int) -> None:
-        vm = self.owner.vm
+        vm = self.vm
         old = self._table_obj
         new = vm.allocate("Object[]", vm.model.ref_array_size(capacity),
-                          context_id=self.owner.context_id)
+                          context_id=self.context_id)
         if old is not None:
             for ref_id, count in old.refs.items():
                 new.refs[ref_id] = count
             old.clear_refs()
-            self.owner.anchor.remove_ref(old.obj_id)
-        self.owner.anchor.add_ref(new.obj_id)
+            self.anchor.remove_ref(old.obj_id)
+        self.anchor.add_ref(new.obj_id)
         self._table_obj = new
         old_buckets = self._buckets
         self._buckets = [[] for _ in range(capacity)]
@@ -117,7 +124,7 @@ class HashTableEngine:
         self._occupied = sum(1 for bucket in self._buckets if bucket)
         self._version += 1
         if relinked:
-            self.owner.charge(vm.costs.entry_link * relinked)
+            self.charge(vm.costs.entry_link * relinked)
 
     def _ensure_table(self) -> None:
         if self._table_obj is None:
@@ -148,11 +155,11 @@ class HashTableEngine:
         examined -- the constant-factor cost that makes small ArrayMaps
         faster than small HashMaps.
         """
-        costs = self.owner.vm.costs
+        costs = self.vm.costs
         hash_code = element_hash(key)
-        self.owner.charge(costs.hash_compute)
+        self.charge(costs.hash_compute)
         if not self._buckets:
-            self.owner.charge(costs.hash_probe)
+            self.charge(costs.hash_probe)
             return hash_code, None
         bucket = self._buckets[hash_code & (len(self._buckets) - 1)]
         probes = 1
@@ -162,7 +169,7 @@ class HashTableEngine:
                 found = entry
                 break
             probes += 1
-        self.owner.charge(costs.hash_probe * probes)
+        self.charge(costs.hash_probe * probes)
         return hash_code, found
 
     # ------------------------------------------------------------------
@@ -171,25 +178,25 @@ class HashTableEngine:
     def put(self, key: Any, value: Any) -> Any:
         """Insert or update; returns the previous value (or ``_MISSING``
         sentinel exposed via :meth:`missing`)."""
-        vm = self.owner.vm
+        vm = self.vm
         self._ensure_table()
         hash_code, entry = self._find(key)
         if entry is not None:
             old = entry.value
             if self.is_map:
-                entry.heap_obj.remove_ref(self.owner.boxes.release(old))
-                entry.heap_obj.add_ref(self.owner.boxes.ref_for(value))
+                entry.heap_obj.remove_ref(self.boxes.release(old))
+                entry.heap_obj.add_ref(self.boxes.ref_for(value))
             entry.value = value
             return old
         heap_entry = vm.allocate(self.entry_type_name, self.entry_size,
-                                 context_id=self.owner.context_id)
+                                 context_id=self.context_id)
         # The entry is unreachable until linked into the table, and
         # ref_for() may allocate boxes (and hence trigger a GC); keep it
         # pinned across that window.
         vm.add_root(heap_entry)
-        heap_entry.add_ref(self.owner.boxes.ref_for(key))
+        heap_entry.add_ref(self.boxes.ref_for(key))
         if self.is_map:
-            heap_entry.add_ref(self.owner.boxes.ref_for(value))
+            heap_entry.add_ref(self.boxes.ref_for(value))
         self._table_obj.add_ref(heap_entry.obj_id)
         vm.remove_root(heap_entry)
         new_entry = HashEntry(key, value, hash_code, heap_entry)
@@ -200,7 +207,7 @@ class HashTableEngine:
         self._order.append(new_entry)
         self._count += 1
         self._version += 1
-        self.owner.charge(vm.costs.entry_link)
+        self.charge(vm.costs.entry_link)
         if self._count > len(self._buckets) * self.load_factor:
             self._allocate_table(len(self._buckets) * 2)
         return _MISSING
@@ -219,20 +226,20 @@ class HashTableEngine:
         if not bucket:
             self._occupied -= 1
         self._order.remove(entry)
-        entry.heap_obj.remove_ref(self.owner.boxes.release(entry.key))
+        entry.heap_obj.remove_ref(self.boxes.release(entry.key))
         if self.is_map:
-            entry.heap_obj.remove_ref(self.owner.boxes.release(entry.value))
+            entry.heap_obj.remove_ref(self.boxes.release(entry.value))
         self._table_obj.remove_ref(entry.heap_obj.obj_id)
         self._count -= 1
         self._version += 1
-        self.owner.charge(self.owner.vm.costs.entry_link)
+        self.charge(self.vm.costs.entry_link)
         return entry.value
 
     def get_entry(self, key: Any) -> Optional[HashEntry]:
         """Probe for ``key`` without mutating."""
         if self._table_obj is None and self._count == 0:
-            self.owner.charge(self.owner.vm.costs.hash_compute
-                              + self.owner.vm.costs.hash_probe)
+            self.charge(self.vm.costs.hash_compute
+                        + self.vm.costs.hash_probe)
             return None
         _, entry = self._find(key)
         return entry
@@ -240,11 +247,11 @@ class HashTableEngine:
     def clear(self) -> None:
         """Drop every entry (table retained, as in Java)."""
         for entry in self._order:
-            entry.heap_obj.remove_ref(self.owner.boxes.release(entry.key))
+            entry.heap_obj.remove_ref(self.boxes.release(entry.key))
             if self.is_map:
-                entry.heap_obj.remove_ref(self.owner.boxes.release(entry.value))
+                entry.heap_obj.remove_ref(self.boxes.release(entry.value))
             self._table_obj.remove_ref(entry.heap_obj.obj_id)
-        self.owner.charge(self.owner.vm.costs.entry_link * self._count)
+        self.charge(self.vm.costs.entry_link * self._count)
         self._order.clear()
         for bucket in self._buckets:
             bucket.clear()
@@ -262,10 +269,10 @@ class HashTableEngine:
         which is why iterating sparse HashMaps is slow); the linked
         variant walks the insertion-order chain only.
         """
-        costs = self.owner.vm.costs
+        costs = self.vm.costs
         if self.linked:
             for entry in list(self._order):
-                self.owner.charge(costs.link_traverse_per_node)
+                self.charge(costs.link_traverse_per_node)
                 yield entry
         else:
             # Snapshot the bucket table at iteration start so a rehash
@@ -274,9 +281,9 @@ class HashTableEngine:
             # are unchanged: one array access per bucket slot, one link
             # traversal per entry.
             for bucket in [list(b) for b in self._buckets]:
-                self.owner.charge(costs.array_access)
+                self.charge(costs.array_access)
                 for entry in bucket:
-                    self.owner.charge(costs.link_traverse_per_node)
+                    self.charge(costs.link_traverse_per_node)
                     yield entry
 
     # ------------------------------------------------------------------
@@ -301,7 +308,7 @@ class HashTableEngine:
         """Occupied table slots + all entry objects."""
         if self._table_obj is None:
             return 0
-        model = self.owner.vm.model
+        model = self.vm.model
         return (model.align(model.array_header_bytes
                             + self._occupied * model.pointer_bytes)
                 + self.entry_size * self._count)

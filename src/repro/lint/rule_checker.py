@@ -7,7 +7,8 @@ Four check families, each with stable finding ids:
   metric (``L1-unknown-data``), every operation counter is a member of
   the :class:`~repro.profiler.counters.Op` vocabulary
   (``L1-unknown-op``; unreachable through the parser, which already
-  rejects unknown spellings, but AST-built rules get the same check).
+  rejects unknown spellings, but AST-built rules get the same check,
+  and such a rule is left out of the two analyses below).
 * **Actions** -- replacement targets exist in the
   :class:`~repro.collections.registry.ImplementationRegistry`
   (``L1-unknown-impl``), can back the srcType's ADT kind
@@ -130,9 +131,15 @@ class _RuleChecker:
     # ------------------------------------------------------------------
     # (a) reference resolution
     # ------------------------------------------------------------------
-    def check_references(self, spec: RuleSpec) -> None:
+    def check_references(self, spec: RuleSpec) -> bool:
+        """Report unresolved references; False if an op is unknown.
+
+        The condition analyses cannot name an off-vocabulary op, so a
+        rule with one is left out of them.
+        """
         from repro.profiler.counters import Op
 
+        ops_known = True
         for expr in _walk_exprs(spec.rule.condition):
             if isinstance(expr, ConstRef):
                 if expr.name not in self.constants:
@@ -150,10 +157,12 @@ class _RuleChecker:
                         f"Table 1/Table 3 metric schema")
             elif isinstance(expr, (OpCount, OpVariance)):
                 if not isinstance(expr.op, Op):
+                    ops_known = False
                     self.report(
                         "L1-unknown-op", Severity.ERROR, spec,
                         f"operation {expr.op!r} is not in the profiler's "
                         f"vocabulary")
+        return ops_known
 
     # ------------------------------------------------------------------
     # (b) action validation
@@ -225,9 +234,9 @@ class _RuleChecker:
     # ------------------------------------------------------------------
     # (d) pairwise overlap / shadowing
     # ------------------------------------------------------------------
-    def check_overlaps(self) -> None:
-        for later_index, later in enumerate(self.specs):
-            for earlier in self.specs[:later_index]:
+    def check_overlaps(self, specs: Sequence[RuleSpec]) -> None:
+        for later_index, later in enumerate(specs):
+            for earlier in specs[:later_index]:
                 self._check_pair(earlier, later)
 
     def _joint_satisfiable(self, first: Rule, second: Rule) -> bool:
@@ -280,11 +289,14 @@ class _RuleChecker:
 
     # ------------------------------------------------------------------
     def run(self) -> List[Finding]:
+        analysable = []
         for spec in self.specs:
-            self.check_references(spec)
+            ops_known = self.check_references(spec)
             self.check_action(spec)
-            self.check_condition(spec)
-        self.check_overlaps()
+            if ops_known:
+                self.check_condition(spec)
+                analysable.append(spec)
+        self.check_overlaps(analysable)
         return self.findings
 
 

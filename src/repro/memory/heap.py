@@ -67,7 +67,13 @@ class HeapObject:
             ``__missing__`` are measurable at one instance per allocation;
             the two mutators below keep the zero-default semantics by
             hand.)
-        payload: Optional Python-side entity this object models.
+        payload: Optional Python-side entity this object models.  A
+            strong reference while the object is in the store: the
+            collector's accounting and the semantic maps read it even
+            when the object is reachable only through id edges.  The
+            sweep sets it to ``None`` once the object's death hook has
+            run (see :meth:`SimHeap.sweep_dead`), so only death hooks
+            may read the payload of a dead object.
         context_id: Allocation-context identity, when tracked.
         on_death: Optional callback invoked by the sweeper when freed.
     """
@@ -227,6 +233,16 @@ class SimHeap:
         difference instead of a Python-level scan over every object, so
         sweep cost tracks the garbage, not the heap.
 
+        Release contract: once the caller resumes the generator after
+        a dead object (its death hook has run, its statistics are
+        counted), the object's ``payload`` is set to ``None``.  A
+        collection's wrapper and its heap object, and an implementation
+        and its anchor, point at each other; dropping the payload breaks
+        that cycle, so the swept collection's Python graph is freed by
+        reference counting instead of waiting for CPython's cyclic
+        collector.  Death hooks still see the payload; a caller that
+        keeps a yielded object must not read it afterwards.
+
         Reentrancy: the partition is a snapshot.  A death hook that
         *allocates* adds to the live store and is never swept this cycle;
         a hook that *frees* a not-yet-yielded dead object simply causes
@@ -245,6 +261,7 @@ class SimHeap:
             self.total_freed_bytes += obj.size
             self.total_freed_objects += 1
             yield obj
+            obj.payload = None
 
     def __len__(self) -> int:
         return len(self._objects)

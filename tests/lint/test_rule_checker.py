@@ -95,6 +95,31 @@ class TestReferenceChecks:
         findings = check_rules([dataclasses.replace(base, rule=bad_rule)])
         assert "L1-unknown-data" in ids_of(findings)
 
+    def test_unknown_op_is_reported_not_raised(self):
+        # An AST-built rule can carry an op outside the Op vocabulary;
+        # the checker reports it and leaves the rule out of the
+        # condition and overlap analyses, which cannot name the op.
+        import dataclasses
+
+        from repro.rules.ast import OpCount
+
+        # allOps == #copied & #copied > 0, with both ops replaced.
+        base = next(s for s in BUILTIN_RULES if s.name == "redundant-copying")
+        cond, bogus = base.rule.condition, OpCount("#bogusOp")
+        cond = dataclasses.replace(
+            cond, left=dataclasses.replace(cond.left, right=bogus),
+            right=dataclasses.replace(cond.right, left=bogus))
+        bad = dataclasses.replace(base, rule=dataclasses.replace(
+            base.rule, condition=cond))
+        findings = check_rules([bad])
+        assert [f.id for f in findings] == ["L1-unknown-op"] * 2
+        others = [s for s in BUILTIN_RULES if s is not base]
+        assert ([f for f in check_rules([bad] + others)
+                 if f.rule_name == bad.name]
+                == findings)
+        with pytest.raises(RuleValidationError):
+            validate_rules([bad])
+
     def test_validate_raises_on_fatal_only(self):
         with pytest.raises(RuleValidationError):
             validate_rules([spec("HashMap : maxSize < NOPE -> ArrayMap")])
@@ -193,12 +218,7 @@ def _validation_cases():
 
     planted = os.path.join(os.path.dirname(__file__),
                            "planted_defects.rules")
-    # An off-vocabulary op stops check_rules itself: its condition
-    # analysis cannot name the op.  Validation never analyses
-    # conditions, so that case is only in test_each_fatal_id_is_reachable.
-    fatal = {finding_id: specs
-             for finding_id, specs in _fatal_specs().items()
-             if finding_id != "L1-unknown-op"}
+    fatal = _fatal_specs()
     cases = {"builtin": list(BUILTIN_RULES),
              "planted": load_rules_file(planted), **fatal}
     # Every fatal defect at once, between overlapping and non-fatal
