@@ -10,7 +10,6 @@ fall -- against the paper's reported numbers, which are recorded here in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,45 +99,23 @@ def reset_session_cache() -> None:
     _SESSION_CACHE.clear()
 
 
-def _spill_is_store(path: str) -> bool:
-    """Whether a ``--session-cache`` path means the content-addressed
-    per-entry store (a directory) rather than the legacy single pickle.
-
-    An existing path decides by what it is; a fresh path defaults to the
-    store unless it carries an explicit pickle suffix, so old
-    ``sessions.pkl`` invocations keep their format.
-    """
-    if os.path.isdir(path):
-        return True
-    if os.path.isfile(path):
-        return False
-    if path.endswith(("/", os.sep)):
-        return True
-    return not path.endswith((".pkl", ".pickle"))
-
-
 def load_session_cache(path: str) -> int:
-    """Reload spilled sessions into this process's cache from ``path``
-    -- a content-addressed :class:`~repro.analysis.index.SessionStore`
-    directory (the default, e.g. ``benchmarks/runs/store``) or a legacy
-    ``*.pkl`` single-pickle spill.  Returns entries added; corrupt
-    spills load as empty with a warning."""
-    if _spill_is_store(path):
-        from repro.analysis.index import SessionStore
+    """Reload spilled sessions into this process's cache from the
+    content-addressed :class:`~repro.analysis.index.SessionStore`
+    directory ``path`` (e.g. ``benchmarks/runs/store``; created when
+    missing).  Returns entries added; corrupt entries are skipped with a
+    warning."""
+    from repro.analysis.index import SessionStore
 
-        return SessionStore(path).load_cache(_SESSION_CACHE)
-    return _SESSION_CACHE.load(path)
+    return SessionStore(path).load_cache(_SESSION_CACHE)
 
 
 def spill_session_cache(path: str) -> int:
-    """Spill this process's session cache to ``path`` (store directory
-    or legacy ``*.pkl``; see :func:`load_session_cache`).  Returns the
-    store's newly written entry count, or the legacy spill's total."""
-    if _spill_is_store(path):
-        from repro.analysis.index import SessionStore
+    """Spill this process's session cache into the store directory
+    ``path``; returns how many new entry files were written."""
+    from repro.analysis.index import SessionStore
 
-        return SessionStore(path).save_cache(_SESSION_CACHE)
-    return _SESSION_CACHE.save(path)
+    return SessionStore(path).save_cache(_SESSION_CACHE)
 
 
 def attach_session_store(path: Optional[str]) -> None:

@@ -25,8 +25,7 @@ framing of Darwinian Data Structure Selection (PAPERS.md):
 * :class:`SessionStore` -- the content-addressed profiling-session
   spill (``<runs-root>/store/``): one atomically-written pickle per
   cache entry, named by a digest of the existing :class:`SessionCache`
-  key, replacing the ad-hoc single-pickle spill (which a crash could
-  truncate wholesale and a second writer could corrupt).
+  key, so a crash or a second writer can cost at most one entry.
 
 Everything here is stdlib-only (``sqlite3``, ``json``, ``pickle``).
 """
@@ -105,8 +104,8 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
 def interpreter_hashseed() -> str:
     """What pins this interpreter's str/bytes hashing, as recorded in
     manifests: the ``PYTHONHASHSEED`` the process was launched under, or
-    ``"random"`` when hashing is randomised (tick counts then differ
-    across invocations and indexed comparisons will be refused).
+    ``"random"`` when hashing is randomised.  Metadata only: simulated
+    results do not depend on it (the hash tables use Java hash codes).
 
     Note ``sys.flags.hash_randomization`` stays 1 for any nonzero seed,
     so the environment variable -- which spawn-started children also
@@ -648,8 +647,7 @@ class SessionStore:
     key, so concurrent spillers (parallel CI legs, scheduler workers)
     compose: identical keys collide onto identical deterministic
     content, distinct keys never clobber each other, and a torn write
-    can never corrupt a neighbouring entry -- the failure mode of the
-    old whole-cache single-pickle spill.  Corrupt entries are skipped
+    can never corrupt a neighbouring entry.  Corrupt entries are skipped
     with a warning, never fatal.
     """
 

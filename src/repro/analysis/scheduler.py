@@ -17,8 +17,8 @@ This module supplies the execution layer:
 
 The pool is created once per :class:`Scheduler` lifetime and reused
 across every :meth:`Scheduler.run` call; a ``warmup`` hook runs once in
-each worker at pool creation (pin the hash seed, attach the shared
-session store, pre-import the tool stack), so per-job latency is pure
+each worker at pool creation (attach the shared session store,
+pre-import the tool stack), so per-job latency is pure
 work.  Execution streams: jobs are submitted the moment their
 dependencies resolve and results are merged as they arrive -- there is
 no wave barrier, so one slow job no longer stalls unrelated ready work.
@@ -26,22 +26,20 @@ Per-run overhead (pool spawn, in-worker wall, transfer, merge) is
 accumulated in :attr:`Scheduler.stats` so the perf harness can record a
 measured breakdown instead of asserting the win.
 
-Determinism contract: results are merged in job-insertion order, forked
-workers share the parent interpreter's hash seed (so str/bytes hashing
--- which the simulated hash tables' tick counts depend on -- behaves
-identically in the serial reference and in every worker), and every job
-must be a pure function of its (picklable) arguments.  Under that
-contract the output of ``Scheduler(jobs=n).run(graph)`` is identical for
-every ``n`` -- the experiment runners and their tests rely on it.
-Reproducibility *across program invocations* additionally requires
-launching the whole program under a fixed ``PYTHONHASHSEED``, exactly as
-for the serial suite (see PR 1's note in CHANGES.md).
+Determinism contract: results are merged in job-insertion order, and
+every job must be a pure function of its (picklable) arguments.  Under
+that contract the output of ``Scheduler(jobs=n).run(graph)`` is
+identical for every ``n`` and every start method -- the experiment
+runners and their tests rely on it.  Nothing here depends on the
+interpreter's hash seed: the simulated hash tables use Java hash codes
+(:func:`~repro.collections.base.java_hash_code`), so a worker started
+under any hash seed computes what the serial reference does, in this
+invocation or any other.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from collections import deque
@@ -49,17 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["Job", "JobGraph", "JobError", "Scheduler", "SchedulerStats"]
-
-#: Hash seed exported into every worker's environment.  A forked worker
-#: already shares the parent's live hash seed (that is what keeps worker
-#: runs identical to the serial reference); the export only pins any
-#: *further* interpreters a job might launch (grandchildren).  It cannot
-#: pin a spawn-style worker's own hashing: the pool initializer runs
-#: after interpreter startup, by which point the hash seed is fixed.
-#: Spawn-style pools are therefore only allowed when the whole program
-#: was launched under a fixed ``PYTHONHASHSEED`` (see
-#: :meth:`Scheduler._ensure_pool`).
-WORKER_HASHSEED = "2009"
 
 #: How often a pooled run that is waiting for results checks that no
 #: worker has died.  A result arriving wakes the wait at once, so this
@@ -186,17 +173,6 @@ class SchedulerStats:
         }
 
 
-def _pool_initializer(hashseed: str,
-                      warmup_fn: Optional[Callable[..., Any]] = None,
-                      warmup_args: Tuple = ()) -> None:
-    """Pin the worker's environment for deterministic grandchildren,
-    then run the caller's warmup hook (shared config / session store /
-    pre-imports) once per worker."""
-    os.environ["PYTHONHASHSEED"] = hashseed
-    if warmup_fn is not None:
-        warmup_fn(*warmup_args)
-
-
 def _invoke(fn: Callable[..., Any], args: Tuple, kwargs: Dict[str, Any],
             dep_results: Optional[Dict[str, Any]]) -> Any:
     """Top-level worker entry point (must stay picklable)."""
@@ -240,12 +216,10 @@ class Scheduler:
     """
 
     def __init__(self, jobs: int = 1,
-                 hashseed: str = WORKER_HASHSEED,
                  warmup: Optional[Any] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self._hashseed = hashseed
         if warmup is None:
             self._warmup_fn, self._warmup_args = None, ()
         elif callable(warmup):
@@ -261,34 +235,15 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            if "fork" in methods:
-                # Forked workers share the parent's live hash seed, so
-                # worker runs match the serial reference unconditionally.
+            # Fork where the platform has it: the cheaper start method.
+            if "fork" in multiprocessing.get_all_start_methods():
                 context = multiprocessing.get_context("fork")
             else:
-                # Spawn-style workers re-run interpreter startup, which
-                # fixes their hash seed from the *environment* -- the
-                # pool initializer runs afterwards and cannot pin it.
-                # Unless the whole program (parent included) is running
-                # under a fixed PYTHONHASHSEED, jobs>1 results would
-                # silently diverge from the serial reference, so fail
-                # fast instead.
-                if os.environ.get("PYTHONHASHSEED") is None:
-                    raise RuntimeError(
-                        "Scheduler(jobs>1) needs the 'fork' start method "
-                        "or a program launched under a fixed "
-                        "PYTHONHASHSEED: spawned workers fix their hash "
-                        "seed at interpreter startup, before the pool "
-                        "initializer runs, so worker tick counts could "
-                        "silently diverge from the serial reference")
                 context = multiprocessing.get_context()
             spawn_start = time.perf_counter()
             self._pool = context.Pool(
-                processes=self.jobs,
-                initializer=_pool_initializer,
-                initargs=(self._hashseed, self._warmup_fn,
-                          self._warmup_args))
+                processes=self.jobs, initializer=self._warmup_fn,
+                initargs=self._warmup_args)
             # The pool silently replaces a worker that dies, and the job
             # it was running never completes; keeping the original
             # processes lets _run_streaming notice the death instead.

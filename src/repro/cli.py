@@ -25,7 +25,7 @@ Examples::
     chameleon-repro compile-trace tests/verify/corpus/*.json --multi-tenant
     chameleon-repro lint --paths src/repro/workloads --format sarif \\
         --output lint.sarif
-    chameleon-repro lint --drift /tmp/sessions.pkl --paths src
+    chameleon-repro lint --drift benchmarks/runs/store --paths src
 
 (Equivalently: ``python -m repro ...``.)
 """
@@ -131,13 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--jobs", type=int, default=1,
                             help="worker processes for the experiment "
                                  "scheduler (1 = serial reference path)")
-    experiment.add_argument("--session-cache", metavar="PATH", default=None,
-                            help="spill the profiling-session cache here "
-                                 "and reload it on later invocations; a "
-                                 "directory (e.g. benchmarks/runs/store) "
-                                 "uses the content-addressed per-entry "
-                                 "store, a *.pkl path the legacy single "
-                                 "pickle")
+    experiment.add_argument("--session-cache", metavar="DIR", default=None,
+                            help="spill the profiling-session cache to "
+                                 "this store directory (e.g. "
+                                 "benchmarks/runs/store) and reload it on "
+                                 "later invocations")
     experiment.add_argument("--runs-root", metavar="DIR", default=None,
                             help="write the manifest'd run directory and "
                                  "index the run here (default "
@@ -223,10 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--paths", nargs="*", metavar="PATH", default=None,
                       help="Python files/directories to lint for "
                            "collection usage")
-    lint.add_argument("--drift", metavar="SESSION", default=None,
-                      help="session-cache spill (see 'experiment "
-                           "--session-cache'; a store directory or a "
-                           "legacy pickle) to diff static predictions "
+    lint.add_argument("--drift", metavar="DIR", default=None,
+                      help="session-store directory (see 'experiment "
+                           "--session-cache') to diff static predictions "
                            "against")
     lint.add_argument("--format", choices=["text", "json", "sarif"],
                       default="text", help="report format (default text)")
@@ -416,6 +413,9 @@ def _cmd_experiment(args) -> str:
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     if args.session_cache:
+        if pathlib.Path(args.session_cache).is_file():
+            raise SystemExit(f"--session-cache {args.session_cache}: a "
+                             f"file, not a session-store directory")
         experiments.load_session_cache(args.session_cache)
     start = time.perf_counter()
     with Scheduler(jobs=args.jobs) as scheduler:

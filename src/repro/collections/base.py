@@ -18,6 +18,7 @@ implementation exists to avoid.
 from __future__ import annotations
 
 import enum
+import struct
 from typing import (TYPE_CHECKING, Any, Dict, Hashable, Iterable,
                     Iterator, Optional, Tuple)
 
@@ -33,6 +34,7 @@ __all__ = [
     "element_key",
     "values_equal",
     "element_hash",
+    "java_hash_code",
     "BoxPool",
     "CollectionImpl",
     "ListImpl",
@@ -75,11 +77,65 @@ def values_equal(a: Any, b: Any) -> bool:
 
 
 def element_hash(value: Any) -> int:
-    """A deterministic hash code for ``value``."""
+    """A deterministic, non-negative hash code for ``value``: the
+    identity hash for records, :func:`java_hash_code` otherwise."""
     if isinstance(value, HeapObject):
         # Identity hash, as Object.hashCode() would give.
         return value.obj_id * 0x9E3779B1 & 0x7FFFFFFF
-    return hash(element_key(value)) & 0x7FFFFFFF
+    return java_hash_code(value) & 0x7FFFFFFF
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_CANONICAL_NAN_BITS = 0x7FF8000000000000
+
+
+def _long_hash(bits: int) -> int:
+    """``Long.hashCode()``: ``(int)(v ^ (v >>> 32))`` of a 64-bit ``v``."""
+    bits &= _MASK64
+    return (bits ^ (bits >> 32)) & _MASK32
+
+
+def java_hash_code(value: Any) -> int:
+    """``value.hashCode()`` as the JLS fixes it for the boxed type the
+    value models, as an unsigned 32-bit int.
+
+    ``int`` is an ``Integer`` inside the 32-bit range and a ``Long``
+    beyond it; ``str`` is a ``String`` over its UTF-16 code units;
+    ``float`` is a ``Double`` (``doubleToLongBits``, NaN canonical);
+    ``None`` is ``null``.  A tuple (what traces encode as a pair)
+    combines its items as ``List.hashCode()`` does, records by identity.
+    Unlike Python's ``hash`` of ``str``, none of this depends on the
+    interpreter's hash seed, so simulated bucket layouts -- and every
+    tick count they drive -- are the same in every process.
+    """
+    if value is None:
+        return 0
+    kind = type(value)
+    if kind is bool:
+        return 1231 if value else 1237
+    if kind is int:
+        if -0x80000000 <= value <= 0x7FFFFFFF:
+            return value & _MASK32
+        return _long_hash(value)
+    if kind is str:
+        data = value.encode("utf-16-be", "surrogatepass")
+        code = 0
+        for unit in struct.unpack(f">{len(data) // 2}H", data):
+            code = (31 * code + unit) & _MASK32
+        return code
+    if kind is float:
+        bits = (_CANONICAL_NAN_BITS if value != value
+                else struct.unpack("<q", struct.pack("<d", value))[0])
+        return _long_hash(bits)
+    if kind is tuple:
+        code = 1
+        for item in value:
+            code = (31 * code + java_hash_code(item)) & _MASK32
+        return code
+    if isinstance(value, HeapObject):
+        return element_hash(value)
+    raise TypeError(f"no Java hash code for {kind.__name__} values")
 
 
 class BoxPool:

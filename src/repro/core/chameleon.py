@@ -16,19 +16,16 @@ comparison, which is what the Fig. 6 / Fig. 7 benchmarks drive.
 from __future__ import annotations
 
 import dataclasses
-import os
-import pickle
-import tempfile
-import warnings
+import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.apply import ReplacementMap
 from repro.core.config import ToolConfig
 from repro.memory.heap import OutOfMemoryError
 from repro.profiler.profiler import SemanticProfiler
 from repro.profiler.report import ProfileReport, build_report
-from repro.rules.builtin import RuleSpec
+from repro.rules.builtin import BUILTIN_RULES, RuleSpec
 from repro.rules.engine import RuleEngine
 from repro.rules.suggestions import Suggestion
 from repro.runtime.sampling import AlwaysSample, RateSampler
@@ -37,7 +34,7 @@ from repro.workloads.base import Workload
 
 __all__ = ["RunMetrics", "ProfilingSession", "OptimizationResult",
            "SessionCache", "Chameleon", "IterativeResult",
-           "optimize_iteratively"]
+           "optimize_iteratively", "rules_digest"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +123,19 @@ class OptimizationResult:
                 f"({self.speedup:.2f}x)")
 
 
+def rules_digest(rules: Sequence[RuleSpec]) -> str:
+    """A stable digest of what a rule set suggests: each spec's name,
+    rule, category, message and gates, in order.  ``origin`` is left
+    out; it only points lint findings at the rule's source."""
+    canonical = repr([(spec.name, repr(spec.rule), spec.category.value,
+                       spec.message, spec.requires_stable_size,
+                       spec.space_gated) for spec in rules])
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+_BUILTIN_RULES_DIGEST = rules_digest(BUILTIN_RULES)
+
+
 class SessionCache:
     """Profiling-session cache keyed by what determines a profiled run.
 
@@ -134,14 +144,15 @@ class SessionCache:
     workloads under the *same* configuration -- deterministic runs, so
     re-profiling reproduces the identical session.  The cache key is
     ``(workload class, seed, scale, manual_fixes, ToolConfig
-    fingerprint)``; runs under a policy or an explicit heap limit are
-    never cached (their outcome depends on objects that do not
-    fingerprint).
+    fingerprint, rule-set digest)``; runs under a policy or an explicit
+    heap limit are never cached (their outcome depends on objects that
+    do not fingerprint).
 
     Cached sessions are stored with ``vm=None`` -- the live runtime is
     the one piece of a session that is neither comparable nor picklable,
     and no experiment consumer reads it.  Because storage is trimmed, the
-    cache can also spill to disk (:meth:`save` / :meth:`load`) for reuse
+    cache can also spill to a
+    :class:`~repro.analysis.index.SessionStore` directory for reuse
     across CLI invocations.
     """
 
@@ -153,11 +164,14 @@ class SessionCache:
         self.store_hits = 0
 
     @staticmethod
-    def key(config: ToolConfig, workload: Workload) -> tuple:
-        """The cache key for profiling ``workload`` under ``config``."""
+    def key(config: ToolConfig, workload: Workload,
+            rules: str = _BUILTIN_RULES_DIGEST) -> tuple:
+        """The cache key for profiling ``workload`` under ``config`` with
+        the rule set whose :func:`rules_digest` is ``rules``."""
         cls = type(workload)
         return (f"{cls.__module__}.{cls.__qualname__}", workload.seed,
-                workload.scale, workload.manual_fixes, config.fingerprint())
+                workload.scale, workload.manual_fixes, config.fingerprint(),
+                rules)
 
     def attach_store(self, store) -> None:
         """Attach a content-addressed backing store (read-through on
@@ -235,59 +249,6 @@ class SessionCache:
         self.misses = 0
         self.store_hits = 0
 
-    # ------------------------------------------------------------------
-    # Disk spill
-    # ------------------------------------------------------------------
-    def save(self, path: str) -> int:
-        """Pickle the entries to ``path`` atomically; returns the entry
-        count.
-
-        The pickle goes to a temp file in the target directory and is
-        moved into place with ``os.replace``, so a crash mid-dump (or a
-        parallel writer) can never leave a truncated spill behind:
-        concurrent savers race on the final rename, but every surviving
-        file is some one writer's complete pickle.
-        """
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path) + ".",
-            suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(self._entries, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        return len(self._entries)
-
-    def load(self, path: str) -> int:
-        """Merge entries spilled by :meth:`save`; returns how many were
-        added.  A missing file is not an error (first invocation), and a
-        corrupt or truncated spill -- e.g. one written by a pre-atomic
-        version that crashed mid-dump -- is treated as empty with a
-        warning rather than permanently breaking every later run."""
-        if not os.path.exists(path):
-            return 0
-        try:
-            with open(path, "rb") as handle:
-                entries = pickle.load(handle)
-            if not isinstance(entries, dict):
-                raise pickle.UnpicklingError(
-                    f"expected a dict of sessions, got "
-                    f"{type(entries).__name__}")
-        except Exception as exc:
-            warnings.warn(
-                f"session-cache spill {path!r} is corrupt or truncated; "
-                f"ignoring it ({type(exc).__name__}: {exc})",
-                RuntimeWarning, stacklevel=2)
-            return 0
-        return self.merge(entries)
-
 
 class Chameleon:
     """Offline Chameleon: semantic profiling plus the rule engine."""
@@ -302,6 +263,7 @@ class Chameleon:
             constants=self.config.constants,
             stability=self.config.stability,
             min_potential_bytes=self.config.min_potential_bytes)
+        self.rules_digest = rules_digest(self.engine.rules)
 
     # ------------------------------------------------------------------
     # VM construction
@@ -346,7 +308,8 @@ class Chameleon:
         cache_key = None
         if (self.session_cache is not None and policy is None
                 and heap_limit is None):
-            cache_key = SessionCache.key(self.config, workload)
+            cache_key = SessionCache.key(self.config, workload,
+                                         self.rules_digest)
             cached = self.session_cache.get(cache_key)
             if cached is not None:
                 return cached

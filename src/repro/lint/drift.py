@@ -188,22 +188,17 @@ def drift_report(predictions: Sequence[StaticPrediction],
 
 
 def load_sessions(path: str) -> List:
-    """Load every cached session from a session-cache spill: either a
+    """Load every cached session from a session-cache spill: a
     content-addressed :class:`~repro.analysis.index.SessionStore`
-    directory (e.g. ``benchmarks/runs/store``) or a legacy
-    ``SessionCache.save`` single pickle."""
+    directory (e.g. ``benchmarks/runs/store``)."""
     import os
-    import pickle
 
-    if os.path.isdir(path):
-        from repro.analysis.index import SessionStore
+    from repro.analysis.index import SessionStore
 
-        return SessionStore(path).sessions()
-    with open(path, "rb") as handle:
-        entries = pickle.load(handle)
-    if isinstance(entries, dict):
-        return list(entries.values())
-    return list(entries)
+    if not os.path.isdir(path):
+        raise NotADirectoryError("not a session-store directory (see "
+                                 "'experiment --session-cache')")
+    return SessionStore(path).sessions()
 
 
 # ----------------------------------------------------------------------

@@ -341,19 +341,35 @@ class TestShutdownPaths:
         scheduler.terminate()
 
 
-class TestSpawnStartMethod:
-    """Spawn workers fix their hash seed at interpreter startup, before
-    any pool initializer runs -- so spawn-only platforms are usable only
-    under an externally fixed PYTHONHASHSEED."""
+def worker_hash_and_replays():
+    """This process's own hash of a str (which the hash seed salts) and
+    replays whose ticks hash strings, floats and pairs."""
+    from tests.collections.test_java_hash import hash_dependent_observables
 
-    def test_spawn_only_without_hashseed_fails_fast(self, monkeypatch):
-        monkeypatch.setattr(scheduler_mod.multiprocessing,
-                            "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
-        scheduler = Scheduler(jobs=2)
-        with pytest.raises(RuntimeError, match="PYTHONHASHSEED"):
-            scheduler._ensure_pool()
-        assert scheduler._pool is None
+    return hash("hash-seed probe"), hash_dependent_observables(n_traces=4)
+
+
+class TestSpawnStartMethod:
+    """Spawned workers start a fresh interpreter, which may draw a
+    different hash seed than the parent; results must not notice."""
+
+    def test_spawn_under_another_seed_matches_serial(self, monkeypatch):
+        multiprocessing = scheduler_mod.multiprocessing
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: get_context(method
+                                                            or "spawn"))
+        parent_seed = os.environ.get("PYTHONHASHSEED", "")
+        monkeypatch.setenv("PYTHONHASHSEED",
+                           "11" if parent_seed == "12" else "12")
+        parent_hash, serial = worker_hash_and_replays()
+        with Scheduler(jobs=2) as scheduler:
+            [(worker_hash, pooled)] = scheduler.map(
+                worker_hash_and_replays, [()])
+        assert worker_hash != parent_hash  # the worker's seed differs
+        assert pooled == serial
 
     def test_spawn_only_with_hashseed_is_allowed(self, monkeypatch):
         monkeypatch.setattr(scheduler_mod.multiprocessing,

@@ -102,12 +102,13 @@ class TestCommands:
     def test_experiment_session_cache_roundtrip(self, capsys, tmp_path):
         from repro.analysis import experiments
 
-        cache_path = str(tmp_path / "sessions.pkl")
+        # The first invocation creates the store, parents included.
+        cache_path = str(tmp_path / "cache" / "sessions")
         experiments.reset_session_cache()
         _, first = run_cli(capsys, "experiment", "fig7",
                            "--scale", "0.05", "--resolution", "32768",
                            "--session-cache", cache_path, "--no-index")
-        assert (tmp_path / "sessions.pkl").exists()
+        assert (tmp_path / "cache" / "sessions").is_dir()
         # A later invocation (fresh in-memory cache) reloads the spilled
         # sessions and reproduces the identical artifact.
         experiments.reset_session_cache()
@@ -117,6 +118,14 @@ class TestCommands:
         assert second == first
         assert experiments.get_session_cache().hits > 0
         experiments.reset_session_cache()
+
+    def test_experiment_session_cache_refuses_a_file(self, tmp_path):
+        legacy = tmp_path / "sessions.pkl"
+        legacy.write_bytes(b"\x80\x04 an old single-pickle spill")
+        with pytest.raises(SystemExit,
+                           match="not a session-store directory"):
+            main(["experiment", "fig3", "--scale", "0.05",
+                  "--session-cache", str(legacy), "--no-index"])
 
     def test_compile_trace_runs_and_checks(self, capsys):
         corpus = pathlib.Path(__file__).parents[1] / "verify" / "corpus"
@@ -144,8 +153,8 @@ class TestCommands:
             main(["compile-trace", str(bogus)])
 
     def test_experiment_session_store_roundtrip(self, capsys, tmp_path):
-        """A directory --session-cache spills one content-addressed
-        file per entry instead of a single pickle."""
+        """--session-cache spills one content-addressed file per
+        entry."""
         from repro.analysis import experiments
 
         store_dir = tmp_path / "store"

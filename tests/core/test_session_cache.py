@@ -1,13 +1,15 @@
 """Profiling-session cache: keys, hit behavior, and disk spill."""
 
 import os
-import pickle
 import threading
 
 import pytest
 
+from repro.analysis import index as index_mod
+from repro.analysis.index import SessionStore
 from repro.core.chameleon import Chameleon, SessionCache
 from repro.core.config import ToolConfig
+from repro.rules.builtin import BUILTIN_RULES
 from repro.workloads import TvlaWorkload
 
 
@@ -41,6 +43,27 @@ class TestKey:
         assert SessionCache.key(ToolConfig(), workload) \
             != SessionCache.key(ToolConfig(gc_threshold_bytes=1024),
                                 workload)
+
+
+    def test_key_covers_the_rule_set(self):
+        """A cache shared by engines with different rules must not hand
+        one engine the other's suggestions."""
+        cache = SessionCache()
+        workload = TvlaWorkload(scale=0.05)
+        full = Chameleon(session_cache=cache).profile(workload)
+        assert len(full.suggestions) > 0
+        uncached = Chameleon(rules=BUILTIN_RULES[:1]).profile(workload)
+        one_rule = Chameleon(rules=BUILTIN_RULES[:1], session_cache=cache)
+        assert one_rule.profile(workload).suggestions == uncached.suggestions
+        assert cache.hits == 0
+
+    def test_rule_origin_is_not_part_of_the_key(self):
+        import dataclasses
+
+        moved = [dataclasses.replace(spec, origin=("elsewhere.py", 1))
+                 for spec in BUILTIN_RULES]
+        assert Chameleon(rules=moved).rules_digest \
+            == Chameleon().rules_digest
 
 
 class TestProfileHook:
@@ -79,13 +102,17 @@ class TestProfileHook:
 
 
 class TestDiskSpill:
+    """Spilling a cache into a :class:`SessionStore` directory and
+    reloading it in a fresh cache, as ``experiment --session-cache``
+    does across invocations."""
+
     def test_save_load_roundtrip(self, tool, cache, tmp_path):
         fresh_session = tool.profile(TvlaWorkload(scale=0.05))
-        path = tmp_path / "sessions.pkl"
-        assert cache.save(str(path)) == 1
+        store_dir = str(tmp_path / "store")
+        assert SessionStore(store_dir).save_cache(cache) == 1
 
         other_cache = SessionCache()
-        assert other_cache.load(str(path)) == 1
+        assert SessionStore(store_dir).load_cache(other_cache) == 1
         other_tool = Chameleon(ToolConfig(), session_cache=other_cache)
         reloaded = other_tool.profile(TvlaWorkload(scale=0.05))
         assert other_cache.hits == 1
@@ -93,15 +120,15 @@ class TestDiskSpill:
         assert len(reloaded.suggestions) == len(fresh_session.suggestions)
 
     def test_load_missing_file_is_a_noop(self, cache, tmp_path):
-        assert cache.load(str(tmp_path / "absent.pkl")) == 0
+        assert SessionStore(str(tmp_path / "absent")).load_cache(cache) == 0
         assert len(cache) == 0
 
     def test_load_does_not_clobber_existing_entries(self, tool, cache,
                                                     tmp_path):
         tool.profile(TvlaWorkload(scale=0.05))
-        path = tmp_path / "sessions.pkl"
-        cache.save(str(path))
-        assert cache.load(str(path)) == 0
+        store = SessionStore(str(tmp_path / "store"))
+        store.save_cache(cache)
+        assert store.load_cache(cache) == 0
         assert len(cache) == 1
 
 
@@ -158,99 +185,80 @@ class TestBackingStore:
 
 class TestSpillDurability:
     """A torn, truncated, or concurrent spill must never take down
-    later runs: load treats damage as an empty cache with a warning, and
-    save is atomic so readers only ever observe complete pickles."""
+    later runs: a damaged entry loads as a miss with a warning, and
+    every entry is written atomically, so readers only ever observe
+    complete entries."""
 
-    def _spill(self, cache, path):
-        cache._entries[("k",)] = "session"
-        cache.save(str(path))
-        del cache._entries[("k",)]
+    def _spill(self, store, key, session="session"):
+        cache = SessionCache()
+        cache._entries[key] = session
+        return store.save_cache(cache)
 
-    def test_truncated_spill_is_treated_as_empty(self, cache, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        self._spill(cache, path)
+    def test_truncated_spill_is_treated_as_empty(self, tool, cache,
+                                                 tmp_path):
+        tool.profile(TvlaWorkload(scale=0.05))
+        store = SessionStore(str(tmp_path))
+        store.save_cache(cache)
+        [path] = tmp_path.iterdir()
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
+        fresh = SessionCache()
         with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
-            assert cache.load(str(path)) == 0
-        assert len(cache) == 0
+            assert store.load_cache(fresh) == 0
+        assert len(fresh) == 0
 
-    def test_garbage_spill_is_treated_as_empty(self, cache, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
-            assert cache.load(str(path)) == 0
-        assert len(cache) == 0
-
-    def test_non_dict_spill_is_treated_as_empty(self, cache, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        path.write_bytes(pickle.dumps(["a", "list"]))
-        with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
-            assert cache.load(str(path)) == 0
-
-    def test_failed_save_preserves_previous_spill(self, cache, tmp_path,
+    def test_failed_save_preserves_previous_spill(self, tmp_path,
                                                   monkeypatch):
-        path = tmp_path / "sessions.pkl"
-        self._spill(cache, path)
+        store = SessionStore(str(tmp_path))
+        self._spill(store, ("k",))
+        [path] = tmp_path.iterdir()
         original = path.read_bytes()
 
-        def boom(entries, handle, protocol=None):
+        def boom(entry, handle, protocol=None):
             handle.write(b"half a pi")
             raise OSError("disk full")
 
-        from repro.core import chameleon as chameleon_mod
-
-        monkeypatch.setattr(chameleon_mod.pickle, "dump", boom)
+        monkeypatch.setattr(index_mod.pickle, "dump", boom)
         with pytest.raises(OSError):
-            cache.save(str(path))
+            self._spill(store, ("other",))
         monkeypatch.undo()
-        assert path.read_bytes() == original  # old spill untouched
-        assert [p.name for p in tmp_path.iterdir()] == ["sessions.pkl"]
+        assert path.read_bytes() == original  # old entry untouched
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_concurrent_saves_never_leave_a_torn_file(self, tmp_path,
                                                       monkeypatch):
-        """Interleave two full saves: whatever rename wins, the file on
-        disk is some one writer's complete pickle."""
-        from repro.core import chameleon as chameleon_mod
-
-        path = tmp_path / "sessions.pkl"
-        first = SessionCache()
-        first._entries[("first",)] = "one"
-        second = SessionCache()
-        second._entries[("second",)] = "two" * 1000
-
+        """Interleave two spills of one key: whatever rename wins, the
+        entry on disk is some one writer's complete pickle."""
+        store = SessionStore(str(tmp_path))
         real_replace = os.replace
         fired = []
 
         def interleaved_replace(src, dst):
             if not fired:
                 fired.append(True)
-                second.save(str(path))  # a second writer completes first
+                # A second writer completes first.
+                self._spill(SessionStore(str(tmp_path)), ("k",), "two")
             real_replace(src, dst)
 
-        monkeypatch.setattr(chameleon_mod.os, "replace",
-                            interleaved_replace)
-        first.save(str(path))
+        monkeypatch.setattr(index_mod.os, "replace", interleaved_replace)
+        self._spill(store, ("k",), "one")
         monkeypatch.undo()
 
         merged = SessionCache()
-        assert merged.load(str(path)) == 1  # complete, one writer's dump
-        assert list(merged._entries) == [("first",)]
-        assert [p.name for p in tmp_path.iterdir()] == ["sessions.pkl"]
+        assert store.load_cache(merged) == 1
+        assert merged._entries[("k",)] == "one"
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_threaded_save_hammer_yields_a_complete_spill(self, tmp_path):
-        path = tmp_path / "sessions.pkl"
-        caches = []
-        for i in range(4):
-            cache = SessionCache()
-            cache._entries[(f"writer{i}",)] = "x" * (1000 * (i + 1))
-            caches.append(cache)
-        threads = [threading.Thread(target=cache.save, args=(str(path),))
-                   for cache in caches for _ in range(5)]
+        store = SessionStore(str(tmp_path))
+        threads = [threading.Thread(target=self._spill,
+                                    args=(store, (f"writer{i}",),
+                                          "x" * (1000 * (i + 1))))
+                   for i in range(4) for _ in range(5)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         merged = SessionCache()
-        assert merged.load(str(path)) == 1  # some writer's full dump
-        assert [p.name for p in tmp_path.iterdir()] == ["sessions.pkl"]
+        assert store.load_cache(merged) == 4  # every writer's full entry
+        assert len(list(tmp_path.iterdir())) == 4

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.analysis.index import SessionStore
 from repro.cli import main
 from repro.core.chameleon import Chameleon, SessionCache
 from repro.core.config import ToolConfig
@@ -102,20 +103,20 @@ class TestFormats:
 
 class TestDriftThroughCli:
     @pytest.fixture(scope="class")
-    def session_pickle(self, tmp_path_factory):
+    def session_store(self, tmp_path_factory):
         config = ToolConfig()
         workload = TvlaWorkload(scale=0.1)
         session = Chameleon(config).profile(workload)
         cache = SessionCache()
         cache.put(SessionCache.key(config, workload), session)
-        path = tmp_path_factory.mktemp("drift") / "sessions.pkl"
-        cache.save(str(path))
+        path = tmp_path_factory.mktemp("drift") / "store"
+        SessionStore(str(path)).save_cache(cache)
         return str(path)
 
-    def test_drift_report_reaches_the_output(self, capsys, session_pickle):
+    def test_drift_report_reaches_the_output(self, capsys, session_store):
         with pytest.raises(SystemExit):  # static-only is a warning
             run_cli(capsys, "lint", "--paths", TVLA_SOURCE,
-                    "--drift", session_pickle, "--no-overlap",
+                    "--drift", session_store, "--no-overlap",
                     "--fail-on", "warning")
         out = capsys.readouterr().out
         assert "L3-drift-agreement" in out
@@ -125,5 +126,16 @@ class TestDriftThroughCli:
     def test_missing_session_file_is_a_clean_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(capsys, "lint", "--paths", TVLA_SOURCE,
-                    "--drift", "/no/such/sessions.pkl")
-        assert "/no/such/sessions.pkl" in str(excinfo.value)
+                    "--drift", "/no/such/store")
+        assert "/no/such/store" in str(excinfo.value)
+
+    def test_regular_file_is_a_one_line_error(self, capsys, tmp_path):
+        legacy = tmp_path / "sessions.pkl"
+        legacy.write_bytes(b"\x80\x04 an old single-pickle spill")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "lint", "--paths", TVLA_SOURCE,
+                    "--drift", str(legacy))
+        message = str(excinfo.value)
+        assert message.startswith(str(legacy))
+        assert "not a session-store directory" in message
+        assert "\n" not in message

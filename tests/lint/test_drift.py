@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.index import SessionStore
 from repro.core.chameleon import Chameleon, SessionCache
 from repro.core.config import ToolConfig
 from repro.lint.drift import (LINE_TOLERANCE, DriftEntry, drift_report,
@@ -82,15 +83,15 @@ class TestTvlaDrift:
 
     def test_session_cache_round_trip(self, tvla_session,
                                       tvla_predictions, tmp_path):
-        # The CLI consumes --session-cache pickles; the drift report
+        # The CLI consumes --session-cache stores; the drift report
         # must be identical on the cached (vm=None) sessions.
         session, config, workload = tvla_session
-        cache_path = tmp_path / "sessions.pkl"
+        store_dir = str(tmp_path / "store")
         cache = SessionCache()
         cache.put(SessionCache.key(config, workload), session)
-        assert cache.save(str(cache_path)) == 1
+        assert SessionStore(store_dir).save_cache(cache) == 1
 
-        loaded = load_sessions(str(cache_path))
+        loaded = load_sessions(store_dir)
         assert len(loaded) == 1 and loaded[0].vm is None
         _live, live_entries = drift_report(tvla_predictions, [session])
         _cached, cached_entries = drift_report(tvla_predictions, loaded)
