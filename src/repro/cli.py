@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "line; default: the builtin Table 2 set)")
     lint.add_argument("--paths", nargs="*", metavar="PATH", default=None,
                       help="Python files/directories to lint for "
-                           "collection usage")
+                           "collection usage (the usage linter and the "
+                           "interval analysis)")
     lint.add_argument("--drift", metavar="DIR", default=None,
                       help="session-store directory (see 'experiment "
                            "--session-cache') to diff static predictions "
@@ -235,18 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "severity exists (default error)")
     lint.add_argument("--no-overlap", action="store_true",
                       help="skip the pairwise overlap/shadowing checks")
-    lint.add_argument("--interproc", action="store_true",
-                      help="run the interprocedural interval analysis "
-                           "over --paths: quantitative per-site rule "
-                           "verdicts through the real rule engine "
-                           "(refines --drift into a three-way report)")
     lint.add_argument("--signatures", metavar="PATH", default=None,
-                      help="write the interprocedural per-site op-mix "
-                           "signatures (chameleon-sig JSON) here; "
-                           "implies --interproc")
-    lint.add_argument("--show-waived", action="store_true",
-                      help="list per-id counts of findings silenced by "
-                           "'# lint: ignore[...]' comments")
+                      help="write the interval analysis's per-site op-mix "
+                           "signatures (chameleon-sig JSON) here; needs "
+                           "--paths")
 
     fuzz = sub.add_parser(
         "fuzz", help="differential trace fuzzer: replay generated or "
@@ -576,16 +569,19 @@ def _cmd_history(args) -> str:
 
 
 def _cmd_lint(args) -> str:
+    from collections import Counter
+
     from repro.lint import findings as findings_mod
-    from repro.lint.drift import (drift_report, load_sessions,
-                                  three_way_report)
+    from repro.lint.drift import load_sessions, three_way_report
+    from repro.lint.interproc import analyze_paths, export_signatures
     from repro.lint.rule_checker import check_rules, load_rules_file
     from repro.lint.sarif import emit_sarif
     from repro.lint.usage import lint_paths_detailed
     from repro.rules.builtin import BUILTIN_RULES
     from repro.rules.parser import ParseError
 
-    interproc = args.interproc or args.signatures is not None
+    if args.signatures and not args.paths:
+        raise SystemExit("--signatures requires --paths")
 
     all_findings = []
     if args.rules:
@@ -604,42 +600,33 @@ def _cmd_lint(args) -> str:
                         if not f.id.startswith("L1-overlap")
                         and f.id != "L1-shadowed-duplicate"]
 
-    predictions = []
-    waived = {}
-    if args.paths:
-        usage_findings, predictions, waived = \
-            lint_paths_detailed(args.paths)
-        all_findings.extend(usage_findings)
-
-    interproc_report = None
-    if interproc:
-        if not args.paths:
-            raise SystemExit("--interproc/--signatures require --paths")
-        from repro.lint.interproc import analyze_paths, export_signatures
-        interproc_report = analyze_paths(args.paths)
-        all_findings.extend(interproc_report.findings)
-        if args.signatures:
-            import json as json_mod
-            specs = export_signatures(interproc_report)
-            with open(args.signatures, "w", encoding="utf-8") as handle:
-                json_mod.dump({"schema": "chameleon-sig-bundle",
-                               "version": 1,
-                               "source": " ".join(args.paths),
-                               "signatures": specs},
-                              handle, indent=2, sort_keys=True)
-                handle.write("\n")
+    paths = args.paths or []
+    usage_findings, predictions, usage_waived = lint_paths_detailed(paths)
+    interval_report = analyze_paths(paths)
+    all_findings.extend(usage_findings)
+    # Both passes report an unreadable or unparsable file with the same
+    # finding; keep one.
+    all_findings.extend(f for f in interval_report.findings
+                        if f not in usage_findings)
+    waived = Counter(usage_waived) + Counter(interval_report.waived)
+    if args.signatures:
+        import json as json_mod
+        with open(args.signatures, "w", encoding="utf-8") as handle:
+            json_mod.dump({"schema": "chameleon-sig-bundle",
+                           "version": 1,
+                           "source": " ".join(paths),
+                           "signatures": export_signatures(interval_report)},
+                          handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     if args.drift is not None:
         try:
             sessions = load_sessions(args.drift)
         except OSError as exc:
             raise SystemExit(f"{args.drift}: {exc}")
-        if interproc_report is not None:
-            drift_findings, _entries = three_way_report(
-                predictions, sessions, interproc_report.classify,
-                interproc_report.proposal_rows())
-        else:
-            drift_findings, _entries = drift_report(predictions, sessions)
+        drift_findings, _entries = three_way_report(
+            predictions, sessions, interval_report.classify,
+            interval_report.proposal_rows())
         all_findings.extend(drift_findings)
 
     if args.format == "json":
@@ -647,8 +634,7 @@ def _cmd_lint(args) -> str:
     elif args.format == "sarif":
         report = emit_sarif(all_findings)
     else:
-        report = findings_mod.emit_text(all_findings, waived=waived,
-                                        show_waived=args.show_waived)
+        report = findings_mod.emit_text(all_findings, waived=waived)
     threshold = (findings_mod.Severity.WARNING
                  if args.fail_on == "warning"
                  else findings_mod.Severity.ERROR)

@@ -15,19 +15,21 @@ package is the static pass that keeps the dynamic machinery honest:
   through call summaries and loops, are evaluated three-valuedly by the
   real rule engine, and yield provable per-rule verdicts, a static
   replacement proposal and exportable op-mix signatures.
-* The **drift report** (:mod:`repro.lint.drift`) diffs the static
-  predictions against a dynamic profiling session per allocation
-  context: agreements, static-only and dynamic-only findings -- and,
-  with interval verdicts, refines into a three-way report separating
-  coverage gaps from gated and refuted predictions.
+  ``lint --paths`` always runs both source passes: they read files
+  through one reader, report one finding per unreadable or unparsable
+  file, and honour the same ``# lint: ignore[...]`` waivers.
+* The **drift report** (:mod:`repro.lint.drift`) diffs the coarse
+  predictions, their interval verdicts and the static proposal against
+  a dynamic profiling session per allocation context, separating
+  agreements and dynamic-only rules from coverage gaps and from gated,
+  unsubstantiated and refuted predictions.
 
 Findings share one model (:mod:`repro.lint.findings`) with text, JSON
 and SARIF 2.1.0 emitters (:mod:`repro.lint.sarif`), surfaced by the
 ``chameleon-repro lint`` CLI subcommand.
 """
 
-from repro.lint.drift import (DriftEntry, ThreeWayEntry, drift_report,
-                              three_way_report)
+from repro.lint.drift import ThreeWayEntry, three_way_report
 from repro.lint.findings import (Finding, Related, RuleValidationError,
                                  Severity, Span, emit_json, emit_text,
                                  worst_severity)
@@ -37,12 +39,11 @@ from repro.lint.interproc import (InterprocReport, SiteReport,
 from repro.lint.rule_checker import (check_rules, load_rules_file,
                                      overlap_report, validate_rules)
 from repro.lint.sarif import emit_sarif, validate_sarif
-from repro.lint.usage import (StaticPrediction, lint_paths,
-                              lint_paths_detailed)
+from repro.lint.usage import StaticPrediction, lint_paths_detailed
 from repro.rules.evaluator import Interval, Tri, analyze_condition
 
 __all__ = [
-    "DriftEntry", "ThreeWayEntry", "drift_report", "three_way_report",
+    "ThreeWayEntry", "three_way_report",
     "Finding", "Related", "RuleValidationError", "Severity", "Span",
     "emit_json", "emit_text", "worst_severity",
     "InterprocReport", "SiteReport", "analyze_paths", "analyze_source",
@@ -50,5 +51,5 @@ __all__ = [
     "Interval", "Tri", "analyze_condition",
     "check_rules", "load_rules_file", "overlap_report", "validate_rules",
     "emit_sarif", "validate_sarif",
-    "StaticPrediction", "lint_paths", "lint_paths_detailed",
+    "StaticPrediction", "lint_paths_detailed",
 ]

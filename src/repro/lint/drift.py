@@ -1,20 +1,15 @@
 """Layer 3: static-vs-dynamic drift report.
 
-Takes the Layer 2 linter's :class:`~repro.lint.usage.StaticPrediction`
-records and a dynamic profiling session (the cached output of a real
-profiled run) and diffs the two per allocation context:
-
-* **agreement** (``L3-drift-agreement``, note) -- the statically
-  predicted rule fired dynamically (as the context's primary or a
-  secondary suggestion).  These calibrate the linter: its facts held.
-* **static-only** (``L3-static-only``, warning) -- the static pass
-  predicted a rule the profiler never confirmed.  Either the run did not
-  exercise the code path (coverage gap: the classic value of a static
-  pass) or the fact's threshold did not clear dynamically.
-* **dynamic-only** (``L3-dynamic-only``, note) -- the profiler fired a
-  rule at a context the static pass has no prediction for, typically an
-  allocation reached through dynamic dispatch or a threshold-dependent
-  rule (``small-map``) no syntactic fact implies.
+Diffs what the static passes say about each allocation context against
+a dynamic profiling session (the cached output of a real profiled run).
+The coarse usage linter's :class:`~repro.lint.usage.StaticPrediction`
+records say which rule *should* fire where; the interval analysis
+(:mod:`repro.lint.interproc`) classifies each one as ``must``, ``may``
+or ``refuted`` and proposes static replacements.  The report sorts
+every prediction, every fired rule and every proposal into one status
+(see :func:`three_way_report`): agreements, coverage gaps, gated,
+unsubstantiated and refuted predictions, dynamic-only rules, and
+confirmed, conflicting or new proposals.
 
 Contexts are matched on ``(innermost frame location, srcType)``: the
 static side anchors a site at its assignment statement while the dynamic
@@ -22,8 +17,9 @@ side records the executing line inside the allocating frame, so exact
 line equality is too strict.  But a function can hold several allocation
 sites of the same srcType, so location alone is too loose -- when both
 sides carry a line it is used as a proximity tiebreaker
-(:data:`LINE_TOLERANCE`), which separates sites tens of lines apart
-while tolerating multi-line allocation statements.
+(:func:`lines_compatible`), which separates sites tens of lines apart
+while tolerating multi-line allocation statements.  The interval
+analysis matches its sites to coarse predictions by the same rule.
 """
 
 from __future__ import annotations
@@ -36,24 +32,18 @@ from repro.lint.findings import Finding, Severity, Span
 from repro.lint.usage import StaticPrediction
 from repro.rules.evaluator import Tri
 
-__all__ = ["DriftEntry", "ThreeWayEntry", "drift_report",
-           "three_way_report", "load_sessions", "LINE_TOLERANCE"]
+__all__ = ["ThreeWayEntry", "three_way_report", "load_sessions",
+           "LINE_TOLERANCE", "lines_compatible"]
 
 LINE_TOLERANCE = 4
-"""Maximum static/dynamic line skew for two records to name one site."""
+"""Maximum line skew for two records to name one site."""
 
 
-@dataclass(frozen=True)
-class DriftEntry:
-    """One context/rule pair in the drift diff."""
-
-    status: str
-    """``agreement`` | ``static-only`` | ``dynamic-only``."""
-    location: str
-    src_type: str
-    rule: str
-    static_line: Optional[int] = None
-    dynamic_context: Optional[str] = None
+def lines_compatible(line: int, other_line: int) -> bool:
+    """Whether two records' lines can name one allocation site."""
+    if line <= 0 or other_line <= 0:
+        return True  # position unknown on one side: don't discriminate
+    return abs(line - other_line) <= LINE_TOLERANCE
 
 
 @dataclass
@@ -103,90 +93,6 @@ def _dynamic_index(sessions: Iterable,
     return index
 
 
-def _lines_compatible(static_line: int, dynamic_line: int) -> bool:
-    if static_line <= 0 or dynamic_line <= 0:
-        return True  # position unknown on one side: don't discriminate
-    return abs(static_line - dynamic_line) <= LINE_TOLERANCE
-
-
-def drift_report(predictions: Sequence[StaticPrediction],
-                 sessions: Sequence,
-                 ) -> Tuple[List[Finding], List[DriftEntry]]:
-    """Diff static predictions against dynamic sessions.
-
-    ``sessions`` is any sequence of
-    :class:`~repro.core.chameleon.ProfilingSession` (cached, ``vm=None``
-    sessions work).  Returns ``(findings, entries)``.
-    """
-    dynamic = _dynamic_index(sessions)
-    findings: List[Finding] = []
-    entries: List[DriftEntry] = []
-
-    for prediction in predictions:
-        agreed: Optional[Tuple[str, _DynSite]] = None
-        profiled: Optional[Tuple[str, _DynSite]] = None
-        for src_type in sorted(prediction.src_types):
-            for site in dynamic.get((prediction.location, src_type), []):
-                if not _lines_compatible(prediction.line, site.line):
-                    continue
-                if prediction.predicted_rule in site.fired:
-                    agreed = (src_type, site)
-                    break
-                if profiled is None:
-                    profiled = (src_type, site)
-            if agreed is not None:
-                break
-        if agreed is not None:
-            src_type, site = agreed
-            site.covered.add(prediction.predicted_rule)
-            entries.append(DriftEntry(
-                "agreement", prediction.location, src_type,
-                prediction.predicted_rule, static_line=prediction.line,
-                dynamic_context=site.context))
-            findings.append(Finding(
-                id="L3-drift-agreement", severity=Severity.NOTE,
-                message=f"static prediction confirmed: "
-                        f"{prediction.predicted_rule!r} fired at "
-                        f"{src_type}:{prediction.location}",
-                span=Span(file=prediction.file, line=prediction.line),
-                context=site.context,
-                predicted_rule=prediction.predicted_rule))
-        else:
-            src_type = "/".join(sorted(prediction.src_types))
-            context = profiled[1].context if profiled is not None else None
-            reason = ("the context was profiled but the rule did not "
-                      "fire (threshold or gating)" if profiled is not None
-                      else "the context never appeared in the profile "
-                           "(code path not exercised)")
-            entries.append(DriftEntry(
-                "static-only", prediction.location, src_type,
-                prediction.predicted_rule, static_line=prediction.line,
-                dynamic_context=context))
-            findings.append(Finding(
-                id="L3-static-only", severity=Severity.WARNING,
-                message=f"static prediction unconfirmed: "
-                        f"{prediction.predicted_rule!r} expected at "
-                        f"{src_type}:{prediction.location} but {reason}",
-                span=Span(file=prediction.file, line=prediction.line),
-                context=context, predicted_rule=prediction.predicted_rule))
-
-    for (location, src_type), sites in sorted(dynamic.items()):
-        for site in sites:
-            for rule in sorted(site.fired - site.covered):
-                entries.append(DriftEntry(
-                    "dynamic-only", location, src_type, rule,
-                    dynamic_context=site.context))
-                findings.append(Finding(
-                    id="L3-dynamic-only", severity=Severity.NOTE,
-                    message=f"dynamic-only: {rule!r} fired at "
-                            f"{src_type}:{location} with no static "
-                            f"prediction (dynamic dispatch or a "
-                            f"threshold-dependent rule)",
-                    span=Span(file="<session>", line=0),
-                    context=site.context, predicted_rule=rule))
-    return findings, entries
-
-
 def load_sessions(path: str) -> List:
     """Load every cached session from a session-cache spill: a
     content-addressed :class:`~repro.analysis.index.SessionStore`
@@ -201,9 +107,6 @@ def load_sessions(path: str) -> List:
     return SessionStore(path).sessions()
 
 
-# ----------------------------------------------------------------------
-# Three-way report (interval-static vs coarse-static vs dynamic)
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ThreeWayEntry:
     """One context/rule row of the three-way drift diff."""
@@ -233,7 +136,10 @@ def three_way_report(predictions: Sequence[StaticPrediction],
                      ) -> Tuple[List[Finding], List[ThreeWayEntry]]:
     """Diff coarse predictions, interval verdicts and dynamic sessions.
 
-    ``classify`` is a callable mapping a :class:`StaticPrediction` to a
+    ``sessions`` is any sequence of
+    :class:`~repro.core.chameleon.ProfilingSession` (cached, ``vm=None``
+    sessions work).  ``classify`` is a callable mapping a
+    :class:`StaticPrediction` to a
     :class:`~repro.rules.evaluator.Tri` (dependency-injected so this
     module needs no import of the interprocedural engine;
     :meth:`repro.lint.interproc.InterprocReport.classify` fits).
@@ -241,19 +147,22 @@ def three_way_report(predictions: Sequence[StaticPrediction],
     of the static :class:`ReplacementMap` proposal (see
     :meth:`repro.lint.interproc.InterprocReport.proposal_rows`).
 
-    The coarse two-way statuses refine as follows:
+    Each prediction is matched to the profiled sites of its context:
 
-    * ``agreement`` stays an agreement (the interval verdict rides
-      along: a ``refuted`` agreement would expose an unsound transfer
-      function, so the verdict is always worth printing);
-    * ``static-only`` splits by interval verdict -- ``must`` at an
-      unprofiled context is a real **coverage gap** (warning), ``must``
-      at a profiled context means a dynamic **gate** (potential or
-      stability) blocked the rule (note), ``may`` is
-      **unsubstantiated** (note: the coarse fact never cleared the
-      quantitative threshold statically), and ``refuted`` is a coarse
-      **false positive** the intervals disprove (note);
-    * dynamic-only rows are unchanged;
+    * the rule fired there: an **agreement** (note; the interval
+      verdict rides along -- a ``refuted`` agreement would expose an
+      unsound transfer function, so it is always worth printing);
+    * otherwise by interval verdict -- ``must`` at an unprofiled context
+      is a real **coverage gap** (warning), ``must`` at a profiled
+      context means a dynamic **gate** (potential or stability) blocked
+      the rule (note), ``may`` is **unsubstantiated** (note: the coarse
+      fact never cleared the quantitative threshold statically), and
+      ``refuted`` is a coarse **false positive** the intervals disprove
+      (note);
+    * a rule that fired with no prediction is **dynamic-only** (note),
+      typically an allocation reached through dynamic dispatch or a
+      threshold-dependent rule (``small-map``) no syntactic fact
+      implies;
     * every proposal row is checked against the dynamic decisions --
       ``proposal-conflict`` (warning) flags a static *must* decision
       the dynamic engine contradicts.
@@ -269,7 +178,7 @@ def three_way_report(predictions: Sequence[StaticPrediction],
         profiled: Optional[Tuple[str, _DynSite]] = None
         for src_type in sorted(prediction.src_types):
             for site in dynamic.get((prediction.location, src_type), []):
-                if not _lines_compatible(prediction.line, site.line):
+                if not lines_compatible(prediction.line, site.line):
                     continue
                 if prediction.predicted_rule in site.fired:
                     agreed = (src_type, site)
@@ -349,7 +258,7 @@ def three_way_report(predictions: Sequence[StaticPrediction],
     for location, line, src_type, rule, detail in proposals:
         match: Optional[_DynSite] = None
         for site in dynamic.get((location, src_type), []):
-            if _lines_compatible(line, site.line):
+            if lines_compatible(line, site.line):
                 match = site
                 break
         if match is None:

@@ -171,27 +171,24 @@ def _waived_total(waived: Optional[Mapping[str, int]]) -> int:
 
 
 def emit_text(findings: Sequence[Finding],
-              waived: Optional[Mapping[str, int]] = None,
-              show_waived: bool = False) -> str:
+              waived: Optional[Mapping[str, int]] = None) -> str:
     """Human-readable report, most severe findings first.
 
     ``waived`` maps finding ids to the number of occurrences silenced by
-    ``# lint: ignore[...]`` comments; the total always shows in the
-    summary line, the per-id breakdown only under ``show_waived``.
+    ``# lint: ignore[...]`` comments; the per-id counts follow the
+    findings and their total shows in the summary line.
     """
     total_waived = _waived_total(waived)
-    if not findings:
-        if total_waived:
-            lines = []
-            if show_waived:
-                lines += [f"waived: {count} x [{finding_id}]"
-                          for finding_id, count in sorted(waived.items())]
-            return "\n".join(
-                lines + [f"lint: no findings ({total_waived} waived)."])
-        return "lint: no findings."
     ordered = sorted(findings,
                      key=lambda f: (-f.severity.rank, f.span.file,
                                     f.span.line, f.id))
+    lines = [finding.render() for finding in ordered]
+    lines += [f"waived: {count} x [{finding_id}]"
+              for finding_id, count in sorted((waived or {}).items())]
+    if not findings:
+        return "\n".join(lines + [
+            f"lint: no findings ({total_waived} waived)." if total_waived
+            else "lint: no findings."])
     counts = count_by_severity(findings)
     summary = ", ".join(f"{counts[severity]} {severity.value}(s)"
                         for severity in (Severity.ERROR, Severity.WARNING,
@@ -199,10 +196,6 @@ def emit_text(findings: Sequence[Finding],
                         if counts[severity])
     if total_waived:
         summary += f", {total_waived} waived"
-    lines = [finding.render() for finding in ordered]
-    if show_waived and waived:
-        lines += [f"waived: {count} x [{finding_id}]"
-                  for finding_id, count in sorted(waived.items())]
     return "\n".join(lines + [f"lint: {summary}"])
 
 

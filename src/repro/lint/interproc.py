@@ -53,15 +53,18 @@ from __future__ import annotations
 
 import ast
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
+from repro.lint.drift import lines_compatible
 from repro.lint.findings import Finding, Related, Severity, Span
 from repro.lint.usage import (WRAPPER_KINDS, StaticPrediction,
-                              _expand_paths, _literal_src_types,
-                              _module_name, _NEUTRAL_ATTRS,
-                              _NEUTRAL_METHODS)
+                              _literal_src_types, _module_name,
+                              _NEUTRAL_ATTRS, _NEUTRAL_METHODS,
+                              apply_waivers, read_sources,
+                              syntax_error_finding)
 from repro.rules.evaluator import (EMPTY, Interval, NON_NEGATIVE, TOP, Tri,
                                    point)
 
@@ -82,8 +85,6 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
 #: Default statement budget per analyzed module; exhausting it bails the
 #: current root out conservatively instead of hanging on large inputs.
 DEFAULT_BUDGET = 80_000
-
-_LINE_TOLERANCE = 4
 
 #: Per-kind dense op vocabulary (dsl names); sites report 0 for an op
 #: never applied, which is what makes refutation possible at all.
@@ -2133,6 +2134,8 @@ class InterprocReport:
     sites: List[SiteReport] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
     proposal: Any = None          # repro.core.apply.ReplacementMap
+    waived: Dict[str, int] = field(default_factory=Counter)
+    """Per-id counts of findings ``# lint: ignore[...]`` silenced."""
 
     def proposal_rows(self) -> List[Tuple[str, int, str, str, str]]:
         """``(location, line, src_type, rule, detail)`` rows of the
@@ -2158,9 +2161,7 @@ class InterprocReport:
         for site in self.sites:
             if site.coarse_location != prediction.location:
                 continue
-            if prediction.line and site.coarse_line \
-                    and abs(site.coarse_line
-                            - prediction.line) > _LINE_TOLERANCE:
+            if not lines_compatible(prediction.line, site.coarse_line):
                 continue
             overlap = [src for src in site.src_types
                        if src in prediction.src_types]
@@ -2388,20 +2389,19 @@ def analyze_source(source: str, path: str = "<source>",
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        report.findings.append(Finding(
-            id="L2-syntax-error", severity=Severity.ERROR,
-            message=f"cannot analyze: {exc.msg}",
-            span=Span(file=path, line=exc.lineno or 0)))
+        report.findings.append(syntax_error_finding(path, exc))
         report.proposal = _report_proposal([])
         return report
     owner = _ModuleAnalysis(tree, _module_name(path), path,
                             budget=budget)
     engine = RuleEngine(BUILTIN_RULES, DEFAULT_CONSTANTS,
                         StabilityPolicy())
+    findings: List[Finding] = []
     for site in _collect_sites(owner):
         site_report = _evaluate_site(site, engine)
         report.sites.append(site_report)
-        report.findings.extend(_site_findings(site_report))
+        findings.extend(_site_findings(site_report))
+    report.findings, report.waived = apply_waivers(source, findings)
     report.sites.sort(key=lambda s: (s.file, s.line, s.location))
     report.findings.sort(key=lambda f: (f.span.file, f.span.line, f.id))
     report.proposal = _report_proposal(report.sites)
@@ -2412,19 +2412,11 @@ def analyze_paths(paths: Sequence[str],
                   budget: int = DEFAULT_BUDGET) -> InterprocReport:
     """Analyze files/directories; one merged report."""
     merged = InterprocReport()
-    for file_path in _expand_paths(paths):
-        try:
-            with open(file_path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as exc:
-            merged.findings.append(Finding(
-                id="L2-io-error", severity=Severity.ERROR,
-                message=f"cannot read: {exc}",
-                span=Span(file=str(file_path))))
-            continue
-        sub = analyze_source(source, path=str(file_path), budget=budget)
+    for file_path, source in read_sources(paths, merged.findings):
+        sub = analyze_source(source, path=file_path, budget=budget)
         merged.sites.extend(sub.sites)
         merged.findings.extend(sub.findings)
+        merged.waived.update(sub.waived)
     merged.proposal = _report_proposal(merged.sites)
     return merged
 

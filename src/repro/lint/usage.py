@@ -21,9 +21,12 @@ and an allocation reached only through dynamic dispatch (``factory(vm)``
 where ``factory`` is a runtime value) is not tracked at all -- those
 show up as ``L3-dynamic-only`` drift entries instead of false positives.
 
-Waivers: a ``# lint: ignore[L2-growth-no-capacity]`` comment (ids
-comma-separated, ``*`` for all) on the allocation line suppresses
-matching findings for that line.
+This module also holds what both static passes share: the file reader
+(:func:`read_sources`: an unreadable or non-UTF-8 file becomes one
+``L2-io-error`` finding), the ``L2-syntax-error`` finding, and the
+waivers.  A ``# lint: ignore[L2-growth-no-capacity]`` comment (ids
+comma-separated, ``*`` for all) on a line suppresses matching findings
+of either pass for that line (:func:`apply_waivers`).
 """
 
 from __future__ import annotations
@@ -31,14 +34,16 @@ from __future__ import annotations
 import ast
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.lint.findings import Finding, Severity, Span
 
-__all__ = ["StaticPrediction", "AllocationSite", "lint_source",
-           "lint_source_detailed", "lint_paths", "lint_paths_detailed",
-           "WRAPPER_KINDS"]
+__all__ = ["StaticPrediction", "AllocationSite", "lint_source_detailed",
+           "lint_paths_detailed", "read_sources", "syntax_error_finding",
+           "apply_waivers", "WRAPPER_KINDS"]
 
 WRAPPER_KINDS: Dict[str, Tuple[str, str]] = {
     "ChameleonList": ("list", "ArrayList"),
@@ -569,7 +574,10 @@ def _site_findings(site: AllocationSite,
     return findings, predictions
 
 
-def _parse_waivers(source: str) -> Dict[int, Set[str]]:
+def apply_waivers(source: str, findings: Sequence[Finding],
+                  ) -> Tuple[List[Finding], Dict[str, int]]:
+    """Drop the findings a ``# lint: ignore[...]`` comment on their line
+    silences; returns ``(kept, per-id waived counts)``."""
     waivers: Dict[int, Set[str]] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
         match = _WAIVER_RE.search(line)
@@ -577,34 +585,36 @@ def _parse_waivers(source: str) -> Dict[int, Set[str]]:
             ids = {part.strip() for part in match.group(1).split(",")
                    if part.strip()}
             waivers[lineno] = ids or {"*"}
-    return waivers
+    kept: List[Finding] = []
+    waived: Dict[str, int] = Counter()
+    for finding in findings:
+        ids = waivers.get(finding.span.line, ())
+        if "*" in ids or finding.id in ids:
+            waived[finding.id] += 1
+        else:
+            kept.append(finding)
+    return kept, waived
 
 
-def lint_source(source: str, path: str,
-                ) -> Tuple[List[Finding], List[StaticPrediction]]:
-    """Lint one Python source string; returns (findings, predictions)."""
-    findings, predictions, _waived = lint_source_detailed(source, path)
-    return findings, predictions
+def syntax_error_finding(path: str, exc: SyntaxError) -> Finding:
+    """The one ``L2-syntax-error`` finding both passes report for a file
+    that does not parse (equal findings, so a merged report keeps one)."""
+    return Finding(id="L2-syntax-error", severity=Severity.ERROR,
+                   message=f"cannot parse: {exc.msg}",
+                   span=Span(file=path, line=exc.lineno or 0,
+                             column=exc.offset))
 
 
 def lint_source_detailed(
         source: str, path: str,
 ) -> Tuple[List[Finding], List[StaticPrediction], Dict[str, int]]:
-    """Like :func:`lint_source`, plus per-id waiver counts.
-
-    The third element maps finding ids to the number of findings that a
-    ``# lint: ignore[...]`` comment silenced, so reports can show how
-    much is being waived without re-running the walk.
-    """
+    """Lint one Python source string; returns ``(findings, predictions,
+    waived)``, where ``waived`` maps finding ids to the number of
+    findings a ``# lint: ignore[...]`` comment silenced."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        finding = Finding(
-            id="L2-syntax-error", severity=Severity.ERROR,
-            message=f"cannot parse: {exc.msg}",
-            span=Span(file=path, line=exc.lineno or 0,
-                      column=exc.offset))
-        return [finding], [], {}
+        return [syntax_error_finding(path, exc)], [], {}
     collector = _FactoryCollector()
     collector.visit(tree)
     module = _module_name(path)
@@ -628,15 +638,7 @@ def lint_source_detailed(
             fix_hint="iterate the source directly",
             predicted_rule="redundant-copying"))
 
-    waivers = _parse_waivers(source)
-    kept: List[Finding] = []
-    waived: Dict[str, int] = {}
-    for finding in findings:
-        ids = waivers.get(finding.span.line)
-        if ids is not None and ("*" in ids or finding.id in ids):
-            waived[finding.id] = waived.get(finding.id, 0) + 1
-            continue
-        kept.append(finding)
+    kept, waived = apply_waivers(source, findings)
     return kept, predictions, waived
 
 
@@ -653,27 +655,35 @@ def _expand_paths(paths: Sequence[str]) -> List[str]:
     return sorted(set(files))
 
 
-def lint_paths(paths: Sequence[str],
-               ) -> Tuple[List[Finding], List[StaticPrediction]]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    findings, predictions, _waived = lint_paths_detailed(paths)
-    return findings, predictions
+def read_sources(paths: Sequence[str], errors: List[Finding],
+                 ) -> Iterator[Tuple[str, str]]:
+    """``(file, source)`` for every ``.py`` file under ``paths`` (files
+    or directories); a file that cannot be read or is not UTF-8 yields
+    nothing and appends one ``L2-io-error`` finding to ``errors``."""
+    for file_path in _expand_paths(paths):
+        try:
+            with open(file_path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            errors.append(Finding(
+                id="L2-io-error", severity=Severity.ERROR,
+                message=f"cannot read: {exc}", span=Span(file=file_path)))
+            continue
+        yield file_path, source
 
 
 def lint_paths_detailed(
         paths: Sequence[str],
 ) -> Tuple[List[Finding], List[StaticPrediction], Dict[str, int]]:
-    """Like :func:`lint_paths`, plus aggregated per-id waiver counts."""
+    """Lint every ``.py`` file under ``paths`` (files or directories);
+    returns ``(findings, predictions, aggregated waived counts)``."""
     findings: List[Finding] = []
     predictions: List[StaticPrediction] = []
-    waived: Dict[str, int] = {}
-    for file_path in _expand_paths(paths):
-        with open(file_path, "r", encoding="utf-8") as handle:
-            source = handle.read()
+    waived: Dict[str, int] = Counter()
+    for file_path, source in read_sources(paths, findings):
         file_findings, file_predictions, file_waived = \
             lint_source_detailed(source, file_path)
         findings.extend(file_findings)
         predictions.extend(file_predictions)
-        for finding_id, count in file_waived.items():
-            waived[finding_id] = waived.get(finding_id, 0) + count
+        waived.update(file_waived)
     return findings, predictions, waived

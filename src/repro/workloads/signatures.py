@@ -1,6 +1,6 @@
 """Workload synthesis from statically inferred op-mix signatures.
 
-``lint --interproc --signatures`` (:func:`repro.lint.interproc
+``lint --paths ... --signatures`` (:func:`repro.lint.interproc
 .export_signatures`) lowers every analysed allocation site into a
 ``chameleon-sig`` spec: per-op frequency intervals, maximal/final size
 intervals, the requested capacity and whether the site's size is

@@ -101,6 +101,76 @@ class TestFormats:
         assert validate_sarif(target.read_text()) == []
 
 
+class TestSourcePipeline:
+    """``lint --paths`` runs the usage linter and the interval analysis
+    over one reader, one waiver rule and one finding per broken file."""
+
+    def lint_json(self, capsys, *paths):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "lint", "--no-overlap", "--format", "json",
+                    "--paths", *paths)
+        assert excinfo.value.code == 1
+        return json.loads(capsys.readouterr().out)
+
+    def ids(self, document):
+        return [finding["id"] for finding in document["findings"]]
+
+    def waived_source(self, tmp_path):
+        source = tmp_path / "waived.py"
+        source.write_text(
+            "def run(vm):\n"
+            "    items = ChameleonList(vm)  # lint: ignore[*]\n"
+            "    for i in range(100):\n"
+            "        items.add(i)\n"
+            "    return items.size()\n")
+        return str(source)
+
+    def test_waiver_silences_both_passes(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "lint", "--no-overlap", "--format",
+                            "json", "--paths", self.waived_source(tmp_path))
+        assert code == 0
+        document = json.loads(out)
+        assert document["findings"] == []
+        assert document["waived"] == {"L2-growth-no-capacity": 1,
+                                      "L2I-interval-must": 1}
+
+    def test_text_report_lists_waived_ids(self, capsys, tmp_path):
+        code, out = run_cli(capsys, "lint", "--no-overlap", "--paths",
+                            self.waived_source(tmp_path))
+        assert code == 0
+        assert out.splitlines() == [
+            "waived: 1 x [L2-growth-no-capacity]",
+            "waived: 1 x [L2I-interval-must]",
+            "lint: no findings (2 waived)."]
+
+    def test_missing_files_are_one_io_error_each(self, capsys, tmp_path):
+        # A missing path given directly, and a dangling symlink found by
+        # walking a directory.
+        package = tmp_path / "package"
+        package.mkdir()
+        (package / "dangling.py").symlink_to(tmp_path / "nowhere.py")
+        document = self.lint_json(capsys, str(tmp_path / "missing.py"),
+                                  str(package))
+        assert self.ids(document) == ["L2-io-error", "L2-io-error"]
+
+    def test_non_utf8_file_is_one_io_error(self, capsys, tmp_path):
+        (tmp_path / "latin1.py").write_bytes(b"name = '\xe9t\xe9'\n")
+        document = self.lint_json(capsys, str(tmp_path))
+        assert self.ids(document) == ["L2-io-error"]
+        assert "utf-8" in document["findings"][0]["message"]
+
+    def test_syntax_error_is_one_finding(self, capsys, tmp_path):
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        document = self.lint_json(capsys, str(tmp_path))
+        assert self.ids(document) == ["L2-syntax-error"]
+
+    def test_signatures_need_paths(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(capsys, "lint", "--signatures",
+                    str(tmp_path / "sig.json"))
+        assert "--signatures requires --paths" in str(excinfo.value)
+
+
 class TestDriftThroughCli:
     @pytest.fixture(scope="class")
     def session_store(self, tmp_path_factory):
@@ -114,14 +184,15 @@ class TestDriftThroughCli:
         return str(path)
 
     def test_drift_report_reaches_the_output(self, capsys, session_store):
-        with pytest.raises(SystemExit):  # static-only is a warning
+        with pytest.raises(SystemExit):  # the tvla usage facts warn
             run_cli(capsys, "lint", "--paths", TVLA_SOURCE,
                     "--drift", session_store, "--no-overlap",
                     "--fail-on", "warning")
         out = capsys.readouterr().out
-        assert "L3-drift-agreement" in out
-        assert "L3-static-only" in out
-        assert "L3-dynamic-only" in out
+        for finding_id in ("L3-drift-agreement", "L3-unsubstantiated",
+                           "L3-dynamic-only", "L3-proposal-confirmed"):
+            assert finding_id in out
+        assert "L3-static-only" not in out
 
     def test_missing_session_file_is_a_clean_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

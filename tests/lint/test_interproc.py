@@ -377,8 +377,20 @@ class TestSignatureExport:
     def test_syntax_error_reported_not_raised(self):
         report = analyze_source("def broken(:\n", "bad.py")
         assert isinstance(report, InterprocReport)
-        assert any(f.id == "L2-syntax-error" for f in report.findings)
+        assert [f.id for f in report.findings] == ["L2-syntax-error"]
         assert report.sites == []
+
+    def test_waiver_silences_interval_finding(self):
+        report = analyze("""
+            def run(vm):
+                items = ChameleonList(vm)  # lint: ignore[L2I-interval-must]
+                for i in range(100):
+                    items.add(i)
+                return items.size()
+        """)
+        assert report.findings == []
+        assert report.waived == {"L2I-interval-must": 1}
+        assert report.proposal_rows()  # the verdict itself stands
 
 
 class TestUnexecutedCallers:

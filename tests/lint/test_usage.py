@@ -2,11 +2,13 @@
 
 import textwrap
 
-from repro.lint.usage import lint_paths, lint_source
+from repro.lint.usage import lint_paths_detailed, lint_source_detailed
 
 
 def lint(source, path="src/repro/workloads/example.py"):
-    return lint_source(textwrap.dedent(source), path)
+    findings, predictions, _waived = lint_source_detailed(
+        textwrap.dedent(source), path)
+    return findings, predictions
 
 
 def ids_of(findings):
@@ -199,9 +201,22 @@ class TestInfrastructure:
         assert findings == []
 
     def test_syntax_error_is_a_finding(self):
-        findings, predictions = lint_source("def broken(:\n", "bad.py")
+        findings, predictions, _ = lint_source_detailed("def broken(:\n",
+                                                        "bad.py")
         assert ids_of(findings) == {"L2-syntax-error"}
         assert predictions == []
+
+    def test_unreadable_files_are_one_finding_each(self, tmp_path):
+        # Both passes read through one reader: a non-UTF-8 file and a
+        # missing path are findings, and the two passes agree on them.
+        from repro.lint.interproc import analyze_paths
+
+        (tmp_path / "latin1.py").write_bytes(b"name = '\xe9t\xe9'\n")
+        paths = [str(tmp_path), str(tmp_path / "missing.py")]
+        findings, predictions, _ = lint_paths_detailed(paths)
+        assert ids_of(findings) == {"L2-io-error"} and len(findings) == 2
+        assert predictions == []
+        assert analyze_paths(paths).findings == findings
 
     def test_lint_paths_walks_directories(self, tmp_path):
         package = tmp_path / "repro" / "workloads"
@@ -209,7 +224,7 @@ class TestInfrastructure:
         (package / "one.py").write_text(
             "def run(vm):\n    junk = ChameleonList(vm)\n")
         (package / "notes.txt").write_text("not python\n")
-        findings, _ = lint_paths([str(tmp_path)])
+        findings, _, _ = lint_paths_detailed([str(tmp_path)])
         (finding,) = findings
         assert finding.id == "L2-never-used"
         assert finding.span.file.endswith("one.py")
@@ -224,7 +239,7 @@ class TestInfrastructure:
 
         workloads = os.path.join(os.path.dirname(__file__), os.pardir,
                                  os.pardir, "src", "repro", "workloads")
-        findings, predictions = lint_paths([workloads])
+        findings, predictions, _ = lint_paths_detailed([workloads])
         assert all(f.severity is not Severity.ERROR for f in findings)
         assert predictions  # the tvla/fop facts the drift test relies on
 
