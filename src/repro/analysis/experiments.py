@@ -32,8 +32,7 @@ __all__ = [
     "run_fig2", "run_fig3", "run_fig6", "run_fig7", "run_fig8",
     "run_online", "run_hybrid_ablation", "run_profiling_overhead",
     "run_all", "OverheadResult", "get_session_cache",
-    "reset_session_cache", "load_session_cache", "spill_session_cache",
-    "attach_session_store", "warm_worker",
+    "reset_session_cache", "attach_session_store", "warm_worker",
 ]
 
 # ---------------------------------------------------------------------------
@@ -82,40 +81,22 @@ PAPER_BLOAT_ENTRY_FRACTION = 0.25  # "around 25% of the heap ... Entry"
 # workloads under the same configuration; the cache makes each distinct
 # (workload, config) profile happen once per process.  Scheduler workers
 # each hold their own copy of this module, so at jobs>1 the cache works
-# per worker -- results are unchanged either way because profiled runs
-# are deterministic.
+# per worker unless one session store is attached in the parent and in
+# every worker (attach_session_store / warm_worker) -- results are
+# unchanged either way because profiled runs are deterministic.
 # ---------------------------------------------------------------------------
 _SESSION_CACHE = SessionCache()
 
 
 def get_session_cache() -> SessionCache:
     """This process's experiment session cache (hit/miss counters live
-    here; the CLI spills and reloads it for cross-invocation reuse)."""
+    here)."""
     return _SESSION_CACHE
 
 
 def reset_session_cache() -> None:
     """Drop every cached session and zero the counters."""
     _SESSION_CACHE.clear()
-
-
-def load_session_cache(path: str) -> int:
-    """Reload spilled sessions into this process's cache from the
-    content-addressed :class:`~repro.analysis.index.SessionStore`
-    directory ``path`` (e.g. ``benchmarks/runs/store``; created when
-    missing).  Returns entries added; corrupt entries are skipped with a
-    warning."""
-    from repro.analysis.index import SessionStore
-
-    return SessionStore(path).load_cache(_SESSION_CACHE)
-
-
-def spill_session_cache(path: str) -> int:
-    """Spill this process's session cache into the store directory
-    ``path``; returns how many new entry files were written."""
-    from repro.analysis.index import SessionStore
-
-    return SessionStore(path).save_cache(_SESSION_CACHE)
 
 
 def attach_session_store(path: Optional[str]) -> None:
@@ -128,12 +109,9 @@ def attach_session_store(path: Optional[str]) -> None:
     session crosses the process boundary once, as one content-addressed
     file, instead of being re-profiled (or re-pickled wholesale) per
     worker."""
-    if path is None:
-        _SESSION_CACHE.detach_store()
-        return
     from repro.analysis.index import SessionStore
 
-    _SESSION_CACHE.attach_store(SessionStore(path))
+    _SESSION_CACHE.attach_store(None if path is None else SessionStore(path))
 
 
 def warm_worker(store_path: Optional[str] = None) -> None:

@@ -19,13 +19,14 @@ framing of Darwinian Data Structure Selection (PAPERS.md):
 * :func:`gate_document` -- regression gating against indexed history:
   the latest wall clock is compared to the median of the last *N*
   indexed runs per benchmark, and rows whose simulated ticks differ are
-  *refused* (:class:`GateDivergenceError`) exactly as the single-file
-  ``perf --baseline`` comparison refuses tick-diverged documents --
-  a wall ratio over different simulated work is meaningless.
+  *refused* (:class:`GateDivergenceError`), naming each benchmark and
+  both tick values -- a wall ratio over different simulated work is
+  meaningless.
 * :class:`SessionStore` -- the content-addressed profiling-session
-  spill (``<runs-root>/store/``): one atomically-written pickle per
-  cache entry, named by a digest of the existing :class:`SessionCache`
-  key, so a crash or a second writer can cost at most one entry.
+  store (``<runs-root>/store/``) attached behind a
+  :class:`SessionCache`: one atomically-written pickle per cache entry,
+  named by a digest of the entry's key, so a crash or a second writer
+  can cost at most one entry.
 
 Everything here is stdlib-only (``sqlite3``, ``json``, ``pickle``).
 """
@@ -518,9 +519,9 @@ class GateReport:
 class GateDivergenceError(ValueError):
     """Indexed history measured different simulated work.
 
-    Mirrors the single-file ``--baseline`` refusal: a wall-clock ratio
-    over different tick counts is meaningless, so the gate refuses,
-    naming every offending benchmark with both tick values.
+    A wall-clock ratio over different tick counts is meaningless, so
+    the gate refuses, naming every offending benchmark with both tick
+    values.
     """
 
     def __init__(self, diverged: List[Tuple[str, int, int]]) -> None:
@@ -544,8 +545,8 @@ def gate_document(index: RunIndex, doc: Dict[str, Any], *,
     very invocation) form the reference: the gate fails the benchmark
     when its wall clock exceeds the reference *median* by more than
     ``threshold`` (0.3 = +30%).  Rows whose simulated ticks differ from
-    the current document raise :class:`GateDivergenceError` -- exactly
-    the ``--baseline`` refusal, naming benchmark and both tick values.
+    the current document raise :class:`GateDivergenceError`, naming
+    the benchmark and both tick values.
     Benchmarks with no indexed history are skipped, so the first gated
     run of a fresh index always passes.
     """
@@ -640,15 +641,16 @@ def render_trends(index: RunIndex, window: int = 5) -> str:
 # Content-addressed session store
 # ----------------------------------------------------------------------
 class SessionStore:
-    """Content-addressed profiling-session spill directory.
+    """Content-addressed profiling-session store directory.
 
     One pickle per cache entry, written atomically and named by a
     SHA-256 digest of the :class:`~repro.core.chameleon.SessionCache`
-    key, so concurrent spillers (parallel CI legs, scheduler workers)
+    key, so concurrent writers (parallel CI legs, scheduler workers)
     compose: identical keys collide onto identical deterministic
     content, distinct keys never clobber each other, and a torn write
-    can never corrupt a neighbouring entry.  Corrupt entries are skipped
-    with a warning, never fatal.
+    can never corrupt a neighbouring entry.  Corrupt entries, and
+    entries filed under another key's name, are skipped with a warning,
+    never fatal.
     """
 
     def __init__(self, root: str) -> None:
@@ -698,7 +700,8 @@ class SessionStore:
         return True
 
     def get(self, key: tuple) -> Optional[Any]:
-        """One entry's session, or ``None`` (missing or corrupt)."""
+        """One entry's session, or ``None`` (missing, corrupt, or
+        holding another key)."""
         entry = self._read_entry(self.path_for(key))
         return entry[1] if entry is not None else None
 
@@ -708,6 +711,9 @@ class SessionStore:
         try:
             with open(path, "rb") as handle:
                 key, session = pickle.load(handle)
+            if self.path_for(key) != path:
+                raise ValueError(f"it holds key {key!r}, filed under "
+                                 f"another key's name")
         except Exception as exc:
             warnings.warn(
                 f"session-store entry {path!r} is corrupt or truncated; "
@@ -715,27 +721,6 @@ class SessionStore:
                 RuntimeWarning, stacklevel=2)
             return None
         return key, session
-
-    # ------------------------------------------------------------------
-    def save_cache(self, cache: Any) -> int:
-        """Spill every entry of a ``SessionCache``; returns how many new
-        files were written."""
-        written = 0
-        for key, session in cache.items():
-            if self.put(key, session):
-                written += 1
-        return written
-
-    def load_cache(self, cache: Any) -> int:
-        """Merge every readable entry into a ``SessionCache``; returns
-        how many entries were added."""
-        entries = {}
-        for path in self._entry_paths():
-            entry = self._read_entry(path)
-            if entry is not None:
-                key, session = entry
-                entries[key] = session
-        return cache.merge(entries)
 
     def sessions(self) -> List[Any]:
         """Every readable session (what ``lint --drift`` consumes)."""

@@ -10,8 +10,9 @@ off, plus a GC-heavy configuration that stresses mark/account/sweep.
 
 Results are emitted as ``BENCH_chameleon.json`` with a stable,
 CI-comparable schema (:data:`SCHEMA`, :data:`SCHEMA_VERSION`); CI runs a
-smoke pass and fails on a schema-invalid document, and successive PRs can
-diff their documents with :func:`compare` to track the trajectory.
+smoke pass and fails on a schema-invalid document, and
+``history --ingest`` plus ``perf --gate`` track the trajectory across
+documents (:mod:`repro.analysis.index`).
 
 Wall-clock numbers are machine-dependent; the schema therefore records
 the interpreter and the per-phase split (setup / run / finish / report)
@@ -53,7 +54,7 @@ from repro.runtime.vm import RuntimeEnvironment
 from repro.workloads import default_workload_registry
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "BenchRecord", "median_index",
-           "run_suite", "run_suite_section", "validate_document", "compare", "tick_divergences",
+           "run_suite", "run_suite_section", "validate_document",
            "render_summary"]
 
 SCHEMA = "chameleon-perf"
@@ -660,47 +661,6 @@ def validate_document(doc: object) -> None:
                             f"has type {type(entry[key]).__name__}")
     if problems:
         raise ValueError("invalid BENCH document: " + "; ".join(problems))
-
-
-def compare(old_doc: dict, new_doc: dict) -> Dict[str, float]:
-    """Per-benchmark new/old wall-clock ratios (<1 means faster).
-
-    Benchmarks present in only one document are skipped; ticks are also
-    checked -- a tick mismatch on the same benchmark name means the two
-    documents measured different simulated work and the wall ratio is
-    meaningless, so it is reported as ``float('nan')``.
-    """
-    old_by_name = {r["name"]: r for r in old_doc.get("benchmarks", [])}
-    ratios: Dict[str, float] = {}
-    for record in new_doc.get("benchmarks", []):
-        old = old_by_name.get(record["name"])
-        if old is None or not old.get("wall_seconds"):
-            continue
-        if old.get("ticks") != record.get("ticks"):
-            ratios[record["name"]] = float("nan")
-        else:
-            ratios[record["name"]] = (record["wall_seconds"]
-                                      / old["wall_seconds"])
-    return ratios
-
-
-def tick_divergences(old_doc: dict, new_doc: dict) -> List[Tuple[str, int,
-                                                                 int]]:
-    """Benchmarks whose simulated ticks differ between two documents.
-
-    Returns ``(name, old_ticks, new_ticks)`` triples in new-document
-    order.  A non-empty list means the documents measured *different
-    simulated work* -- a baseline comparison over them is meaningless
-    and the CLI refuses it, naming each offender with both tick values.
-    """
-    old_by_name = {r["name"]: r for r in old_doc.get("benchmarks", [])}
-    diverged = []
-    for record in new_doc.get("benchmarks", []):
-        old = old_by_name.get(record["name"])
-        if old is not None and old.get("ticks") != record.get("ticks"):
-            diverged.append((record["name"], old.get("ticks"),
-                             record.get("ticks")))
-    return diverged
 
 
 def render_summary(doc: dict) -> str:

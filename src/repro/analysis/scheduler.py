@@ -206,9 +206,9 @@ class Scheduler:
     barrier); the returned mapping is nonetheless always in job-insertion
     order, so callers observe identical results at any parallelism.
 
-    ``warmup`` is a picklable top-level function (or ``(fn, args)``
-    tuple) run once in each worker at pool creation -- attach the shared
-    session store, pre-import the workload stack, etc.
+    ``warmup`` is a ``(fn, args)`` pair, ``fn`` a picklable top-level
+    function, run once in each worker at pool creation -- attach the
+    shared session store, pre-import the workload stack, etc.
 
     A worker that dies mid-run (killed, crashed) fails the run with a
     :class:`JobError` naming the unfinished jobs, and the pool is torn
@@ -216,14 +216,13 @@ class Scheduler:
     """
 
     def __init__(self, jobs: int = 1,
-                 warmup: Optional[Any] = None) -> None:
+                 warmup: Optional[Tuple[Callable, Sequence]] = None
+                 ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         if warmup is None:
             self._warmup_fn, self._warmup_args = None, ()
-        elif callable(warmup):
-            self._warmup_fn, self._warmup_args = warmup, ()
         else:
             self._warmup_fn, self._warmup_args = warmup[0], tuple(warmup[1])
         self._pool = None

@@ -132,10 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="worker processes for the experiment "
                                  "scheduler (1 = serial reference path)")
     experiment.add_argument("--session-cache", metavar="DIR", default=None,
-                            help="spill the profiling-session cache to "
-                                 "this store directory (e.g. "
-                                 "benchmarks/runs/store) and reload it on "
-                                 "later invocations")
+                            help="attach this session-store directory "
+                                 "(e.g. benchmarks/runs/store) behind the "
+                                 "profiling-session cache in every "
+                                 "process: sessions are read from it and "
+                                 "each new one is written to it")
     experiment.add_argument("--runs-root", metavar="DIR", default=None,
                             help="write the manifest'd run directory and "
                                  "index the run here (default "
@@ -159,15 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the GC-stress configuration")
     perf.add_argument("--check", metavar="PATH", default=None,
                       help="validate an existing BENCH json and exit")
-    perf.add_argument("--baseline", metavar="PATH", default=None,
-                      help="compare against a previous BENCH json "
-                           "(single-file; prefer --gate, which compares "
-                           "against the whole indexed history)")
     perf.add_argument("--gate", action="store_true",
                       help="fail (non-zero) when a benchmark's wall "
                            "clock regresses past the median of its "
-                           "indexed history; refuses tick-diverged "
-                           "history like --baseline")
+                           "indexed history; refuses history that "
+                           "measured different ticks")
     perf.add_argument("--gate-window", type=int, default=5, metavar="N",
                       help="indexed runs per benchmark the gate medians "
                            "over (default 5)")
@@ -405,17 +402,19 @@ def _cmd_experiment(args) -> str:
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    if args.session_cache:
-        if pathlib.Path(args.session_cache).is_file():
-            raise SystemExit(f"--session-cache {args.session_cache}: a "
-                             f"file, not a session-store directory")
-        experiments.load_session_cache(args.session_cache)
-    start = time.perf_counter()
-    with Scheduler(jobs=args.jobs) as scheduler:
-        output = _EXPERIMENTS[args.name](args, scheduler)
-    wall_seconds = time.perf_counter() - start
-    if args.session_cache:
-        experiments.spill_session_cache(args.session_cache)
+    if args.session_cache and pathlib.Path(args.session_cache).is_file():
+        raise SystemExit(f"--session-cache {args.session_cache}: a "
+                         f"file, not a session-store directory")
+    experiments.attach_session_store(args.session_cache)
+    try:
+        start = time.perf_counter()
+        with Scheduler(jobs=args.jobs,
+                       warmup=(experiments.warm_worker,
+                               (args.session_cache,))) as scheduler:
+            output = _EXPERIMENTS[args.name](args, scheduler)
+        wall_seconds = time.perf_counter() - start
+    finally:
+        experiments.attach_session_store(None)
     if not args.no_index:
         cache = experiments.get_session_cache()
         run_id, _ = _index_invocation(
@@ -485,23 +484,6 @@ def _cmd_perf(args) -> str:
             wall_seconds=wall_seconds,
             benchmarks=doc["benchmarks"])
         parts.append(f"indexed run {run_id} under {runs_root}")
-
-    if args.baseline is not None:
-        baseline_doc = perf.load_document(args.baseline)
-        diverged = perf.tick_divergences(baseline_doc, doc)
-        if diverged:
-            details = "; ".join(
-                f"benchmark {name!r}: ticks {old_ticks} (baseline) vs "
-                f"{new_ticks} (current)"
-                for name, old_ticks, new_ticks in diverged)
-            raise SystemExit(
-                f"cannot compare against {args.baseline}: the documents "
-                f"measured different simulated work -- {details}")
-        ratios = perf.compare(baseline_doc, doc)
-        parts.append("")
-        parts.append(f"vs baseline {args.baseline}:")
-        for name, ratio in sorted(ratios.items()):
-            parts.append(f"  {name:<20} {ratio:.2f}x wall clock")
 
     if args.gate:
         from repro.analysis.index import (GateDivergenceError, RunIndex,

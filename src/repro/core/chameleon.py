@@ -150,10 +150,10 @@ class SessionCache:
 
     Cached sessions are stored with ``vm=None`` -- the live runtime is
     the one piece of a session that is neither comparable nor picklable,
-    and no experiment consumer reads it.  Because storage is trimmed, the
-    cache can also spill to a
-    :class:`~repro.analysis.index.SessionStore` directory for reuse
-    across CLI invocations.
+    and no experiment consumer reads it.  Because storage is trimmed, a
+    :class:`~repro.analysis.index.SessionStore` directory can be
+    attached behind the cache (:meth:`attach_store`), which is how
+    sessions are shared across scheduler workers and CLI invocations.
     """
 
     def __init__(self) -> None:
@@ -175,7 +175,8 @@ class SessionCache:
 
     def attach_store(self, store) -> None:
         """Attach a content-addressed backing store (read-through on
-        miss, write-through on :meth:`put`).
+        miss, write-through on :meth:`put`), or detach it with ``None``
+        (in-memory entries are kept).
 
         This is how scheduler workers share sessions without re-pickling
         them wholesale: each entry crosses process boundaries exactly
@@ -183,10 +184,6 @@ class SessionCache:
         reads it back by key instead of recomputing the profile.
         """
         self._backing = store
-
-    def detach_store(self) -> None:
-        """Detach the backing store (in-memory entries are kept)."""
-        self._backing = None
 
     @property
     def backing_store(self):
@@ -222,27 +219,11 @@ class SessionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def items(self) -> list:
-        """``(key, trimmed session)`` pairs currently cached (what the
-        content-addressed :class:`~repro.analysis.index.SessionStore`
-        spills, one file per pair)."""
-        return list(self._entries.items())
-
-    def merge(self, entries: dict) -> int:
-        """Add every entry whose key is not already cached; returns how
-        many were added.  Existing entries are never clobbered."""
-        added = 0
-        for key, session in entries.items():
-            if key not in self._entries:
-                self._entries[key] = session
-                added += 1
-        return added
-
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters.
 
         An attached backing store stays attached (and keeps its files):
-        clearing resets this *process's* view, not the shared spill.
+        clearing resets this *process's* view, not the shared store.
         """
         self._entries.clear()
         self.hits = 0

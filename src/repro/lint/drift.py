@@ -94,7 +94,7 @@ def _dynamic_index(sessions: Iterable,
 
 
 def load_sessions(path: str) -> List:
-    """Load every cached session from a session-cache spill: a
+    """Load every cached session from a session store: a
     content-addressed :class:`~repro.analysis.index.SessionStore`
     directory (e.g. ``benchmarks/runs/store``)."""
     import os

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import shutil
 
 import pytest
 
@@ -292,24 +293,6 @@ class TestGateDocument:
         assert report.ok
 
 
-class FakeCache:
-    """items()/merge() duck type of ``SessionCache`` for store tests."""
-
-    def __init__(self, entries=None):
-        self._entries = dict(entries or {})
-
-    def items(self):
-        return list(self._entries.items())
-
-    def merge(self, entries):
-        added = 0
-        for key, session in entries.items():
-            if key not in self._entries:
-                self._entries[key] = session
-                added += 1
-        return added
-
-
 class TestSessionStore:
     KEY = ("Workload", 2009, 0.1, False, "fp")
 
@@ -338,14 +321,26 @@ class TestSessionStore:
         with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
             assert store.sessions() == ["alsogood"]
 
-    def test_save_and_load_cache(self, tmp_path):
+    def test_put_never_clobbers_and_sessions_lists_every_entry(
+            self, tmp_path):
         store = SessionStore(str(tmp_path))
-        source = FakeCache({("a",): 1, ("b",): 2})
-        assert store.save_cache(source) == 2
-        assert store.save_cache(source) == 0   # nothing new
-        target = FakeCache({("a",): 1})
-        assert store.load_cache(target) == 1   # only ("b",) is new
-        assert target._entries == {("a",): 1, ("b",): 2}
+        assert store.put(("a",), 1) is True
+        assert store.put(("b",), 2) is True
+        assert store.put(("a",), "rewrite") is False   # already stored
+        assert sorted(store.sessions()) == [1, 2]
+        assert store.get(("a",)) == 1
+
+    def test_entry_filed_under_another_key_is_a_miss(self, tmp_path):
+        """The store checks the key it stored: an entry copied to
+        another key's file name must not answer for that key."""
+        store = SessionStore(str(tmp_path))
+        store.put(("a",), "session-a")
+        shutil.copyfile(store.path_for(("a",)), store.path_for(("b",)))
+        with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
+            assert store.get(("b",)) is None
+        with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
+            assert store.sessions() == ["session-a"]
+        assert store.get(("a",)) == "session-a"
 
     def test_failed_put_leaves_no_temp_files(self, tmp_path, monkeypatch):
         store = SessionStore(str(tmp_path))
@@ -466,8 +461,7 @@ class TestCliHistoryAndGate:
     def test_gate_refuses_tick_diverged_history(self, bench_doc, tmp_path,
                                                 capsys):
         """Indexed rows measuring different simulated work must be
-        refused -- naming the benchmark and both tick values -- exactly
-        like the single-file --baseline comparison."""
+        refused, naming the benchmark and both tick values."""
         root = tmp_path / "runs"
         doctored = copy.deepcopy(bench_doc)
         name = doctored["benchmarks"][0]["name"]

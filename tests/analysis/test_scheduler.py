@@ -287,22 +287,12 @@ class TestStreamingAndStats:
             scheduler.run(make_graph())
         assert len(list(tmp_path.glob("warm-*"))) == 2
 
-    def test_bare_callable_warmup(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        with Scheduler(jobs=2, warmup=warm_cwd_stamp) as scheduler:
-            scheduler.map(square, [(1,), (2,)])
-        assert list(tmp_path.glob("warm-*"))
-
 
 def is_warm(directory):
     """Whether the warmup hook ran in this worker process."""
     import os
     import pathlib
     return pathlib.Path(directory, f"warm-{os.getpid()}").exists()
-
-
-def warm_cwd_stamp():
-    warm_stamp(".")
 
 
 class TestShutdownPaths:

@@ -109,7 +109,7 @@ class TestCommands:
                            "--scale", "0.05", "--resolution", "32768",
                            "--session-cache", cache_path, "--no-index")
         assert (tmp_path / "cache" / "sessions").is_dir()
-        # A later invocation (fresh in-memory cache) reloads the spilled
+        # A later invocation (fresh in-memory cache) reads the stored
         # sessions and reproduces the identical artifact.
         experiments.reset_session_cache()
         _, second = run_cli(capsys, "experiment", "fig7",
@@ -118,6 +118,43 @@ class TestCommands:
         assert second == first
         assert experiments.get_session_cache().hits > 0
         experiments.reset_session_cache()
+
+    def test_experiment_session_cache_reaches_pool_workers(self, capsys,
+                                                           tmp_path):
+        """Every process writes the sessions it profiles through to the
+        store: --jobs 2 leaves the entries --jobs 1 leaves, a warm store
+        reproduces the output, and no store stays attached."""
+        from repro.analysis import experiments
+
+        def run(jobs, store):
+            experiments.reset_session_cache()
+            _, out = run_cli(capsys, "experiment", "fig6", "--scale", "0.05",
+                             "--jobs", str(jobs), "--session-cache",
+                             str(store), "--no-index")
+            assert experiments.get_session_cache().backing_store is None
+            return out, sorted(path.name for path in store.iterdir())
+
+        serial, serial_entries = run(1, tmp_path / "serial")
+        parallel, parallel_entries = run(2, tmp_path / "parallel")
+        assert serial_entries and parallel_entries == serial_entries
+        warm, warm_entries = run(2, tmp_path / "parallel")
+        assert parallel == serial and warm == serial
+        assert warm_entries == serial_entries
+        experiments.reset_session_cache()
+
+    def test_experiment_detaches_the_store_when_it_fails(self, tmp_path,
+                                                          monkeypatch):
+        from repro import cli
+        from repro.analysis import experiments
+
+        def boom(args, scheduler):
+            raise RuntimeError("experiment failed")
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "fig3", boom)
+        with pytest.raises(RuntimeError, match="experiment failed"):
+            main(["experiment", "fig3", "--session-cache",
+                  str(tmp_path / "store"), "--no-index"])
+        assert experiments.get_session_cache().backing_store is None
 
     def test_experiment_session_cache_refuses_a_file(self, tmp_path):
         legacy = tmp_path / "sessions.pkl"
@@ -153,7 +190,7 @@ class TestCommands:
             main(["compile-trace", str(bogus)])
 
     def test_experiment_session_store_roundtrip(self, capsys, tmp_path):
-        """--session-cache spills one content-addressed file per
+        """--session-cache writes one content-addressed file per
         entry."""
         from repro.analysis import experiments
 

@@ -1,6 +1,8 @@
-"""Profiling-session cache: keys, hit behavior, and disk spill."""
+"""Profiling-session cache: keys, hit behavior, and the attached
+session store."""
 
 import os
+import pathlib
 import threading
 
 import pytest
@@ -102,17 +104,20 @@ class TestProfileHook:
 
 
 class TestDiskSpill:
-    """Spilling a cache into a :class:`SessionStore` directory and
-    reloading it in a fresh cache, as ``experiment --session-cache``
-    does across invocations."""
+    """Sessions written through to a :class:`SessionStore` directory and
+    read back by a fresh cache attached to the same directory, as
+    ``experiment --session-cache`` does across invocations."""
+
+    KEY = SessionCache.key(ToolConfig(), TvlaWorkload(scale=0.05))
 
     def test_save_load_roundtrip(self, tool, cache, tmp_path):
-        fresh_session = tool.profile(TvlaWorkload(scale=0.05))
         store_dir = str(tmp_path / "store")
-        assert SessionStore(store_dir).save_cache(cache) == 1
+        cache.attach_store(SessionStore(store_dir))
+        fresh_session = tool.profile(TvlaWorkload(scale=0.05))
+        assert len(SessionStore(store_dir)) == 1
 
         other_cache = SessionCache()
-        assert SessionStore(store_dir).load_cache(other_cache) == 1
+        other_cache.attach_store(SessionStore(store_dir))
         other_tool = Chameleon(ToolConfig(), session_cache=other_cache)
         reloaded = other_tool.profile(TvlaWorkload(scale=0.05))
         assert other_cache.hits == 1
@@ -120,16 +125,23 @@ class TestDiskSpill:
         assert len(reloaded.suggestions) == len(fresh_session.suggestions)
 
     def test_load_missing_file_is_a_noop(self, cache, tmp_path):
-        assert SessionStore(str(tmp_path / "absent")).load_cache(cache) == 0
-        assert len(cache) == 0
+        store = SessionStore(str(tmp_path / "absent"))
+        assert store.sessions() == []
+        cache.attach_store(store)
+        assert cache.get(self.KEY) is None
+        assert (len(cache), cache.misses) == (0, 1)
 
     def test_load_does_not_clobber_existing_entries(self, tool, cache,
                                                     tmp_path):
-        tool.profile(TvlaWorkload(scale=0.05))
         store = SessionStore(str(tmp_path / "store"))
-        store.save_cache(cache)
-        assert store.load_cache(cache) == 0
-        assert len(cache) == 1
+        cache.attach_store(store)
+        session = tool.profile(TvlaWorkload(scale=0.05))
+        original = pathlib.Path(store.path_for(self.KEY)).read_bytes()
+        assert store.put(self.KEY, "a different session") is False
+        cache.put(self.KEY, session)
+        assert pathlib.Path(store.path_for(self.KEY)).read_bytes() \
+            == original
+        assert len(store) == 1
 
 
 class TestBackingStore:
@@ -175,42 +187,39 @@ class TestBackingStore:
         assert cache.backing_store is store
         assert cache.store_hits == 0
 
-    def test_detach(self, cache, tmp_path):
-        from repro.analysis.index import SessionStore
-
+    def test_detach(self, tool, cache, tmp_path):
         cache.attach_store(SessionStore(str(tmp_path / "store")))
-        cache.detach_store()
+        tool.profile(TvlaWorkload(scale=0.05))
+        cache.attach_store(None)
         assert cache.backing_store is None
+        assert len(cache) == 1  # in-memory entries are kept
 
 
 class TestSpillDurability:
-    """A torn, truncated, or concurrent spill must never take down
-    later runs: a damaged entry loads as a miss with a warning, and
+    """A torn, truncated, or concurrent write must never take down
+    later runs: a damaged entry reads as a miss with a warning, and
     every entry is written atomically, so readers only ever observe
     complete entries."""
 
-    def _spill(self, store, key, session="session"):
-        cache = SessionCache()
-        cache._entries[key] = session
-        return store.save_cache(cache)
-
     def test_truncated_spill_is_treated_as_empty(self, tool, cache,
                                                  tmp_path):
-        tool.profile(TvlaWorkload(scale=0.05))
         store = SessionStore(str(tmp_path))
-        store.save_cache(cache)
+        cache.attach_store(store)
+        tool.profile(TvlaWorkload(scale=0.05))
         [path] = tmp_path.iterdir()
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
         fresh = SessionCache()
+        fresh.attach_store(store)
+        key = SessionCache.key(ToolConfig(), TvlaWorkload(scale=0.05))
         with pytest.warns(RuntimeWarning, match="corrupt or truncated"):
-            assert store.load_cache(fresh) == 0
-        assert len(fresh) == 0
+            assert fresh.get(key) is None
+        assert (len(fresh), fresh.misses) == (0, 1)
 
     def test_failed_save_preserves_previous_spill(self, tmp_path,
                                                   monkeypatch):
         store = SessionStore(str(tmp_path))
-        self._spill(store, ("k",))
+        store.put(("k",), "session")
         [path] = tmp_path.iterdir()
         original = path.read_bytes()
 
@@ -220,14 +229,14 @@ class TestSpillDurability:
 
         monkeypatch.setattr(index_mod.pickle, "dump", boom)
         with pytest.raises(OSError):
-            self._spill(store, ("other",))
+            store.put(("other",), "session")
         monkeypatch.undo()
         assert path.read_bytes() == original  # old entry untouched
         assert list(tmp_path.iterdir()) == [path]
 
     def test_concurrent_saves_never_leave_a_torn_file(self, tmp_path,
                                                       monkeypatch):
-        """Interleave two spills of one key: whatever rename wins, the
+        """Interleave two writes of one key: whatever rename wins, the
         entry on disk is some one writer's complete pickle."""
         store = SessionStore(str(tmp_path))
         real_replace = os.replace
@@ -237,28 +246,26 @@ class TestSpillDurability:
             if not fired:
                 fired.append(True)
                 # A second writer completes first.
-                self._spill(SessionStore(str(tmp_path)), ("k",), "two")
+                SessionStore(str(tmp_path)).put(("k",), "two")
             real_replace(src, dst)
 
         monkeypatch.setattr(index_mod.os, "replace", interleaved_replace)
-        self._spill(store, ("k",), "one")
+        store.put(("k",), "one")
         monkeypatch.undo()
 
-        merged = SessionCache()
-        assert store.load_cache(merged) == 1
-        assert merged._entries[("k",)] == "one"
+        assert store.get(("k",)) == "one"
         assert len(list(tmp_path.iterdir())) == 1
 
     def test_threaded_save_hammer_yields_a_complete_spill(self, tmp_path):
         store = SessionStore(str(tmp_path))
-        threads = [threading.Thread(target=self._spill,
-                                    args=(store, (f"writer{i}",),
-                                          "x" * (1000 * (i + 1))))
-                   for i in range(4) for _ in range(5)]
+        sessions = {(f"writer{i}",): "x" * (1000 * (i + 1))
+                    for i in range(4)}
+        threads = [threading.Thread(target=store.put, args=(key, session))
+                   for key, session in sessions.items() for _ in range(5)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        merged = SessionCache()
-        assert store.load_cache(merged) == 4  # every writer's full entry
+        # Every writer's full entry, under its own key.
+        assert {key: store.get(key) for key in sessions} == sessions
         assert len(list(tmp_path.iterdir())) == 4

@@ -177,10 +177,10 @@ class TestDriftThroughCli:
         config = ToolConfig()
         workload = TvlaWorkload(scale=0.1)
         session = Chameleon(config).profile(workload)
-        cache = SessionCache()
-        cache.put(SessionCache.key(config, workload), session)
         path = tmp_path_factory.mktemp("drift") / "store"
-        SessionStore(str(path)).save_cache(cache)
+        cache = SessionCache()
+        cache.attach_store(SessionStore(str(path)))
+        cache.put(SessionCache.key(config, workload), session)
         return str(path)
 
     def test_drift_report_reaches_the_output(self, capsys, session_store):

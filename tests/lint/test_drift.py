@@ -103,8 +103,8 @@ class TestTvlaDrift:
         session, config, workload = tvla_session
         store_dir = str(tmp_path / "store")
         cache = SessionCache()
+        cache.attach_store(SessionStore(store_dir))
         cache.put(SessionCache.key(config, workload), session)
-        assert SessionStore(store_dir).save_cache(cache) == 1
 
         loaded = load_sessions(store_dir)
         assert len(loaded) == 1 and loaded[0].vm is None
