@@ -81,10 +81,13 @@ def element_hash(value: Any) -> int:
     identity hash for records, :func:`java_hash_code` otherwise."""
     if isinstance(value, HeapObject):
         # Identity hash, as Object.hashCode() would give.
-        return value.obj_id * 0x9E3779B1 & 0x7FFFFFFF
-    return java_hash_code(value) & 0x7FFFFFFF
+        return value.obj_id * _IDENTITY_MULTIPLIER & _HASH_MASK
+    return java_hash_code(value) & _HASH_MASK
 
 
+# element_hash's constants; the hash engine inlines the function.
+_IDENTITY_MULTIPLIER = 0x9E3779B1
+_HASH_MASK = 0x7FFFFFFF
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _CANONICAL_NAN_BITS = 0x7FF8000000000000

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional
 
 from repro.collections.base import ListImpl, UnsupportedOperation, values_equal
-from repro.collections.hashing import HashTableEngine
+from repro.collections.hashing import _MISSING, HashTableEngine
 from repro.memory.semantic_maps import FootprintTriple
 
 __all__ = ["HashBackedListImpl"]
@@ -64,7 +64,7 @@ class HashBackedListImpl(ListImpl):
         return value
 
     def remove_value(self, value: Any) -> bool:
-        return self._table.remove(value) is not HashTableEngine.missing()
+        return self._table.remove(value) is not _MISSING
 
     def index_of(self, value: Any) -> int:
         # Membership is a hash probe; the position (rarely wanted by the

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
-from repro.collections.base import CollectionImpl, element_hash, values_equal
+from repro.collections.base import (_HASH_MASK, _IDENTITY_MULTIPLIER,
+                                    CollectionImpl, java_hash_code)
 from repro.memory.heap import HeapObject
 
 __all__ = ["HashEntry", "HashTableEngine", "next_power_of_two"]
 
+#: The not-present sentinel :meth:`HashTableEngine.put` and
+#: :meth:`HashTableEngine.remove` return.
 _MISSING = object()
 
 
@@ -47,21 +50,38 @@ class HashEntry:
 
 
 class HashTableEngine:
-    """Bucket table + entry-object management for an owning ADT."""
+    """Bucket table + entry-object management for an owning ADT.
+
+    Charging contract: every op adds its hash + probe ticks to
+    ``clock.pending`` once, right after probing (before anything that
+    could allocate and hence collect); an insert or a remove adds its
+    entry-link ticks once more, an insert after the entry is allocated,
+    and a resize adds its relink ticks after the new table is.  The cost
+    constants are validated here, once, so no pending add can go
+    negative.
+    """
 
     def __init__(self, owner: CollectionImpl, *, is_map: bool,
                  linked: bool = False, initial_capacity: Optional[int] = None,
                  load_factor: float = 0.75, lazy: bool = False) -> None:
         if load_factor <= 0:
             raise ValueError("load factor must be positive")
-        # The five owner fields the engine reads, bound once instead of
-        # an ``owner`` back-pointer: with no engine -> impl edge, a swept
+        # The owner fields the engine reads, bound once instead of an
+        # ``owner`` back-pointer: with no engine -> impl edge, a swept
         # impl is freed by reference counting (DESIGN.md section 3.5).
-        self.vm = owner.vm
+        vm = owner.vm
+        self.vm = vm
+        self.clock = vm.clock
         self.anchor = owner.anchor
         self.boxes = owner.boxes
         self.charge = owner.charge
         self.context_id = owner.context_id
+        costs = vm.costs
+        self._hash_compute = costs.hash_compute
+        self._hash_probe = costs.hash_probe
+        self._entry_link = costs.entry_link
+        if min(self._hash_compute, self._hash_probe, self._entry_link) < 0:
+            raise ValueError("cannot charge negative ticks")
         self.is_map = is_map
         self.linked = linked
         self.load_factor = load_factor
@@ -78,9 +98,10 @@ class HashTableEngine:
         self._version = 0
         self._ids_version = -1
         self._ids_list: List[int] = []
-        model = self.vm.model
-        refs = 5 if linked else 3
-        self._entry_size = model.object_size(ref_fields=refs, int_fields=1)
+        self._entry_type = ("LinkedHashMap$Entry" if linked
+                            else "HashMap$Entry")
+        self._entry_size = vm.model.object_size(
+            ref_fields=5 if linked else 3, int_fields=1)
         if not lazy:
             self._allocate_table(self.default_capacity)
 
@@ -99,36 +120,33 @@ class HashTableEngine:
 
     @property
     def entry_type_name(self) -> str:
-        base = "LinkedHashMap" if self.linked else "HashMap"
-        return f"{base}$Entry"
+        """Simulated type of the entry objects."""
+        return self._entry_type
 
     def _allocate_table(self, capacity: int) -> None:
         vm = self.vm
         old = self._table_obj
         new = vm.allocate("Object[]", vm.model.ref_array_size(capacity),
                           context_id=self.context_id)
-        if old is not None:
-            for ref_id, count in old.refs.items():
-                new.refs[ref_id] = count
-            old.clear_refs()
-            self.anchor.remove_ref(old.obj_id)
-        self.anchor.add_ref(new.obj_id)
         self._table_obj = new
+        self._version += 1
+        if old is None:
+            self.anchor.add_ref(new.obj_id)
+            self._buckets = [[] for _ in range(capacity)]
+            return
+        for ref_id, count in old.refs.items():
+            new.refs[ref_id] = count
+        old.clear_refs()
+        self.anchor.remove_ref(old.obj_id)
+        self.anchor.add_ref(new.obj_id)
         old_buckets = self._buckets
-        self._buckets = [[] for _ in range(capacity)]
-        relinked = 0
+        buckets = self._buckets = [[] for _ in range(capacity)]
+        mask = capacity - 1
         for bucket in old_buckets:
             for entry in bucket:
-                self._buckets[entry.hash_code & (capacity - 1)].append(entry)
-                relinked += 1
-        self._occupied = sum(1 for bucket in self._buckets if bucket)
-        self._version += 1
-        if relinked:
-            self.charge(vm.costs.entry_link * relinked)
-
-    def _ensure_table(self) -> None:
-        if self._table_obj is None:
-            self._allocate_table(self.default_capacity)
+                buckets[entry.hash_code & mask].append(entry)
+        self._occupied = sum(1 for bucket in buckets if bucket)
+        self.clock.pending += self._entry_link * self._count
 
     @property
     def capacity(self) -> int:
@@ -146,112 +164,143 @@ class HashTableEngine:
         return self._table_obj is not None
 
     # ------------------------------------------------------------------
-    # Probing
-    # ------------------------------------------------------------------
-    def _find(self, key: Any) -> Tuple[int, Optional[HashEntry]]:
-        """Hash and probe for ``key``; returns (hash, entry-or-None).
-
-        Charges the hash computation plus one probe per chain link
-        examined -- the constant-factor cost that makes small ArrayMaps
-        faster than small HashMaps.
-        """
-        costs = self.vm.costs
-        hash_code = element_hash(key)
-        self.charge(costs.hash_compute)
-        if not self._buckets:
-            self.charge(costs.hash_probe)
-            return hash_code, None
-        bucket = self._buckets[hash_code & (len(self._buckets) - 1)]
-        probes = 1
-        found = None
-        for entry in bucket:
-            if entry.hash_code == hash_code and values_equal(entry.key, key):
-                found = entry
-                break
-            probes += 1
-        self.charge(costs.hash_probe * probes)
-        return hash_code, found
-
-    # ------------------------------------------------------------------
-    # Mutation
+    # Operations
+    #
+    # ``put`` and ``get_entry`` hash and probe inline (``remove`` probes
+    # through ``get_entry``), charging the hash computation plus one
+    # probe per chain link examined -- the constant-factor cost that
+    # makes small ArrayMaps faster than small HashMaps.  A record key
+    # compares by identity, which examines exactly the links the general
+    # hash-then-``values_equal`` test does.
     # ------------------------------------------------------------------
     def put(self, key: Any, value: Any) -> Any:
-        """Insert or update; returns the previous value (or ``_MISSING``
-        sentinel exposed via :meth:`missing`)."""
-        vm = self.vm
-        self._ensure_table()
-        hash_code, entry = self._find(key)
+        """Insert or update; returns the previous value (or the module's
+        ``_MISSING`` sentinel)."""
+        if self._table_obj is None:
+            self._allocate_table(self.default_capacity)
+        buckets = self._buckets
+        record_key = type(key) is HeapObject
+        if record_key:
+            hash_code = key.obj_id * _IDENTITY_MULTIPLIER & _HASH_MASK
+            bucket = buckets[hash_code & (len(buckets) - 1)]
+            probes = 1
+            for entry in bucket:
+                if entry.key is key:
+                    break
+                probes += 1
+            else:
+                entry = None
+        else:
+            hash_code = java_hash_code(key) & _HASH_MASK
+            bucket = buckets[hash_code & (len(buckets) - 1)]
+            key_type = type(key)
+            probes = 1
+            for entry in bucket:
+                if (entry.hash_code == hash_code
+                        and type(entry.key) is key_type
+                        and entry.key == key):
+                    break
+                probes += 1
+            else:
+                entry = None
+        clock = self.clock
+        clock.pending += self._hash_compute + self._hash_probe * probes
+        is_map = self.is_map
+        boxes = self.boxes
         if entry is not None:
             old = entry.value
-            if self.is_map:
-                entry.heap_obj.remove_ref(self.boxes.release(old))
-                entry.heap_obj.add_ref(self.boxes.ref_for(value))
+            if is_map:
+                entry.heap_obj.remove_ref(boxes.release(old))
+                entry.heap_obj.add_ref(boxes.ref_for(value))
             entry.value = value
             return old
-        heap_entry = vm.allocate(self.entry_type_name, self.entry_size,
+        vm = self.vm
+        heap_entry = vm.allocate(self._entry_type, self._entry_size,
                                  context_id=self.context_id)
         # The entry is unreachable until linked into the table, and
         # ref_for() may allocate boxes (and hence trigger a GC); keep it
-        # pinned across that window.
-        vm.add_root(heap_entry)
-        heap_entry.add_ref(self.boxes.ref_for(key))
-        if self.is_map:
-            heap_entry.add_ref(self.boxes.ref_for(value))
+        # pinned across that window -- unless every element it stores is
+        # a record, for which ref_for() allocates nothing.
+        pin = not (record_key and (not is_map or type(value) is HeapObject))
+        if pin:
+            vm.add_root(heap_entry)
+        heap_entry.add_ref(boxes.ref_for(key))
+        if is_map:
+            heap_entry.add_ref(boxes.ref_for(value))
         self._table_obj.add_ref(heap_entry.obj_id)
-        vm.remove_root(heap_entry)
+        if pin:
+            vm.remove_root(heap_entry)
         new_entry = HashEntry(key, value, hash_code, heap_entry)
-        bucket = self._buckets[hash_code & (len(self._buckets) - 1)]
         if not bucket:
             self._occupied += 1
         bucket.append(new_entry)
         self._order.append(new_entry)
         self._count += 1
         self._version += 1
-        self.charge(vm.costs.entry_link)
-        if self._count > len(self._buckets) * self.load_factor:
-            self._allocate_table(len(self._buckets) * 2)
+        clock.pending += self._entry_link
+        if self._count > len(buckets) * self.load_factor:
+            self._allocate_table(len(buckets) * 2)
         return _MISSING
 
     def remove(self, key: Any) -> Any:
         """Remove ``key``'s entry; returns old value or the missing
         sentinel."""
-        if self._table_obj is None:
-            _, _ = self._find(key)
-            return _MISSING
-        hash_code, entry = self._find(key)
+        entry = self.get_entry(key)
         if entry is None:
             return _MISSING
-        bucket = self._buckets[hash_code & (len(self._buckets) - 1)]
+        bucket = self._buckets[entry.hash_code & (len(self._buckets) - 1)]
         bucket.remove(entry)
         if not bucket:
             self._occupied -= 1
         self._order.remove(entry)
-        entry.heap_obj.remove_ref(self.boxes.release(entry.key))
+        boxes = self.boxes
+        entry.heap_obj.remove_ref(boxes.release(entry.key))
         if self.is_map:
-            entry.heap_obj.remove_ref(self.boxes.release(entry.value))
+            entry.heap_obj.remove_ref(boxes.release(entry.value))
         self._table_obj.remove_ref(entry.heap_obj.obj_id)
         self._count -= 1
         self._version += 1
-        self.charge(self.vm.costs.entry_link)
+        self.clock.pending += self._entry_link
         return entry.value
 
     def get_entry(self, key: Any) -> Optional[HashEntry]:
         """Probe for ``key`` without mutating."""
-        if self._table_obj is None and self._count == 0:
-            self.charge(self.vm.costs.hash_compute
-                        + self.vm.costs.hash_probe)
+        buckets = self._buckets
+        if not buckets:
+            self.clock.pending += self._hash_compute + self._hash_probe
             return None
-        _, entry = self._find(key)
+        probes = 1
+        if type(key) is HeapObject:
+            hash_code = key.obj_id * _IDENTITY_MULTIPLIER & _HASH_MASK
+            for entry in buckets[hash_code & (len(buckets) - 1)]:
+                if entry.key is key:
+                    break
+                probes += 1
+            else:
+                entry = None
+        else:
+            hash_code = java_hash_code(key) & _HASH_MASK
+            key_type = type(key)
+            for entry in buckets[hash_code & (len(buckets) - 1)]:
+                if (entry.hash_code == hash_code
+                        and type(entry.key) is key_type
+                        and entry.key == key):
+                    break
+                probes += 1
+            else:
+                entry = None
+        self.clock.pending += self._hash_compute + self._hash_probe * probes
         return entry
 
     def clear(self) -> None:
         """Drop every entry (table retained, as in Java)."""
+        boxes = self.boxes
         for entry in self._order:
-            entry.heap_obj.remove_ref(self.boxes.release(entry.key))
+            entry.heap_obj.remove_ref(boxes.release(entry.key))
             if self.is_map:
-                entry.heap_obj.remove_ref(self.boxes.release(entry.value))
+                entry.heap_obj.remove_ref(boxes.release(entry.value))
             self._table_obj.remove_ref(entry.heap_obj.obj_id)
-        self.charge(self.vm.costs.entry_link * self._count)
+        self.clock.pending += self._entry_link * self._count
         self._order.clear()
         for bucket in self._buckets:
             bucket.clear()
@@ -335,8 +384,3 @@ class HashTableEngine:
     def peek_pairs(self) -> List[Tuple[Any, Any]]:
         """(key, value) pairs in insertion order, without charging."""
         return [(entry.key, entry.value) for entry in self._order]
-
-    @staticmethod
-    def missing() -> Any:
-        """The not-present sentinel returned by :meth:`put`/:meth:`remove`."""
-        return _MISSING

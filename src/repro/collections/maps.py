@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.collections.base import MapImpl, values_equal
-from repro.collections.hashing import HashTableEngine, next_power_of_two
+from repro.collections.hashing import (_MISSING, HashTableEngine,
+                                      next_power_of_two)
 from repro.memory.heap import HeapObject
 from repro.memory.semantic_maps import FootprintTriple
 
@@ -53,7 +54,7 @@ class HashMapImpl(MapImpl):
 
     def put(self, key: Any, value: Any) -> Any:
         previous = self._table.put(key, value)
-        return None if previous is HashTableEngine.missing() else previous
+        return None if previous is _MISSING else previous
 
     def get(self, key: Any) -> Any:
         entry = self._table.get_entry(key)
@@ -61,7 +62,7 @@ class HashMapImpl(MapImpl):
 
     def remove_key(self, key: Any) -> Any:
         removed = self._table.remove(key)
-        return None if removed is HashTableEngine.missing() else removed
+        return None if removed is _MISSING else removed
 
     def contains_key(self, key: Any) -> bool:
         return self._table.get_entry(key) is not None
@@ -151,13 +152,20 @@ class ArrayMapImpl(MapImpl):
         self._capacity = pair_capacity
 
     def _scan(self, key: Any) -> int:
-        scanned = 0
         found = -1
-        for i, stored in enumerate(self._keys):
-            scanned += 1
-            if values_equal(stored, key):
-                found = i
-                break
+        if type(key) is HeapObject:
+            # Records compare by identity: the same slots values_equal
+            # would examine.
+            for i, stored in enumerate(self._keys):
+                if stored is key:
+                    found = i
+                    break
+        else:
+            for i, stored in enumerate(self._keys):
+                if values_equal(stored, key):
+                    found = i
+                    break
+        scanned = found + 1 if found >= 0 else len(self._keys)
         self.charge(self.vm.costs.array_scan_per_element * max(scanned, 1))
         return found
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional
 
 from repro.collections.base import SetImpl, values_equal
-from repro.collections.hashing import HashTableEngine, next_power_of_two
+from repro.collections.hashing import (_MISSING, HashTableEngine,
+                                      next_power_of_two)
 from repro.memory.heap import HeapObject
 from repro.memory.semantic_maps import FootprintTriple
 
@@ -53,10 +54,10 @@ class HashSetImpl(SetImpl):
 
     def add(self, value: Any) -> bool:
         previous = self._table.put(value, None)
-        return previous is HashTableEngine.missing()
+        return previous is _MISSING
 
     def remove_value(self, value: Any) -> bool:
-        return self._table.remove(value) is not HashTableEngine.missing()
+        return self._table.remove(value) is not _MISSING
 
     def contains(self, value: Any) -> bool:
         return self._table.get_entry(value) is not None

@@ -25,11 +25,33 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.memory.layout import MemoryModel
 
 __all__ = ["HeapObject", "SimHeap", "OutOfMemoryError"]
+
+
+class _EdgeEpoch:
+    """The process-wide edge-mutation epoch: one slotted counter.
+
+    Reachability caches (e.g. the collector's live-bytes estimate) key
+    on it through :meth:`SimHeap.mutation_stamp`.  Sharing one counter
+    across heaps over-invalidates (another heap's edit flushes our
+    cache) but can never under-invalidate, and costs one integer
+    increment per edge edit instead of a heap back-pointer per object.
+    It lives here rather than on :class:`HeapObject` because writing a
+    class attribute invalidates CPython's type attribute cache, which
+    de-optimises every ``obj.refs``/``obj.size`` read in the run.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
+_edge_epoch = _EdgeEpoch()
 
 
 class OutOfMemoryError(Exception):
@@ -91,19 +113,11 @@ class HeapObject:
     sm_version: int = field(default=0, repr=False)
     sm_map: Any = field(default=None, repr=False)
 
-    #: Process-wide edge-mutation epoch.  Reachability caches (e.g. the
-    #: collector's live-bytes estimate) key on this together with the
-    #: owning heap's :meth:`SimHeap.mutation_stamp`; sharing one counter
-    #: across heaps over-invalidates (another heap's edit flushes our
-    #: cache) but can never under-invalidate, and costs one integer
-    #: increment per edge edit instead of a heap back-pointer per object.
-    graph_epoch: ClassVar[int] = 0
-
     def add_ref(self, target_id: int) -> None:
         """Add one reference edge to ``target_id``."""
         refs = self.refs
         refs[target_id] = refs.get(target_id, 0) + 1
-        HeapObject.graph_epoch += 1
+        _edge_epoch.value += 1
 
     def remove_ref(self, target_id: int) -> None:
         """Drop one reference edge to ``target_id``.
@@ -119,12 +133,12 @@ class HeapObject:
             del self.refs[target_id]
         else:
             self.refs[target_id] = count - 1
-        HeapObject.graph_epoch += 1
+        _edge_epoch.value += 1
 
     def clear_refs(self) -> None:
         """Drop every outgoing edge (used when a structure is discarded)."""
         self.refs.clear()
-        HeapObject.graph_epoch += 1
+        _edge_epoch.value += 1
 
     def __hash__(self) -> int:
         return self.obj_id
@@ -291,13 +305,14 @@ class SimHeap:
 
         Composed of the monotonic allocation/free counters (object birth
         and death, including sweeps, which free without :meth:`free`),
-        the root-set epoch, and the process-wide edge epoch
-        (:attr:`HeapObject.graph_epoch`).  Equal stamps guarantee an
+        the root-set epoch, and the process-wide edge epoch (a
+        module-level counter every ``add_ref``/``remove_ref``/
+        ``clear_refs`` bumps).  Equal stamps guarantee an
         identical reachable set; the converse need not hold (the stamp
         may over-invalidate), which is the safe direction for caches.
         """
         return (self.total_allocated_objects, self.total_freed_objects,
-                self._root_epoch, HeapObject.graph_epoch)
+                self._root_epoch, _edge_epoch.value)
 
     def root_ids(self) -> Iterator[int]:
         """Iterate over the ids of the current root set."""

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.collections.hashing import HashTableEngine, next_power_of_two
-from repro.collections.maps import HashMapImpl
-from repro.collections.sets import HashSetImpl
+from repro.collections.maps import (HashMapImpl, LazyMapImpl,
+                                    LinkedHashMapImpl)
+from repro.collections.sets import HashSetImpl, LinkedHashSetImpl
+from repro.runtime.vm import RuntimeEnvironment
+from repro.verify.sanitizer import HeapSanitizer
 
 
 class TestNextPowerOfTwo:
@@ -148,3 +151,55 @@ class TestIncrementalBookkeeping:
         assert table.internal_ids() == fresh_ids()
         mapping.clear()
         assert table.internal_ids() == fresh_ids()
+
+
+class TestConstructionPin:
+    """A new entry is unreachable until linked into the table.  It is
+    pinned across that window only when storing an element can allocate
+    a box (and hence collect): never for a record key (plus, in a map, a
+    record value)."""
+
+    @pytest.mark.parametrize("impl", [HashMapImpl, HashSetImpl])
+    def test_record_put_allocates_one_object_and_no_root(self, vm, impl):
+        collection = impl(vm)
+        key, value = vm.allocate_data("Rec"), vm.allocate_data("Rec")
+        heap = vm.heap
+        roots, root_epoch = dict(heap._roots), heap._root_epoch
+        allocated = heap.total_allocated_objects
+        if impl is HashMapImpl:
+            collection.put(key, value)
+        else:
+            collection.add(key)
+        assert heap.total_allocated_objects == allocated + 1
+        assert heap._roots == roots
+        assert heap._root_epoch == root_epoch
+
+    @pytest.mark.parametrize("impl", [HashMapImpl, LinkedHashMapImpl,
+                                      LazyMapImpl, HashSetImpl,
+                                      LinkedHashSetImpl])
+    def test_boxing_puts_survive_a_gc_at_every_allocation(self, impl):
+        vm = RuntimeEnvironment(gc_threshold_bytes=1)
+        sanitizer = HeapSanitizer().attach(vm)
+        collection = impl(vm)
+        record = vm.allocate_data("Rec")
+        vm.add_root(record)
+        # The record key's value is a not-yet-boxed primitive, so that
+        # put must still pin its entry.
+        pairs = [(key, None) for key in list(range(24)) + ["Aa", "BB"]]
+        pairs.append((record, 10_000))
+        is_map = isinstance(collection, HashMapImpl)
+        for key, value in pairs:
+            if is_map:
+                collection.put(key, value)
+            else:
+                collection.add(key)
+        vm.collect()
+        assert vm.timeline.cycle_count > len(pairs)
+        expected = pairs if is_map else [key for key, _ in pairs]
+        assert (collection.peek_items() if is_map
+                else collection.peek_values()) == expected
+        for entry in collection._table._order:
+            assert vm.heap.contains(entry.heap_obj.obj_id)
+            for ref_id in entry.heap_obj.refs:
+                assert vm.heap.contains(ref_id)
+        assert sanitizer.ok, sanitizer.report()

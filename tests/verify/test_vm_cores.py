@@ -25,6 +25,7 @@ import pathlib
 
 import pytest
 
+from repro.collections.maps import LazyMapImpl
 from repro.collections.wrappers import (ChameleonList, ChameleonMap,
                                         ChameleonSet)
 from repro.core.chameleon import Chameleon
@@ -338,15 +339,19 @@ class TestFastAllocate:
         assert fast_vm.heap.total_allocated_objects == 0
 
     @pytest.mark.parametrize("constant", ["alloc_base",
-                                          "alloc_per_16_bytes"])
+                                          "alloc_per_16_bytes",
+                                          "hash_compute", "hash_probe",
+                                          "entry_link"])
     def test_negative_cost_constants_rejected_at_construction(self,
                                                              constant):
-        """The allocator batches its charge into ``clock.pending``, which
-        must never go negative, so the constants are validated once,
-        when the VM installs the allocator."""
+        """The allocator and the hash engine batch their charges into
+        ``clock.pending``, which must never go negative, so the
+        constants are validated once: when the VM installs the
+        allocator, and when a hash-backed collection builds its engine
+        (a lazy one too, before any operation)."""
         costs = CostModel().with_overrides(**{constant: -1})
         with pytest.raises(ValueError, match="cannot charge negative ticks"):
-            RuntimeEnvironment(cost_model=costs)
+            LazyMapImpl(RuntimeEnvironment(cost_model=costs))
 
     def test_limited_heap_oom_matches_reference(self):
         def fill(vm):
