@@ -49,7 +49,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.chameleon import Chameleon
 from repro.core.config import ToolConfig
 from repro.profiler.report import build_report
-from repro.runtime.context import clear_capture_caches
 from repro.runtime.vm import RuntimeEnvironment
 from repro.workloads import default_workload_registry
 
@@ -414,7 +413,6 @@ def run_suite_section(scale: float = 0.1, resolution: int = 16384,
 def run_suite(scale: float = 0.2, repeats: int = 3, seed: int = 2009,
               workloads: Tuple[str, ...] = DEFAULT_WORKLOADS,
               include_gc_heavy: bool = True,
-              cold_caches: bool = False,
               suite_jobs: Optional[int] = None,
               suite_scale: float = 0.1,
               suite_resolution: int = 16384) -> dict:
@@ -429,17 +427,14 @@ def run_suite(scale: float = 0.2, repeats: int = 3, seed: int = 2009,
         include_gc_heavy: Also run a small-GC-threshold configuration
             that multiplies collection cycles (stressing mark/account/
             sweep rather than the allocation path).
-        cold_caches: Clear the allocation-context capture memo first, so
-            the run measures cold-start rather than steady-state capture.
-        suite_jobs: When set (> 1), also measure the experiment-scheduler
-            section (:func:`run_suite_section`) at this parallelism and
-            record it under the document's ``suite`` key.
+        suite_jobs: When set, also measure the experiment-scheduler
+            section (:func:`run_suite_section`) at this parallelism (2 or
+            more: it compares serial against a pool) and record it under
+            the document's ``suite`` key.
         suite_scale: Workload scale for the scheduler section.
         suite_resolution: Min-heap search resolution for the scheduler
             section.
     """
-    if cold_caches:
-        clear_capture_caches()
     tool = Chameleon(ToolConfig())
     records: List[BenchRecord] = []
     for workload_name in workloads:
@@ -464,7 +459,7 @@ def run_suite(scale: float = 0.2, repeats: int = 3, seed: int = 2009,
         "repeats": max(repeats, 1),
         "benchmarks": [record.to_dict() for record in records],
     }
-    if suite_jobs is not None and suite_jobs > 1:
+    if suite_jobs is not None:
         doc["suite"] = run_suite_section(scale=suite_scale,
                                          resolution=suite_resolution,
                                          jobs=suite_jobs)

@@ -2,26 +2,25 @@
 
 The paper's evaluation is a bag of *independent, deterministic* simulated
 runs: every Fig. 6 bar is three minimal-heap searches, every Fig. 7 bar a
-search plus two timed runs, and every search is itself a chain of probe
-runs.  Nothing about those runs shares state, so they parallelise
+search plus a timed run, and every search is itself a chain of probe
+runs.  Nothing one run computes feeds another, so they parallelise
 perfectly -- the same structure Darwinian Data Structure Selection and
 MapReplay exploit to make search-over-benchmarks tractable.
 
 This module supplies the execution layer:
 
-* :class:`Job` / :class:`JobGraph` -- named work units with optional
-  dependency edges, validated for cycles and duplicates.
-* :class:`Scheduler` -- runs a graph either **in-process** (``jobs=1``,
+* :class:`Job` / :class:`JobGraph` -- an insertion-ordered batch of
+  named, independent work units (a picklable top-level function plus
+  positional arguments); ids must be unique.
+* :class:`Scheduler` -- runs a batch either **in-process** (``jobs=1``,
   the reference path: plain sequential calls, no pickling, no pool) or on
   a persistent ``multiprocessing`` worker pool (``jobs>1``).
 
 The pool is created once per :class:`Scheduler` lifetime and reused
 across every :meth:`Scheduler.run` call; a ``warmup`` hook runs once in
 each worker at pool creation (attach the shared session store,
-pre-import the tool stack), so per-job latency is pure
-work.  Execution streams: jobs are submitted the moment their
-dependencies resolve and results are merged as they arrive -- there is
-no wave barrier, so one slow job no longer stalls unrelated ready work.
+pre-import the tool stack), so per-job latency is pure work.  A pooled
+run submits every job at once and folds results in as they arrive.
 Per-run overhead (pool spawn, in-worker wall, transfer, merge) is
 accumulated in :attr:`Scheduler.stats` so the perf harness can record a
 measured breakdown instead of asserting the win.
@@ -43,8 +42,8 @@ import multiprocessing
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Job", "JobGraph", "JobError", "Scheduler", "SchedulerStats"]
 
@@ -65,41 +64,25 @@ class JobError(RuntimeError):
 
 @dataclass(frozen=True)
 class Job:
-    """One unit of work: a picklable top-level function plus arguments.
-
-    When ``deps`` is non-empty the function receives one extra leading
-    argument -- a dict mapping each dependency's id to its result --
-    before ``args``.
-    """
+    """One unit of work: a picklable top-level function plus arguments."""
 
     job_id: str
     fn: Callable[..., Any]
     args: Tuple = ()
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-    deps: Tuple[str, ...] = ()
 
 
 class JobGraph:
-    """An ordered collection of jobs with dependency edges."""
+    """An insertion-ordered batch of independent jobs."""
 
     def __init__(self) -> None:
         self._jobs: Dict[str, Job] = {}
 
-    def add(self, job_id: str, fn: Callable[..., Any], *args: Any,
-            deps: Sequence[str] = (), **kwargs: Any) -> Job:
+    def add(self, job_id: str, fn: Callable[..., Any], *args: Any) -> Job:
         """Append a job; insertion order is the deterministic merge order."""
         if job_id in self._jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
-        job = Job(job_id=job_id, fn=fn, args=tuple(args),
-                  kwargs=dict(kwargs), deps=tuple(deps))
+        job = Job(job_id=job_id, fn=fn, args=args)
         self._jobs[job_id] = job
-        return job
-
-    def add_job(self, job: Job) -> Job:
-        """Append an already-built :class:`Job`."""
-        if job.job_id in self._jobs:
-            raise ValueError(f"duplicate job id {job.job_id!r}")
-        self._jobs[job.job_id] = job
         return job
 
     def __len__(self) -> int:
@@ -111,31 +94,6 @@ class JobGraph:
     def job_ids(self) -> List[str]:
         """Job ids in insertion (merge) order."""
         return list(self._jobs)
-
-    def waves(self) -> List[List[Job]]:
-        """Topological execution waves, insertion-ordered within a wave.
-
-        Raises ``ValueError`` on unknown dependencies or cycles.
-        """
-        for job in self._jobs.values():
-            for dep in job.deps:
-                if dep not in self._jobs:
-                    raise ValueError(f"job {job.job_id!r} depends on "
-                                     f"unknown job {dep!r}")
-        done: set = set()
-        remaining = dict(self._jobs)
-        waves: List[List[Job]] = []
-        while remaining:
-            wave = [job for job in remaining.values()
-                    if all(dep in done for dep in job.deps)]
-            if not wave:
-                cycle = ", ".join(sorted(remaining))
-                raise ValueError(f"dependency cycle among jobs: {cycle}")
-            waves.append(wave)
-            for job in wave:
-                done.add(job.job_id)
-                del remaining[job.job_id]
-        return waves
 
 
 @dataclass
@@ -152,8 +110,7 @@ class SchedulerStats:
     * ``transfer_seconds`` -- sum over jobs of (submit-to-result-arrival
       time minus in-worker wall): argument pickling, queue wait, and
       result shipping.
-    * ``merge_seconds`` -- parent-side result folding and ready-set
-      bookkeeping.
+    * ``merge_seconds`` -- parent-side result folding.
     """
 
     jobs_executed: int = 0
@@ -164,31 +121,15 @@ class SchedulerStats:
 
     def as_dict(self) -> Dict[str, float]:
         """JSON-ready snapshot (what the BENCH suite section records)."""
-        return {
-            "jobs_executed": self.jobs_executed,
-            "spawn_seconds": self.spawn_seconds,
-            "worker_seconds": self.worker_seconds,
-            "transfer_seconds": self.transfer_seconds,
-            "merge_seconds": self.merge_seconds,
-        }
+        return asdict(self)
 
 
-def _invoke(fn: Callable[..., Any], args: Tuple, kwargs: Dict[str, Any],
-            dep_results: Optional[Dict[str, Any]]) -> Any:
-    """Top-level worker entry point (must stay picklable)."""
-    if dep_results is not None:
-        return fn(dep_results, *args, **kwargs)
-    return fn(*args, **kwargs)
-
-
-def _invoke_timed(fn: Callable[..., Any], args: Tuple,
-                  kwargs: Dict[str, Any],
-                  dep_results: Optional[Dict[str, Any]]
-                  ) -> Tuple[Any, float]:
-    """Pool-mode entry point: the job's result plus its in-worker wall
-    time, so the parent can split transfer overhead from real work."""
+def _invoke_timed(fn: Callable[..., Any], args: Tuple) -> Tuple[Any, float]:
+    """Pool-mode entry point (must stay picklable): the job's result plus
+    its in-worker wall time, so the parent can split transfer overhead
+    from real work."""
     start = time.perf_counter()
-    result = _invoke(fn, args, kwargs, dep_results)
+    result = fn(*args)
     return result, time.perf_counter() - start
 
 
@@ -196,15 +137,15 @@ class Scheduler:
     """Executes a :class:`JobGraph`, serially or on a process pool.
 
     ``jobs=1`` is the pure in-process reference path: no pool is created,
-    no argument is pickled, and execution order is exactly the graph's
-    topological insertion order.  ``jobs>1`` runs jobs on a *persistent*
-    ``multiprocessing`` pool (``fork`` start method where available, so
-    workers inherit the parent's interned state), created once per
-    scheduler lifetime, warmed by the optional ``warmup`` hook, and
-    reused across every :meth:`run`.  Jobs are submitted as soon as
-    their dependencies resolve and merged as they complete (no wave
-    barrier); the returned mapping is nonetheless always in job-insertion
-    order, so callers observe identical results at any parallelism.
+    no argument is pickled, and jobs run in insertion order.  ``jobs>1``
+    runs jobs on a *persistent* ``multiprocessing`` pool (``fork`` start
+    method where available, so workers inherit the parent's interned
+    state), created once per scheduler lifetime -- by the first
+    :meth:`run`, even of an empty graph -- warmed by the optional
+    ``warmup`` hook, and reused across every :meth:`run`.  Every job is
+    submitted at once and merged as it completes; the returned mapping
+    is nonetheless always in job-insertion order, so callers observe
+    identical results at any parallelism.
 
     ``warmup`` is a ``(fn, args)`` pair, ``fn`` a picklable top-level
     function, run once in each worker at pool creation -- attach the
@@ -245,7 +186,7 @@ class Scheduler:
                 initargs=self._warmup_args)
             # The pool silently replaces a worker that dies, and the job
             # it was running never completes; keeping the original
-            # processes lets _run_streaming notice the death instead.
+            # processes lets _run_pooled notice the death instead.
             self._workers = list(self._pool._pool)
             self.stats.spawn_seconds += time.perf_counter() - spawn_start
         return self._pool
@@ -294,50 +235,28 @@ class Scheduler:
     def run(self, graph: JobGraph) -> Dict[str, Any]:
         """Execute ``graph``; returns ``{job_id: result}`` in insertion
         order regardless of completion order or parallelism."""
-        waves = graph.waves()  # validates unknown deps and cycles
-        results: Dict[str, Any] = {}
-        if self.jobs == 1:
-            for wave in waves:
-                for job in wave:
-                    results[job.job_id] = self._run_one(job, results)
-            self.stats.jobs_executed += len(graph)
-        else:
-            self._run_streaming(graph, results)
-        return {job_id: results[job_id] for job_id in graph.job_ids()}
-
-    def _run_streaming(self, graph: JobGraph,
-                       results: Dict[str, Any]) -> None:
-        """Pool execution without wave barriers.
-
-        Every job whose dependencies are resolved is in flight; results
-        are folded in as they arrive (completion order), unblocking and
-        submitting dependents immediately.  Only the per-job dependency
-        *deltas* cross the process boundary -- each job ships its own
-        arguments plus its direct dependencies' results, never a whole
-        wave's state.
-        """
-        pool = self._ensure_pool()
-        insertion_index = {job_id: i
-                           for i, job_id in enumerate(graph.job_ids())}
-        remaining_deps: Dict[str, int] = {}
-        dependents: Dict[str, List[Job]] = {}
-        ready: List[Job] = []
+        if self.jobs > 1:
+            results = self._run_pooled(graph)
+            return {job_id: results[job_id] for job_id in graph.job_ids()}
+        results = {}
         for job in graph:
-            remaining_deps[job.job_id] = len(job.deps)
-            if job.deps:
-                for dep in job.deps:
-                    dependents.setdefault(dep, []).append(job)
-            else:
-                ready.append(job)
+            try:
+                results[job.job_id] = job.fn(*job.args)
+            except Exception as exc:
+                raise JobError(job.job_id, exc) from exc
+        self.stats.jobs_executed += len(graph)
+        return results
 
+    def _run_pooled(self, graph: JobGraph) -> Dict[str, Any]:
+        """Submit every job to the pool, then fold results in as they
+        arrive (completion order)."""
+        pool = self._ensure_pool()
         cond = threading.Condition()
         arrivals: deque = deque()
         failures: List[Tuple[str, BaseException]] = []
         submit_times: Dict[str, float] = {}
 
         def submit(job: Job) -> None:
-            deps = ({dep: results[dep] for dep in job.deps}
-                    if job.deps else None)
             job_id = job.job_id
 
             def on_done(payload: Tuple[Any, float]) -> None:
@@ -352,18 +271,16 @@ class Scheduler:
                     cond.notify()
 
             submit_times[job_id] = time.perf_counter()
-            pool.apply_async(
-                _invoke_timed, (job.fn, job.args, dict(job.kwargs), deps),
-                callback=on_done, error_callback=on_error)
+            pool.apply_async(_invoke_timed, (job.fn, job.args),
+                             callback=on_done, error_callback=on_error)
 
-        for job in ready:
+        for job in graph:
             submit(job)
 
         stats = self.stats
-        done = 0
-        total = len(graph)
+        results: Dict[str, Any] = {}
         dead = None
-        while done < total:
+        while len(results) < len(graph):
             with cond:
                 while not arrivals and not failures and dead is None:
                     if not cond.wait(_LIVENESS_POLL_SECONDS):
@@ -388,24 +305,8 @@ class Scheduler:
             stats.worker_seconds += worker_wall
             stats.transfer_seconds += max(
                 0.0, (arrival - submit_times[job_id]) - worker_wall)
-            newly_ready = []
-            for dependent in dependents.get(job_id, ()):
-                remaining_deps[dependent.job_id] -= 1
-                if remaining_deps[dependent.job_id] == 0:
-                    newly_ready.append(dependent)
-            newly_ready.sort(key=lambda j: insertion_index[j.job_id])
-            for job in newly_ready:
-                submit(job)
             stats.merge_seconds += time.perf_counter() - merge_start
-            done += 1
-
-    def _run_one(self, job: Job, results: Dict[str, Any]) -> Any:
-        deps = ({dep: results[dep] for dep in job.deps}
-                if job.deps else None)
-        try:
-            return _invoke(job.fn, job.args, dict(job.kwargs), deps)
-        except Exception as exc:
-            raise JobError(job.job_id, exc) from exc
+        return results
 
     def map(self, fn: Callable[..., Any],
             payloads: Sequence[Tuple],

@@ -182,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also benchmark the experiment scheduler "
                            "(fig6+fig7 serial vs parallel)")
     perf.add_argument("--jobs", type=int, default=4,
-                      help="worker processes for the --suite section")
+                      help="worker processes for the --suite section "
+                           "(at least 2: it compares serial against a "
+                           "pool)")
     perf.add_argument("--suite-scale", type=float, default=0.1,
                       help="workload scale for the --suite section")
     perf.add_argument("--suite-resolution", type=int, default=16384,
@@ -449,6 +451,9 @@ def _cmd_perf(args) -> str:
 
     if args.gate and args.no_index:
         raise SystemExit("--gate needs the index; drop --no-index")
+    if args.suite and args.jobs < 2:
+        raise SystemExit("--suite compares serial against a pool; "
+                         "pass --jobs 2 or more")
 
     start = time.perf_counter()
     doc = perf.run_suite(scale=args.scale, repeats=args.repeats,

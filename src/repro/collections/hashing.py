@@ -158,11 +158,6 @@ class HashTableEngine:
         """Number of stored entries."""
         return self._count
 
-    @property
-    def table_allocated(self) -> bool:
-        """Whether the bucket table exists yet."""
-        return self._table_obj is not None
-
     # ------------------------------------------------------------------
     # Operations
     #

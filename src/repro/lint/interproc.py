@@ -436,12 +436,6 @@ class _Bailout(Exception):
     """Raised when the statement budget for a module is exhausted."""
 
 
-def _mul_scalar(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
-
-
 # ----------------------------------------------------------------------
 # Function summaries
 # ----------------------------------------------------------------------

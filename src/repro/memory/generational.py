@@ -82,11 +82,6 @@ class GenerationalGC(MarkSweepGC):
         """Whether ``obj_id`` has been promoted out of the nursery."""
         return obj_id in self._tenured
 
-    @property
-    def nursery_size(self) -> int:
-        """Objects currently considered nursery residents."""
-        return len(self.heap) - len(self._tenured)
-
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------

@@ -74,12 +74,6 @@ class ObjectContextInfo:
         """This instance was the source of an addAll/putAll/copy-ctor."""
         self.record_op(Op.COPIED)
 
-    def record_iteration(self, empty: bool) -> None:
-        """An iterator was created; flag it if the collection was empty."""
-        self.record_op(Op.ITERATE)
-        if empty:
-            self.record_op(Op.ITER_EMPTY)
-
     def record_swap(self) -> None:
         """The backing implementation was swapped (SizeAdapting/online)."""
         self.swap_count += 1

@@ -458,3 +458,13 @@ class TestCli:
         assert written["schema_version"] == perf.SCHEMA_VERSION
         assert written["suite"]["jobs"] == 2
         assert written["suite"]["identical"] is True
+
+    def test_perf_suite_refuses_a_single_job(self, tmp_path):
+        """A one-worker suite section would compare serial against
+        serial, so the CLI refuses it instead of silently dropping it."""
+        path = tmp_path / "BENCH_chameleon.json"
+        with pytest.raises(SystemExit, match="--jobs"):
+            main(["perf", "--scale", "0.02", "--repeats", "1",
+                  "--no-gc-heavy", "--suite", "--jobs", "1",
+                  "--no-index", "--output", str(path)])
+        assert not path.exists()

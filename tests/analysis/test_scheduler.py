@@ -1,4 +1,4 @@
-"""Process-pool experiment scheduler: graph semantics and determinism."""
+"""Process-pool experiment scheduler: batch semantics and determinism."""
 
 import os
 import pathlib
@@ -26,11 +26,6 @@ def square(x):
     return x * x
 
 
-def combine(deps, suffix):
-    return "+".join(f"{key}={value}" for key, value in deps.items()) \
-        + f":{suffix}"
-
-
 def boom():
     raise RuntimeError("kaboom")
 
@@ -51,7 +46,7 @@ def make_graph():
     graph = JobGraph()
     graph.add("a", add, 1, 2)
     graph.add("b", square, 4)
-    graph.add("c", combine, "done", deps=("a", "b"))
+    graph.add("c", add, "do", "ne")
     return graph
 
 
@@ -65,32 +60,16 @@ class TestJobGraph:
         graph.add("a", add, 1, 2)
         with pytest.raises(ValueError, match="duplicate"):
             graph.add("a", add, 3, 4)
-        with pytest.raises(ValueError, match="duplicate"):
-            graph.add_job(Job("a", add, (5, 6)))
 
-    def test_unknown_dependency_rejected(self):
-        graph = JobGraph()
-        graph.add("a", add, 1, 2, deps=("ghost",))
-        with pytest.raises(ValueError, match="unknown job 'ghost'"):
-            graph.waves()
-
-    def test_cycle_rejected(self):
-        graph = JobGraph()
-        graph.add("a", add, 1, 2, deps=("b",))
-        graph.add("b", square, 3, deps=("a",))
-        with pytest.raises(ValueError, match="cycle"):
-            graph.waves()
-
-    def test_waves_respect_dependencies(self):
+    def test_jobs_carry_only_id_function_and_arguments(self):
         graph = make_graph()
-        waves = [[job.job_id for job in wave] for wave in graph.waves()]
-        assert waves == [["a", "b"], ["c"]]
+        assert list(graph)[0] == Job("a", add, (1, 2))
 
 
 class TestSerialScheduler:
-    def test_runs_in_order_with_dep_results(self):
+    def test_runs_in_insertion_order(self):
         results = Scheduler(jobs=1).run(make_graph())
-        assert results == {"a": 3, "b": 16, "c": "a=3+b=16:done"}
+        assert results == {"a": 3, "b": 16, "c": "done"}
         assert list(results) == ["a", "b", "c"]
 
     def test_job_error_names_the_job(self):
@@ -231,7 +210,7 @@ def warm_stamp(directory):
 
 
 class TestStreamingAndStats:
-    """The persistent pool streams completions (no wave barriers) and
+    """The persistent pool merges completions in insertion order and
     accounts its overhead into ``SchedulerStats``."""
 
     def test_serial_counts_jobs_without_pool_overhead(self):
@@ -261,24 +240,27 @@ class TestStreamingAndStats:
                                  "merge_seconds"}
         assert snapshot["jobs_executed"] == 3
 
-    def test_deep_dependency_chain_streams_in_order(self):
-        """A diamond-with-tail graph merges deterministically even when
-        completions arrive out of submission order."""
+    def test_slow_then_quick_merge_in_insertion_order(self):
+        """The quick job finishes first on a pool; the merge still
+        follows insertion order, as it does serially."""
         graph = JobGraph()
-        graph.add("slow", sleepy_identity, 1, 0.05)
+        graph.add("slow", sleepy_identity, 1, 0.2)
         graph.add("quick", sleepy_identity, 2, 0.0)
-        graph.add("join", combine, "j", deps=("slow", "quick"))
-        graph.add("tail", combine, "t", deps=("join",))
-        serial = Scheduler(jobs=1).run(graph)
-        graph2 = JobGraph()
-        graph2.add("slow", sleepy_identity, 1, 0.05)
-        graph2.add("quick", sleepy_identity, 2, 0.0)
-        graph2.add("join", combine, "j", deps=("slow", "quick"))
-        graph2.add("tail", combine, "t", deps=("join",))
+        for jobs in (1, 2):
+            with Scheduler(jobs=jobs) as scheduler:
+                results = scheduler.run(graph)
+            assert list(results.items()) == [("slow", 1), ("quick", 2)]
+
+    def test_empty_graph_spawns_the_pool(self):
+        """An empty run at ``jobs > 1`` still forks the workers, so a
+        caller can start them before it patches anything in-process."""
         with Scheduler(jobs=2) as scheduler:
-            parallel = scheduler.run(graph2)
-        assert parallel == serial
-        assert list(parallel) == list(serial)
+            assert scheduler.run(JobGraph()) == {}
+            assert scheduler._pool is not None
+            assert len(scheduler._workers) == 2
+            assert all(process.is_alive()
+                       for process in scheduler._workers)
+            assert scheduler.stats.spawn_seconds > 0.0
 
     def test_warmup_runs_once_per_worker(self, tmp_path):
         with Scheduler(jobs=2,
