@@ -30,11 +30,13 @@ tracks what a user actually observes.
 
 The same hygiene makes CPython's collector a layer this harness cannot
 see.  Its cost does not show in ``BENCH_chameleon.json``, so neither
-does the change that made swept collections die by reference counting
-(the sweep drops a dead object's payload; DESIGN.md section 3.5).  Most
-of the cyclic garbage that change removed was the simulator's own swept
-collections.  The repo benchmark (``perfbench/``) runs with the
-collector on, so its end-to-end figures include that cost.
+do the two changes that took the simulator off it (DESIGN.md section
+3.5): the sweep releases a dead object's payload, so swept collections
+die by reference counting, and the run drivers release a finished VM,
+so a dropped run does too.  Together they leave nothing of a
+``profile``, ``plain_run`` or online run to the cyclic collector.  The
+repo benchmark (``perfbench/``) runs with the collector on, so its
+end-to-end figures include that cost.
 """
 
 from __future__ import annotations

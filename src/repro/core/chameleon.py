@@ -64,9 +64,12 @@ class RunMetrics:
 class ProfilingSession:
     """Everything produced by one profiled run.
 
-    ``vm`` is ``None`` when the session came out of a
-    :class:`SessionCache` -- the live runtime is deliberately not
-    cached; every other field is.
+    ``vm`` is the finished run's runtime, already released
+    (:meth:`RuntimeEnvironment.release`): its profiler, timeline,
+    contexts, clock and heap shape are still readable, but it holds no
+    collection and cannot run further.  It is ``None`` when the session
+    came out of a :class:`SessionCache` -- the runtime is deliberately
+    not cached; every other field is.
     """
 
     vm: Optional[RuntimeEnvironment]
@@ -148,7 +151,7 @@ class SessionCache:
     heap limit are never cached (their outcome depends on objects that
     do not fingerprint).
 
-    Cached sessions are stored with ``vm=None`` -- the live runtime is
+    Cached sessions are stored with ``vm=None`` -- the runtime is
     the one piece of a session that is neither comparable nor picklable,
     and no experiment consumer reads it.  Because storage is trimmed, a
     :class:`~repro.analysis.index.SessionStore` directory can be
@@ -296,11 +299,14 @@ class Chameleon:
                 return cached
         vm = self.make_vm(profiler=self._make_profiler(),
                           heap_limit=heap_limit)
-        if policy is not None:
-            vm.policy = policy.bind(vm)
-        workload.run(vm)
-        vm.finish()
-        report = build_report(vm.profiler, vm.timeline, vm.contexts)
+        try:
+            if policy is not None:
+                vm.policy = policy.bind(vm)
+            workload.run(vm)
+            vm.finish()
+            report = build_report(vm.profiler, vm.timeline, vm.contexts)
+        finally:
+            vm.release()
         suggestions = self.engine.evaluate(report)
         session = ProfilingSession(vm=vm, report=report,
                                    suggestions=suggestions,
@@ -327,14 +333,19 @@ class Chameleon:
         configuration), optionally under an applied policy.
 
         Raises :class:`OutOfMemoryError` if ``heap_limit`` is too small;
-        the minimal-heap search relies on that.
+        the minimal-heap search relies on that.  The VM is released
+        (:meth:`RuntimeEnvironment.release`) whether the run completes
+        or runs out of memory.
         """
         vm = self.make_vm(heap_limit=heap_limit)
-        if policy is not None:
-            vm.policy = policy.bind(vm)
-        workload.run(vm)
-        vm.finish()
-        return vm, RunMetrics.from_vm(vm)
+        try:
+            if policy is not None:
+                vm.policy = policy.bind(vm)
+            workload.run(vm)
+            vm.finish()
+            return vm, RunMetrics.from_vm(vm)
+        finally:
+            vm.release()
 
     def optimize(self, workload: Workload,
                  top: Optional[int] = None) -> OptimizationResult:

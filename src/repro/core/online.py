@@ -221,6 +221,9 @@ class OnlineChameleon:
         vm = self._offline.make_vm(profiler=SemanticProfiler(),
                                    policy=policy, heap_limit=heap_limit)
         policy.bind(vm)
-        workload.run(vm)
-        vm.finish()
-        return vm, RunMetrics.from_vm(vm), policy
+        try:
+            workload.run(vm)
+            vm.finish()
+            return vm, RunMetrics.from_vm(vm), policy
+        finally:
+            vm.release()

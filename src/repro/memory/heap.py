@@ -20,6 +20,10 @@ Design notes
   frees an object that has an ``on_death`` callback, the callback runs so
   the profiler can fold the instance's ``ObjectContextInfo`` into its
   allocation context (section 4.2 of the paper).
+* A freed object -- swept, freed by hand, or still live when its run
+  ends -- drops its payload, death hook and semantic-map cache
+  (:meth:`HeapObject.release`), so no simulated object keeps a Python
+  reference cycle alive for CPython's cyclic collector.
 """
 
 from __future__ import annotations
@@ -92,10 +96,9 @@ class HeapObject:
         payload: Optional Python-side entity this object models.  A
             strong reference while the object is in the store: the
             collector's accounting and the semantic maps read it even
-            when the object is reachable only through id edges.  The
-            sweep sets it to ``None`` once the object's death hook has
-            run (see :meth:`SimHeap.sweep_dead`), so only death hooks
-            may read the payload of a dead object.
+            when the object is reachable only through id edges.  Freeing
+            the object drops it (see :meth:`release`), so only death
+            hooks may read the payload of a dead object.
         context_id: Allocation-context identity, when tracked.
         on_death: Optional callback invoked by the sweeper when freed.
     """
@@ -139,6 +142,26 @@ class HeapObject:
         """Drop every outgoing edge (used when a structure is discarded)."""
         self.refs.clear()
         _edge_epoch.value += 1
+
+    def release(self) -> None:
+        """Drop what this object holds on the Python side: its payload,
+        its death hook and its cached semantic-map verdict.
+
+        The one rule for what a freed object lets go of, applied by the
+        sweep after a dead object's hook has run, by :meth:`SimHeap.free`
+        and by :meth:`SimHeap.release` at the end of a run.  A
+        collection's wrapper and its heap object, and an implementation
+        and its anchor, point at each other through the payload; dropping
+        it breaks that cycle, so the collection's Python graph is freed
+        by reference counting instead of by CPython's cyclic collector.
+        Id, type, size, refs and context id are kept.  Version 0 is never
+        a registry version, so the next lookup classifies the object
+        afresh.
+        """
+        self.payload = None
+        self.on_death = None
+        self.sm_version = 0
+        self.sm_map = None
 
     def __hash__(self) -> int:
         return self.obj_id
@@ -202,10 +225,16 @@ class SimHeap:
         return obj
 
     def free(self, obj: HeapObject) -> None:
-        """Remove ``obj`` from the store (called by the sweeper)."""
+        """Remove ``obj`` from the store, account it as freed and release
+        it (:meth:`HeapObject.release`) without running its death hook.
+
+        The collector frees through :meth:`sweep_dead`; this is for
+        tests and for death hooks that free another object mid-sweep.
+        """
         del self._objects[obj.obj_id]
         self.total_freed_bytes += obj.size
         self.total_freed_objects += 1
+        obj.release()
 
     def get(self, obj_id: int) -> HeapObject:
         """Look up a live object by id."""
@@ -249,12 +278,10 @@ class SimHeap:
 
         Release contract: once the caller resumes the generator after
         a dead object (its death hook has run, its statistics are
-        counted), the object's ``payload`` is set to ``None``.  A
-        collection's wrapper and its heap object, and an implementation
-        and its anchor, point at each other; dropping the payload breaks
-        that cycle, so the swept collection's Python graph is freed by
-        reference counting instead of waiting for CPython's cyclic
-        collector.  Death hooks still see the payload; a caller that
+        counted), the object is released (:meth:`HeapObject.release`):
+        its payload, death hook and semantic-map verdict are dropped, so
+        the swept collection's Python graph is freed by reference
+        counting.  Death hooks still see the payload; a caller that
         keeps a yielded object must not read it afterwards.
 
         Reentrancy: the partition is a snapshot.  A death hook that
@@ -275,7 +302,18 @@ class SimHeap:
             self.total_freed_bytes += obj.size
             self.total_freed_objects += 1
             yield obj
-            obj.payload = None
+            obj.release()
+
+    def release(self) -> None:
+        """End-of-run release: every object still in the store is
+        released as the sweep releases a dead one
+        (:meth:`HeapObject.release`).
+
+        Ids, types, sizes, refs, roots and the accounting totals are
+        kept, so the finished heap can still be marked and summarised.
+        """
+        for obj in self._objects.values():
+            obj.release()
 
     def __len__(self) -> int:
         return len(self._objects)

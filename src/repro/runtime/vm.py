@@ -24,6 +24,12 @@ Allocation has one implementation, bounded heap or not: the closure
 straight line only to collect for an allocation that would overflow the
 limit.  The general one-call-per-step allocator survives only as the
 test oracle's ``ReferenceRuntimeEnvironment.allocate``.
+
+A VM is one large Python reference cycle while it runs (the allocator
+closure captures it; live collections and their heap objects point at
+each other).  The tool's run drivers :meth:`RuntimeEnvironment.release`
+the VM when its run ends, after which dropping it frees it by reference
+counting.
 """
 
 from __future__ import annotations
@@ -64,6 +70,16 @@ def remove_vm_created_hook(hook: Callable[["RuntimeEnvironment"], None],
                            ) -> None:
     """Unregister a hook added via :func:`add_vm_created_hook`."""
     _vm_created_hooks.remove(hook)
+
+
+_RELEASED = ("{} on a released RuntimeEnvironment: its run has ended and "
+             "RuntimeEnvironment.release() dropped its live objects")
+
+
+def _released_allocate(type_name: str, size: int, **_: Any) -> HeapObject:
+    """The ``allocate`` of a released VM.  A plain function, not a bound
+    method or closure, so it holds no reference back to the VM."""
+    raise RuntimeError(_RELEASED.format("allocate"))
 
 
 class ImplementationChoice:
@@ -152,6 +168,7 @@ class RuntimeEnvironment:
         self.gc_threshold_bytes = gc_threshold_bytes
         self._bytes_since_gc = 0
         self.oom_raised = False
+        self.released = False
         # "GC overhead limit exceeded" semantics: a run whose
         # limit-triggered collections repeatedly reclaim almost nothing is
         # declared out of memory, exactly as the HotSpot/J9 collectors do.
@@ -308,6 +325,8 @@ class RuntimeEnvironment:
         ``major`` selects the cycle flavour under a generational
         collector; the base mark-sweep collector ignores it.
         """
+        if self.released:
+            raise RuntimeError(_RELEASED.format("collect"))
         self._bytes_since_gc = 0
         return self.gc.collect(tick=self.now, major=major)
 
@@ -382,6 +401,33 @@ class RuntimeEnvironment:
         self.collect()
         if self.profiling_enabled:
             self.profiler.flush()
+
+    def release(self) -> None:
+        """Let reference counting free this finished run.
+
+        Extends the sweep's release contract (:meth:`SimHeap.sweep_dead`)
+        to the objects still live when the run ends: each drops its
+        payload, death hook and semantic-map cache
+        (:meth:`HeapObject.release`).  It also breaks the VM's own
+        cycles: the allocator closure, which captures the VM, and the
+        policy, which may point back at it (``OnlinePolicy._vm``).
+        Afterwards nothing reaches the VM from inside itself, so dropping
+        the last outside reference frees it without CPython's cyclic
+        collector.
+
+        A released VM still answers its clock (``now``), ``timeline``,
+        ``profiler``, ``contexts``, the heap's totals and roots, and each
+        stored object's id, type, size and refs -- everything
+        ``RunMetrics.from_vm``, ``build_report`` and ``heap_histogram``
+        read.  :meth:`collect` and ``allocate`` raise ``RuntimeError``.
+        Releasing twice is harmless.
+        """
+        if self.released:
+            return
+        self.released = True
+        self.heap.release()
+        self.allocate = _released_allocate
+        self.policy = None
 
     @property
     def timeline(self) -> HeapTimeline:
