@@ -235,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "severity exists (default error)")
     lint.add_argument("--no-overlap", action="store_true",
                       help="skip the pairwise overlap/shadowing checks")
-    lint.add_argument("--signatures", metavar="PATH", default=None,
-                      help="write the interval analysis's per-site op-mix "
-                           "signatures (chameleon-sig JSON) here; needs "
-                           "--paths")
 
     fuzz = sub.add_parser(
         "fuzz", help="differential trace fuzzer: replay generated or "
@@ -560,15 +556,12 @@ def _cmd_lint(args) -> str:
 
     from repro.lint import findings as findings_mod
     from repro.lint.drift import load_sessions, three_way_report
-    from repro.lint.interproc import analyze_paths, export_signatures
+    from repro.lint.interproc import analyze_paths
     from repro.lint.rule_checker import check_rules, load_rules_file
     from repro.lint.sarif import emit_sarif
     from repro.lint.usage import lint_paths_detailed
     from repro.rules.builtin import BUILTIN_RULES
     from repro.rules.parser import ParseError
-
-    if args.signatures and not args.paths:
-        raise SystemExit("--signatures requires --paths")
 
     all_findings = []
     if args.rules:
@@ -596,15 +589,6 @@ def _cmd_lint(args) -> str:
     all_findings.extend(f for f in interval_report.findings
                         if f not in usage_findings)
     waived = Counter(usage_waived) + Counter(interval_report.waived)
-    if args.signatures:
-        import json as json_mod
-        with open(args.signatures, "w", encoding="utf-8") as handle:
-            json_mod.dump({"schema": "chameleon-sig-bundle",
-                           "version": 1,
-                           "source": " ".join(paths),
-                           "signatures": export_signatures(interval_report)},
-                          handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     if args.drift is not None:
         try:

@@ -13,8 +13,8 @@ package is the static pass that keeps the dynamic machinery honest:
 * **Layer 2.5** (:mod:`repro.lint.interproc`) is the interprocedural
   interval analysis: per-site op-frequency and size *intervals* flow
   through call summaries and loops, are evaluated three-valuedly by the
-  real rule engine, and yield provable per-rule verdicts, a static
-  replacement proposal and exportable op-mix signatures.
+  real rule engine, and yield provable per-rule verdicts and a static
+  replacement proposal.
   ``lint --paths`` always runs both source passes: they read files
   through one reader, report one finding per unreadable or unparsable
   file, and honour the same ``# lint: ignore[...]`` waivers.
@@ -34,8 +34,7 @@ from repro.lint.findings import (Finding, Related, RuleValidationError,
                                  Severity, Span, emit_json, emit_text,
                                  worst_severity)
 from repro.lint.interproc import (InterprocReport, SiteReport,
-                                  analyze_paths, analyze_source,
-                                  export_signatures)
+                                  analyze_paths, analyze_source)
 from repro.lint.rule_checker import (check_rules, load_rules_file,
                                      overlap_report, validate_rules)
 from repro.lint.sarif import emit_sarif, validate_sarif
@@ -47,7 +46,6 @@ __all__ = [
     "Finding", "Related", "RuleValidationError", "Severity", "Span",
     "emit_json", "emit_text", "worst_severity",
     "InterprocReport", "SiteReport", "analyze_paths", "analyze_source",
-    "export_signatures",
     "Interval", "Tri", "analyze_condition",
     "check_rules", "load_rules_file", "overlap_report", "validate_rules",
     "emit_sarif", "validate_sarif",

@@ -69,7 +69,7 @@ from repro.rules.evaluator import (EMPTY, Interval, NON_NEGATIVE, TOP, Tri,
                                    point)
 
 __all__ = ["SiteReport", "InterprocReport", "analyze_paths",
-           "analyze_source", "export_signatures", "REAL_KINDS"]
+           "analyze_source", "REAL_KINDS"]
 
 _INF = math.inf
 ZERO = point(0.0)
@@ -2414,46 +2414,3 @@ def analyze_paths(paths: Sequence[str],
     merged.proposal = _report_proposal(merged.sites)
     return merged
 
-
-# ----------------------------------------------------------------------
-# Signature export (PR 7 compiled-workload seeds)
-# ----------------------------------------------------------------------
-def export_signatures(report: InterprocReport) -> List[dict]:
-    """Lower per-site op-mix signatures into generator specs.
-
-    Each spec is consumable by
-    :func:`repro.workloads.signatures.scenario_from_signature`: a
-    deterministic trace generator seeds from the signature name and
-    draws op counts/sizes from the inferred intervals.
-    """
-    def bound(value: float) -> Optional[float]:
-        return None if value == _INF else value
-
-    specs: List[dict] = []
-    for site in report.sites:
-        src_type = site.src_types[0] if site.src_types else None
-        stem = site.file.rsplit("/", 1)[-1]
-        if stem.endswith(".py"):
-            stem = stem[:-3]
-        func = site.location.rsplit(".", 1)[-1]
-        spec = {
-            "schema": "chameleon-sig",
-            "version": 1,
-            "name": f"sig-{stem}-{func}-{site.line}",
-            "kind": site.kind,
-            "srcType": src_type,
-            "context": site.context,
-            "ops": {op: [value.lo, bound(value.hi)]
-                    for op, value in sorted(site.ops.items())
-                    if value.hi > 0.0},
-            "maxSize": [site.max_size.lo, bound(site.max_size.hi)],
-            "size": [site.size.lo, bound(site.size.hi)],
-            "initialCapacity": (
-                None if site.capacity is None
-                else [site.capacity.lo, bound(site.capacity.hi)]),
-            "instances": [site.instances.lo, bound(site.instances.hi)],
-            "sizeStable": site.size_stable,
-            "escaped": site.escaped,
-        }
-        specs.append(spec)
-    return specs

@@ -80,7 +80,6 @@ class SemanticProfiler:
             del self._live[key]
         context = self._context(info.context_id, info.src_type)
         context.absorb(info)
-        self.sampling.observe_potential(info.src_type, 0)
 
     def flush(self) -> int:
         """Fold every still-live instance in (end of run).

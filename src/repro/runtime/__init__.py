@@ -3,14 +3,14 @@
 from repro.runtime.context import (ContextFrame, ContextKey, ContextRegistry,
                                    DEFAULT_CONTEXT_DEPTH, capture_context)
 from repro.runtime.costs import CostModel, VMClock
-from repro.runtime.sampling import (AdaptiveTypeSampler, AlwaysSample,
-                                    NeverSample, RateSampler, SamplingPolicy)
+from repro.runtime.sampling import (AlwaysSample, NeverSample, RateSampler,
+                                    SamplingPolicy)
 from repro.runtime.vm import (ImplementationChoice,
                               ReplacementPolicyProtocol, RuntimeEnvironment)
 
 __all__ = [
     "ContextFrame", "ContextKey", "ContextRegistry", "DEFAULT_CONTEXT_DEPTH",
-    "capture_context", "CostModel", "VMClock", "AdaptiveTypeSampler",
+    "capture_context", "CostModel", "VMClock",
     "AlwaysSample", "NeverSample", "RateSampler", "SamplingPolicy",
     "ImplementationChoice", "ReplacementPolicyProtocol",
     "RuntimeEnvironment",

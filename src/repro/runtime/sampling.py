@@ -2,13 +2,14 @@
 
 Capturing an allocation context is the single most expensive piece of
 Chameleon's instrumentation (section 5.4 measures it as the bottleneck of
-the fully automatic mode).  Section 4.2 describes two mitigations, both
-reproduced here:
+the fully automatic mode).  Section 4.2 describes two mitigations; only
+the first is reproduced here:
 
 * plain *sampling* -- capture only every N-th allocation, controlled at
   the level of a specific constructor (source type);
 * *adaptive shut-off* -- once the observed space-saving potential for a
-  source type is low, stop tracking that type entirely.
+  source type is low, stop tracking that type entirely.  Not reproduced:
+  the profiler keeps no per-type potential to feed it.
 
 Policies are deterministic (counter-based, no randomness) so every
 experiment is exactly reproducible.
@@ -16,14 +17,13 @@ experiment is exactly reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
 __all__ = [
     "SamplingPolicy",
     "AlwaysSample",
     "NeverSample",
     "RateSampler",
-    "AdaptiveTypeSampler",
 ]
 
 
@@ -33,10 +33,6 @@ class SamplingPolicy:
     def should_sample(self, src_type: str) -> bool:
         """Whether this allocation of ``src_type`` should be profiled."""
         raise NotImplementedError
-
-    def observe_potential(self, src_type: str, potential_bytes: int) -> None:
-        """Feedback hook: the profiler reports observed saving potential
-        so adaptive policies can shut off uninteresting types."""
 
 
 class AlwaysSample(SamplingPolicy):
@@ -76,43 +72,3 @@ class RateSampler(SamplingPolicy):
         if count < self.warmup:
             return True
         return (count - self.warmup) % self.rate == 0
-
-
-class AdaptiveTypeSampler(SamplingPolicy):
-    """Rate sampling plus per-type shut-off on low observed potential.
-
-    Once a source type has been observed at least ``min_observations``
-    times with cumulative potential below ``potential_threshold`` bytes,
-    tracking for that type is disabled permanently -- the paper's
-    "completely turn off tracking of allocation context for that type".
-    """
-
-    def __init__(self, rate: int = 1, warmup: int = 8,
-                 potential_threshold: int = 4096,
-                 min_observations: int = 32) -> None:
-        self._base = RateSampler(rate, warmup)
-        self.potential_threshold = potential_threshold
-        self.min_observations = min_observations
-        self._observations: Dict[str, int] = {}
-        self._potential: Dict[str, int] = {}
-        self._disabled: Set[str] = set()
-
-    def should_sample(self, src_type: str) -> bool:
-        if src_type in self._disabled:
-            return False
-        return self._base.should_sample(src_type)
-
-    def observe_potential(self, src_type: str, potential_bytes: int) -> None:
-        if src_type in self._disabled:
-            return
-        self._observations[src_type] = self._observations.get(src_type, 0) + 1
-        self._potential[src_type] = (
-            self._potential.get(src_type, 0) + max(potential_bytes, 0)
-        )
-        if (self._observations[src_type] >= self.min_observations
-                and self._potential[src_type] < self.potential_threshold):
-            self._disabled.add(src_type)
-
-    def is_disabled(self, src_type: str) -> bool:
-        """Whether tracking for ``src_type`` has been shut off."""
-        return src_type in self._disabled

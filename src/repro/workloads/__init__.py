@@ -11,9 +11,6 @@ from repro.workloads.dacapo import (DacapoCompressWorkload,
                                     DacapoCryptoWorkload,
                                     DacapoHsqldbWorkload)
 from repro.workloads.findbugs import FindbugsWorkload
-from repro.workloads.signatures import (register_signature_scenarios,
-                                        scenario_from_signature,
-                                        trace_from_signature)
 from repro.workloads.fop import FopWorkload
 from repro.workloads.pmd import PmdWorkload
 from repro.workloads.soot import SootWorkload
@@ -27,8 +24,7 @@ __all__ = [
     "PmdWorkload", "SootWorkload", "TvlaWorkload", "ContextSpec",
     "SyntheticWorkload", "CompiledTraceWorkload", "HeavyTailWorkload",
     "PhaseShiftWorkload", "MultiTenantWorkload", "register_scenarios",
-    "scenario_names", "register_signature_scenarios",
-    "scenario_from_signature", "trace_from_signature",
+    "scenario_names",
 ]
 
 BENCHMARKS = (TvlaWorkload, SootWorkload, FindbugsWorkload, BloatWorkload,
@@ -46,5 +42,4 @@ def default_workload_registry() -> WorkloadRegistry:
     for workload_class in BENCHMARKS + CONTROLS:
         registry.register(workload_class.name, workload_class)
     register_scenarios(registry)
-    register_signature_scenarios(registry)
     return registry

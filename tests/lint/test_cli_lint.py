@@ -164,12 +164,6 @@ class TestSourcePipeline:
         document = self.lint_json(capsys, str(tmp_path))
         assert self.ids(document) == ["L2-syntax-error"]
 
-    def test_signatures_need_paths(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(capsys, "lint", "--signatures",
-                    str(tmp_path / "sig.json"))
-        assert "--signatures requires --paths" in str(excinfo.value)
-
 
 class TestDriftThroughCli:
     @pytest.fixture(scope="class")

@@ -12,7 +12,7 @@ import pytest
 
 from repro.lint.interproc import (InterprocReport, SiteState,
                                   _collect_sites, _ModuleAnalysis,
-                                  analyze_source, export_signatures)
+                                  analyze_source)
 from repro.rules.evaluator import Tri
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
@@ -352,27 +352,8 @@ class TestRuleVerdicts:
         assert detail
 
 
-class TestSignatureExport:
-    def test_export_schema_and_bounds(self):
-        report = analyze("""
-            from repro.collections import ChameleonList
-
-            def run(vm, n):
-                buffer = ChameleonList(vm)
-                for i in range(18):
-                    buffer.add(i)
-                for i in range(n):
-                    buffer.contains(i)
-                return buffer
-        """)
-        (spec,) = export_signatures(report)
-        assert spec["schema"] == "chameleon-sig"
-        assert spec["kind"] == "list"
-        assert spec["srcType"] == "ArrayList"
-        assert spec["ops"]["#add"] == [18.0, 18.0]
-        # unbounded contains count exports hi=None (JSON-safe)
-        assert spec["ops"]["#contains"][1] is None
-        assert spec["maxSize"] == [18.0, 18.0]
+class TestReportFindings:
+    """What an analysed source reports besides its sites."""
 
     def test_syntax_error_reported_not_raised(self):
         report = analyze_source("def broken(:\n", "bad.py")

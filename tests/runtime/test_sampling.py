@@ -1,9 +1,8 @@
-"""Sampling policies: deterministic rates and adaptive shut-off."""
+"""Sampling policies: always, never and deterministic 1-in-N rates."""
 
 import pytest
 
-from repro.runtime.sampling import (AdaptiveTypeSampler, AlwaysSample,
-                                    NeverSample, RateSampler)
+from repro.runtime.sampling import AlwaysSample, NeverSample, RateSampler
 
 
 class TestBasicPolicies:
@@ -14,9 +13,6 @@ class TestBasicPolicies:
     def test_never(self):
         policy = NeverSample()
         assert not any(policy.should_sample("HashMap") for _ in range(10))
-
-    def test_observe_potential_is_a_noop_by_default(self):
-        AlwaysSample().observe_potential("HashMap", 100)  # must not raise
 
 
 class TestRateSampler:
@@ -48,41 +44,3 @@ class TestRateSampler:
         with pytest.raises(ValueError):
             RateSampler(rate=1, warmup=-1)
 
-
-class TestAdaptiveTypeSampler:
-    def test_shuts_off_low_potential_types(self):
-        policy = AdaptiveTypeSampler(potential_threshold=1000,
-                                     min_observations=5)
-        for _ in range(5):
-            policy.observe_potential("Boring", 10)
-        assert policy.is_disabled("Boring")
-        assert not policy.should_sample("Boring")
-
-    def test_keeps_high_potential_types(self):
-        policy = AdaptiveTypeSampler(potential_threshold=100,
-                                     min_observations=3)
-        for _ in range(10):
-            policy.observe_potential("Juicy", 500)
-        assert not policy.is_disabled("Juicy")
-        assert policy.should_sample("Juicy")
-
-    def test_needs_min_observations_before_disabling(self):
-        policy = AdaptiveTypeSampler(potential_threshold=1000,
-                                     min_observations=10)
-        for _ in range(9):
-            policy.observe_potential("T", 0)
-        assert not policy.is_disabled("T")
-
-    def test_disabling_is_permanent(self):
-        policy = AdaptiveTypeSampler(potential_threshold=100,
-                                     min_observations=1)
-        policy.observe_potential("T", 0)
-        assert policy.is_disabled("T")
-        # Later high-potential feedback is ignored once shut off.
-        policy.observe_potential("T", 10**6)
-        assert policy.is_disabled("T")
-
-    def test_respects_base_rate(self):
-        policy = AdaptiveTypeSampler(rate=2, warmup=0)
-        decisions = [policy.should_sample("T") for _ in range(4)]
-        assert decisions == [True, False, True, False]

@@ -11,7 +11,8 @@ from repro.rules.ast import ActionKind
 from repro.workloads import (BENCHMARKS, CONTROLS, BloatWorkload,
                              DacapoCompressWorkload, FindbugsWorkload,
                              FopWorkload, PmdWorkload, SootWorkload,
-                             TvlaWorkload, default_workload_registry)
+                             TvlaWorkload, default_workload_registry,
+                             scenario_names)
 
 SCALE = 0.15
 
@@ -200,3 +201,9 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             default_workload_registry().create("quake")
+
+    def test_registry_is_exactly_benchmarks_controls_and_scenarios(self):
+        # A new workload family must be added here on purpose.
+        expected = ([cls.name for cls in BENCHMARKS + CONTROLS]
+                    + scenario_names())
+        assert default_workload_registry().names() == sorted(expected)
