@@ -1,11 +1,12 @@
 """Process-pool experiment scheduler: deterministic fan-out for the suite.
 
 The paper's evaluation is a bag of *independent, deterministic* simulated
-runs: every Fig. 6 bar is three minimal-heap searches, every Fig. 7 bar a
-search plus a timed run, and every search is itself a chain of probe
-runs.  Nothing one run computes feeds another, so they parallelise
-perfectly -- the same structure Darwinian Data Structure Selection and
-MapReplay exploit to make search-over-benchmarks tractable.
+runs: every Fig. 6 bar is three minimal-heap searches and every Fig. 7
+bar a search plus a timed run.  A search is a serial chain of probe
+runs, but nothing one search computes feeds another, so the experiments
+submit one job per bar and those parallelise perfectly -- the same
+structure Darwinian Data Structure Selection and MapReplay exploit to
+make search-over-benchmarks tractable.
 
 This module supplies the execution layer:
 
@@ -307,16 +308,3 @@ class Scheduler:
                 0.0, (arrival - submit_times[job_id]) - worker_wall)
             stats.merge_seconds += time.perf_counter() - merge_start
         return results
-
-    def map(self, fn: Callable[..., Any],
-            payloads: Sequence[Tuple],
-            prefix: str = "map") -> List[Any]:
-        """Run ``fn(*payload)`` for every payload; results in input order.
-
-        The batch-probe primitive behind speculative bisection: each
-        payload becomes an independent job.
-        """
-        graph = JobGraph()
-        for index, payload in enumerate(payloads):
-            graph.add(f"{prefix}:{index:04d}", fn, *payload)
-        return list(self.run(graph).values())

@@ -400,6 +400,8 @@ def _cmd_experiment(args) -> str:
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
+    if args.resolution < 1:
+        raise SystemExit("--resolution must be >= 1")
     if args.session_cache and pathlib.Path(args.session_cache).is_file():
         raise SystemExit(f"--session-cache {args.session_cache}: a "
                          f"file, not a session-store directory")
@@ -450,6 +452,8 @@ def _cmd_perf(args) -> str:
     if args.suite and args.jobs < 2:
         raise SystemExit("--suite compares serial against a pool; "
                          "pass --jobs 2 or more")
+    if args.suite_resolution < 1:
+        raise SystemExit("--suite-resolution must be >= 1")
 
     start = time.perf_counter()
     doc = perf.run_suite(scale=args.scale, repeats=args.repeats,

@@ -34,9 +34,10 @@ Nothing in the tool imports this module.
   hold :func:`~repro.verify.trace.replay_trace`, which executes the
   compiled program (:class:`~repro.verify.compile.TraceInstance`), to;
 * :func:`reference_find_min_heap` -- the minimal-heap probe plan driven
-  one probe at a time: the specification ``tests/analysis/
+  with no bounds, every probe run: the specification ``tests/analysis/
   test_minheap.py`` holds :func:`~repro.analysis.minheap.find_min_heap`,
-  which evaluates the plan in (possibly speculative) rounds, to.
+  which answers the probes its ``floor``/``ceiling`` decide without
+  running them, to.
 """
 
 from __future__ import annotations
@@ -782,15 +783,17 @@ def _replay_put_all(wrapper: ChameleonMap, pairs: List[Tuple[Any, Any]],
 # ----------------------------------------------------------------------
 def reference_find_min_heap(attempt: Callable[[int], bool], low: int,
                             high: int, resolution: int = 2048) -> tuple:
-    """Run the minimal-heap probe plan one ``attempt`` at a time.
+    """Run the minimal-heap probe plan, calling ``attempt`` on every
+    limit it probes.
 
-    The specification :func:`repro.analysis.minheap.find_min_heap`
-    (which batches probes per round, speculatively above width 1) is
-    held to: the same ``(min_heap_bytes, probes)`` and, at width 1, the
-    same probe sequence.
+    The specification :func:`repro.analysis.minheap.find_min_heap` is
+    held to: the same minimum, and ``attempt`` calls that are exactly
+    this loop's limits outside the decided ranges, in the same order.
     """
     if low < 0 or high <= low:
         raise ValueError("need 0 <= low < high")
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     plan = _search_steps(low, high, resolution)
     try:
         limit = next(plan)

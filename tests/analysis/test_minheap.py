@@ -1,5 +1,11 @@
 """Minimal-heap binary search."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.analysis import experiments
@@ -11,6 +17,8 @@ from repro.verify.oracle import reference_find_min_heap
 from repro.workloads import BENCHMARKS, CONTROLS, TvlaWorkload
 from repro.workloads.base import Workload
 from repro.workloads.compiled import SCENARIOS, make_scenario
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestFindMinHeap:
@@ -50,16 +58,33 @@ class TestFindMinHeap:
             find_min_heap(lambda limit: True, low=1, high=2, floor=10,
                           ceiling=5)
 
-    def test_invalid_width(self):
-        """An empty frontier would never advance the plan."""
-        with pytest.raises(ValueError, match="width"):
-            find_min_heap(lambda limit: True, low=1, high=2,
-                          attempt_many=lambda limits: [], width=0)
-
     def test_never_succeeding_run_raises(self):
         with pytest.raises(RuntimeError):
             find_min_heap(lambda limit: False, low=1, high=2,
                           resolution=1)
+
+    def test_resolution_below_one_is_refused(self):
+        """A bracket of width 1 never narrows under resolution 0, so the
+        plan would probe the same limit forever.  In a subprocess so a
+        regression fails on the timeout instead of hanging the suite."""
+        script = textwrap.dedent("""
+            from repro.analysis.minheap import find_min_heap
+            from repro.verify.oracle import reference_find_min_heap
+
+            for search in (find_min_heap, reference_find_min_heap):
+                for resolution in (0, -1):
+                    try:
+                        search(lambda limit: limit >= 100, low=16,
+                               high=32, resolution=resolution)
+                    except ValueError as exc:
+                        print(exc)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=30,
+                              cwd=str(REPO_ROOT), env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["resolution must be >= 1"] * 4
 
 
 class TestLowerBracketVerification:
@@ -107,10 +132,21 @@ class TestLowerBracketVerification:
         assert min(attempts) == 32
 
 
-class TestSpeculativeSearch:
-    """The driver must return byte-identical results to the oracle's
-    one-probe-at-a-time plan loop at any width, including the below-seed
-    regression case."""
+#: (floor, ceiling) the search is given for a threshold: none, each
+#: bound alone, and both around the threshold.
+BOUNDS = {
+    "unbounded": lambda threshold: (0, None),
+    "floor": lambda threshold: (threshold * 3 // 4, None),
+    "ceiling": lambda threshold: (0, threshold + threshold // 4 + 1),
+    "both": lambda threshold: (threshold * 3 // 4,
+                               threshold + threshold // 4 + 1),
+}
+
+
+class TestAgainstTheOracle:
+    """The search must find the oracle's minimum and run exactly the
+    oracle's probes that its bounds leave undecided, in the oracle's
+    order, including the below-seed regression case."""
 
     # (low, high, resolution, threshold) covering: plain bisection,
     # upper-bracket doubling, the true-minimum-below-seed regression
@@ -126,102 +162,33 @@ class TestSpeculativeSearch:
     ]
 
     @pytest.mark.parametrize("low,high,resolution,threshold", GRID)
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 8])
-    def test_matches_serial_across_grid(self, low, high, resolution,
-                                        threshold, width):
-        def attempt(limit):
-            return limit >= threshold
-
-        def attempt_many(limits):
-            return [attempt(limit) for limit in limits]
-
-        serial = reference_find_min_heap(attempt, low=low, high=high,
-                                         resolution=resolution)
-        speculative = find_min_heap(attempt, low=low, high=high,
-                                    resolution=resolution,
-                                    attempt_many=attempt_many, width=width)
-        assert speculative == serial
-
-    @pytest.mark.parametrize("low,high,resolution,threshold", GRID)
-    @pytest.mark.parametrize("width", range(1, 9))
-    def test_bounds_skip_decided_limits(self, low, high, resolution,
-                                        threshold, width):
-        """With a floor and a ceiling around the threshold, no width
-        evaluates a decided limit, the minimum is the oracle's, and
-        ``probes`` counts only the oracle's undecided limits."""
-        floor, ceiling = threshold * 3 // 4, threshold + threshold // 4 + 1
+    @pytest.mark.parametrize("bounds", list(BOUNDS))
+    def test_probes_the_oracles_undecided_limits(self, low, high,
+                                                 resolution, threshold,
+                                                 bounds):
+        floor, ceiling = BOUNDS[bounds](threshold)
         reference = []
 
-        def attempt(limit):
+        def oracle_attempt(limit):
             reference.append(limit)
             return limit >= threshold
 
-        evaluated = []
+        minimum, probes = reference_find_min_heap(
+            oracle_attempt, low=low, high=high, resolution=resolution)
+        assert probes == len(reference)
+        undecided = [limit for limit in reference if limit >= floor
+                     and (ceiling is None or limit < ceiling)]
+        attempted = []
 
-        def attempt_many(limits):
-            evaluated.extend(limits)
-            return [limit >= threshold for limit in limits]
+        def attempt(limit):
+            attempted.append(limit)
+            return limit >= threshold
 
-        minimum, _ = reference_find_min_heap(attempt, low=low, high=high,
-                                             resolution=resolution)
-        undecided = [limit for limit in reference
-                     if floor <= limit < ceiling]
         found = find_min_heap(attempt, low=low, high=high,
-                              resolution=resolution,
-                              attempt_many=attempt_many, width=width,
-                              floor=floor, ceiling=ceiling)
+                              resolution=resolution, floor=floor,
+                              ceiling=ceiling)
         assert found == (minimum, len(undecided))
-        assert all(floor <= limit < ceiling for limit in evaluated)
-        if width == 1:
-            assert evaluated == undecided
-
-    def test_speculation_compresses_rounds(self):
-        """Each round evaluates a batch, so the number of serial rounds
-        drops well below the plan's probe count."""
-        rounds = []
-
-        def attempt_many(limits):
-            rounds.append(list(limits))
-            return [limit >= 77_000 for limit in limits]
-
-        _, probes = find_min_heap(lambda limit: limit >= 77_000,
-                                  low=1024, high=1 << 20, resolution=1024,
-                                  attempt_many=attempt_many, width=4)
-        assert len(rounds) < probes
-        assert all(len(batch) <= 4 for batch in rounds)
-
-    def test_never_succeeding_run_raises_speculatively(self):
-        def attempt_many(limits):
-            return [False for _ in limits]
-
-        with pytest.raises(RuntimeError):
-            find_min_heap(lambda limit: False, low=1, high=2, resolution=1,
-                          attempt_many=attempt_many, width=4)
-
-    def test_width_one_probes_the_reference_sequence(self):
-        """Width 1 evaluates one limit per round, in exactly the order
-        the oracle's plan loop probes them."""
-        for low, high, resolution, threshold in self.GRID:
-            reference = []
-
-            def attempt(limit):
-                reference.append(limit)
-                return limit >= threshold
-
-            rounds = []
-
-            def attempt_many(limits):
-                rounds.append(list(limits))
-                return [limit >= threshold for limit in limits]
-
-            expected = reference_find_min_heap(attempt, low=low, high=high,
-                                               resolution=resolution)
-            found = find_min_heap(attempt, low=low, high=high,
-                                  resolution=resolution,
-                                  attempt_many=attempt_many, width=1)
-            assert found == expected
-            assert rounds == [[limit] for limit in reference]
-            assert len(rounds) == expected[1]
+        assert attempted == undecided
 
 
 class GrowingWorkload(Workload):
@@ -259,19 +226,6 @@ class TestMeasureMinHeap:
         first = measure_min_heap(tool, GrowingWorkload(), resolution=2048)
         second = measure_min_heap(tool, GrowingWorkload(), resolution=2048)
         assert first.min_heap_bytes == second.min_heap_bytes
-
-    def test_scheduler_path_identical_to_serial(self):
-        """measure_min_heap with a pooled Scheduler returns the same
-        measurement (bytes AND probe count) as the serial path."""
-        from repro.analysis.scheduler import Scheduler
-
-        tool = Chameleon()
-        serial = measure_min_heap(tool, GrowingWorkload(), resolution=2048)
-        with Scheduler(jobs=3) as scheduler:
-            parallel = measure_min_heap(tool, GrowingWorkload(),
-                                        resolution=2048,
-                                        scheduler=scheduler)
-        assert parallel == serial
 
     def test_policy_changes_the_answer(self):
         """A smaller-footprint configuration needs a smaller heap."""

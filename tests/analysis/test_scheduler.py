@@ -42,6 +42,15 @@ def exit_on_one(x):
     return x
 
 
+def map_jobs(scheduler, fn, payloads, prefix="map"):
+    """Run ``fn(*payload)`` for every payload as one graph of jobs
+    ``<prefix>:0000``, ``<prefix>:0001``, ...; results in input order."""
+    graph = JobGraph()
+    for index, payload in enumerate(payloads):
+        graph.add(f"{prefix}:{index:04d}", fn, *payload)
+    return list(scheduler.run(graph).values())
+
+
 def make_graph():
     graph = JobGraph()
     graph.add("a", add, 1, 2)
@@ -79,7 +88,7 @@ class TestSerialScheduler:
             Scheduler(jobs=1).run(graph)
 
     def test_map_preserves_input_order(self):
-        results = Scheduler(jobs=1).map(square, [(3,), (1,), (2,)])
+        results = map_jobs(Scheduler(jobs=1), square, [(3,), (1,), (2,)])
         assert results == [9, 1, 4]
 
     def test_invalid_job_count(self):
@@ -97,9 +106,9 @@ class TestPoolScheduler:
 
     def test_map_identical_to_serial(self):
         payloads = [(n,) for n in range(20)]
-        serial = Scheduler(jobs=1).map(square, payloads)
+        serial = map_jobs(Scheduler(jobs=1), square, payloads)
         with Scheduler(jobs=3) as scheduler:
-            assert scheduler.map(square, payloads) == serial
+            assert map_jobs(scheduler, square, payloads) == serial
 
     def test_job_error_propagates_with_job_id(self):
         graph = JobGraph()
@@ -116,12 +125,14 @@ class TestPoolScheduler:
         fails on the timeout instead of hanging the suite."""
         script = textwrap.dedent("""
             from repro.analysis.scheduler import JobError, Scheduler
-            from tests.analysis.test_scheduler import out_of_memory
+            from tests.analysis.test_scheduler import (map_jobs,
+                                                       out_of_memory)
 
             for jobs in (1, 2):
                 with Scheduler(jobs=jobs) as scheduler:
                     try:
-                        scheduler.map(out_of_memory, [()], prefix="oom")
+                        map_jobs(scheduler, out_of_memory, [()],
+                                 prefix="oom")
                     except JobError as exc:
                         print(exc)
         """)
@@ -150,20 +161,20 @@ class TestPoolScheduler:
             import time
             from repro.analysis.scheduler import JobError, Scheduler
             from tests.analysis.test_scheduler import (
-                exit_on_one, is_warm, make_graph, warm_stamp)
+                exit_on_one, is_warm, make_graph, map_jobs, warm_stamp)
 
             stamps = tempfile.mkdtemp()
             with Scheduler(jobs=2,
                            warmup=(warm_stamp, (stamps,))) as scheduler:
                 start = time.perf_counter()
                 try:
-                    scheduler.map(exit_on_one, [(0,), (1,), (2,)],
-                                  prefix="die")
+                    map_jobs(scheduler, exit_on_one, [(0,), (1,), (2,)],
+                             prefix="die")
                 except JobError as exc:
                     print(exc)
                 print(time.perf_counter() - start < 10)
                 print(scheduler.run(make_graph()))
-                print(scheduler.map(is_warm, [(stamps,)] * 4))
+                print(map_jobs(scheduler, is_warm, [(stamps,)] * 4))
         """)
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
@@ -191,7 +202,7 @@ class TestPoolScheduler:
 
     def test_close_is_idempotent(self):
         scheduler = Scheduler(jobs=2)
-        scheduler.map(square, [(1,)])
+        map_jobs(scheduler, square, [(1,)])
         scheduler.close()
         scheduler.close()
 
@@ -282,7 +293,7 @@ class TestShutdownPaths:
 
     def test_exit_without_error_uses_close(self):
         scheduler = Scheduler(jobs=2)
-        scheduler.map(square, [(1,)])
+        map_jobs(scheduler, square, [(1,)])
         pool = scheduler._pool
         with mock.patch.object(pool, "close",
                                wraps=pool.close) as closed, \
@@ -295,7 +306,7 @@ class TestShutdownPaths:
 
     def test_exit_with_error_terminates(self):
         scheduler = Scheduler(jobs=2)
-        scheduler.map(square, [(1,)])
+        map_jobs(scheduler, square, [(1,)])
         pool = scheduler._pool
         with mock.patch.object(pool, "close",
                                wraps=pool.close) as closed, \
@@ -308,7 +319,7 @@ class TestShutdownPaths:
 
     def test_terminate_is_idempotent(self):
         scheduler = Scheduler(jobs=2)
-        scheduler.map(square, [(1,)])
+        map_jobs(scheduler, square, [(1,)])
         scheduler.terminate()
         scheduler.terminate()
 
@@ -338,8 +349,8 @@ class TestSpawnStartMethod:
                            "11" if parent_seed == "12" else "12")
         parent_hash, serial = worker_hash_and_replays()
         with Scheduler(jobs=2) as scheduler:
-            [(worker_hash, pooled)] = scheduler.map(
-                worker_hash_and_replays, [()])
+            [(worker_hash, pooled)] = map_jobs(
+                scheduler, worker_hash_and_replays, [()])
         assert worker_hash != parent_hash  # the worker's seed differs
         assert pooled == serial
 
@@ -348,10 +359,10 @@ class TestSpawnStartMethod:
                             "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setenv("PYTHONHASHSEED", "2009")
         with Scheduler(jobs=2) as scheduler:
-            assert scheduler.map(square, [(2,), (3,)]) == [4, 9]
+            assert map_jobs(scheduler, square, [(2,), (3,)]) == [4, 9]
 
     def test_fork_platform_never_consults_the_environment(self,
                                                           monkeypatch):
         monkeypatch.delenv("PYTHONHASHSEED", raising=False)
         with Scheduler(jobs=2) as scheduler:
-            assert scheduler.map(square, [(2,)]) == [4]
+            assert map_jobs(scheduler, square, [(2,)]) == [4]

@@ -1,10 +1,15 @@
 """The command-line interface."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +103,23 @@ class TestCommands:
     def test_experiment_rejects_zero_jobs(self):
         with pytest.raises(SystemExit, match="--jobs"):
             main(["experiment", "fig3", "--scale", "0.1", "--jobs", "0"])
+
+    @pytest.mark.parametrize("flag,argv", [
+        ("--resolution", ["experiment", "fig6", "--resolution", "0"]),
+        ("--suite-resolution", ["perf", "--suite", "--jobs", "2",
+                                "--suite-resolution", "0"]),
+    ], ids=["experiment", "perf-suite"])
+    def test_resolution_below_one_exits(self, flag, argv, tmp_path):
+        """A min-heap search at resolution 0 never ends, so the CLI
+        refuses it before running anything.  In a subprocess so a
+        regression fails on the timeout instead of hanging the suite."""
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--no-index"],
+            capture_output=True, text=True, timeout=30, cwd=str(tmp_path),
+            env=env)
+        assert done.returncode != 0
+        assert done.stderr.strip() == f"{flag} must be >= 1"
 
     def test_experiment_session_cache_roundtrip(self, capsys, tmp_path):
         from repro.analysis import experiments
