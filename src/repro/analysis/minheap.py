@@ -65,6 +65,7 @@ class MinHeapResult:
     module docstring).  ``at_minimum`` is the run under
     ``min_heap_bytes`` -- the unconstrained run's metrics when the
     minimum is at or above its total allocation.
+    ``unconstrained_peak`` is the unconstrained run's peak live bytes.
     """
 
     min_heap_bytes: int
@@ -214,7 +215,9 @@ def measure_min_heap(tool: Chameleon, workload: Workload,
     only the limits in between are run.
     """
     _, metrics = tool.plain_run(workload.fresh(), policy=policy)
-    peak = max(metrics.peak_live_bytes, resolution)
+    # The bracket seed is clamped to one resolution step; the reported
+    # peak is the run's own.
+    seed = max(metrics.peak_live_bytes, resolution)
     runs: Dict[int, Optional[RunMetrics]] = {}
 
     def attempt(limit: int) -> Optional[RunMetrics]:
@@ -223,10 +226,11 @@ def measure_min_heap(tool: Chameleon, workload: Workload,
         return run
 
     ceiling = metrics.total_allocated_bytes
-    min_heap, probes = find_min_heap(attempt, low=max(peak // 2, 1),
-                                     high=peak * 2, resolution=resolution,
+    min_heap, probes = find_min_heap(attempt, low=max(seed // 2, 1),
+                                     high=seed * 2, resolution=resolution,
                                      floor=metrics.peak_live_bytes,
                                      ceiling=ceiling)
     return MinHeapResult(
-        min_heap_bytes=min_heap, probes=probes, unconstrained_peak=peak,
+        min_heap_bytes=min_heap, probes=probes,
+        unconstrained_peak=metrics.peak_live_bytes,
         at_minimum=metrics if min_heap >= ceiling else runs[min_heap])

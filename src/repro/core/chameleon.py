@@ -255,7 +255,16 @@ class Chameleon:
     def make_vm(self, profiler: Optional[SemanticProfiler] = None,
                 policy: Optional[ReplacementPolicyProtocol] = None,
                 heap_limit: Optional[int] = None) -> RuntimeEnvironment:
-        """A runtime configured per the tool settings."""
+        """A runtime configured per the tool settings.
+
+        Without instrumentation -- no profiler, and no policy that
+        decides during the run -- its collector counts instead of
+        attributing (:mod:`repro.memory.gc`): such a run reads only
+        ticks, peak live data and cycle counts (:class:`RunMetrics`),
+        which counting leaves identical.
+        """
+        attribute = profiler is not None or (
+            policy is not None and policy.requires_runtime_capture)
         return RuntimeEnvironment(
             model=self.config.memory_model,
             cost_model=self.config.cost_model,
@@ -263,7 +272,8 @@ class Chameleon:
             gc_threshold_bytes=self.config.gc_threshold_bytes,
             context_depth=self.config.context_depth,
             profiler=profiler,
-            policy=policy)
+            policy=policy,
+            gc_attribution=attribute)
 
     def _make_profiler(self) -> SemanticProfiler:
         if self.config.sampling_rate <= 1:

@@ -12,6 +12,17 @@ of section 4.3.2.  The observable behaviour is identical to the paper's:
   profiler can fold per-instance usage data into its allocation context
   (the paper's selective finalizers).
 
+A collector built with ``attribute=False`` *counts* instead of
+attributing: its account phase still sums the live data and claims ADT
+internals, so it finds the same reported collections (whose number the
+cycle charge reads), but it skips the footprints and the per-type and
+per-context breakdown that only the profiler's report consumes.  Every
+tick, cycle, ``live_data``, ``collection_objects`` and freed count is
+identical to the attributing collector's; the timeline records that it
+is unattributed, and readers of the Table 3 breakdown refuse it.
+Uninstrumented runs (:meth:`repro.core.chameleon.Chameleon.make_vm`
+without a profiler or an online policy) use it.
+
 Parallelism in the original collector only affects wall-clock time, which
 the simulation models with a configurable tick charge per marked/swept
 object instead of actual threads.
@@ -60,16 +71,16 @@ class MarkSweepGC:
     def __init__(self, heap: SimHeap,
                  semantic_maps: Optional[SemanticMapRegistry] = None,
                  charge: Optional[Callable[[int], None]] = None,
-                 costs: Optional[GcCostParameters] = None) -> None:
+                 costs: Optional[GcCostParameters] = None,
+                 attribute: bool = True) -> None:
         self.heap = heap
         self.semantic_maps = semantic_maps or SemanticMapRegistry()
-        self.timeline = HeapTimeline()
+        self.attribute = attribute
+        self.timeline = HeapTimeline(attributed=attribute)
         self.costs = costs or GcCostParameters()
         self._charge = charge or (lambda ticks: None)
         self.cycle_count = 0
         self._collecting = False
-        self._live_bytes_stamp: Optional[tuple] = None
-        self._live_bytes_value = 0
         # Sanitizer/observer hook points.  Pre hooks run before marking;
         # post hooks run after the sweep with the marked set and any
         # deliberately kept (e.g. tenured) ids.  Hooks are observers:
@@ -185,8 +196,12 @@ class MarkSweepGC:
         owner rather than reported separately.  The loop iterates the
         heap store directly (dict insertion order = allocation order =
         ascending id, matching the reference's sorted visits) and keeps
-        the bookkeeping in local variables.
+        the bookkeeping in local variables.  A counting collector runs
+        :meth:`_count` instead.
         """
+        if not self.attribute:
+            self._count(marked, stats)
+            return
         objects = self.heap._objects
         registry = self.semantic_maps
         lookup = registry.lookup
@@ -264,6 +279,42 @@ class MarkSweepGC:
             name = obj.type_name
             type_distribution[name] = get_bytes(name, 0) + obj.size
 
+    def _count(self, marked: Set[int], stats: GcCycleStats) -> None:
+        """The counting collector's account phase: ``live_data`` and
+        ``collection_objects`` only.
+
+        Classifies and claims exactly as :meth:`_account` does, so it
+        reports the same collections; but both results are sums, so it
+        visits the marked ids in set order and keeps no plain objects.
+        """
+        objects = self.heap._objects
+        registry = self.semantic_maps
+        lookup = registry.lookup
+        version = registry._version
+        anchors: List[Tuple[HeapObject, SemanticMap]] = []
+        live_data = 0
+        for obj_id in marked:
+            obj = objects[obj_id]
+            live_data += obj.size
+            if obj.sm_version == version:
+                semantic_map = obj.sm_map
+            else:
+                semantic_map = lookup(obj)
+            if semantic_map is None:
+                continue
+            payload = obj.payload
+            if payload is not None and getattr(
+                    payload, "_construction_rooted", False):
+                continue
+            anchors.append((obj, semantic_map))
+        stats.live_data += live_data
+
+        claimed: Set[int] = set()
+        for anchor, semantic_map in anchors:
+            claimed.update(semantic_map.internal_ids(anchor))
+        stats.collection_objects += sum(
+            1 for anchor, _ in anchors if anchor.obj_id not in claimed)
+
     def _sweep(self, marked: Set[int], stats: GcCycleStats) -> None:
         """Free unmarked objects, invoking death hooks as they die.
 
@@ -276,26 +327,3 @@ class MarkSweepGC:
                 obj.on_death(obj)
             stats.freed_bytes += obj.size
             stats.freed_objects += 1
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def live_bytes_estimate(self) -> int:
-        """Exact live bytes right now (a mark without sweeping).
-
-        The full mark is run only when the heap has mutated since the
-        last query: the result is cached keyed on the heap's mutation
-        stamp (allocations, frees, root edits, reference edits), so
-        back-to-back estimates -- the minimal-heap search's probing
-        pattern -- cost one dict-free comparison instead of a heap walk.
-        The stamp can only over-invalidate, so the estimate stays exact.
-        """
-        stamp = self.heap.mutation_stamp()
-        if stamp == self._live_bytes_stamp:
-            return self._live_bytes_value
-        marked = self._mark()
-        objects = self.heap._objects
-        value = sum(objects[obj_id].size for obj_id in marked)
-        self._live_bytes_stamp = stamp
-        self._live_bytes_value = value
-        return value

@@ -63,9 +63,10 @@ class GenerationalGC(MarkSweepGC):
                  semantic_maps: Optional[SemanticMapRegistry] = None,
                  charge: Optional[Callable[[int], None]] = None,
                  costs: Optional[GenerationalCostParameters] = None,
-                 tenure_age: int = 2) -> None:
+                 tenure_age: int = 2, attribute: bool = True) -> None:
         super().__init__(heap, semantic_maps, charge,
-                         costs or GenerationalCostParameters())
+                         costs or GenerationalCostParameters(),
+                         attribute=attribute)
         if tenure_age < 1:
             raise ValueError("tenure age must be >= 1")
         self.tenure_age = tenure_age

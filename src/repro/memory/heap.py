@@ -36,28 +36,6 @@ from repro.memory.layout import MemoryModel
 __all__ = ["HeapObject", "SimHeap", "OutOfMemoryError"]
 
 
-class _EdgeEpoch:
-    """The process-wide edge-mutation epoch: one slotted counter.
-
-    Reachability caches (e.g. the collector's live-bytes estimate) key
-    on it through :meth:`SimHeap.mutation_stamp`.  Sharing one counter
-    across heaps over-invalidates (another heap's edit flushes our
-    cache) but can never under-invalidate, and costs one integer
-    increment per edge edit instead of a heap back-pointer per object.
-    It lives here rather than on :class:`HeapObject` because writing a
-    class attribute invalidates CPython's type attribute cache, which
-    de-optimises every ``obj.refs``/``obj.size`` read in the run.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
-_edge_epoch = _EdgeEpoch()
-
-
 class OutOfMemoryError(Exception):
     """Raised when an allocation cannot be satisfied under the heap limit
     even after a full collection."""
@@ -120,7 +98,6 @@ class HeapObject:
         """Add one reference edge to ``target_id``."""
         refs = self.refs
         refs[target_id] = refs.get(target_id, 0) + 1
-        _edge_epoch.value += 1
 
     def remove_ref(self, target_id: int) -> None:
         """Drop one reference edge to ``target_id``.
@@ -136,12 +113,10 @@ class HeapObject:
             del self.refs[target_id]
         else:
             self.refs[target_id] = count - 1
-        _edge_epoch.value += 1
 
     def clear_refs(self) -> None:
         """Drop every outgoing edge (used when a structure is discarded)."""
         self.refs.clear()
-        _edge_epoch.value += 1
 
     def release(self) -> None:
         """Drop what this object holds on the Python side: its payload,
@@ -192,7 +167,6 @@ class SimHeap:
         # reason HeapObject.refs is one (see its docstring).
         self._roots: Dict[int, int] = {}
         self._next_id = 1
-        self._root_epoch = 0
         # Monotonic accounting across the whole run.
         self.total_allocated_bytes = 0
         self.total_allocated_objects = 0
@@ -325,7 +299,6 @@ class SimHeap:
         """Pin ``obj`` as a GC root (thread stack / static analog)."""
         roots = self._roots
         roots[obj.obj_id] = roots.get(obj.obj_id, 0) + 1
-        self._root_epoch += 1
 
     def remove_root(self, obj: HeapObject) -> None:
         """Unpin one root registration of ``obj``."""
@@ -336,21 +309,6 @@ class SimHeap:
             del self._roots[obj.obj_id]
         else:
             self._roots[obj.obj_id] = count - 1
-        self._root_epoch += 1
-
-    def mutation_stamp(self) -> tuple:
-        """A value that changes whenever reachability could have changed.
-
-        Composed of the monotonic allocation/free counters (object birth
-        and death, including sweeps, which free without :meth:`free`),
-        the root-set epoch, and the process-wide edge epoch (a
-        module-level counter every ``add_ref``/``remove_ref``/
-        ``clear_refs`` bumps).  Equal stamps guarantee an
-        identical reachable set; the converse need not hold (the stamp
-        may over-invalidate), which is the safe direction for caches.
-        """
-        return (self.total_allocated_objects, self.total_freed_objects,
-                self._root_epoch, _edge_epoch.value)
 
     def root_ids(self) -> Iterator[int]:
         """Iterate over the ids of the current root set."""

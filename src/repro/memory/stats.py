@@ -172,9 +172,22 @@ class HeapTimeline:
     This is the collector-side output of a run: Fig. 2 and Fig. 8 plot
     ``cycles`` directly, while the rule engine consumes the per-context
     aggregates.
+
+    A counting collector's timeline is *unattributed*
+    (``attributed=False``): its cycles carry exact ``live_data``,
+    ``collection_objects`` and freed counts, but their collection
+    bytes, type distribution and per-context slices were never
+    measured.  The readers of that breakdown (:meth:`context`,
+    :meth:`fractions_series`, :meth:`contexts_by_total_potential`)
+    raise ``ValueError`` on it rather than report zeros.
     """
 
-    def __init__(self) -> None:
+    #: Class-level default, so a timeline pickled before the flag
+    #: existed loads as attributed (it was).
+    attributed = True
+
+    def __init__(self, attributed: bool = True) -> None:
+        self.attributed = attributed
         self.cycles: List[GcCycleStats] = []
         self.overall_live = HeapAggregate()
         self.collection_live = HeapAggregate()
@@ -198,8 +211,18 @@ class HeapTimeline:
                 self.per_context[context_id] = agg
             agg.observe_cycle(ctx_stats)
 
+    def require_attributed(self, what: str) -> None:
+        """Raise ``ValueError`` naming ``what`` if this timeline is
+        unattributed (recorded by a counting collector)."""
+        if not self.attributed:
+            raise ValueError(
+                f"{what} needs the Table 3 breakdown, but this timeline "
+                "was recorded by a counting collector (unattributed); "
+                "run with a profiler to attribute it")
+
     def context(self, context_id: int) -> Optional[ContextHeapAggregate]:
         """Heap aggregates for ``context_id``, if any cycle saw it."""
+        self.require_attributed("a per-context heap read")
         return self.per_context.get(context_id)
 
     @property
@@ -214,6 +237,7 @@ class HeapTimeline:
 
     def fractions_series(self) -> List[tuple]:
         """(cycle, live%, used%, core%) rows -- the Fig. 2 series."""
+        self.require_attributed("the Fig. 2 series")
         return [
             (s.cycle, s.collection_fraction, s.used_fraction, s.core_fraction)
             for s in self.cycles
@@ -221,5 +245,6 @@ class HeapTimeline:
 
     def contexts_by_total_potential(self) -> List[ContextHeapAggregate]:
         """Contexts ranked by aggregate potential saving, best first."""
+        self.require_attributed("a potential ranking")
         return sorted(self.per_context.values(),
                       key=lambda a: a.total_potential, reverse=True)

@@ -167,9 +167,14 @@ class ProfileReport:
 
 def build_report(profiler: SemanticProfiler, timeline: HeapTimeline,
                  contexts: ContextRegistry) -> ProfileReport:
-    """Join trace and heap statistics into a :class:`ProfileReport`."""
+    """Join trace and heap statistics into a :class:`ProfileReport`.
+
+    Raises ``ValueError`` on an unattributed timeline (a counting
+    collector's): it holds no per-context heap data to join.
+    """
     from repro.collections.registry import default_registry
 
+    timeline.require_attributed("build_report")
     registry = default_registry()
     profiles: List[ContextProfile] = []
     for info in profiler.contexts():

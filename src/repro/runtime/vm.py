@@ -143,7 +143,8 @@ class RuntimeEnvironment:
                  gc_overhead_fraction: float = 0.04,
                  gc_overhead_limit: int = 4,
                  collector_factory: Optional[Callable[..., MarkSweepGC]]
-                 = None) -> None:
+                 = None,
+                 gc_attribution: bool = True) -> None:
         self.model = model or MemoryModel.for_32bit()
         self.costs = cost_model or CostModel()
         self.clock = VMClock()
@@ -157,8 +158,11 @@ class RuntimeEnvironment:
         self.heap = SimHeap(self.model, limit=heap_limit)
         self.semantic_maps = SemanticMapRegistry()
         factory = collector_factory or MarkSweepGC
+        # ``gc_attribution=False`` builds a counting collector (see
+        # repro.memory.gc): same ticks and cycles, no Table 3 breakdown.
         self.gc = factory(self.heap, self.semantic_maps,
-                          charge=self.clock.charge, costs=gc_costs)
+                          charge=self.clock.charge, costs=gc_costs,
+                          attribute=gc_attribution)
         from repro.profiler.profiler import SemanticProfiler
 
         self.contexts = ContextRegistry(depth=context_depth)

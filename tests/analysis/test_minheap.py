@@ -201,6 +201,18 @@ class GrowingWorkload(Workload):
             lst.add(vm.allocate_data("Item", int_fields=4))
 
 
+class SmallListWorkload(Workload):
+    """A live set far below any Fig. 6 resolution step."""
+
+    name = "small-list"
+
+    def run(self, vm):
+        lst = ChameleonList(vm)
+        lst.pin()
+        for i in range(30):
+            lst.add(i)
+
+
 class TestMeasureMinHeap:
     def test_min_heap_brackets_peak_live(self):
         tool = Chameleon()
@@ -213,6 +225,20 @@ class TestMeasureMinHeap:
         assert result.min_heap_bytes <= result.unconstrained_peak * 1.6
         assert result.probes > 0
         assert result.headroom >= 0.9
+
+    def test_peak_below_the_resolution_is_reported_as_is(self):
+        """The bracket seed is clamped to one resolution step; the
+        reported peak, and so ``headroom``, is not."""
+        tool = Chameleon()
+        result = measure_min_heap(tool, SmallListWorkload(),
+                                  resolution=8192)
+        _, unconstrained = tool.plain_run(SmallListWorkload())
+        assert 0 < unconstrained.peak_live_bytes < 8192
+        assert result.unconstrained_peak == unconstrained.peak_live_bytes
+        assert result.min_heap_bytes == 1024  # the seed did not move
+        assert result.headroom == pytest.approx(
+            1024 / unconstrained.peak_live_bytes)
+        assert result.headroom >= 1.0
 
     def test_at_minimum_is_the_run_at_the_minimum(self):
         tool = Chameleon()

@@ -164,7 +164,7 @@ class TestConstructionPin:
         collection = impl(vm)
         key, value = vm.allocate_data("Rec"), vm.allocate_data("Rec")
         heap = vm.heap
-        roots, root_epoch = dict(heap._roots), heap._root_epoch
+        roots = dict(heap._roots)
         allocated = heap.total_allocated_objects
         if impl is HashMapImpl:
             collection.put(key, value)
@@ -172,7 +172,6 @@ class TestConstructionPin:
             collection.add(key)
         assert heap.total_allocated_objects == allocated + 1
         assert heap._roots == roots
-        assert heap._root_epoch == root_epoch
 
     @pytest.mark.parametrize("impl", [HashMapImpl, LinkedHashMapImpl,
                                       LazyMapImpl, HashSetImpl,

@@ -84,64 +84,6 @@ class TestReachability:
         stats = gc.collect()  # must not crash on the dangling id
         assert stats.live_data == 8
 
-    def test_live_bytes_estimate_does_not_sweep(self, heap, gc):
-        root = heap.allocate("Root", 16)
-        heap.add_root(root)
-        heap.allocate("Garbage", 16)
-        assert gc.live_bytes_estimate() == 16
-        assert len(heap) == 2  # nothing swept
-
-
-class TestLiveBytesEstimateCache:
-    """The estimate is cached on the heap's mutation stamp: exact after
-    *every* kind of heap mutation, recomputed only when one happened."""
-
-    def _fresh_mark_bytes(self, heap, gc):
-        return sum(heap.get(obj_id).size for obj_id in gc._mark())
-
-    def test_exact_across_every_mutation_kind(self, heap, gc):
-        a = heap.allocate("A", 16)
-        b = heap.allocate("B", 24)
-        c = heap.allocate("C", 48)
-        heap.add_root(a)
-        assert gc.live_bytes_estimate() == 16
-
-        a.add_ref(b.obj_id)                       # edge added
-        assert gc.live_bytes_estimate() == 40
-        heap.add_root(c)                          # root added
-        assert gc.live_bytes_estimate() == 88
-        heap.remove_root(c)                       # root removed
-        assert gc.live_bytes_estimate() == 40
-        a.remove_ref(b.obj_id)                    # edge removed
-        assert gc.live_bytes_estimate() == 16
-        a.add_ref(b.obj_id)
-        a.add_ref(c.obj_id)
-        a.clear_refs()                            # edges cleared
-        assert gc.live_bytes_estimate() == 16
-        gc.collect()                              # frees b and c
-        assert gc.live_bytes_estimate() == 16
-        heap.allocate("D", 8)                     # allocation (unrooted)
-        assert gc.live_bytes_estimate() == 16
-        assert gc.live_bytes_estimate() == self._fresh_mark_bytes(heap, gc)
-
-    def test_cache_hit_skips_the_mark(self, heap, gc, monkeypatch):
-        root = heap.allocate("Root", 16)
-        heap.add_root(root)
-        calls = []
-        original_mark = gc._mark
-
-        def counting_mark():
-            calls.append(1)
-            return original_mark()
-
-        monkeypatch.setattr(gc, "_mark", counting_mark)
-        assert gc.live_bytes_estimate() == 16
-        assert gc.live_bytes_estimate() == 16
-        assert len(calls) == 1  # second call served from the cache
-        root.add_ref(heap.allocate("Child", 8).obj_id)
-        assert gc.live_bytes_estimate() == 24
-        assert len(calls) == 2  # mutation invalidated it
-
 
 class TestDeathHooks:
     def test_hook_runs_on_sweep(self, heap, gc):

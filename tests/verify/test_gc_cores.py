@@ -108,7 +108,7 @@ def _collect_record(seed: int, collector) -> dict:
         "cycles": cycles,
         "freed": freed,
         "surviving": sorted(heap._objects),
-        "live_bytes": gc.live_bytes_estimate(),
+        "live_bytes": sum(heap.get(obj_id).size for obj_id in gc._mark()),
     }
 
 
