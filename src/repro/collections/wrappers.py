@@ -41,45 +41,16 @@ __all__ = ["ChameleonCollection", "ChameleonList", "ChameleonSet",
            "ChameleonMap"]
 
 
-# ----------------------------------------------------------------------
-# Inline-cached dispatch
-# ----------------------------------------------------------------------
-#
-# Each single-element recorded op goes through a per-instance *plan*: a
-# tuple built lazily on first use that folds everything the plain
-# charge -> record_op -> impl-op -> record_size chain would re-derive on
-# every call.
-#
-# Plan layout (shared prefix, then kind-specific bound impl methods):
-#
-#   plan[0]  stamp        vm.dispatch_stamp captured at build time; the
-#                         op path rebuilds when the VM bumped it
-#                         (set_tracer / enable_profiling /
-#                         disable_profiling), and swap_to resets the
-#                         plan to None directly.
-#   plan[1]  clock        vm.clock -- per-op constants are added to its
-#                         `pending` accumulator (flushed at every
-#                         vm.now read; see VMClock).
-#   plan[2]  ticks        wrapper_delegation (+ profile_op when the
-#                         instance is profiled), validated non-negative
-#                         once at build time.
-#   plan[3]  counts       the ObjectContextInfo's dense counter array,
-#                         or None for unprofiled instances.
-#   plan[4]  oci          the ObjectContextInfo itself, or None.
-#   plan[5]  add_root     vm.add_root   (argument pinning, refcounted).
-#   plan[6]  remove_root  vm.remove_root.
-#   plan[7:] bound impl methods, one slot per recorded operation of the
-#            kind (invalidated with the plan on swap_to).
-#
-# Ticks are charged and the op counter incremented *before* the impl
-# call (a raising op stays counted), the size watermark is updated
-# *after* it, and heap-object arguments are rooted for the span of the
-# delegated operation in argument order.  Bulk operations (add_all,
-# put_all, ...) charge through `_record` instead -- interleaving
-# immediate `charge` calls with batched `pending` adds commutes, so
-# mixing the two lanes is unobservable.  The plain per-op chains in
-# repro.verify.oracle are the executable spec these methods are
-# differentially tested against.
+# Single-element recorded ops add the instance's fused per-op constant to
+# `clock.pending` (folded at every vm.now read; see VMClock) and bump the
+# op counter *before* the impl call, so a raising op stays counted; the
+# size watermark is updated *after* it, and heap-object arguments are
+# rooted for the span of the delegated operation in argument order.
+# Bulk operations (add_all, put_all, ...) charge through `_record`
+# instead -- interleaving immediate `charge` calls with batched `pending`
+# adds commutes, so mixing the two lanes is unobservable.  The plain
+# per-op chains in repro.verify.oracle are the executable spec these
+# methods are differentially tested against.
 
 _OP_SIZE = Op.SIZE.index
 _OP_IS_EMPTY = Op.IS_EMPTY.index
@@ -93,10 +64,6 @@ class ChameleonCollection:
 
     KIND: CollectionKind
     DEFAULT_SRC_TYPE: str
-
-    #: Inline-cached dispatch plan (layout above).  ``None`` means
-    #: "stale": the next recorded op rebuilds it.
-    _plan: Optional[tuple] = None
 
     def __new__(cls, vm: "RuntimeEnvironment", *args: Any, **kwargs: Any):
         # A VM may substitute subclasses for the wrappers built on it
@@ -178,12 +145,20 @@ class ChameleonCollection:
         self._ids_token: Optional[int] = None
         self._ids_list: List[int] = []
 
-        self._oci = None
+        # Recording state, fixed for the wrapper's lifetime: the clock
+        # whose `pending` lane the single-element ops add to, their fused
+        # per-op constant (RuntimeEnvironment rejects negative ones), and
+        # a sampled instance's profiling record and dense counter array.
+        self._clock = vm.clock
+        self._ticks = vm.costs.wrapper_delegation
+        self._oci = self._counts = None
         on_death = None
         if profile:
             oci = self._oci = profiler.on_allocation(
                 context_id, src_type, impl_name,
                 initial_capacity=initial_capacity)
+            self._ticks += vm.costs.profile_op
+            self._counts = oci.counts
             on_death = lambda heap_obj: profiler.on_death(oci)
 
         try:
@@ -279,27 +254,6 @@ class ChameleonCollection:
         """The instance's profiling record, if it was sampled."""
         return self._oci
 
-    def _plan_prefix(self) -> tuple:
-        vm = self.vm
-        costs = vm.costs
-        oci = self._oci
-        delegation = costs.wrapper_delegation
-        profile_op = costs.profile_op if oci is not None else 0
-        if delegation < 0 or profile_op < 0:
-            # The validated VMClock.charge surfaces negative ablation
-            # constants on the op itself; a batched accumulator must
-            # never go negative silently.
-            raise ValueError("cannot charge negative ticks")
-        counts = oci.counts if oci is not None else None
-        # Root pins bind the heap's methods directly: vm.add_root /
-        # vm.remove_root are pure one-line delegates to them.
-        heap = vm.heap
-        return (vm.dispatch_stamp, vm.clock, delegation + profile_op,
-                counts, oci, heap.add_root, heap.remove_root)
-
-    def _build_plan(self) -> tuple:  # pragma: no cover - kind-specific
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # Lifetime
     # ------------------------------------------------------------------
@@ -319,7 +273,10 @@ class ChameleonCollection:
 
         Elements are migrated through charged operations (the real cost of
         an online conversion); the old implementation and its internals
-        become garbage.
+        become garbage.  If the migration raises (say, the new
+        implementation cannot hold that many elements), the wrapper keeps
+        its old implementation, contents and heap edges, the new one is
+        left unreferenced, and the exception propagates.
         """
         capacity = initial_capacity
         if capacity is None:
@@ -331,10 +288,17 @@ class ChameleonCollection:
         self.impl = new_impl
         self._fp_token = None
         self._ids_token = None
-        # The dispatch plan folds bound methods of the *old* impl;
-        # drop it so the next recorded op rebuilds against the new one.
-        self._plan = None
-        self._migrate(old_impl, new_impl)
+        try:
+            self._migrate(old_impl, new_impl)
+        except BaseException:
+            # The old impl is still linked from the wrapper and intact;
+            # the new one loses its construction root without gaining an
+            # owner, so the next cycle frees it.
+            self.impl = old_impl
+            self._fp_token = None
+            self._ids_token = None
+            new_impl.adopt()
+            raise
         self.heap_obj.remove_ref(old_impl.anchor_id)
         self.heap_obj.add_ref(new_impl.anchor_id)
         new_impl.adopt()
@@ -351,35 +315,26 @@ class ChameleonCollection:
     # ------------------------------------------------------------------
     def size(self) -> int:
         """Recorded ``size()`` operation."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_OP_SIZE] += 1
         return self.impl.size
 
     def is_empty(self) -> bool:
         """Recorded ``isEmpty()`` operation."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_OP_IS_EMPTY] += 1
         return self.impl.is_empty
 
     def clear(self) -> None:
         """Recorded ``clear()`` operation."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
+        self._clock.pending += self._ticks
         impl = self.impl
         impl.clear()
-        oci = plan[4]
+        oci = self._oci
         if oci is not None:
             # clear() cannot fail mid-way, so count + size fuse into
             # one post-op call.
@@ -387,13 +342,10 @@ class ChameleonCollection:
 
     def iterate(self) -> CollectionIterator:
         """Recorded iterator creation over the collection's values."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
         impl = self.impl
         empty = impl.is_empty
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_OP_ITERATE] += 1
             if empty:
@@ -462,33 +414,22 @@ class ChameleonList(ChameleonCollection):
 
     impl: ListImpl
 
-    def _build_plan(self) -> tuple:
-        impl = self.impl
-        plan = self._plan_prefix() + (
-            impl.add, impl.add_at, impl.get, impl.set_at, impl.remove_at,
-            impl.remove_first, impl.remove_value, impl.contains,
-            impl.index_of)
-        self._plan = plan
-        return plan
-
     def add(self, value: Any, _idx: int = Op.ADD.index) -> None:
         """Append ``value`` (``add(Object)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
         if isinstance(value, HeapObject):
-            plan[5](value)
+            heap = self.vm.heap
+            heap.add_root(value)
             try:
-                plan[7](value)
+                self.impl.add(value)
             finally:
-                plan[6](value)
+                heap.remove_root(value)
         else:
-            plan[7](value)
-        oci = plan[4]
+            self.impl.add(value)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -498,22 +439,20 @@ class ChameleonList(ChameleonCollection):
     def add_at(self, index: int, value: Any,
                _idx: int = Op.ADD_INDEX.index) -> None:
         """Insert at position (``add(int, Object)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
         if isinstance(value, HeapObject):
-            plan[5](value)
+            heap = self.vm.heap
+            heap.add_root(value)
             try:
-                plan[8](index, value)
+                self.impl.add_at(index, value)
             finally:
-                plan[6](value)
+                heap.remove_root(value)
         else:
-            plan[8](index, value)
-        oci = plan[4]
+            self.impl.add_at(index, value)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -563,27 +502,21 @@ class ChameleonList(ChameleonCollection):
 
     def get(self, index: int, _idx: int = Op.GET_INDEX.index) -> Any:
         """Positional read (``get(int)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        return plan[9](index)
+        return self.impl.get(index)
 
     def set_at(self, index: int, value: Any,
                _idx: int = Op.SET_INDEX.index) -> Any:
         """Positional replace (``set(int, Object)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        old = plan[10](index, value)
-        oci = plan[4]
+        old = self.impl.set_at(index, value)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -594,15 +527,12 @@ class ChameleonList(ChameleonCollection):
     def remove_at(self, index: int,
                   _idx: int = Op.REMOVE_INDEX.index) -> Any:
         """Positional removal (``remove(int)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        old = plan[11](index)
-        oci = plan[4]
+        old = self.impl.remove_at(index)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -612,15 +542,12 @@ class ChameleonList(ChameleonCollection):
 
     def remove_first(self, _idx: int = Op.REMOVE_FIRST.index) -> Any:
         """Head removal (``removeFirst()``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        old = plan[12]()
-        oci = plan[4]
+        old = self.impl.remove_first()
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -631,15 +558,12 @@ class ChameleonList(ChameleonCollection):
     def remove_value(self, value: Any,
                      _idx: int = Op.REMOVE_OBJECT.index) -> bool:
         """First-occurrence removal (``remove(Object)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        removed = plan[13](value)
-        oci = plan[4]
+        removed = self.impl.remove_value(value)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -649,25 +573,19 @@ class ChameleonList(ChameleonCollection):
 
     def contains(self, value: Any, _idx: int = Op.CONTAINS.index) -> bool:
         """Membership test (``contains(Object)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        return plan[14](value)
+        return self.impl.contains(value)
 
     def index_of(self, value: Any, _idx: int = Op.INDEX_OF.index) -> int:
         """First-occurrence search (``indexOf(Object)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        return plan[15](value)
+        return self.impl.index_of(value)
 
     def to_list(self) -> List[Any]:
         """Recorded ``toArray()``: a charged copy of the contents."""
@@ -692,31 +610,22 @@ class ChameleonSet(ChameleonCollection):
 
     impl: SetImpl
 
-    def _build_plan(self) -> tuple:
-        impl = self.impl
-        plan = self._plan_prefix() + (
-            impl.add, impl.remove_value, impl.contains)
-        self._plan = plan
-        return plan
-
     def add(self, value: Any, _idx: int = Op.ADD.index) -> bool:
         """Insert ``value``; False if already present."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
         if isinstance(value, HeapObject):
-            plan[5](value)
+            heap = self.vm.heap
+            heap.add_root(value)
             try:
-                added = plan[7](value)
+                added = self.impl.add(value)
             finally:
-                plan[6](value)
+                heap.remove_root(value)
         else:
-            added = plan[7](value)
-        oci = plan[4]
+            added = self.impl.add(value)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -744,15 +653,12 @@ class ChameleonSet(ChameleonCollection):
     def remove_value(self, value: Any,
                      _idx: int = Op.REMOVE_OBJECT.index) -> bool:
         """Remove ``value``; True if it was present."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        removed = plan[8](value)
-        oci = plan[4]
+        removed = self.impl.remove_value(value)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -762,14 +668,11 @@ class ChameleonSet(ChameleonCollection):
 
     def contains(self, value: Any, _idx: int = Op.CONTAINS.index) -> bool:
         """Membership test."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        return plan[9](value)
+        return self.impl.contains(value)
 
     def _bulk_absorb(self, source: ChameleonCollection) -> None:
         for value in source.impl.iter_values():
@@ -789,40 +692,30 @@ class ChameleonMap(ChameleonCollection):
 
     impl: MapImpl
 
-    def _build_plan(self) -> tuple:
-        impl = self.impl
-        plan = self._plan_prefix() + (
-            impl.put, impl.get, impl.remove_key, impl.contains_key,
-            impl.contains_value)
-        self._plan = plan
-        return plan
-
     def put(self, key: Any, value: Any, _idx: int = Op.PUT.index) -> Any:
         """Associate ``key`` with ``value``; returns the previous value."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
         key_pinned = isinstance(key, HeapObject)
         value_pinned = isinstance(value, HeapObject)
         if key_pinned or value_pinned:
+            heap = self.vm.heap
             if key_pinned:
-                plan[5](key)
+                heap.add_root(key)
             if value_pinned:
-                plan[5](value)
+                heap.add_root(value)
             try:
-                old = plan[7](key, value)
+                old = self.impl.put(key, value)
             finally:
                 if key_pinned:
-                    plan[6](key)
+                    heap.remove_root(key)
                 if value_pinned:
-                    plan[6](value)
+                    heap.remove_root(value)
         else:
-            old = plan[7](key, value)
-        oci = plan[4]
+            old = self.impl.put(key, value)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -832,26 +725,20 @@ class ChameleonMap(ChameleonCollection):
 
     def get(self, key: Any, _idx: int = Op.GET_OBJECT.index) -> Any:
         """Lookup (``get(Object)``)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        return plan[8](key)
+        return self.impl.get(key)
 
     def remove_key(self, key: Any, _idx: int = Op.REMOVE_KEY.index) -> Any:
         """Remove ``key``'s mapping; returns the removed value."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        old = plan[9](key)
-        oci = plan[4]
+        old = self.impl.remove_key(key)
+        oci = self._oci
         if oci is not None:
             size = self.impl.size
             oci.final_size = size
@@ -862,26 +749,20 @@ class ChameleonMap(ChameleonCollection):
     def contains_key(self, key: Any,
                      _idx: int = Op.CONTAINS_KEY.index) -> bool:
         """Key-membership test."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        return plan[10](key)
+        return self.impl.contains_key(key)
 
     def contains_value(self, value: Any,
                        _idx: int = Op.CONTAINS_VALUE.index) -> bool:
         """Value-membership test (linear)."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_idx] += 1
-        return plan[11](value)
+        return self.impl.contains_value(value)
 
     def put_all(self, source: Union["ChameleonMap", Dict[Any, Any]]) -> None:
         """Copy every mapping of ``source`` in (``putAll(Map)``)."""
@@ -902,13 +783,10 @@ class ChameleonMap(ChameleonCollection):
 
     def iterate_items(self) -> CollectionIterator:
         """Recorded iterator over ``(key, value)`` pairs."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
         impl = self.impl
         empty = impl.is_empty
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_OP_ITERATE] += 1
             if empty:
@@ -919,13 +797,10 @@ class ChameleonMap(ChameleonCollection):
 
     def iterate_keys(self) -> CollectionIterator:
         """Recorded iterator over keys."""
-        plan = self._plan
-        if plan is None or plan[0] is not self.vm.dispatch_stamp:
-            plan = self._build_plan()
         impl = self.impl
         empty = impl.is_empty
-        plan[1].pending += plan[2]
-        counts = plan[3]
+        self._clock.pending += self._ticks
+        counts = self._counts
         if counts is not None:
             counts[_OP_ITERATE] += 1
             if empty:

@@ -70,6 +70,10 @@ class ToolConfig:
             raise ValueError("sampling_rate must be >= 1")
         if self.online_decide_after < 1:
             raise ValueError("online_decide_after must be >= 1")
+        if self.context_depth < 1:
+            # Depth 0 keeps no frame: every allocation would share one
+            # context, and no context-specific suggestion could be made.
+            raise ValueError("context_depth must be >= 1")
 
     def fingerprint(self) -> str:
         """A stable digest of every semantic field.

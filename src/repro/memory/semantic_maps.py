@@ -174,14 +174,13 @@ class SemanticMapRegistry:
     immutable while the registry is unchanged (payloads are assigned at
     allocation), so :meth:`lookup` caches its anchor classification on the
     :class:`HeapObject` itself, stamped with the registry version; any
-    ``register``/``unregister``/dispatch change invalidates every cached
-    verdict at once by bumping the version.
+    ``register``/``unregister`` invalidates every cached verdict at once
+    by bumping the version.
     """
 
     def __init__(self) -> None:
         self._by_type: Dict[str, SemanticMap] = {}
         self._protocol_map = ProtocolSemanticMap()
-        self._protocol_enabled = True
         self._version = next(_registry_versions)
 
     def _invalidate(self) -> None:
@@ -198,15 +197,6 @@ class SemanticMapRegistry:
         del self._by_type[type_name]
         self._invalidate()
 
-    def set_protocol_dispatch(self, enabled: bool) -> None:
-        """Enable/disable the default payload-protocol dispatch.
-
-        Disabling it models running the collector on a VM where only
-        explicitly described custom collections are profiled.
-        """
-        self._protocol_enabled = enabled
-        self._invalidate()
-
     def lookup(self, obj: HeapObject) -> Optional[SemanticMap]:
         """Find the semantic map for ``obj``, or ``None`` for plain data."""
         if obj.sm_version == self._version:
@@ -214,7 +204,7 @@ class SemanticMapRegistry:
         custom = self._by_type.get(obj.type_name)
         if custom is not None and custom.matches(obj):
             result: Optional[SemanticMap] = custom
-        elif self._protocol_enabled and self._protocol_map.matches(obj):
+        elif self._protocol_map.matches(obj):
             result = self._protocol_map
         else:
             result = None

@@ -60,10 +60,10 @@ class ObjectContextInfo:
     def record_op_size(self, op_index: int, size: int) -> None:
         """Fused :meth:`record_op` + :meth:`record_size` for a mutation.
 
-        The wrappers' inline-cached op plans pre-resolve ``op.index`` to
-        a plain integer, so one call updates both the dense counter
-        array and the size watermark -- half the call overhead of the
-        separate pair on every recorded mutation.
+        The wrappers pre-resolve ``op.index`` to a plain integer, so one
+        call updates both the dense counter array and the size watermark
+        -- half the call overhead of the separate pair on every recorded
+        mutation.
         """
         self.counts[op_index] += 1
         self.final_size = size

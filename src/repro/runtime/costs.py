@@ -109,7 +109,7 @@ class VMClock:
 
     * :meth:`charge` -- the validated call most components use;
     * :attr:`pending` -- a plain integer accumulator the wrappers'
-      inline-cached op plans add pre-validated constants to without a call.
+      single-element ops add pre-validated constants to without a call.
 
     Tick addition is commutative, so batching is unobservable as long as
     ``pending`` is folded in before anyone reads the clock; :attr:`now`
@@ -121,8 +121,8 @@ class VMClock:
     def __init__(self) -> None:
         self.ticks = 0
         #: Batched charges not yet folded into :attr:`ticks`.  Writers
-        #: must only ever add non-negative amounts (the fast wrapper
-        #: plans validate their constants once, at plan-build time).
+        #: must only ever add non-negative amounts (the VM validates the
+        #: wrapper and allocator constants once, at construction).
         self.pending = 0
 
     def charge(self, ticks: int) -> None:

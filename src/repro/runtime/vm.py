@@ -35,7 +35,7 @@ counting.
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Protocol, Tuple, runtime_checkable)
+                    Protocol, runtime_checkable)
 
 from repro.memory.gc import GcCostParameters, MarkSweepGC
 from repro.memory.heap import HeapObject, OutOfMemoryError, SimHeap
@@ -187,24 +187,17 @@ class RuntimeEnvironment:
         # wrapper's operations without charging ticks, so a recorded run
         # is byte-identical to a plain one.
         self.tracer: Optional[Any] = None
-        # Structural version token for the wrappers' inline-cached op
-        # plans (the adt_footprint_token idea applied to dispatch):
-        # plans capture the current stamp at build time and rebuild
-        # whenever it moved.  Bumped by set_tracer and the profiling
-        # toggles -- anything that could change what a recorded op must
-        # do.  `object()` gives a fresh, never-reused identity.
-        self.dispatch_stamp: object = object()
+        # Collection wrappers add these per-op constants to the batched
+        # `clock.pending` lane, which must never go negative; like the
+        # allocator's constants, they are validated once, here.
+        if self.costs.wrapper_delegation < 0 or self.costs.profile_op < 0:
+            raise ValueError("cannot charge negative ticks")
         # Same instance-attribute trick as `charge`: the allocator is a
         # closure bound here, before the creation hooks run, so a hook
         # may wrap it.
         self._install_allocate()
         for hook in _vm_created_hooks:
             hook(self)
-
-    def set_tracer(self, tracer: Optional[Any]) -> None:
-        """Install (or clear, with ``None``) a collection trace recorder."""
-        self.tracer = tracer
-        self.dispatch_stamp = object()
 
     # ------------------------------------------------------------------
     # Time
@@ -381,18 +374,6 @@ class RuntimeEnvironment:
             self.charge(self.costs.policy_lookup)
         return self.policy.choose(src_type, context_id)
 
-    @property
-    def needs_context_at_allocation(self) -> Tuple[bool, bool]:
-        """``(needed, charged)`` -- whether collection wrappers must capture
-        an allocation context, and whether that capture costs ticks."""
-        profiling = self.profiling_enabled
-        online = (self.policy is not None
-                  and self.policy.requires_runtime_capture)
-        offline_policy = self.policy is not None and not online
-        needed = profiling or online or offline_policy
-        charged = profiling or online
-        return needed, charged
-
     # ------------------------------------------------------------------
     # Run lifecycle
     # ------------------------------------------------------------------
@@ -437,18 +418,3 @@ class RuntimeEnvironment:
     def timeline(self) -> HeapTimeline:
         """The collector's per-cycle statistics for this run."""
         return self.gc.timeline
-
-    def enable_profiling(self,
-                         profiler: Optional["SemanticProfiler"] = None,
-                         ) -> "SemanticProfiler":
-        """Switch profiling on (optionally with a custom profiler)."""
-        if profiler is not None:
-            self.profiler = profiler
-        self.profiling_enabled = True
-        self.dispatch_stamp = object()
-        return self.profiler
-
-    def disable_profiling(self) -> None:
-        """Switch profiling off (the Fig. 7 timing configuration)."""
-        self.profiling_enabled = False
-        self.dispatch_stamp = object()

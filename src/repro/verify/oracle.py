@@ -2,9 +2,9 @@
 
 The collector's mark and account phases
 (:class:`~repro.memory.gc.MarkSweepGC`) and the runtime's operation
-pipeline -- batched tick charging, inline-cached wrapper dispatch, the
-inlined allocator -- are optimised rewrites of
-straightforward loops.  Those loops live on here as the executable
+pipeline -- batched tick charging, wrapper ops that read recording state
+fixed at construction, the inlined allocator -- are optimised rewrites
+of straightforward loops.  Those loops live on here as the executable
 specification the differential tests (``tests/verify/test_gc_cores.py``,
 ``test_vm_cores.py``, ``test_conformance.py``) hold the production code
 to: identical ticks, per-cycle GC statistics (dict insertion order

@@ -385,9 +385,10 @@ class _RecState:
 class TraceRecorder:
     """Records per-collection operation traces from a live run.
 
-    Install with ``vm.set_tracer(recorder)`` (before the workload runs);
-    every :class:`ChameleonCollection` constructed afterwards reports
-    itself and has its recorded operations observed.  The recorder is a
+    Install with :meth:`install` (before the workload runs): every
+    :class:`ChameleonCollection` constructed afterwards reports itself
+    and has its recorded operations observed, through per-instance
+    patches of its op methods.  The recorder is a
     pure observer: zero tick charges, zero simulated allocations, zero
     allocation-context interning.
     """
@@ -401,7 +402,7 @@ class TraceRecorder:
         self.src_types = src_types
 
     def install(self, vm: RuntimeEnvironment) -> "TraceRecorder":
-        vm.set_tracer(self)
+        vm.tracer = self
         return self
 
     # -- wrapper callback ----------------------------------------------

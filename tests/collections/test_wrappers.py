@@ -235,9 +235,28 @@ class TestSwapping:
 
     def test_swap_to_singleton_rejects_oversized(self, vm):
         lst = ChameleonList(vm)
+        lst.pin()
         lst.add_all([1, 2])
+        old_impl = lst.impl
+        edges = dict(lst.heap_obj.refs)
+        roots = set(vm.heap.root_ids())
         with pytest.raises(UnsupportedOperation):
             lst.swap_to("SingletonList")
+        # The failed swap leaves the wrapper as it was ...
+        assert lst.impl is old_impl
+        assert lst.impl.IMPL_NAME == "ArrayList"
+        assert lst.snapshot() == [1, 2]
+        assert lst.heap_obj.refs == edges
+        # ... and the half-filled new impl unrooted, so it dies.
+        assert set(vm.heap.root_ids()) == roots
+        new_anchors = [obj.obj_id for obj in vm.heap.objects()
+                       if getattr(obj.payload, "IMPL_NAME", None)
+                       == "SingletonList"]
+        assert len(new_anchors) == 1
+        vm.collect()
+        assert new_anchors[0] not in vm.heap.ids()
+        lst.add(3)
+        assert lst.snapshot() == [1, 2, 3]
 
 
 class _FixedPolicy:

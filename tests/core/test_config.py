@@ -32,6 +32,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ToolConfig(online_decide_after=0)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_context_depth(self, depth):
+        with pytest.raises(ValueError, match="context_depth"):
+            ToolConfig(context_depth=depth)
+
     def test_vm_core(self):
         """The op pipeline is no longer selectable: a caller still
         passing the retired knob fails loudly."""

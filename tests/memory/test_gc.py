@@ -5,7 +5,7 @@ import pytest
 from repro.memory.gc import GcCostParameters, MarkSweepGC
 from repro.memory.heap import SimHeap
 from repro.memory.layout import MemoryModel
-from repro.memory.semantic_maps import FootprintTriple, SemanticMapRegistry
+from repro.memory.semantic_maps import FootprintTriple
 
 
 @pytest.fixture
@@ -250,16 +250,6 @@ class TestAdtAccounting:
         stats = gc.collect()
         assert stats.collection_objects == 1
         assert stats.collection_live == 80
-
-    def test_registry_protocol_can_be_disabled(self, heap):
-        registry = SemanticMapRegistry()
-        registry.set_protocol_dispatch(False)
-        gc = MarkSweepGC(heap, registry)
-        self._anchor_with_internals(heap)
-        stats = gc.collect()
-        assert stats.collection_objects == 0
-        # Without semantic maps the array is just an Object[].
-        assert "Object[]" in stats.type_distribution
 
 
 class TestGcCosts:

@@ -114,20 +114,3 @@ class TestPolicyDispatch:
         before = vm.now
         vm.choose_implementation("HashMap", 1)
         assert vm.now - before == vm.costs.policy_lookup
-
-    def test_needs_context_flags(self, vm):
-        assert vm.needs_context_at_allocation == (False, False)
-        vm.policy = _StaticPolicy(None)
-        assert vm.needs_context_at_allocation == (True, False)
-        vm.policy = _OnlinePolicy(None)
-        assert vm.needs_context_at_allocation == (True, True)
-        vm.policy = None
-        vm.enable_profiling(SemanticProfiler())
-        assert vm.needs_context_at_allocation == (True, True)
-
-    def test_profiling_toggle(self, vm):
-        profiler = vm.enable_profiling(SemanticProfiler())
-        assert vm.profiling_enabled
-        assert vm.profiler is profiler
-        vm.disable_profiling()
-        assert not vm.profiling_enabled

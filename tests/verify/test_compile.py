@@ -170,7 +170,7 @@ def test_generator_compiler_recorder_closure(adt, seed):
 
     vm = RuntimeEnvironment(gc_threshold_bytes=None)
     recorder = TraceRecorder()
-    vm.set_tracer(recorder)
+    vm.tracer = recorder
     instance = TraceInstance(vm, program, impl=trace.baseline_impl)
     instance.run()
     vm.collect()

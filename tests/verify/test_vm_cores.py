@@ -4,12 +4,10 @@ The production op pipeline must be observably indistinguishable from the
 plain per-op call chains kept in :mod:`repro.verify.oracle`: same virtual
 ticks, same GC cycle statistics, same profiler reports (down to the JSON
 serialisation, which pins dict insertion order).  It batches tick
-charges into ``clock.pending`` and dispatches recorded wrapper
-operations through inline-cached plans, so the hazards this suite hunts
-are *flush boundaries* (a clock read that misses pending charges) and
-*stale plans* (an op recorded against a plan built before
-``set_tracer`` / ``enable_profiling`` / ``disable_profiling`` /
-``swap_to`` changed what recording must do).
+charges into ``clock.pending``, so the hazard this suite hunts is the
+*flush boundary* (a clock read that misses pending charges); and
+``swap_to``, the one transition that changes what a wrapper's recorded
+ops call, must leave the wrapper recording exactly as the oracle's does.
 
 Checked differentially over the committed trace corpus, generated fuzz
 traces, and all six paper workloads, across the 2 x 2 grid of op
@@ -190,93 +188,13 @@ class TestClockFlushBoundaries:
 
 
 # ----------------------------------------------------------------------
-# Plan invalidation (satellite: the inline-cache staleness hazard)
+# swap_to: the only transition of a live wrapper's dispatch
 # ----------------------------------------------------------------------
 
 
-def _toggle_script(vm):
-    """Ops interleaved with every plan-invalidating VM transition;
-    returns the end-of-run observable record."""
-    lst = ChameleonList(vm)
-    lst.pin()
-    for i in range(10):
-        lst.add(i)
-    profiler = vm.enable_profiling(SemanticProfiler())
-    # Allocated *after* the toggle: profiled on both pipelines.
-    mapping = ChameleonMap(vm)
-    mapping.pin()
-    for i in range(10):
-        mapping.put(i, i)
-        lst.get(i)          # pre-toggle instance: stays unprofiled
-        mapping.get(i)
-    vm.disable_profiling()
-    for i in range(10):
-        mapping.contains_key(i)
-        lst.contains(i)
-    vm.enable_profiling()
-    vm.set_tracer(None)     # stamp bump, tracer behaviour unchanged
-    for i in range(10):
-        mapping.put(i, -i)
-    vm.finish()
-    assert profiler is vm.profiler
-    oci = mapping.object_info
-    return {
-        "ticks": vm.now,
-        "counts": list(oci.counts),
-        "max_size": oci.max_size,
-        "final_size": oci.final_size,
-        "unprofiled_stays_unprofiled": lst.object_info is None,
-    }
-
-
 class TestPlanInvalidation:
-    def _built(self, vm):
-        """A wrapper with a freshly built, current plan."""
-        lst = ChameleonList(vm)
-        lst.pin()
-        lst.add(1)
-        assert lst._plan is not None
-        assert lst._plan[0] is vm.dispatch_stamp
-        return lst
-
-    @pytest.mark.parametrize("bump", [
-        lambda vm: vm.enable_profiling(SemanticProfiler()),
-        lambda vm: vm.disable_profiling(),
-        lambda vm: vm.set_tracer(None),
-    ], ids=["enable_profiling", "disable_profiling", "set_tracer"])
-    def test_vm_transitions_stale_the_plan(self, bump):
-        vm = RuntimeEnvironment(gc_threshold_bytes=None)
-        lst = self._built(vm)
-        stale = lst._plan
-        bump(vm)
-        assert stale[0] is not vm.dispatch_stamp, \
-            "transition did not move the dispatch stamp"
-        lst.size()  # next recorded op rebuilds against the new state
-        assert lst._plan is not stale
-        assert lst._plan[0] is vm.dispatch_stamp
-
-    def test_swap_to_drops_the_plan(self):
-        vm = RuntimeEnvironment(gc_threshold_bytes=None)
-        lst = self._built(vm)
-        stale = lst._plan
-        lst.swap_to("LinkedList")
-        assert lst._plan is None
-        lst.add(2)
-        rebuilt = lst._plan
-        assert rebuilt is not None and rebuilt is not stale
-        # The rebuilt plan binds the *new* impl's methods.
-        assert rebuilt[7].__self__ is lst.impl
-
-    def test_mid_run_toggles_match_reference(self):
-        reference = _toggle_script(
-            ReferenceRuntimeEnvironment(gc_threshold_bytes=None))
-        fast = _toggle_script(
-            RuntimeEnvironment(gc_threshold_bytes=None))
-        assert fast == reference
-
     def test_swap_to_matches_reference(self):
         def script(vm):
-            vm.enable_profiling(SemanticProfiler())
             seto = ChameleonSet(vm)
             seto.pin()
             for i in range(12):
@@ -287,9 +205,10 @@ class TestPlanInvalidation:
             vm.finish()
             return vm.now, list(seto.object_info.counts)
 
-        reference = script(
-            ReferenceRuntimeEnvironment(gc_threshold_bytes=None))
-        fast = script(RuntimeEnvironment(gc_threshold_bytes=None))
+        reference = script(ReferenceRuntimeEnvironment(
+            gc_threshold_bytes=None, profiler=SemanticProfiler()))
+        fast = script(RuntimeEnvironment(gc_threshold_bytes=None,
+                                         profiler=SemanticProfiler()))
         assert fast == reference
 
 
@@ -340,15 +259,18 @@ class TestFastAllocate:
 
     @pytest.mark.parametrize("constant", ["alloc_base",
                                           "alloc_per_16_bytes",
+                                          "wrapper_delegation",
+                                          "profile_op",
                                           "hash_compute", "hash_probe",
                                           "entry_link"])
     def test_negative_cost_constants_rejected_at_construction(self,
                                                              constant):
-        """The allocator and the hash engine batch their charges into
-        ``clock.pending``, which must never go negative, so the
-        constants are validated once: when the VM installs the
-        allocator, and when a hash-backed collection builds its engine
-        (a lazy one too, before any operation)."""
+        """The allocator, the wrappers and the hash engine batch their
+        charges into ``clock.pending``, which must never go negative, so
+        the constants are validated once: when the VM is built (its
+        allocator's and the wrappers' constants), and when a hash-backed
+        collection builds its engine (a lazy one too, before any
+        operation)."""
         costs = CostModel().with_overrides(**{constant: -1})
         with pytest.raises(ValueError, match="cannot charge negative ticks"):
             LazyMapImpl(RuntimeEnvironment(cost_model=costs))
