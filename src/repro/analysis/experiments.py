@@ -126,8 +126,19 @@ def warm_worker(store_path: Optional[str] = None) -> None:
     import repro.workloads  # noqa: F401
 
 
+#: One tool per configuration fingerprint, as the min-heap probes keep
+#: theirs: building a Chameleon builds and validates its rule engine.
+_TOOLS: Dict[str, Chameleon] = {}
+
+
 def _tool(config: Optional[ToolConfig] = None) -> Chameleon:
-    return Chameleon(config or ToolConfig(), session_cache=_SESSION_CACHE)
+    config = config or ToolConfig()
+    fingerprint = config.fingerprint()
+    tool = _TOOLS.get(fingerprint)
+    if tool is None:
+        tool = _TOOLS[fingerprint] = Chameleon(
+            config, session_cache=_SESSION_CACHE)
+    return tool
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,9 @@ class BoxPool:
         key = element_key(value)
         entry = self._boxes.get(key)
         if entry is None:
-            box = self._vm.allocate("Box", self._vm.model.box_size())
+            # A box is a plain object with one int field
+            # (MemoryModel.box_size), sized once per VM.
+            box = self._vm.allocate("Box", self._vm.object_sizes[0, 1])
             self._boxes[key] = (box.obj_id, 1)
             return box.obj_id
         box_id, refcount = entry
@@ -199,6 +201,24 @@ class BoxPool:
         return len(self._boxes)
 
 
+class _LazyBoxPool:
+    """``CollectionImpl.boxes``: the impl's :class:`BoxPool`, built on
+    first use.
+
+    Most collections never store a primitive (or are never stored
+    into), so the pool is created when the first store asks for it and
+    then cached in the instance's ``__dict__``, which shadows this
+    (non-data) descriptor from then on.
+    """
+
+    def __get__(self, impl: Optional["CollectionImpl"],
+                owner: Optional[type] = None) -> Any:
+        if impl is None:
+            return self
+        pool = impl.boxes = BoxPool(impl.vm)
+        return pool
+
+
 class CollectionImpl:
     """Base class of every backing implementation.
 
@@ -213,6 +233,12 @@ class CollectionImpl:
     KINDS: frozenset = frozenset()
     DEFAULT_CAPACITY = 0
 
+    boxes = _LazyBoxPool()
+
+    #: True from :meth:`_allocate_anchor` until :meth:`adopt`: the anchor
+    #: is pinned as a root because no owner references it yet.
+    _construction_rooted = False
+
     def __init__(self, vm: "RuntimeEnvironment",
                  initial_capacity: Optional[int] = None,
                  context_id: Optional[int] = None) -> None:
@@ -221,7 +247,6 @@ class CollectionImpl:
         self.vm = vm
         self.context_id = context_id
         self.initial_capacity = initial_capacity
-        self.boxes = BoxPool(vm)
         self.anchor: Optional[HeapObject] = None
         # Shortcut the charge chain (impl -> vm -> clock) to a single
         # bound-method call; operation hot loops bill the clock directly.
@@ -229,19 +254,19 @@ class CollectionImpl:
 
     # -- anchor management -------------------------------------------------
     def _allocate_anchor(self, ref_fields: int, int_fields: int) -> HeapObject:
-        size = self.vm.model.object_size(ref_fields=ref_fields,
-                                         int_fields=int_fields)
-        self.anchor = self.vm.allocate(self.IMPL_NAME, size, payload=self,
-                                       context_id=self.context_id)
+        vm = self.vm
+        anchor = self.anchor = vm.allocate(
+            self.IMPL_NAME, vm.object_sizes[ref_fields, int_fields],
+            payload=self, context_id=self.context_id)
         # Construction root: until an owner (wrapper, enclosing hybrid)
         # links the anchor into the object graph, the only reference to it
         # is the constructing code's stack -- which the simulated heap
         # cannot see.  Pin it so a GC triggered by one of the ADT's own
         # internal allocations (backing array, bucket table) cannot sweep
         # the half-built collection; :meth:`adopt` releases the pin.
-        self.vm.add_root(self.anchor)
+        vm.heap.add_root(anchor)
         self._construction_rooted = True
-        return self.anchor
+        return anchor
 
     def adopt(self) -> int:
         """Release the construction root; returns the anchor id.
@@ -249,8 +274,8 @@ class CollectionImpl:
         Called by the new owner immediately *after* it has added its own
         reference to the anchor, so the ADT is continuously reachable.
         """
-        if getattr(self, "_construction_rooted", False):
-            self.vm.remove_root(self.anchor)
+        if self._construction_rooted:
+            self.vm.heap.remove_root(self.anchor)
             self._construction_rooted = False
         return self.anchor.obj_id
 

@@ -68,17 +68,24 @@ class ImplementationRegistry:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+    def factory(self, name: str, kind: CollectionKind) -> ImplFactory:
+        """The factory of implementation ``name`` backing ADT ``kind``,
+        called as ``factory(vm, initial_capacity=..., context_id=...,
+        **kwargs)``."""
+        factory = self._factories[kind].get(name)
+        if factory is None:
+            raise KeyError(
+                f"no implementation named {name!r} can back a {kind.value}")
+        return factory
+
     def create(self, vm, name: str, kind: CollectionKind,
                initial_capacity: Optional[int] = None,
                context_id: Optional[int] = None,
                **kwargs) -> CollectionImpl:
         """Instantiate implementation ``name`` backing ADT ``kind``."""
-        factory = self._factories[kind].get(name)
-        if factory is None:
-            raise KeyError(
-                f"no implementation named {name!r} can back a {kind.value}")
-        return factory(vm, initial_capacity=initial_capacity,
-                       context_id=context_id, **kwargs)
+        return self.factory(name, kind)(
+            vm, initial_capacity=initial_capacity, context_id=context_id,
+            **kwargs)
 
     def supports(self, name: str, kind: CollectionKind) -> bool:
         """Whether ``name`` can back ADT ``kind``."""

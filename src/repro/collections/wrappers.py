@@ -52,6 +52,8 @@ __all__ = ["ChameleonCollection", "ChameleonList", "ChameleonSet",
 # per-op chains in repro.verify.oracle are the executable spec these
 # methods are differentially tested against.
 
+_DEFAULT_REGISTRY = default_registry()
+
 _OP_SIZE = Op.SIZE.index
 _OP_IS_EMPTY = Op.IS_EMPTY.index
 _OP_CLEAR = Op.CLEAR.index
@@ -87,14 +89,19 @@ class ChameleonCollection:
         creation, profiler registration, wrapper heap allocation,
         adoption, copy fill and tracer callback, in that order.
 
-        The wrapper object size is computed once per VM, and the policy
-        consultation is skipped outright when the VM has no policy.
+        Context resolution is skipped when nothing captures (no explicit
+        key, no sampled profile, no policy), and the policy consultation
+        when the VM has no policy.  Object sizes are computed once per
+        VM (``vm.object_sizes``).
         """
+        # Every instance stores the same attributes in the same order,
+        # and none is added after construction: CPython (3.11) then keeps
+        # each wrapper's attributes in the class's shared-key layout
+        # instead of giving it a dict of its own.
         self.vm = vm
-        self.registry = registry = registry or default_registry()
+        self.registry = registry = registry or _DEFAULT_REGISTRY
         self.src_type = src_type = src_type or self.DEFAULT_SRC_TYPE
         self.use_shared_empty_iterator = use_shared_empty_iterator
-        self._explicit_capacity = initial_capacity
 
         profiler = vm.profiler
         if vm.profiling_enabled:
@@ -104,38 +111,44 @@ class ChameleonCollection:
         else:
             profile = False
 
-        # Not inlined: capture_context charges per *walked* stack frame
-        # (internal frames included), so the helper frame is part of the
-        # priced semantics -- eliding it would change the tick total.
-        self.context_id = context_id = self._resolve_context(context,
-                                                             profile)
         policy = vm.policy
+        context_id = None
+        if context is not None or profile or policy is not None:
+            # Not inlined: capture_context charges per *walked* stack
+            # frame (internal frames included), so the helper frame is
+            # part of the priced semantics -- eliding it would change
+            # the tick total.
+            context_id = self._resolve_context(context, profile)
+        self.context_id = context_id
 
         impl_name = impl
         capacity = initial_capacity
-        if policy is None:
-            merged_kwargs = impl_kwargs
-        else:
+        merged_kwargs = impl_kwargs
+        if policy is not None:
             choice = vm.choose_implementation(src_type, context_id)
-            merged_kwargs = dict(impl_kwargs or {})
             if choice is not None:
                 if impl_name is None and choice.impl_name is not None:
                     impl_name = choice.impl_name
                 if choice.initial_capacity is not None:
                     capacity = choice.initial_capacity
                 if choice.impl_kwargs:
-                    merged_kwargs.update(choice.impl_kwargs)
+                    merged_kwargs = {**(impl_kwargs or {}),
+                                     **choice.impl_kwargs}
+        # The default name and the factory straight from the registry's
+        # tables (no method hop); a miss falls through to the method,
+        # which raises the registry's KeyError.
         if impl_name is None:
-            impl_name = registry.default_impl_for(src_type)
-
+            impl_name = (registry._defaults.get(src_type)
+                         or registry.default_impl_for(src_type))
+        factory = (registry._factories[self.KIND].get(impl_name)
+                   or registry.factory(impl_name, self.KIND))
         if merged_kwargs:
-            self.impl: CollectionImpl = registry.create(
-                vm, impl_name, kind=self.KIND, initial_capacity=capacity,
-                context_id=context_id, **merged_kwargs)
+            impl = factory(vm, initial_capacity=capacity,
+                           context_id=context_id, **merged_kwargs)
         else:
-            self.impl = registry.create(
-                vm, impl_name, kind=self.KIND, initial_capacity=capacity,
-                context_id=context_id)
+            impl = factory(vm, initial_capacity=capacity,
+                           context_id=context_id)
+        self.impl: CollectionImpl = impl
 
         # Per-cycle footprint caches, keyed on the impl's structural
         # token (None = impl opted out of caching).  Invalidated on
@@ -149,28 +162,25 @@ class ChameleonCollection:
         # whose `pending` lane the single-element ops add to, their fused
         # per-op constant (RuntimeEnvironment rejects negative ones), and
         # a sampled instance's profiling record and dense counter array.
+        # The death hook folds the record into its context aggregate,
+        # bound by the profiler.
         self._clock = vm.clock
         self._ticks = vm.costs.wrapper_delegation
         self._oci = self._counts = None
         on_death = None
         if profile:
-            oci = self._oci = profiler.on_allocation(
-                context_id, src_type, impl_name,
-                initial_capacity=initial_capacity)
-            self._ticks += vm.costs.profile_op
+            oci, on_death = profiler.on_profiled_allocation(
+                context_id, src_type, impl_name, initial_capacity)
+            self._oci = oci
             self._counts = oci.counts
-            on_death = lambda heap_obj: profiler.on_death(oci)
+            self._ticks += vm.costs.profile_op
 
-        try:
-            wrapper_size = vm._wrapper_size
-        except AttributeError:
-            wrapper_size = vm._wrapper_size = \
-                vm.model.object_size(ref_fields=1)
+        # The wrapper object: a header and its single impl field.
         heap_obj = self.heap_obj = vm.allocate(
-            src_type, wrapper_size, payload=self,
+            src_type, vm.object_sizes[1, 0], payload=self,
             context_id=context_id, on_death=on_death)
-        heap_obj.add_ref(self.impl.anchor_id)
-        self.impl.adopt()
+        heap_obj.add_ref(impl.anchor.obj_id)
+        impl.adopt()
 
         if copy_from is not None:
             self._fill_from(copy_from)

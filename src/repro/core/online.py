@@ -63,18 +63,19 @@ class OnlinePolicy:
                ) -> Optional[ImplementationChoice]:
         if context_id is None or self._vm is None:
             return None
-        info = self._vm.profiler.context_info(context_id)
-        if context_id in self._decisions:
+        decided = context_id in self._decisions
+        if decided:
             cached = self._decisions[context_id]
             if cached is not None:
                 return cached
+        info = self._vm.profiler.context_info(context_id)
+        if decided and (info is None or info.instances_allocated
+                        < 2 * self._decided_at[context_id]):
             # A keep-default decision taken on partial information is
             # revisited once the context has doubled its population --
             # the paper's "lack of stability" concern (section 3.3.2):
             # early evidence may not represent the context's behaviour.
-            if (info is None or info.instances_allocated
-                    < 2 * self._decided_at[context_id]):
-                return None
+            return None
         if info is None:
             return None
         # Two ways to reach a decision point (section 3.3.2's "partial

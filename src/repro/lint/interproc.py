@@ -2372,13 +2372,24 @@ def _report_proposal(reports: Sequence[SiteReport]):
     return proposal
 
 
-def analyze_source(source: str, path: str = "<source>",
-                   budget: int = DEFAULT_BUDGET) -> InterprocReport:
-    """Interprocedurally analyze one Python source text."""
+def _builtin_engine():
+    """The rule engine the interval analysis evaluates sites with: the
+    built-in rules and constants, validated once per build."""
     from repro.profiler.stability import StabilityPolicy
     from repro.rules.builtin import BUILTIN_RULES, DEFAULT_CONSTANTS
     from repro.rules.engine import RuleEngine
 
+    return RuleEngine(BUILTIN_RULES, DEFAULT_CONSTANTS, StabilityPolicy())
+
+
+def analyze_source(source: str, path: str = "<source>",
+                   budget: int = DEFAULT_BUDGET) -> InterprocReport:
+    """Interprocedurally analyze one Python source text."""
+    return _analyze_source(source, path, budget, _builtin_engine())
+
+
+def _analyze_source(source: str, path: str, budget: int,
+                    engine) -> InterprocReport:
     report = InterprocReport()
     try:
         tree = ast.parse(source, filename=path)
@@ -2388,8 +2399,6 @@ def analyze_source(source: str, path: str = "<source>",
         return report
     owner = _ModuleAnalysis(tree, _module_name(path), path,
                             budget=budget)
-    engine = RuleEngine(BUILTIN_RULES, DEFAULT_CONSTANTS,
-                        StabilityPolicy())
     findings: List[Finding] = []
     for site in _collect_sites(owner):
         site_report = _evaluate_site(site, engine)
@@ -2404,10 +2413,12 @@ def analyze_source(source: str, path: str = "<source>",
 
 def analyze_paths(paths: Sequence[str],
                   budget: int = DEFAULT_BUDGET) -> InterprocReport:
-    """Analyze files/directories; one merged report."""
+    """Analyze files/directories; one merged report.  The rule engine
+    is built once for all of them (it holds no per-file state)."""
     merged = InterprocReport()
+    engine = _builtin_engine()
     for file_path, source in read_sources(paths, merged.findings):
-        sub = analyze_source(source, path=file_path, budget=budget)
+        sub = _analyze_source(source, file_path, budget, engine)
         merged.sites.extend(sub.sites)
         merged.findings.extend(sub.findings)
         merged.waived.update(sub.waived)

@@ -108,7 +108,9 @@ class MarkSweepGC:
 
         The runtime consults this before triggering a collection from an
         allocation, so a death hook that allocates cannot start a nested
-        cycle mid-sweep.
+        cycle mid-sweep.  (The production allocator reads
+        ``_collecting`` itself; every collector sets it around its
+        sweep.)
         """
         return self._collecting
 
@@ -322,8 +324,12 @@ class MarkSweepGC:
         (:meth:`SimHeap.sweep_dead`); this phase only runs hooks and
         accounts the cycle statistics over the yielded dead objects.
         """
+        freed_bytes = freed_objects = 0
         for obj in self.heap.sweep_dead(marked):
-            if obj.on_death is not None:
-                obj.on_death(obj)
-            stats.freed_bytes += obj.size
-            stats.freed_objects += 1
+            on_death = obj.on_death
+            if on_death is not None:
+                on_death(obj)
+            freed_bytes += obj.size
+            freed_objects += 1
+        stats.freed_bytes += freed_bytes
+        stats.freed_objects += freed_objects

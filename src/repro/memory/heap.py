@@ -28,7 +28,6 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.memory.layout import MemoryModel
@@ -56,7 +55,6 @@ class OutOfMemoryError(Exception):
         return type(self), (self.requested, self.live, self.limit)
 
 
-@dataclass
 class HeapObject:
     """One simulated heap cell.
 
@@ -79,20 +77,33 @@ class HeapObject:
             hooks may read the payload of a dead object.
         context_id: Allocation-context identity, when tracked.
         on_death: Optional callback invoked by the sweeper when freed.
+        sm_version, sm_map: Anchor-classification cache maintained by
+            ``SemanticMapRegistry.lookup``: the verdict for this object
+            under registry state ``sm_version``.
+
+    Every simulated allocation makes one, so the fields are
+    ``__slots__``: no per-object ``__dict__``.  ``RuntimeEnvironment``'s
+    allocator stores them by hand, field for field; ``__slots__`` is the
+    list it is held to.
     """
 
-    obj_id: int
-    type_name: str
-    size: int
-    refs: Dict[int, int] = field(default_factory=dict)
-    payload: Any = None
-    context_id: Optional[int] = None
-    on_death: Optional[Callable[["HeapObject"], None]] = None
+    __slots__ = ("obj_id", "type_name", "size", "refs", "payload",
+                 "context_id", "on_death", "sm_version", "sm_map")
 
-    # Anchor-classification cache maintained by SemanticMapRegistry.lookup:
-    # the verdict for this object under registry state `sm_version`.
-    sm_version: int = field(default=0, repr=False)
-    sm_map: Any = field(default=None, repr=False)
+    def __init__(self, obj_id: int, type_name: str, size: int,
+                 refs: Optional[Dict[int, int]] = None,
+                 payload: Any = None, context_id: Optional[int] = None,
+                 on_death: Optional[Callable[["HeapObject"], None]] = None,
+                 ) -> None:
+        self.obj_id = obj_id
+        self.type_name = type_name
+        self.size = size
+        self.refs = {} if refs is None else refs
+        self.payload = payload
+        self.context_id = context_id
+        self.on_death = on_death
+        self.sm_version = 0
+        self.sm_map = None
 
     def add_ref(self, target_id: int) -> None:
         """Add one reference edge to ``target_id``."""
@@ -123,7 +134,8 @@ class HeapObject:
         its death hook and its cached semantic-map verdict.
 
         The one rule for what a freed object lets go of, applied by the
-        sweep after a dead object's hook has run, by :meth:`SimHeap.free`
+        sweep after a dead object's hook has run (:meth:`SimHeap.sweep_dead`
+        stores the same four fields inline), by :meth:`SimHeap.free`
         and by :meth:`SimHeap.release` at the end of a run.  A
         collection's wrapper and its heap object, and an implementation
         and its anchor, point at each other through the payload; dropping
@@ -252,8 +264,9 @@ class SimHeap:
 
         Release contract: once the caller resumes the generator after
         a dead object (its death hook has run, its statistics are
-        counted), the object is released (:meth:`HeapObject.release`):
-        its payload, death hook and semantic-map verdict are dropped, so
+        counted), the object is released as :meth:`HeapObject.release`
+        releases it (inlined here: no call per dead object): its
+        payload, death hook and semantic-map verdict are dropped, so
         the swept collection's Python graph is freed by reference
         counting.  Death hooks still see the payload; a caller that
         keeps a yielded object must not read it afterwards.
@@ -276,7 +289,10 @@ class SimHeap:
             self.total_freed_bytes += obj.size
             self.total_freed_objects += 1
             yield obj
-            obj.release()
+            obj.payload = None
+            obj.on_death = None
+            obj.sm_version = 0
+            obj.sm_map = None
 
     def release(self) -> None:
         """End-of-run release: every object still in the store is

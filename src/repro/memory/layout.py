@@ -18,8 +18,9 @@ ablation benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
-__all__ = ["MemoryModel"]
+__all__ = ["MemoryModel", "ObjectSizes"]
 
 
 @dataclass(frozen=True)
@@ -130,3 +131,24 @@ class MemoryModel:
         """The paper's *core* metric: the ideal space needed to store
         ``element_count`` elements in a bare pointer array."""
         return self.ref_array_size(element_count)
+
+
+class ObjectSizes(dict):
+    """``{(ref_fields, int_fields): aligned size}`` of plain objects
+    under one :class:`MemoryModel`, each shape sized by
+    :meth:`MemoryModel.object_size` on its first lookup.
+
+    A repeat lookup is a plain dict subscript with no Python call, so
+    the runtime keeps one table per VM for the shapes every collection
+    construction allocates (wrapper, implementation anchor, box).
+    """
+
+    def __init__(self, model: MemoryModel) -> None:
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, shape: Tuple[int, int]) -> int:
+        ref_fields, int_fields = shape
+        size = self[shape] = self.model.object_size(ref_fields=ref_fields,
+                                                    int_fields=int_fields)
+        return size

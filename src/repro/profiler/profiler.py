@@ -15,13 +15,23 @@ the run ends are folded in by :meth:`SemanticProfiler.flush`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.profiler.context_info import ContextInfo
 from repro.profiler.object_info import ObjectContextInfo
 from repro.runtime.sampling import AlwaysSample, SamplingPolicy
 
 __all__ = ["SemanticProfiler"]
+
+
+def _fold_dead(live: Dict[int, ObjectContextInfo], key: int,
+               context: ContextInfo, info: ObjectContextInfo,
+               heap_obj: Any) -> None:
+    """The death hook :meth:`SemanticProfiler.on_profiled_allocation`
+    binds: :meth:`SemanticProfiler.on_death` with its lookups done."""
+    live.pop(key, None)
+    context.absorb(info)
 
 
 class SemanticProfiler:
@@ -53,18 +63,38 @@ class SemanticProfiler:
     def on_allocation(self, context_id: int, src_type: str, impl_name: str,
                       initial_capacity: Optional[int] = None,
                       ) -> ObjectContextInfo:
-        """Create the per-instance record for a sampled allocation."""
+        """Create the per-instance record for a sampled allocation.
+
+        Its instance's death is reported with :meth:`on_death`.
+        """
+        return self.on_profiled_allocation(context_id, src_type, impl_name,
+                                           initial_capacity)[0]
+
+    def on_profiled_allocation(
+            self, context_id: int, src_type: str, impl_name: str,
+            initial_capacity: Optional[int] = None,
+    ) -> Tuple[ObjectContextInfo, Callable[[Any], None]]:
+        """:meth:`on_allocation`, plus the death hook for the instance's
+        heap object.
+
+        The hook does what :meth:`on_death` does for the record, with
+        the context aggregate and the live-registry key bound here, at
+        allocation, so a death costs one call and no lookups.  It is a
+        ``partial`` (two small objects per instance, no closure cells)
+        and points back at nothing that points at it.
+        """
         info = ObjectContextInfo(context_id, src_type, impl_name,
                                  initial_capacity)
         key = self._next_instance_id
-        self._next_instance_id += 1
-        self._live[key] = info
-        info_context = self._context(context_id, src_type)
-        info_context.on_allocation(impl_name)
+        self._next_instance_id = key + 1
+        live = self._live
+        live[key] = info
+        context = self._context(context_id, src_type)
+        context.on_allocation(impl_name)
         self.sampled_allocations += 1
-        # Stash the registry key on the record so death hooks can find it.
-        info._registry_key = key  # type: ignore[attr-defined]
-        return info
+        # Stash the registry key on the record so on_death can find it.
+        info._registry_key = key
+        return info, partial(_fold_dead, live, key, context, info)
 
     def on_unsampled_allocation(self, src_type: str) -> None:
         """Count an allocation that the sampling policy skipped."""
@@ -75,9 +105,9 @@ class SemanticProfiler:
     # ------------------------------------------------------------------
     def on_death(self, info: ObjectContextInfo) -> None:
         """Fold a dying instance's record into its context aggregate."""
-        key = getattr(info, "_registry_key", None)
-        if key is not None and key in self._live:
-            del self._live[key]
+        key = info._registry_key
+        if key is not None:
+            self._live.pop(key, None)
         context = self._context(info.context_id, info.src_type)
         context.absorb(info)
 

@@ -196,6 +196,10 @@ class ContextRegistry:
         self.depth = depth
         self._ids: Dict[ContextKey, int] = {}
         self._keys: Dict[int, ContextKey] = {}
+        # id(key) -> (key, context_id) for the key objects
+        # intern_captured has seen; each entry pins its key, so an id
+        # cannot be recycled for another object while the registry lives.
+        self._captured: Dict[int, Tuple[ContextKey, int]] = {}
 
     def intern(self, key: ContextKey) -> int:
         """Return the dense id for ``key``, assigning one if new."""
@@ -206,13 +210,30 @@ class ContextRegistry:
             self._keys[context_id] = key
         return context_id
 
+    def intern_captured(self, key: ContextKey) -> int:
+        """:meth:`intern` for a key :func:`capture_context` returned.
+
+        The capture memo hands back the same :class:`ContextKey` object
+        for every allocation at a site, so a repeat is answered by one
+        identity lookup instead of hashing the frozen dataclass (a
+        Python ``__hash__`` per frame).  Only memo keys come here, so
+        the identity table grows with the distinct sites, not with the
+        allocations.
+        """
+        entry = self._captured.get(id(key))
+        if entry is not None:
+            return entry[1]
+        context_id = self.intern(key)
+        self._captured[id(key)] = (key, context_id)
+        return context_id
+
     def capture(self, skip: int = 1) -> Tuple[int, int]:
         """Capture and intern the caller's context.
 
         Returns ``(context_id, frames_walked)``.
         """
         key, walked = capture_context(self.depth, skip=skip + 1)
-        return self.intern(key), walked
+        return self.intern_captured(key), walked
 
     def describe(self, context_id: int) -> ContextKey:
         """The :class:`ContextKey` behind a dense id."""

@@ -39,7 +39,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 from repro.memory.gc import GcCostParameters, MarkSweepGC
 from repro.memory.heap import HeapObject, OutOfMemoryError, SimHeap
-from repro.memory.layout import MemoryModel
+from repro.memory.layout import MemoryModel, ObjectSizes
 from repro.memory.semantic_maps import SemanticMapRegistry
 from repro.memory.stats import HeapTimeline
 from repro.runtime.context import (DEFAULT_CONTEXT_DEPTH, ContextKey,
@@ -156,6 +156,9 @@ class RuntimeEnvironment:
         # binding.
         self.charge = self.clock.charge
         self.heap = SimHeap(self.model, limit=heap_limit)
+        #: Plain-object sizes under :attr:`model`, by field shape: each
+        #: shape is sized once per VM instead of once per allocation.
+        self.object_sizes = ObjectSizes(self.model)
         self.semantic_maps = SemanticMapRegistry()
         factory = collector_factory or MarkSweepGC
         # ``gc_attribution=False`` builds a counting collector (see
@@ -256,7 +259,9 @@ class RuntimeEnvironment:
             aligned = (size + mask) & ~mask
             # Allocation from inside a death hook never starts a nested
             # cycle mid-sweep; the object is picked up by the next cycle.
-            if not gc.collecting:
+            # (The field behind `gc.collecting`, read without the
+            # property call.)
+            if not gc._collecting:
                 threshold = vm.gc_threshold_bytes
                 if threshold is not None and vm._bytes_since_gc >= threshold:
                     # Periodic (young-generation analog) cycles are minor
@@ -362,7 +367,7 @@ class RuntimeEnvironment:
         key, walked = capture_context(self.contexts.depth, skip=skip + 1)
         if charged:
             self.charge(self.costs.context_capture_ticks(walked))
-        return self.contexts.intern(key)
+        return self.contexts.intern_captured(key)
 
     def choose_implementation(self, src_type: str,
                               context_id: Optional[int],

@@ -182,7 +182,6 @@ class _ReferenceOps:
         self.registry = registry or default_registry()
         self.src_type = src_type or self.DEFAULT_SRC_TYPE
         self.use_shared_empty_iterator = use_shared_empty_iterator
-        self._explicit_capacity = initial_capacity
 
         profile = (vm.profiling_enabled
                    and vm.profiler.should_sample(self.src_type))

@@ -27,6 +27,8 @@ from repro.collections.maps import LazyMapImpl
 from repro.collections.wrappers import (ChameleonList, ChameleonMap,
                                         ChameleonSet)
 from repro.core.chameleon import Chameleon
+from repro.core.config import ToolConfig
+from repro.core.online import OnlinePolicy
 from repro.memory.heap import HeapObject, OutOfMemoryError
 from repro.profiler.profiler import SemanticProfiler
 from repro.profiler.report import build_report
@@ -124,6 +126,104 @@ def test_workload_profile_runs_identical_across_cores(workload_class):
     for key in reference:
         assert production[key] == reference[key], \
             f"{workload_class.name}: {key} diverges on the production ops"
+
+
+# ----------------------------------------------------------------------
+# Online and applied-policy runs: context capture, policy consultation
+# and construction on every allocation
+# ----------------------------------------------------------------------
+
+
+def _tool_vm(ops: str, **kwargs):
+    """A VM on the ``ops`` pipeline with the tool's default settings."""
+    config = ToolConfig()
+    return oracle_vm(ops=ops, gc="production",
+                     model=config.memory_model,
+                     cost_model=config.cost_model,
+                     gc_threshold_bytes=config.gc_threshold_bytes,
+                     context_depth=config.context_depth, **kwargs)
+
+
+def _run_record(vm, workload) -> dict:
+    workload.run(vm)
+    vm.finish()
+    return {
+        "ticks": vm.now,
+        "gc_cycles": len(vm.timeline.cycles),
+        "allocated": vm.heap.total_allocated_objects,
+        "freed": vm.heap.total_freed_objects,
+        "allocated_bytes": vm.heap.total_allocated_bytes,
+        "peak_live": vm.timeline.max_live_data,
+    }
+
+
+def _online_record(workload_class, ops: str) -> dict:
+    """An online run with live retrofit, as ``OnlineChameleon`` drives
+    it, on the ``ops`` pipeline.  Scale 0.5 is the smallest at which
+    every benchmark reaches a decision."""
+    tool = Chameleon()
+    policy = OnlinePolicy(tool.engine,
+                          decide_after=tool.config.online_decide_after,
+                          retrofit_live=True)
+    vm = _tool_vm(ops, profiler=SemanticProfiler(), policy=policy)
+    policy.bind(vm)
+    record = _run_record(vm, workload_class(seed=2009, scale=0.5))
+    record.update(
+        decisions=sorted((context_id, repr(choice))
+                         for context_id, choice in policy.decisions.items()),
+        decisions_made=policy.decisions_made,
+        replacements_chosen=policy.replacements_chosen,
+        retrofitted=policy.retrofitted)
+    return record
+
+
+@functools.lru_cache(maxsize=None)
+def _fig7_policy(workload_class):
+    """The policy Fig. 7 applies: built from a profile of the workload."""
+    tool = Chameleon()
+    session = tool.profile(workload_class(seed=2009, scale=0.05))
+    return tool.build_policy(session.suggestions)
+
+
+def _applied_record(workload_class, ops: str) -> dict:
+    """A plain (counting-collector) run under the Fig. 7 offline
+    policy, as ``Chameleon.plain_run`` drives it, on ``ops``."""
+    policy = _fig7_policy(workload_class)
+    vm = _tool_vm(ops, gc_attribution=False)
+    lookups = policy.applied_lookups
+    vm.policy = policy.bind(vm)
+    record = _run_record(vm, workload_class(seed=2009, scale=0.05))
+    record["applied_lookups"] = policy.applied_lookups - lookups
+    return record
+
+
+@pytest.mark.parametrize("workload_class", BENCHMARKS,
+                         ids=lambda w: w.name)
+def test_workload_online_runs_identical_across_cores(workload_class):
+    reference = _online_record(workload_class, "reference")
+    assert reference["decisions_made"] > 0, "online policy never decided"
+    # PMD's replaced contexts hold only short-lived lists: nothing live
+    # to retrofit when a decision lands.
+    assert reference["retrofitted"] > 0 or workload_class.name == "pmd", \
+        "no live instance retrofitted"
+    production = _online_record(workload_class, "production")
+    for key in reference:
+        assert production[key] == reference[key], \
+            f"{workload_class.name}: online {key} diverges on the " \
+            f"production ops"
+
+
+@pytest.mark.parametrize("workload_class", BENCHMARKS,
+                         ids=lambda w: w.name)
+def test_workload_applied_policy_runs_identical_across_cores(
+        workload_class):
+    reference = _applied_record(workload_class, "reference")
+    assert reference["applied_lookups"] > 0, "policy never applied"
+    production = _applied_record(workload_class, "production")
+    for key in reference:
+        assert production[key] == reference[key], \
+            f"{workload_class.name}: applied-policy {key} diverges on " \
+            f"the production ops"
 
 
 # ----------------------------------------------------------------------
@@ -225,15 +325,17 @@ class TestFastAllocate:
     def test_fast_allocate_matches_reference_fields(self):
         """Pins the HeapObject field list the inlined constructor in
         ``RuntimeEnvironment._install_allocate`` stores by hand: a
-        field added to the dataclass without a matching store here must
+        slot added to HeapObject without a matching store here must
         fail loudly, not ship objects with missing attributes."""
         ref_vm, fast_vm = self._pair(gc_threshold_bytes=None)
         ref_obj = ref_vm.allocate("T", 20, payload="p", context_id=7)
         fast_obj = fast_vm.allocate("T", 20, payload="p", context_id=7)
-        field_names = [f.name for f in dataclasses.fields(HeapObject)]
-        assert set(vars(fast_obj)) == set(field_names), \
-            "fast allocator stores a different attribute set than the " \
-            "dataclass declares"
+        field_names = HeapObject.__slots__
+        assert not hasattr(fast_obj, "__dict__")
+        unset = [name for name in field_names
+                 if not hasattr(fast_obj, name)]
+        assert not unset, \
+            f"fast allocator leaves slots {unset} of HeapObject unset"
         for name in field_names:
             assert getattr(fast_obj, name) == getattr(ref_obj, name), \
                 f"field {name!r} diverges"
