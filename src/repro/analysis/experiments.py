@@ -569,6 +569,7 @@ def run_profiling_overhead(scale: float = 0.4,
       (section 4.2's mitigation).
     * *full* -- every allocation captured and profiled.
     """
+    from repro.runtime.host_gc import host_collector_paused
     from repro.runtime.sampling import (AlwaysSample, NeverSample,
                                         RateSampler)
     from repro.profiler.profiler import SemanticProfiler
@@ -583,10 +584,15 @@ def run_profiling_overhead(scale: float = 0.4,
             # A fresh instance per posture: reusing one workload object
             # across the vm-only/sampled/full runs would let instance
             # state bleed between postures and skew the comparison.
-            vm = tool.make_vm(profiler=SemanticProfiler(sampling))
-            workload.fresh().run(vm)
-            vm.finish()
-            return vm.now
+            # Run like the drivers: host collector paused, VM released.
+            with host_collector_paused():
+                vm = tool.make_vm(profiler=SemanticProfiler(sampling))
+                try:
+                    workload.fresh().run(vm)
+                    vm.finish()
+                    return vm.now
+                finally:
+                    vm.release()
 
         name = workload.name
         for mode, sampling in (

@@ -19,24 +19,23 @@ the interpreter and the per-phase split (setup / run / finish / report)
 so a regression can be localised, and comparisons should always be
 between documents produced on the same machine.
 
-Measurement hygiene: every measured repeat runs with CPython's cyclic
-collector disabled (after a pre-run ``gc.collect()``), because a cycle
-collection landing inside one repeat but not another is the dominant
-single-machine variance source for these sub-second runs.  Since v4 the
-suite reports the *median* repeat (plus every repeat's wall in
-``repeat_walls``) instead of the minimum -- the minimum systematically
-rewards the repeat that dodged the most machine noise, while the median
-tracks what a user actually observes.
+Measurement hygiene: every measured repeat starts after a
+``gc.collect()`` and runs with CPython's cyclic collector paused by
+:func:`~repro.runtime.host_gc.host_collector_paused`, the helper the run
+drivers own: ``profile``, ``plain_run`` and the online driver pause the
+collector for each run themselves, so this harness and the repo
+benchmark (``perfbench/``) time the same program.  A host collection
+landing inside one repeat but not another would otherwise be the
+dominant single-machine variance source for these sub-second runs.
+Since v4 the suite reports the *median* repeat (plus every repeat's wall
+in ``repeat_walls``) instead of the minimum -- the minimum
+systematically rewards the repeat that dodged the most machine noise,
+while the median tracks what a user actually observes.
 
-The same hygiene makes CPython's collector a layer this harness cannot
-see.  Its cost does not show in ``BENCH_chameleon.json``, so neither
-do the two changes that took the simulator off it (DESIGN.md section
-3.5): the sweep releases a dead object's payload, so swept collections
-die by reference counting, and the run drivers release a finished VM,
-so a dropped run does too.  Together they leave nothing of a
-``profile``, ``plain_run`` or online run to the cyclic collector.  The
-repo benchmark (``perfbench/``) runs with the collector on, so its
-end-to-end figures include that cost.
+The pause costs no memory because the simulator leaves nothing to the
+cyclic collector (DESIGN.md sections 3.5 and 3.6): the sweep releases a
+dead object's payload, so swept collections die by reference counting,
+and the run drivers release a finished VM, so a dropped run does too.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.chameleon import Chameleon
 from repro.core.config import ToolConfig
 from repro.profiler.report import build_report
+from repro.runtime.host_gc import host_collector_paused
 from repro.runtime.vm import RuntimeEnvironment
 from repro.workloads import default_workload_registry
 
@@ -149,8 +149,7 @@ def _run_once(tool: Chameleon, workload_name: str, scale: float, seed: int,
         holder["workload"] = workload
 
     _pygc.collect()
-    _pygc.disable()
-    try:
+    with host_collector_paused():
         _phase_timed(setup, phases, "setup")
         vm = holder["vm"]
         workload = holder["workload"]
@@ -163,8 +162,6 @@ def _run_once(tool: Chameleon, workload_name: str, scale: float, seed: int,
                 tool.engine.evaluate(profile_report)
 
             _phase_timed(report, phases, "report")
-    finally:
-        _pygc.enable()
     return phases, vm
 
 
@@ -257,16 +254,13 @@ def _bench_gc_mark_heavy(scale: float, seed: int, repeats: int,
         charged: List[int] = []
         gc = collector(heap, charge=charged.append)
         _pygc.collect()
-        _pygc.disable()
-        try:
+        with host_collector_paused():
             start = time.perf_counter()
             for cycle in range(cycles):
                 gc.collect(tick=cycle)
                 for _ in range(64):
                     heap.allocate("Churn", 16)
             walls.append(time.perf_counter() - start)
-        finally:
-            _pygc.enable()
         ticks = sum(charged)
         allocated = heap.total_allocated_objects
     wall = walls[median_index(walls)]
@@ -309,8 +303,7 @@ def _bench_op_dispatch_heavy(scale: float, repeats: int,
     for _ in range(max(repeats, 1)):
         vm = make_vm(profiler=tool._make_profiler())
         _pygc.collect()
-        _pygc.disable()
-        try:
+        with host_collector_paused():
             start = time.perf_counter()
             lst = ChameleonList(vm)
             mapping = ChameleonMap(vm)
@@ -326,8 +319,6 @@ def _bench_op_dispatch_heavy(scale: float, repeats: int,
                 lst.get((i + 7) & 63)
             vm.finish()
             walls.append(time.perf_counter() - start)
-        finally:
-            _pygc.enable()
     wall = walls[median_index(walls)]
     phases = {name: 0.0 for name in PHASES}
     phases["run"] = wall

@@ -28,6 +28,7 @@ from repro.profiler.report import ProfileReport, build_report
 from repro.rules.builtin import BUILTIN_RULES, RuleSpec
 from repro.rules.engine import RuleEngine
 from repro.rules.suggestions import Suggestion
+from repro.runtime.host_gc import host_collector_paused
 from repro.runtime.sampling import AlwaysSample, RateSampler
 from repro.runtime.vm import ReplacementPolicyProtocol, RuntimeEnvironment
 from repro.workloads.base import Workload
@@ -298,6 +299,8 @@ class Chameleon:
         (no policy, no heap limit) are served from it; cache hits return
         a session with ``vm=None``.  Workloads are deterministic, so the
         cached session is identical to what re-profiling would produce.
+        A profiled run pauses CPython's cyclic collector as
+        :meth:`plain_run` does.
         """
         cache_key = None
         if (self.session_cache is not None and policy is None
@@ -307,16 +310,17 @@ class Chameleon:
             cached = self.session_cache.get(cache_key)
             if cached is not None:
                 return cached
-        vm = self.make_vm(profiler=self._make_profiler(),
-                          heap_limit=heap_limit)
-        try:
-            if policy is not None:
-                vm.policy = policy.bind(vm)
-            workload.run(vm)
-            vm.finish()
-            report = build_report(vm.profiler, vm.timeline, vm.contexts)
-        finally:
-            vm.release()
+        with host_collector_paused():
+            vm = self.make_vm(profiler=self._make_profiler(),
+                              heap_limit=heap_limit)
+            try:
+                if policy is not None:
+                    vm.policy = policy.bind(vm)
+                workload.run(vm)
+                vm.finish()
+                report = build_report(vm.profiler, vm.timeline, vm.contexts)
+            finally:
+                vm.release()
         suggestions = self.engine.evaluate(report)
         session = ProfilingSession(vm=vm, report=report,
                                    suggestions=suggestions,
@@ -345,17 +349,21 @@ class Chameleon:
         Raises :class:`OutOfMemoryError` if ``heap_limit`` is too small;
         the minimal-heap search relies on that.  The VM is released
         (:meth:`RuntimeEnvironment.release`) whether the run completes
-        or runs out of memory.
+        or runs out of memory, and CPython's cyclic collector is paused
+        from VM construction to the release
+        (:func:`~repro.runtime.host_gc.host_collector_paused`), then left
+        as the caller had it.
         """
-        vm = self.make_vm(heap_limit=heap_limit)
-        try:
-            if policy is not None:
-                vm.policy = policy.bind(vm)
-            workload.run(vm)
-            vm.finish()
-            return vm, RunMetrics.from_vm(vm)
-        finally:
-            vm.release()
+        with host_collector_paused():
+            vm = self.make_vm(heap_limit=heap_limit)
+            try:
+                if policy is not None:
+                    vm.policy = policy.bind(vm)
+                workload.run(vm)
+                vm.finish()
+                return vm, RunMetrics.from_vm(vm)
+            finally:
+                vm.release()
 
     def optimize(self, workload: Workload,
                  top: Optional[int] = None) -> OptimizationResult:

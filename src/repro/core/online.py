@@ -24,6 +24,7 @@ from repro.core.config import ToolConfig
 from repro.profiler.report import ContextProfile
 from repro.rules.engine import RuleEngine
 from repro.rules.suggestions import Suggestion
+from repro.runtime.host_gc import host_collector_paused
 from repro.runtime.vm import ImplementationChoice, RuntimeEnvironment
 from repro.workloads.base import Workload
 
@@ -201,7 +202,8 @@ class OnlineChameleon:
         policy needs complete per-context data) and consults the learning
         policy at each collection allocation.  When ``with_baseline`` is
         set, an uninstrumented default run provides the slowdown
-        reference.
+        reference.  Both runs pause CPython's cyclic collector as
+        :meth:`Chameleon.plain_run` does.
         """
         vm, metrics, policy = self._run_online(workload, heap_limit)
         if with_baseline:
@@ -219,12 +221,13 @@ class OnlineChameleon:
         policy = OnlinePolicy(self._offline.engine,
                               decide_after=self.config.online_decide_after,
                               retrofit_live=self.config.online_retrofit_live)
-        vm = self._offline.make_vm(profiler=SemanticProfiler(),
-                                   policy=policy, heap_limit=heap_limit)
-        policy.bind(vm)
-        try:
-            workload.run(vm)
-            vm.finish()
-            return vm, RunMetrics.from_vm(vm), policy
-        finally:
-            vm.release()
+        with host_collector_paused():
+            vm = self._offline.make_vm(profiler=SemanticProfiler(),
+                                       policy=policy, heap_limit=heap_limit)
+            policy.bind(vm)
+            try:
+                workload.run(vm)
+                vm.finish()
+                return vm, RunMetrics.from_vm(vm), policy
+            finally:
+                vm.release()

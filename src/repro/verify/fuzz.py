@@ -167,8 +167,11 @@ def record_workload(name: str, scale: float = 0.1, seed: int = 1,
                                                   scale=scale)
     vm = Chameleon().make_vm()
     recorder = TraceRecorder(max_traces=max_traces).install(vm)
-    workload.run(vm)
-    vm.finish()
+    try:
+        workload.run(vm)
+        vm.finish()
+    finally:
+        vm.release()
 
     kept = [t for t in recorder.traces if len(t.ops) >= min_ops]
     kept.sort(key=lambda t: len(t.ops), reverse=True)

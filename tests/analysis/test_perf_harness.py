@@ -1,6 +1,7 @@
 """Wall-clock perf harness: suite output, schema validation, CLI."""
 
 import copy
+import gc
 import json
 
 import pytest
@@ -104,6 +105,45 @@ class TestMedianOfRepeats:
             assert len(walls) == 3
             assert record["wall_seconds"] \
                 == walls[perf.median_index(walls)]
+
+
+class TestHostCollector:
+    """Each timed repeat pauses CPython's collector through the drivers'
+    helper, so a caller that has it off still has it off afterwards."""
+
+    @pytest.fixture
+    def collector_off(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_workload_repeat_keeps_it_off(self, collector_off):
+        perf._run_once(perf.Chameleon(), "tvla", 0.02, 2009, capture=True)
+        assert not gc.isenabled()
+
+    def test_gc_mark_heavy_keeps_it_off(self, collector_off):
+        perf._bench_gc_mark_heavy(scale=0.02, seed=2009, repeats=1)
+        assert not gc.isenabled()
+
+    def test_op_dispatch_heavy_keeps_it_off(self, collector_off):
+        perf._bench_op_dispatch_heavy(scale=0.01, repeats=1)
+        assert not gc.isenabled()
+
+    def test_every_phase_runs_with_it_paused(self, monkeypatch):
+        seen = []
+        timed = perf._phase_timed
+
+        def observing(fn, phases, name):
+            seen.append((name, gc.isenabled()))
+            timed(fn, phases, name)
+
+        monkeypatch.setattr(perf, "_phase_timed", observing)
+        perf._run_once(perf.Chameleon(), "tvla", 0.02, 2009, capture=True)
+        assert seen == [(name, False) for name in perf.PHASES]
 
 
 class TestOpDispatchHeavy:

@@ -20,6 +20,7 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.experiments import run_profiling_overhead
 from repro.analysis.heapdump import heap_histogram, render_histogram
 from repro.analysis.minheap import min_heap_probe
 from repro.cli import main
@@ -91,6 +92,19 @@ def _online_pmd():
     return vm
 
 
+#: Online TVLA swaps live collections only from this scale on (679
+#: swaps, 14 decisions); at 0.2 and below it makes none.
+RETROFIT_SCALE = 0.3
+
+
+def _online_tvla_retrofit():
+    tool = OnlineChameleon(ToolConfig(online_retrofit_live=True))
+    vm, _, policy = tool._run_online(TvlaWorkload(scale=RETROFIT_SCALE),
+                                     None)
+    assert policy.retrofitted > 0
+    return vm
+
+
 def _generational(workload_class):
     def run():
         vm = RuntimeEnvironment(gc_threshold_bytes=16 * 1024,
@@ -106,6 +120,7 @@ _RUNS = ([pytest.param(_plain(w), id=f"{w.name}-plain") for w in BENCHMARKS]
          + [pytest.param(_profiled(w), id=f"{w.name}-profiled")
             for w in BENCHMARKS]
          + [pytest.param(_online_pmd, id="pmd-online"),
+            pytest.param(_online_tvla_retrofit, id="tvla-online-retrofit"),
             pytest.param(_generational(PmdWorkload), id="pmd-generational")])
 
 
@@ -176,8 +191,14 @@ def _finished(drive, workload_class):
     return lambda: drive(Chameleon(), workload_class(scale=SCALE))
 
 
-def _online(workload_class, scale):
-    return lambda: OnlineChameleon().run(workload_class(scale=scale))
+def _online(workload_class, scale, **config):
+    return lambda: OnlineChameleon(ToolConfig(**config)).run(
+        workload_class(scale=scale))
+
+
+def _profiling_overhead():
+    run_profiling_overhead(scale=SCALE,
+                           benchmarks=(TvlaWorkload, PmdWorkload))
 
 
 _DRIVERS = {"plain": Chameleon.plain_run, "profile": Chameleon.profile,
@@ -187,7 +208,12 @@ _FINISHED = ([pytest.param(_finished(drive, w), id=f"{w.name}-{kind}")
              + [pytest.param(_oom_probe(w), id=f"{w.name}-oom-probe")
                 for w in BENCHMARKS]
              + [pytest.param(_online(TvlaWorkload, 0.05), id="tvla-online"),
-                pytest.param(_online(PmdWorkload, 0.02), id="pmd-online")])
+                pytest.param(_online(TvlaWorkload, RETROFIT_SCALE,
+                                     online_retrofit_live=True),
+                             id="tvla-online-retrofit"),
+                pytest.param(_online(PmdWorkload, 0.02), id="pmd-online"),
+                pytest.param(_profiling_overhead,
+                             id="profiling-overhead")])
 
 
 @pytest.mark.parametrize("run", _FINISHED)
