@@ -65,6 +65,8 @@ SCHEMA = "chameleon-perf"
 #: worker / transfer / merge seconds from the persistent worker pool)
 #: and the ``gc_mark_heavy`` synthetic benchmark.  Older documents
 #: (no ``suite`` key, or a ``suite`` without ``overhead``) remain valid.
+#: ``suite.overhead.queue_wait_seconds`` (the queue wait within
+#: transfer) is optional within v3.
 #: v4 switches aggregation from best-of-repeats to median-of-repeats
 #: (recording every repeat in the new per-record ``repeat_walls`` list),
 #: adds the ``op_dispatch_heavy`` synthetic benchmark, and adds the
@@ -344,8 +346,9 @@ def run_suite_section(scale: float = 0.1, resolution: int = 16384,
 
     Returns the document's ``suite`` section: both wall times, the
     speedup, the serial pass's session-cache hit counts, the parallel
-    pass's pool-overhead breakdown (spawn / worker / transfer / merge
-    seconds from :class:`~repro.analysis.scheduler.SchedulerStats`), and
+    pass's pool-overhead breakdown (spawn / worker / transfer / queue
+    wait / merge seconds from
+    :class:`~repro.analysis.scheduler.SchedulerStats`), and
     whether the two rendered reports were byte-identical (the
     scheduler's determinism contract, asserted here on every perf run).
 
@@ -526,6 +529,12 @@ _OVERHEAD_FIELDS = {
     "merge_seconds": (int, float),
 }
 
+#: ``suite.overhead`` fields checked when present: documents written
+#: before the scheduler measured queue wait stay valid without them.
+_OPTIONAL_OVERHEAD_FIELDS = {
+    "queue_wait_seconds": (int, float),
+}
+
 
 def validate_document(doc: object) -> None:
     """Raise ``ValueError`` describing every way ``doc`` violates the
@@ -603,10 +612,14 @@ def validate_document(doc: object) -> None:
                 if not isinstance(overhead, dict):
                     problems.append("suite.overhead is not an object")
                 else:
-                    for key, expected in _OVERHEAD_FIELDS.items():
+                    for key, expected in {
+                            **_OVERHEAD_FIELDS,
+                            **_OPTIONAL_OVERHEAD_FIELDS}.items():
                         if key not in overhead:
-                            problems.append(
-                                f"suite.overhead: missing field {key!r}")
+                            if key in _OVERHEAD_FIELDS:
+                                problems.append(
+                                    f"suite.overhead: missing field "
+                                    f"{key!r}")
                         elif not isinstance(overhead[key], expected) \
                                 or (expected is int
                                     and isinstance(overhead[key], bool)):
@@ -678,8 +691,10 @@ def render_summary(doc: dict) -> str:
                 f"  pool overhead ({overhead['jobs_executed']} jobs): "
                 f"spawn {overhead['spawn_seconds']:.3f}s, "
                 f"worker {overhead['worker_seconds']:.2f}s, "
-                f"transfer {overhead['transfer_seconds']:.3f}s, "
-                f"merge {overhead['merge_seconds']:.3f}s")
+                f"transfer {overhead['transfer_seconds']:.3f}s"
+                + (f" (queue wait {overhead['queue_wait_seconds']:.3f}s)"
+                   if "queue_wait_seconds" in overhead else "")
+                + f", merge {overhead['merge_seconds']:.3f}s")
     return "\n".join(lines)
 
 

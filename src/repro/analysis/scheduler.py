@@ -22,11 +22,21 @@ across every :meth:`Scheduler.run` call; a ``warmup`` hook runs once in
 each worker at pool creation (attach the shared session store,
 pre-import the tool stack), so per-job latency is pure work.  A pooled
 run submits every job at once and folds results in as they arrive.
-Per-run overhead (pool spawn, in-worker wall, transfer, merge) is
-accumulated in :attr:`Scheduler.stats` so the perf harness can record a
-measured breakdown instead of asserting the win.
+Per-run overhead (pool spawn, queue wait, in-worker wall, transfer,
+merge) is accumulated in :attr:`Scheduler.stats` so the perf harness can
+record a measured breakdown instead of asserting the win.
 
-Determinism contract: results are merged in job-insertion order, and
+Submission rule: longest processing time first, learned per scheduler.
+The scheduler remembers each job id's last in-worker wall.  A pooled
+run submits the ids it has never run first, in insertion order, then
+the ids it has run, longest last wall first (ties in insertion order),
+so a batch's long jobs start early instead of leaving one worker busy
+at its tail while the others idle.  A batch the scheduler has never
+seen is submitted in insertion order.  The in-process ``jobs=1`` path
+runs in insertion order and records nothing.
+
+Submission order is not merge order.  Determinism contract: results are
+merged in job-insertion order, and
 every job must be a pure function of its (picklable) arguments.  Under
 that contract the output of ``Scheduler(jobs=n).run(graph)`` is
 identical for every ``n`` and every start method -- the experiment
@@ -102,7 +112,8 @@ class SchedulerStats:
     """Accumulated overhead breakdown across a scheduler's lifetime.
 
     All values are wall-clock seconds measured by the parent (worker
-    wall is measured in-worker and shipped back with each result):
+    start and wall are measured in-worker and shipped back with each
+    result):
 
     * ``spawn_seconds`` -- creating the worker pool (once per scheduler;
       worker warmup runs asynchronously and surfaces as first-job
@@ -111,6 +122,10 @@ class SchedulerStats:
     * ``transfer_seconds`` -- sum over jobs of (submit-to-result-arrival
       time minus in-worker wall): argument pickling, queue wait, and
       result shipping.
+    * ``queue_wait_seconds`` -- the part of ``transfer_seconds`` before
+      the job starts: sum over jobs of (worker start minus submit).
+      ``time.perf_counter`` is system-wide where the pool runs (a
+      monotonic clock), so parent and worker stamps compare.
     * ``merge_seconds`` -- parent-side result folding.
     """
 
@@ -118,6 +133,7 @@ class SchedulerStats:
     spawn_seconds: float = 0.0
     worker_seconds: float = 0.0
     transfer_seconds: float = 0.0
+    queue_wait_seconds: float = 0.0
     merge_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
@@ -125,13 +141,14 @@ class SchedulerStats:
         return asdict(self)
 
 
-def _invoke_timed(fn: Callable[..., Any], args: Tuple) -> Tuple[Any, float]:
-    """Pool-mode entry point (must stay picklable): the job's result plus
-    its in-worker wall time, so the parent can split transfer overhead
-    from real work."""
+def _invoke_timed(fn: Callable[..., Any],
+                  args: Tuple) -> Tuple[Any, float, float]:
+    """Pool-mode entry point (must stay picklable): the job's result, its
+    in-worker start stamp and its in-worker wall time, so the parent can
+    split queue wait and transfer overhead from real work."""
     start = time.perf_counter()
     result = fn(*args)
-    return result, time.perf_counter() - start
+    return result, start, time.perf_counter() - start
 
 
 class Scheduler:
@@ -147,6 +164,10 @@ class Scheduler:
     submitted at once and merged as it completes; the returned mapping
     is nonetheless always in job-insertion order, so callers observe
     identical results at any parallelism.
+
+    Pooled runs submit by the module's longest-first rule.  Each job
+    id's last in-worker wall is updated on every arrival and kept for
+    the scheduler's lifetime, across runs and pool restarts.
 
     ``warmup`` is a ``(fn, args)`` pair, ``fn`` a picklable top-level
     function, run once in each worker at pool creation -- attach the
@@ -170,6 +191,7 @@ class Scheduler:
         self._pool = None
         self._workers: List[Any] = []
         self.stats = SchedulerStats()
+        self._last_walls: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -235,7 +257,8 @@ class Scheduler:
     # ------------------------------------------------------------------
     def run(self, graph: JobGraph) -> Dict[str, Any]:
         """Execute ``graph``; returns ``{job_id: result}`` in insertion
-        order regardless of completion order or parallelism."""
+        order regardless of submission order, completion order or
+        parallelism."""
         if self.jobs > 1:
             results = self._run_pooled(graph)
             return {job_id: results[job_id] for job_id in graph.job_ids()}
@@ -248,9 +271,18 @@ class Scheduler:
         self.stats.jobs_executed += len(graph)
         return results
 
+    def _submission_order(self, graph: JobGraph) -> List[Job]:
+        """The order a pooled run submits ``graph``'s jobs in: ids with
+        no recorded wall first, in insertion order, then the others by
+        descending last wall (a stable sort keeps ties in insertion
+        order)."""
+        walls = self._last_walls
+        return sorted(graph, key=lambda job: (
+            job.job_id in walls, -walls.get(job.job_id, 0.0)))
+
     def _run_pooled(self, graph: JobGraph) -> Dict[str, Any]:
-        """Submit every job to the pool, then fold results in as they
-        arrive (completion order)."""
+        """Submit every job to the pool in :meth:`_submission_order`, then
+        fold results in as they arrive (completion order)."""
         pool = self._ensure_pool()
         cond = threading.Condition()
         arrivals: deque = deque()
@@ -260,7 +292,7 @@ class Scheduler:
         def submit(job: Job) -> None:
             job_id = job.job_id
 
-            def on_done(payload: Tuple[Any, float]) -> None:
+            def on_done(payload: Tuple[Any, float, float]) -> None:
                 arrival = time.perf_counter()
                 with cond:
                     arrivals.append((job_id, payload, arrival))
@@ -275,7 +307,7 @@ class Scheduler:
             pool.apply_async(_invoke_timed, (job.fn, job.args),
                              callback=on_done, error_callback=on_error)
 
-        for job in graph:
+        for job in self._submission_order(graph):
             submit(job)
 
         stats = self.stats
@@ -295,16 +327,20 @@ class Scheduler:
                 # pool down (outside the lock: its result handler may be
                 # waiting for it) so the next run starts a fresh one.
                 self.terminate()
-                unfinished = [job_id for job_id in submit_times
+                unfinished = [job_id for job_id in graph.job_ids()
                               if job_id not in results]
                 raise JobError(unfinished[0], RuntimeError(
                     f"{dead}; unfinished: {', '.join(unfinished)}"))
-            job_id, (result, worker_wall), arrival = arrived
+            job_id, (result, worker_start, worker_wall), arrival = arrived
             merge_start = time.perf_counter()
             results[job_id] = result
+            self._last_walls[job_id] = worker_wall
+            submitted = submit_times[job_id]
+            transfer = max(0.0, (arrival - submitted) - worker_wall)
             stats.jobs_executed += 1
             stats.worker_seconds += worker_wall
-            stats.transfer_seconds += max(
-                0.0, (arrival - submit_times[job_id]) - worker_wall)
+            stats.transfer_seconds += transfer
+            stats.queue_wait_seconds += min(
+                transfer, max(0.0, worker_start - submitted))
             stats.merge_seconds += time.perf_counter() - merge_start
         return results

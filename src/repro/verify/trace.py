@@ -50,6 +50,7 @@ rather than flagged:
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
                     Optional, Tuple)
@@ -391,6 +392,12 @@ class TraceRecorder:
     patches of its op methods.  The recorder is a
     pure observer: zero tick charges, zero simulated allocations, zero
     allocation-context interning.
+
+    Each patch sits in the wrapper's own ``__dict__`` and reaches the
+    method it replaces through a :class:`weakref.WeakMethod`: a plain
+    bound method would make every recorded wrapper a reference cycle
+    that only CPython's cyclic collector frees, taking its impl and
+    heap objects with it.
     """
 
     def __init__(self, max_ops_per_trace: int = 4096,
@@ -445,15 +452,15 @@ class TraceRecorder:
     # -- instance patching ---------------------------------------------
     def _wrap_op(self, wrapper: ChameleonCollection, state: _RecState,
                  name: str, spec: Tuple[str, ...]) -> None:
-        original = getattr(wrapper, name)
+        original = weakref.WeakMethod(getattr(wrapper, name))
 
         def recorded(*args, **kwargs):
             if state.closed:
-                return original(*args, **kwargs)
+                return original()(*args, **kwargs)
             enc_args, call_args = _encode_call_args(spec, args, state.handles)
             op = [name] + enc_args
             try:
-                result = original(*call_args, **kwargs)
+                result = original()(*call_args, **kwargs)
             except UnsupportedOperation:
                 state.emit(op, ["unsup"])
                 raise
@@ -467,14 +474,14 @@ class TraceRecorder:
 
     def _wrap_iter(self, wrapper: ChameleonCollection, state: _RecState,
                    method_name: str, mode: str) -> None:
-        original = getattr(wrapper, method_name)
+        original = weakref.WeakMethod(getattr(wrapper, method_name))
 
         def recorded():
             if state.closed:
-                return original()
+                return original()()
             slot = state.next_slot
             state.next_slot += 1
-            iterator = original()
+            iterator = original()()
             state.emit(["iter_new", slot, mode], ["ok", ["n"]])
 
             def on_next(value: Any, stop: bool) -> None:
@@ -490,10 +497,10 @@ class TraceRecorder:
 
     def _wrap_swap(self, wrapper: ChameleonCollection,
                    state: _RecState) -> None:
-        original = wrapper.swap_to
+        original = weakref.WeakMethod(wrapper.swap_to)
 
         def recorded(impl_name, initial_capacity=None, impl_kwargs=None):
-            result = original(impl_name, initial_capacity, impl_kwargs)
+            result = original()(impl_name, initial_capacity, impl_kwargs)
             state.emit(["swap", impl_name, dict(impl_kwargs or {})],
                        ["ok", ["n"]])
             return result

@@ -344,12 +344,16 @@ class TestSuiteSection:
         assert overhead["spawn_seconds"] > 0.0
         assert overhead["worker_seconds"] > 0.0
         assert overhead["transfer_seconds"] >= 0.0
+        assert 0.0 <= overhead["queue_wait_seconds"] \
+            <= overhead["transfer_seconds"]
         assert overhead["merge_seconds"] >= 0.0
 
     def test_overhead_renders_in_the_summary(self, doc, suite):
         extended = copy.deepcopy(doc)
         extended["suite"] = suite
-        assert "pool overhead" in perf.render_summary(extended)
+        summary = perf.render_summary(extended)
+        assert "pool overhead" in summary
+        assert "queue wait" in summary
 
 
 class TestSuiteSectionValidation:
@@ -410,6 +414,23 @@ class TestSuiteSectionValidation:
     def test_well_formed_overhead_is_valid(self, doc):
         perf.validate_document(
             self._doc_with_suite(doc, overhead=self._overhead()))
+
+    def test_overhead_with_queue_wait_is_valid(self, doc):
+        doc = self._doc_with_suite(
+            doc, overhead=self._overhead(queue_wait_seconds=0.2))
+        perf.validate_document(doc)
+        assert "(queue wait 0.200s)" in perf.render_summary(doc)
+
+    def test_overhead_without_queue_wait_renders_without_it(self, doc):
+        doc = self._doc_with_suite(doc, overhead=self._overhead())
+        assert "queue wait" not in perf.render_summary(doc)
+
+    def test_rejects_negative_queue_wait(self, doc):
+        broken = self._doc_with_suite(
+            doc, overhead=self._overhead(queue_wait_seconds=-0.1))
+        with pytest.raises(ValueError, match="'queue_wait_seconds' is "
+                                             "negative"):
+            perf.validate_document(broken)
 
     def test_rejects_non_object_overhead(self, doc):
         broken = self._doc_with_suite(doc, overhead=[1])

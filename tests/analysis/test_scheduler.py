@@ -175,6 +175,13 @@ class TestPoolScheduler:
                 print(time.perf_counter() - start < 10)
                 print(scheduler.run(make_graph()))
                 print(map_jobs(scheduler, is_warm, [(stamps,)] * 4))
+                # The same ids again: now the scheduler has walls for
+                # the jobs that arrived and submits the lost one first.
+                try:
+                    map_jobs(scheduler, exit_on_one, [(0,), (1,), (2,)],
+                             prefix="die")
+                except JobError as exc:
+                    print(exc)
         """)
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
@@ -184,8 +191,8 @@ class TestPoolScheduler:
                               cwd=str(REPO_ROOT), env=env)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert len(lines) == 4, done.stdout + done.stderr
-        error, fast, graph, warm = lines
+        assert len(lines) == 5, done.stdout + done.stderr
+        error, fast, graph, warm, warm_error = lines
         assert error.startswith("job 'die:0001' failed: RuntimeError: "
                                 "pool worker pid "), error
         assert "exited with code 3" in error
@@ -193,6 +200,14 @@ class TestPoolScheduler:
         assert fast == "True"
         assert graph == str(Scheduler(jobs=1).run(make_graph()))
         assert warm == "[True, True, True, True]"
+        # Unfinished jobs are named in insertion order, whatever order
+        # they were submitted in; the error carries the first of them.
+        unfinished = warm_error.split("unfinished: ")[1].split(", ")
+        assert "die:0001" in unfinished
+        assert unfinished == sorted(unfinished)
+        assert warm_error.startswith(f"job '{unfinished[0]}' failed: "
+                                     f"RuntimeError: pool worker pid ")
+        assert "exited with code 3" in warm_error
 
     def test_pool_survives_multiple_runs(self):
         with Scheduler(jobs=2) as scheduler:
@@ -248,8 +263,22 @@ class TestStreamingAndStats:
             snapshot = scheduler.stats.as_dict()
         assert set(snapshot) == {"jobs_executed", "spawn_seconds",
                                  "worker_seconds", "transfer_seconds",
-                                 "merge_seconds"}
+                                 "queue_wait_seconds", "merge_seconds"}
         assert snapshot["jobs_executed"] == 3
+
+    def test_queue_wait_is_part_of_transfer(self):
+        """Two workers, four 0.05 s jobs: the last two wait for a free
+        worker, and that wait is counted in ``transfer_seconds`` too."""
+        with Scheduler(jobs=2) as scheduler:
+            map_jobs(scheduler, sleepy_identity, [(n, 0.05)
+                                                  for n in range(4)])
+            stats = scheduler.stats
+        assert 0.0 < stats.queue_wait_seconds <= stats.transfer_seconds
+
+    def test_serial_measures_no_queue_wait(self):
+        scheduler = Scheduler(jobs=1)
+        scheduler.run(make_graph())
+        assert scheduler.stats.queue_wait_seconds == 0.0
 
     def test_slow_then_quick_merge_in_insertion_order(self):
         """The quick job finishes first on a pool; the merge still
@@ -279,6 +308,68 @@ class TestStreamingAndStats:
             scheduler.run(make_graph())
             scheduler.run(make_graph())
         assert len(list(tmp_path.glob("warm-*"))) == 2
+
+
+def submitted(scheduler, graph):
+    """Run ``graph`` on a pooled ``scheduler``; its results and the job
+    ids in the order they reached ``apply_async``."""
+    pool = scheduler._ensure_pool()
+    ids = {(job.fn, job.args): job.job_id for job in graph}
+    with mock.patch.object(pool, "apply_async",
+                           wraps=pool.apply_async) as apply_async:
+        results = scheduler.run(graph)
+    return results, [ids[call.args[1]]
+                     for call in apply_async.call_args_list]
+
+
+def sleepers(*names_and_delays):
+    """A graph of ``sleepy_identity`` jobs named and timed as given."""
+    graph = JobGraph()
+    for index, (name, delay) in enumerate(names_and_delays):
+        graph.add(name, sleepy_identity, index, delay)
+    return graph
+
+
+class TestSubmissionOrder:
+    """A pooled run submits unseen jobs first, in insertion order, then
+    the jobs it has run, longest last wall first; it still merges in
+    insertion order."""
+
+    BATCH = (("short", 0.01), ("mid", 0.05), ("long", 0.1))
+
+    def test_first_run_in_insertion_order_then_longest_first(self):
+        graph = sleepers(*self.BATCH)
+        with Scheduler(jobs=2) as scheduler:
+            first, first_order = submitted(scheduler, graph)
+            second, second_order = submitted(scheduler, graph)
+        assert first_order == ["short", "mid", "long"]
+        assert second_order == ["long", "mid", "short"]
+        assert list(first.items()) == list(second.items()) == [
+            ("short", 0), ("mid", 1), ("long", 2)]
+
+    def test_unseen_jobs_go_first_in_insertion_order(self):
+        mixed = sleepers(("new-a", 0.0), ("short", 0.01), ("new-b", 0.0),
+                         ("long", 0.1), ("mid", 0.05), ("new-c", 0.0))
+        with Scheduler(jobs=2) as scheduler:
+            submitted(scheduler, sleepers(*self.BATCH))
+            results, order = submitted(scheduler, mixed)
+        assert order == ["new-a", "new-b", "new-c", "long", "mid", "short"]
+        assert list(results) == mixed.job_ids()
+        assert list(results.values()) == list(range(6))
+
+    def test_equal_walls_keep_insertion_order(self):
+        scheduler = Scheduler(jobs=2)
+        scheduler._last_walls.update(a=0.1, b=0.2, c=0.1, d=0.2)
+        graph = sleepers(("a", 0), ("b", 0), ("c", 0), ("d", 0), ("e", 0))
+        assert [job.job_id for job in scheduler._submission_order(graph)] \
+            == ["e", "b", "d", "a", "c"]
+
+    def test_serial_runs_in_insertion_order_and_learns_nothing(self):
+        scheduler = Scheduler(jobs=1)
+        scheduler.run(sleepers(*self.BATCH))
+        results = scheduler.run(sleepers(*self.BATCH))
+        assert list(results) == ["short", "mid", "long"]
+        assert scheduler._last_walls == {}
 
 
 def is_warm(directory):

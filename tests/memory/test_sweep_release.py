@@ -35,6 +35,7 @@ from repro.memory.generational import GenerationalGC
 from repro.memory.gc import MarkSweepGC
 from repro.memory.heap import HeapObject
 from repro.profiler.report import build_report
+from repro.verify.fuzz import record_workload
 from repro.runtime.vm import (RuntimeEnvironment, add_vm_created_hook,
                               remove_vm_created_hook)
 from repro.workloads import BENCHMARKS, PmdWorkload, TvlaWorkload
@@ -213,7 +214,9 @@ _FINISHED = ([pytest.param(_finished(drive, w), id=f"{w.name}-{kind}")
                              id="tvla-online-retrofit"),
                 pytest.param(_online(PmdWorkload, 0.02), id="pmd-online"),
                 pytest.param(_profiling_overhead,
-                             id="profiling-overhead")])
+                             id="profiling-overhead"),
+                pytest.param(lambda: record_workload("pmd", scale=SCALE),
+                             id="pmd-trace-recording")])
 
 
 @pytest.mark.parametrize("run", _FINISHED)
