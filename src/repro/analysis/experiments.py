@@ -22,6 +22,7 @@ from repro.core.apply import ReplacementMap
 from repro.core.chameleon import Chameleon, RunMetrics, SessionCache
 from repro.core.config import ToolConfig
 from repro.core.online import OnlineChameleon
+from repro.memory.heap import OutOfMemoryError
 from repro.runtime.vm import ImplementationChoice
 from repro.workloads import (BENCHMARKS, BloatWorkload, TvlaWorkload,
                              Workload)
@@ -300,7 +301,11 @@ def run_fig6(scale: float = 0.5, resolution: int = 8192,
 # ---------------------------------------------------------------------------
 @dataclass
 class Fig7Result:
-    """Per-benchmark speedups at the original minimal heap."""
+    """Per-benchmark speedups at the original minimal heap.
+
+    A bar whose optimized run runs out of memory under that limit
+    measures 0.0, says so in its note, and has no ``gc_cycles`` entry.
+    """
 
     rows: List[ExperimentRow]
     gc_cycles: Dict[str, Tuple[int, int]] = field(default_factory=dict)
@@ -320,21 +325,32 @@ def _fig7_benchmark_job(workload_class, scale: float,
                         resolution: int) -> Dict[str, int]:
     """One Fig. 7 bar (scheduler job): search the original minimal heap,
     then time optimized under it; the baseline is the search's own run
-    at that minimum."""
+    at that minimum.
+
+    On a coarse grid the original's minimum can sit below what the
+    optimized program needs; its run then ends in an out-of-memory
+    error, and the bar carries the limit as ``oom_limit`` instead of
+    the optimized run's figures.
+    """
     tool = _tool()
     workload = workload_class(scale=scale)
     session = tool.profile(workload_class(scale=scale))
     policy = tool.build_policy(session.suggestions)
     search = measure_min_heap(tool, workload, resolution=resolution)
     base_heap, baseline = search.min_heap_bytes, search.at_minimum
-    if workload.name == "bloat":
-        # The paper's bloat fix is the manual lazy allocation.
-        _, optimized = tool.plain_run(
-            workload_class(scale=scale, manual_fixes=True),
-            heap_limit=base_heap)
-    else:
-        _, optimized = tool.plain_run(workload.fresh(), policy=policy,
-                                      heap_limit=base_heap)
+    try:
+        if workload.name == "bloat":
+            # The paper's bloat fix is the manual lazy allocation.
+            _, optimized = tool.plain_run(
+                workload_class(scale=scale, manual_fixes=True),
+                heap_limit=base_heap)
+        else:
+            _, optimized = tool.plain_run(workload.fresh(), policy=policy,
+                                          heap_limit=base_heap)
+    except OutOfMemoryError:
+        return {"baseline_ticks": baseline.ticks,
+                "baseline_gcs": baseline.gc_cycles,
+                "oom_limit": base_heap}
     return {"baseline_ticks": baseline.ticks,
             "optimized_ticks": optimized.ticks,
             "baseline_gcs": baseline.gc_cycles,
@@ -360,6 +376,13 @@ def run_fig7(scale: float = 0.5, resolution: int = 8192,
     for workload_class in BENCHMARKS:
         name = workload_class.name
         bar = measured[f"fig7:{name}"]
+        if "oom_limit" in bar:
+            rows.append(ExperimentRow(
+                name, "speedup @ original min-heap", PAPER_FIG7.get(name),
+                0.0, unit="x",
+                note=f"optimized run OOM at the original min-heap "
+                     f"({bar['oom_limit']} bytes)"))
+            continue
         speedup = (bar["baseline_ticks"] / bar["optimized_ticks"]
                    if bar["optimized_ticks"] else 1.0)
         rows.append(ExperimentRow(

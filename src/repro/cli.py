@@ -20,9 +20,6 @@ Examples::
     chameleon-repro history tvla_capture_on --last 10
     chameleon-repro fuzz --adt all --seeds 50
     chameleon-repro fuzz --record tvla --scale 0.05
-    chameleon-repro compile-trace tests/verify/corpus/tvla-map-000.json \\
-        --rounds 3 --sanitize
-    chameleon-repro compile-trace tests/verify/corpus/*.json --multi-tenant
     chameleon-repro lint --paths src/repro/workloads --format sarif \\
         --output lint.sarif
     chameleon-repro lint --drift benchmarks/runs/store --paths src
@@ -264,31 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--no-sanitize", action="store_true",
                       help="skip the heap sanitizer during replays")
 
-    compile_trace = sub.add_parser(
-        "compile-trace",
-        help="compile recorded trace(s) into runnable workloads")
-    compile_trace.add_argument("traces", nargs="+", metavar="TRACE",
-                               help="trace JSON file(s) -- corpus entries, "
-                                    "'fuzz --record --save-corpus' output "
-                                    "or any repro.verify trace document")
-    compile_trace.add_argument("--rounds", type=int, default=1,
-                               help="rounds per compiled workload; rounds "
-                                    "past the first are value-perturbed "
-                                    "(default 1)")
-    compile_trace.add_argument("--perturb", type=float, default=0.25,
-                               help="per-value redraw probability for "
-                                    "perturbed rounds (default 0.25)")
-    compile_trace.add_argument("--seed", type=int, default=2009)
-    compile_trace.add_argument("--impl", default=None, metavar="NAME",
-                               help="run against this implementation "
-                                    "instead of the trace's baseline")
-    compile_trace.add_argument("--multi-tenant", action="store_true",
-                               help="weave all given traces through one "
-                                    "VM instead of running them one by "
-                                    "one")
-    compile_trace.add_argument("--sanitize", action="store_true",
-                               help="attach the heap sanitizer to every "
-                                    "compiled run")
     return parser
 
 
@@ -304,23 +276,11 @@ def _make_workload(args):
 
 
 def _cmd_list(args) -> str:
-    from repro.workloads.compiled import SCENARIOS
-
     registry = default_workload_registry()
     lines = ["bundled workloads:"]
     for name in registry.names():
-        if name in SCENARIOS:
-            continue
         workload = registry.create(name)
         lines.append(f"  {name:16s} {type(workload).__doc__.splitlines()[0]}")
-    lines.append("")
-    lines.append("scenario library (trace-compiled; see EXPERIMENTS.md):")
-    for name in sorted(SCENARIOS):
-        spec = SCENARIOS[name]
-        lines.append(f"  {name:28s} [{spec.family}] {spec.summary}")
-        lines.append(f"  {'':28s} source: "
-                     + ", ".join(f"scenarios/{stem}.json"
-                                 for stem in spec.sources))
     return "\n".join(lines)
 
 
@@ -662,63 +622,6 @@ def _cmd_fuzz(args) -> str:
     return result.summary()
 
 
-def _cmd_compile_trace(args) -> str:
-    from repro.runtime.vm import RuntimeEnvironment
-    from repro.verify.compile import compile_trace, load_trace_file
-    from repro.verify.sanitizer import HeapSanitizer
-    from repro.workloads.compiled import (CompiledTraceWorkload,
-                                          MultiTenantWorkload)
-
-    programs = []
-    for path in args.traces:
-        try:
-            trace = load_trace_file(path)
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(f"{path}: not a readable trace: {exc}")
-        programs.append((path, compile_trace(trace)))
-
-    if args.multi_tenant and len(programs) > 1:
-        tenants = tuple(program for _, program in programs)
-        workloads = [("multi-tenant(" + "+".join(
-            pathlib.Path(path).stem for path, _ in programs) + ")",
-            MultiTenantWorkload(tenants, "compile-trace-multi-tenant",
-                                rounds=args.rounds, perturb=args.perturb,
-                                seed=args.seed))]
-    else:
-        workloads = [
-            (path, CompiledTraceWorkload(
-                program, f"compile-trace/{pathlib.Path(path).stem}",
-                rounds=args.rounds, perturb=args.perturb, impl=args.impl,
-                seed=args.seed))
-            for path, program in programs]
-
-    # Only simulated observables (ticks, cycle counts, verdicts) appear,
-    # so the output of two runs can be byte-diffed.
-    lines = []
-    failed = False
-    for label, workload in workloads:
-        vm = RuntimeEnvironment(gc_threshold_bytes=64 * 1024)
-        sanitizer = None
-        if args.sanitize:
-            sanitizer = HeapSanitizer()
-            sanitizer.attach(vm)
-        workload.run(vm)
-        vm.finish()
-        line = (f"{label}: rounds={args.rounds} ticks={vm.now} "
-                f"gc_cycles={len(vm.timeline.cycles)}")
-        if sanitizer is not None:
-            count = len(sanitizer.violations)
-            line += (" sanitizer=clean" if not count
-                     else f" sanitizer={count} violation(s)")
-            failed = failed or bool(count)
-        lines.append(line)
-
-    if failed:
-        print("\n".join(lines))
-        raise SystemExit(1)
-    return "\n".join(lines)
-
-
 _COMMANDS = {
     "list": _cmd_list,
     "profile": _cmd_profile,
@@ -730,7 +633,6 @@ _COMMANDS = {
     "history": _cmd_history,
     "lint": _cmd_lint,
     "fuzz": _cmd_fuzz,
-    "compile-trace": _cmd_compile_trace,
 }
 
 

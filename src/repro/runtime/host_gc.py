@@ -11,7 +11,7 @@ therefore run with the host collector paused, and
 :mod:`repro.analysis.perf` times its repeats under the same pause.
 
 This module is the one place that turns the host collector off.  Code
-that drives a VM directly (``compile-trace``, a bare
+that drives a VM directly (a trace replay, a bare
 :class:`~repro.runtime.vm.RuntimeEnvironment`) keeps whatever setting
 its caller chose.
 """

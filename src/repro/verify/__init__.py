@@ -7,8 +7,7 @@ GC.  See DESIGN.md ("Verification subsystem") for the architecture.
 """
 
 from repro.verify.compile import (CompiledProgram, TraceInstance,
-                                  compile_trace, load_trace_file,
-                                  perturb_ops)
+                                  compile_trace)
 from repro.verify.fuzz import (FuzzFailure, FuzzResult, record_workload,
                                run_fuzz)
 from repro.verify.generate import ADT_KINDS, SWAP_TARGETS, generate_trace
@@ -26,8 +25,8 @@ __all__ = [
     "FuzzResult", "HeapSanitizer", "ReplayResult", "Trace",
     "TraceInstance", "TraceRecorder", "Violation",
     "compile_trace", "decode_value", "diff_trace", "eligible_impls",
-    "encode_value", "generate_trace", "load_trace_file",
-    "make_failure_checker", "perturb_ops", "record_workload",
+    "encode_value", "generate_trace",
+    "make_failure_checker", "record_workload",
     "replay_trace", "run_fuzz", "sanitized_vms", "shrink_trace",
     "write_repro_script",
 ]

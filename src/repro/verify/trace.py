@@ -583,12 +583,12 @@ def replay_trace(trace: Trace, impl_name: str,
     """Replay ``trace`` against ``impl_name`` in a fresh, isolated VM.
 
     The trace is compiled (:func:`repro.verify.compile.compile_trace`)
-    and executed by a :class:`~repro.verify.compile.TraceInstance` with
-    outcome collection on.  Malformed traces (as the shrinker produces:
-    orphan ``iter_next``, unknown slots) replay as deterministic no-ops
-    rather than crashing.  An :class:`UnsupportedOperation`/``TypeError``
-    from the implementation records an ``unsup`` outcome and stops the
-    replay (drop-out).
+    and executed by a :class:`~repro.verify.compile.TraceInstance`.
+    Malformed traces (as the shrinker produces: orphan ``iter_next``,
+    unknown slots) replay as deterministic no-ops rather than crashing.
+    An :class:`UnsupportedOperation`/``TypeError`` from the
+    implementation records an ``unsup`` outcome and stops the replay
+    (drop-out).
 
     ``vm_factory`` builds the replay's VM (called with
     ``gc_threshold_bytes=None``; the differential tests pass
@@ -629,8 +629,7 @@ def _replay_program(program: CompiledProgram, impl_name: str,
 
     instance = TraceInstance(
         vm, program, impl=impl_name, registry=registry,
-        context=ContextKey.synthetic("repro.verify.replay"),
-        collect_outcomes=True).run()
+        context=ContextKey.synthetic("repro.verify.replay")).run()
     vm.collect()
     detail: Optional[dict] = None
     if gc_detail:

@@ -2,11 +2,6 @@
 
 from repro.workloads.base import Workload, WorkloadRegistry
 from repro.workloads.bloat import BloatWorkload
-from repro.workloads.compiled import (CompiledTraceWorkload,
-                                      HeavyTailWorkload,
-                                      MultiTenantWorkload,
-                                      PhaseShiftWorkload, register_scenarios,
-                                      scenario_names)
 from repro.workloads.dacapo import (DacapoCompressWorkload,
                                     DacapoCryptoWorkload,
                                     DacapoHsqldbWorkload)
@@ -22,9 +17,7 @@ __all__ = [
     "DacapoCompressWorkload", "DacapoCryptoWorkload",
     "DacapoHsqldbWorkload", "FindbugsWorkload", "FopWorkload",
     "PmdWorkload", "SootWorkload", "TvlaWorkload", "ContextSpec",
-    "SyntheticWorkload", "CompiledTraceWorkload", "HeavyTailWorkload",
-    "PhaseShiftWorkload", "MultiTenantWorkload", "register_scenarios",
-    "scenario_names",
+    "SyntheticWorkload",
 ]
 
 BENCHMARKS = (TvlaWorkload, SootWorkload, FindbugsWorkload, BloatWorkload,
@@ -37,9 +30,8 @@ CONTROLS = (DacapoCompressWorkload, DacapoCryptoWorkload,
 
 
 def default_workload_registry() -> WorkloadRegistry:
-    """A registry with every bundled workload and library scenario."""
+    """A registry with the six benchmarks and the DaCapo controls."""
     registry = WorkloadRegistry()
     for workload_class in BENCHMARKS + CONTROLS:
         registry.register(workload_class.name, workload_class)
-    register_scenarios(registry)
     return registry

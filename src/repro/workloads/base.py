@@ -84,20 +84,15 @@ class WorkloadRegistry:
     def __init__(self) -> None:
         self._factories: Dict[str, Any] = {}
 
-    def register(self, name: str, factory: Any, *,
-                 overwrite: bool = False) -> None:
+    def register(self, name: str, factory: Any) -> None:
         """Register a workload class or factory under ``name``.
 
         Names are an external interface (CLI, experiment specs, CI
-        legs), and compiled scenarios register dynamically -- so a
-        collision is a bug, not a shadowing convenience.  Re-registering
-        an existing name raises unless ``overwrite=True`` says the
-        replacement is deliberate.
+        legs), so a collision is a bug: re-registering an existing name
+        raises.
         """
-        if not overwrite and name in self._factories:
-            raise ValueError(
-                f"workload {name!r} is already registered; pass "
-                f"overwrite=True to replace it")
+        if name in self._factories:
+            raise ValueError(f"workload {name!r} is already registered")
         self._factories[name] = factory
 
     def create(self, name: str, **kwargs: Any) -> Workload:

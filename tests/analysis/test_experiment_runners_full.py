@@ -74,6 +74,22 @@ class TestFig7Runner:
         assert "original minimal heap" in fig7.render()
 
 
+class TestFig7CoarseGrid:
+    def test_optimized_oom_is_a_bar_not_a_crash(self):
+        """On a 2048-byte grid PMD's original minimum is below what its
+        policy-optimized run needs: that bar reports the OOM and the
+        limit, and the other five bars still complete."""
+        fig7 = experiments.run_fig7(scale=0.05, resolution=2048)
+        assert len(fig7.rows) == 6
+        pmd = next(row for row in fig7.rows if row.benchmark == "pmd")
+        assert pmd.measured == 0.0
+        assert pmd.note == ("optimized run OOM at the original min-heap "
+                            "(22380 bytes)")
+        assert "pmd" not in fig7.gc_cycles
+        assert fig7.speedup("tvla") >= 1.0
+        assert "OOM" in fig7.render()
+
+
 class TestOverheadRunner:
     def test_modes_and_accessor(self):
         result = experiments.run_profiling_overhead(scale=SCALE)

@@ -16,7 +16,6 @@ from repro.collections.wrappers import ChameleonList
 from repro.verify.oracle import reference_find_min_heap
 from repro.workloads import BENCHMARKS, CONTROLS, TvlaWorkload
 from repro.workloads.base import Workload
-from repro.workloads.compiled import SCENARIOS, make_scenario
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -291,7 +290,7 @@ SCALE = 0.05
 
 def _soundness_cases():
     """(label, workload, policy) for the paper's six benchmarks (base,
-    auto and manual), the scenario library and the DaCapo controls."""
+    auto and manual) and the DaCapo controls."""
     tool = Chameleon()
     cases = []
     for workload_class in BENCHMARKS:
@@ -302,8 +301,6 @@ def _soundness_cases():
                   (f"{name}:auto", workload_class(scale=SCALE), policy),
                   (f"{name}:manual",
                    workload_class(scale=SCALE, manual_fixes=True), None)]
-    cases += [(name, make_scenario(name, scale=SCALE), None)
-              for name in SCENARIOS]
     cases += [(workload_class.name, workload_class(scale=SCALE), None)
               for workload_class in CONTROLS]
     return cases

@@ -1,5 +1,7 @@
 """Iterator objects and the shared-empty-iterator optimisation."""
 
+import pathlib
+
 import pytest
 
 from repro.collections.base import CollectionKind, UnsupportedOperation
@@ -195,39 +197,51 @@ class TestUniformSemanticsAcrossImpls:
         assert mapping.size() == 0
 
 
-def _compiled_matrix_cases():
-    """(workload, impl) pairs: the per-impl matrix over the source
-    traces of two library scenarios instead of hand-written fills."""
+#: Recorded benchmark traces the per-impl matrix below runs: a TVLA
+#: state map and PMD's rule-name set.
+RECORDED_TRACES = ("tvla-map-007", "pmd-set-001")
+
+CORPUS_DIR = (pathlib.Path(__file__).resolve().parents[1]
+              / "verify" / "corpus")
+
+
+def _recorded_trace(stem):
+    from repro.verify.trace import Trace
+
+    path = CORPUS_DIR / f"{stem}.json"
+    return Trace.from_json(path.read_text(encoding="utf-8"))
+
+
+def _recorded_matrix_cases():
+    """(trace, impl) pairs: the per-impl matrix over recorded benchmark
+    traces instead of hand-written fills."""
     from repro.verify.trace import eligible_impls
-    from repro.workloads.compiled import make_scenario
 
     cases = []
-    for name in ("compiled-tvla-map", "compiled-pmd-set"):
-        trace = make_scenario(name).source_traces()[0]
-        for impl in eligible_impls(trace):
-            cases.append(pytest.param(name, impl, id=f"{name}-{impl}"))
+    for stem in RECORDED_TRACES:
+        for impl in eligible_impls(_recorded_trace(stem)):
+            cases.append(pytest.param(stem, impl, id=f"{stem}-{impl}"))
     return cases
 
 
-class TestUniformSemanticsViaCompiledWorkloads:
-    """The same uniform-contract matrix, driven by compiled workloads.
+class TestUniformSemanticsOnRecordedTraces:
+    """The same uniform-contract matrix, driven by recorded traces.
 
     Hand-written fills above choose their own values; here the op mix
     comes from recorded benchmark traces (including live iterators racing
-    mutations), executed through the compiled path against every
+    mutations), executed through the compiled replay against every
     eligible implementation.  Outcome- and drop-out-parity with the
     interpretive ``reference_replay`` per implementation is exactly the
     interchangeability contract, proven beyond the baseline
     implementation and beyond hand-picked operations.
     """
 
-    @pytest.mark.parametrize("workload,impl", _compiled_matrix_cases())
-    def test_compiled_matches_replay_per_impl(self, workload, impl):
+    @pytest.mark.parametrize("stem,impl", _recorded_matrix_cases())
+    def test_compiled_matches_replay_per_impl(self, stem, impl):
         from repro.verify.oracle import reference_replay
         from repro.verify.trace import replay_trace
-        from repro.workloads.compiled import make_scenario
 
-        trace = make_scenario(workload).source_traces()[0]
+        trace = _recorded_trace(stem)
         reference = reference_replay(trace, impl)
         result = replay_trace(trace, impl, sanitize=True)
         assert result.violations == []
@@ -235,12 +249,9 @@ class TestUniformSemanticsViaCompiledWorkloads:
         assert result.dropped_at == reference.dropped_at
         assert result.ticks == reference.ticks
 
-    @pytest.mark.parametrize("workload", ["compiled-tvla-map",
-                                          "compiled-pmd-set"])
-    def test_source_trace_diffs_clean_across_registry(self, workload):
+    @pytest.mark.parametrize("stem", RECORDED_TRACES)
+    def test_source_trace_diffs_clean_across_registry(self, stem):
         from repro.verify.trace import diff_trace
-        from repro.workloads.compiled import make_scenario
 
-        trace = make_scenario(workload).source_traces()[0]
-        report = diff_trace(trace, sanitize=True)
+        report = diff_trace(_recorded_trace(stem), sanitize=True)
         assert report.ok, report.summary()

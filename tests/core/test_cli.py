@@ -45,15 +45,6 @@ class TestCommands:
         for name in ("tvla", "soot", "pmd", "dacapo-compress"):
             assert name in out
 
-    def test_list_includes_scenario_library(self, capsys):
-        from repro.workloads.compiled import SCENARIOS
-
-        _, out = run_cli(capsys, "list")
-        assert "scenario library" in out
-        for name in SCENARIOS:
-            assert name in out
-        assert "[heavy-tail]" in out and "[multi-tenant]" in out
-
     def test_profile(self, capsys):
         code, out = run_cli(capsys, "profile", "tvla",
                             "--scale", "0.1", "--top", "3")
@@ -185,31 +176,6 @@ class TestCommands:
                            match="not a session-store directory"):
             main(["experiment", "fig3", "--scale", "0.05",
                   "--session-cache", str(legacy), "--no-index"])
-
-    def test_compile_trace_runs_and_checks(self, capsys):
-        corpus = pathlib.Path(__file__).parents[1] / "verify" / "corpus"
-        code, out = run_cli(capsys, "compile-trace",
-                            str(corpus / "tvla-map-000.json"),
-                            str(corpus / "bloat-list-000.json"),
-                            "--rounds", "2", "--sanitize")
-        assert code == 0
-        assert out.count("sanitizer=clean") == 2
-
-    def test_compile_trace_multi_tenant(self, capsys):
-        corpus = pathlib.Path(__file__).parents[1] / "verify" / "corpus"
-        code, out = run_cli(capsys, "compile-trace",
-                            str(corpus / "tvla-map-000.json"),
-                            str(corpus / "pmd-set-000.json"),
-                            "--multi-tenant")
-        assert code == 0
-        assert "multi-tenant(" in out
-        assert out.count("ticks=") == 1  # one woven run, not two
-
-    def test_compile_trace_rejects_garbage_input(self, tmp_path):
-        bogus = tmp_path / "not-a-trace.json"
-        bogus.write_text("{\"format\": 1}", encoding="utf-8")
-        with pytest.raises(SystemExit, match="not a readable trace"):
-            main(["compile-trace", str(bogus)])
 
     def test_experiment_session_store_roundtrip(self, capsys, tmp_path):
         """--session-cache writes one content-addressed file per

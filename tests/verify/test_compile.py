@@ -1,33 +1,32 @@
-"""The trace compiler: lowering, perturbation, and generator closure.
+"""The trace compiler: lowering and generator closure.
 
 The conformance harness (``test_conformance.py``) pins ``replay_trace``
 (compiled execution) to the oracle's interpretive ``reference_replay``
-for the bundled scenario sources; this
-module covers the compiler itself -- step lowering, parameterization --
-and the property that makes the whole pipeline trustworthy for *any*
-trace: the generator -> compiler -> recorder path is closed.  Compiling
-a generated trace and recording its execution yields the original
-operation stream back (modulo the two op kinds a recorder can never
-see: ``gc`` is a VM event, and ``init`` models copy-construction
+on the committed corpus; this module covers the compiler itself -- step
+lowering -- and the property that makes the whole pipeline trustworthy
+for *any* trace: the generator -> compiler -> recorder path is closed.
+Compiling a generated trace and recording its execution yields the
+original operation stream back (modulo the two op kinds a recorder can
+never see: ``gc`` is a VM event, and ``init`` models copy-construction
 contents that predate the recorder's patch points).
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collections.base import CollectionKind
+from repro.runtime.context import ContextKey
 from repro.runtime.vm import RuntimeEnvironment
 from repro.verify.compile import (STEP_CALL, STEP_GC, STEP_INIT,
                                   STEP_ITER_NEW, STEP_NOP, STEP_PUT_ALL,
-                                  STEP_SWAP, TraceInstance, compile_trace,
-                                  perturb_ops)
+                                  STEP_SWAP, TraceInstance, compile_trace)
 from repro.verify.generate import ADT_KINDS, generate_trace
 from repro.verify.oracle import reference_replay
 from repro.verify.trace import (Trace, TraceRecorder, eligible_impls,
                                 replay_trace)
+
+CONTEXT = ContextKey.synthetic("tests.verify.test_compile")
 
 KINDS = {"list": CollectionKind.LIST, "set": CollectionKind.SET,
          "map": CollectionKind.MAP}
@@ -80,67 +79,9 @@ class TestLowering:
         assert program.n_handles == 4
         assert program.steps[0][3] is True  # needs binding
         vm = RuntimeEnvironment(gc_threshold_bytes=None)
-        instance = TraceInstance(vm, program)
+        instance = TraceInstance(vm, program, context=CONTEXT)
         instance.run()
         assert instance.wrapper.impl.peek_values() == [instance.objects[3]]
-
-    def test_prefix_recompiles_the_truncation(self):
-        trace = generate_trace("list", seed=7, n_ops=30)
-        program = compile_trace(trace)
-        short = program.prefix(5)
-        assert len(short) == 5
-        assert short.trace.ops == trace.ops[:5]
-        assert program.prefix(10 ** 6) is program
-
-
-def _is_name_supersequence(perturbed, original):
-    """Original op names appear in order inside the perturbed stream
-    (duplication only ever inserts, never drops or reorders)."""
-    names = iter(op[0] for op in perturbed)
-    return all(any(name == wanted for name in names)
-               for wanted in (op[0] for op in original))
-
-
-class TestPerturbation:
-    def test_deterministic_and_order_preserving(self):
-        trace = generate_trace("map", seed=11, n_ops=40)
-        first = perturb_ops(trace.ops, random.Random("p"), 0.5)
-        second = perturb_ops(trace.ops, random.Random("p"), 0.5)
-        assert first == second
-        assert _is_name_supersequence(first, trace.ops)
-
-    def test_strength_zero_is_identity(self):
-        trace = generate_trace("set", seed=3, n_ops=40)
-        assert perturb_ops(trace.ops, random.Random("p"), 0.0) == trace.ops
-
-    def test_tags_survive_and_handles_stay_in_universe(self):
-        ops = [["add", ["o", 2]], ["add_at", 0, ["i", 7]],
-               ["set_at", 1, ["f", "1.5"]]]
-        perturbed = perturb_ops(ops, random.Random("p"), 1.0)
-        for op in perturbed:         # duplication may insert siblings
-            if op[0] == "add":
-                tag, handle = op[1]
-                assert tag == "o" and 0 <= handle <= 2  # universe kept
-            elif op[0] == "add_at":
-                assert op[1] == 0                       # index untouched
-                assert op[2][0] == "i"                  # tag preserved
-            else:
-                assert op[0] == "set_at" and op[2][0] == "f"
-
-    def test_object_valued_traces_do_perturb(self):
-        # Recorded benchmark traces are typically all-handle-valued;
-        # the handle-redraw axis must bend those too.
-        ops = [["put", ["o", index], ["o", index + 1]]
-               for index in range(0, 20, 2)]
-        assert perturb_ops(ops, random.Random("p"), 0.8) != ops
-
-    def test_perturbed_trace_replays_clean(self):
-        trace = generate_trace("map", seed=5, n_ops=40)
-        perturbed = trace.with_ops(
-            perturb_ops(trace.ops, random.Random("q"), 0.6))
-        result = replay_trace(perturbed, perturbed.baseline_impl,
-                              sanitize=True)
-        assert result.violations == []
 
 
 def _renumber(ops):
@@ -171,7 +112,8 @@ def test_generator_compiler_recorder_closure(adt, seed):
     vm = RuntimeEnvironment(gc_threshold_bytes=None)
     recorder = TraceRecorder()
     vm.tracer = recorder
-    instance = TraceInstance(vm, program, impl=trace.baseline_impl)
+    instance = TraceInstance(vm, program, context=CONTEXT,
+                             impl=trace.baseline_impl)
     instance.run()
     vm.collect()
 
@@ -185,7 +127,7 @@ def test_generator_compiler_recorder_closure(adt, seed):
 
 @pytest.mark.parametrize("adt", sorted(ADT_KINDS))
 def test_replay_matches_reference_replay_on_generated_traces(adt):
-    """Generated traces reach what recorded scenario traces rarely do --
+    """Generated traces reach what recorded benchmark traces rarely do --
     raised exceptions, drop-outs, swaps -- so the replay anchor is also
     held over them, for every eligible implementation."""
     for seed in range(8):

@@ -12,17 +12,11 @@ import pathlib
 
 import pytest
 
-import repro.workloads.compiled as compiled_mod
 from repro.verify.trace import (TRACE_FORMAT_VERSION, Trace, diff_trace,
                                 ops_for_kind)
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.json"))
-
-# The scenario library's bundled source traces are corpus too: same
-# format, same codec, same schema obligations.
-SCENARIO_DIR = pathlib.Path(compiled_mod.__file__).parent / "scenarios"
-ALL_TRACES = CORPUS + sorted(SCENARIO_DIR.glob("*.json"))
 
 #: The codec's complete tag vocabulary (encode_value's output surface).
 VALUE_TAGS = {"n", "b", "i", "f", "s", "o", "p", "l", "x"}
@@ -65,7 +59,7 @@ def test_corpus_trace_diffs_clean(path):
         assert not result.violations
 
 
-@pytest.mark.parametrize("path", ALL_TRACES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_codec_round_trip_is_byte_exact(path):
     """decode -> encode reproduces the committed bytes exactly, so a
     codec or schema change can never silently orphan the corpus."""
@@ -74,7 +68,7 @@ def test_codec_round_trip_is_byte_exact(path):
     assert trace.to_json(indent=2) == text
 
 
-@pytest.mark.parametrize("path", ALL_TRACES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_tag_and_op_vocabulary(path):
     """Every committed trace speaks the documented schema: value tags
     from the codec's vocabulary, op names from the recorded surface."""
