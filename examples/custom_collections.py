@@ -20,8 +20,8 @@ Run with::
 """
 
 from repro import Chameleon, RuntimeEnvironment, SemanticProfiler
-from repro.collections import ChameleonList, CollectionKind, default_registry
-from repro.collections.lists import IntArrayImpl
+from repro.collections import (ChameleonList, CollectionKind, IntArrayImpl,
+                               default_registry)
 from repro.memory.semantic_maps import FootprintTriple, SemanticMap
 from repro.profiler.report import build_report
 from repro.rules.builtin import builtin_rules

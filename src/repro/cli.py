@@ -285,6 +285,8 @@ def _cmd_list(args) -> str:
 
 
 def _cmd_profile(args) -> str:
+    if args.top < 0:
+        raise SystemExit("--top must be >= 0")
     tool = Chameleon(ToolConfig())
     session = tool.profile(_make_workload(args))
     if args.json:
@@ -305,6 +307,8 @@ def _cmd_profile(args) -> str:
 
 
 def _cmd_optimize(args) -> str:
+    if args.top is not None and args.top < 0:
+        raise SystemExit("--top must be >= 0")
     tool = Chameleon(ToolConfig())
     result = tool.optimize(_make_workload(args), top=args.top)
     return "\n".join([RuleEngine.render(result.session.suggestions,
@@ -321,6 +325,8 @@ def _cmd_online(args) -> str:
 def _cmd_histogram(args) -> str:
     from repro.analysis.heapdump import heap_histogram, render_histogram
 
+    if args.limit < 0:
+        raise SystemExit("--limit must be >= 0")
     tool = Chameleon(ToolConfig())
     vm, _ = tool.plain_run(_make_workload(args))
     rows = heap_histogram(vm)
@@ -407,6 +413,8 @@ def _cmd_perf(args) -> str:
             raise SystemExit(f"{args.check}: {exc}")
         return f"{args.check}: valid {perf.SCHEMA} v{perf.SCHEMA_VERSION}"
 
+    if args.repeats < 1:
+        raise SystemExit("--repeats must be >= 1")
     if args.gate and args.no_index:
         raise SystemExit("--gate needs the index; drop --no-index")
     if args.suite and args.jobs < 2:

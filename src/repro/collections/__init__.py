@@ -5,15 +5,14 @@ from repro.collections.base import (BoxPool, CollectionImpl, CollectionKind,
                                     UnsupportedOperation)
 from repro.collections.hashed_list import HashBackedListImpl
 from repro.collections.iterators import CollectionIterator, make_iterator
-from repro.collections.open_addressing import OpenAddressingMapImpl
 from repro.collections.primitive_arrays import (BoolArrayImpl,
                                                 DoubleArrayImpl,
-                                                LongArrayImpl,
+                                                IntArrayImpl, LongArrayImpl,
                                                 PrimitiveArrayImpl,
                                                 make_primitive_array_impl)
 from repro.collections.lists import (ArrayListImpl, EmptyListImpl,
-                                     IntArrayImpl, LazyArrayListImpl,
-                                     LinkedListImpl, SingletonListImpl)
+                                     LazyArrayListImpl, LinkedListImpl,
+                                     SingletonListImpl)
 from repro.collections.maps import (ArrayMapImpl, HashMapImpl, LazyMapImpl,
                                     LinkedHashMapImpl, SizeAdaptingMapImpl)
 from repro.collections.registry import ImplementationRegistry, default_registry
@@ -28,7 +27,7 @@ __all__ = [
     "CollectionIterator", "make_iterator", "ArrayListImpl", "EmptyListImpl",
     "IntArrayImpl", "LazyArrayListImpl", "LinkedListImpl",
     "SingletonListImpl", "ArrayMapImpl", "HashMapImpl", "LazyMapImpl",
-    "OpenAddressingMapImpl", "BoolArrayImpl", "DoubleArrayImpl",
+    "BoolArrayImpl", "DoubleArrayImpl",
     "LongArrayImpl", "PrimitiveArrayImpl", "make_primitive_array_impl",
     "LinkedHashMapImpl", "SizeAdaptingMapImpl", "ImplementationRegistry",
     "default_registry", "ArraySetImpl", "HashSetImpl", "LazySetImpl",

@@ -1,5 +1,5 @@
 """List implementations: ArrayList, LazyArrayList, LinkedList,
-SingletonList, EmptyList and IntArray.
+SingletonList and EmptyList.
 
 These mirror the alternative implementations listed in section 4.2 of the
 paper.  Each models the memory layout and operation costs of its Java
@@ -15,16 +15,18 @@ counterpart on the simulated heap:
   benchmark's 25%-of-heap spike (section 5.3).
 * ``SingletonList`` -- immutable one-element list (the SOOT fix).
 * ``EmptyList`` -- immutable empty list (PMD's ``EMPTY_LIST`` idiom).
-* ``IntArray`` -- primitive ``int[]`` storage with no boxing.
+
+``IntArray`` and the other unboxed arrays are the primitive-array family
+(:mod:`repro.collections.primitive_arrays`).
 """
 
 from __future__ import annotations
 
-import numbers
 from typing import Any, Iterator, List, Optional
 
 from repro.collections.base import (ListImpl, UnsupportedOperation,
                                     values_equal)
+from repro.collections.storage import ArrayStorage, grow_capacity
 from repro.memory.heap import HeapObject
 from repro.memory.semantic_maps import FootprintTriple
 
@@ -34,18 +36,10 @@ __all__ = [
     "LinkedListImpl",
     "SingletonListImpl",
     "EmptyListImpl",
-    "IntArrayImpl",
-    "grow_capacity",
 ]
 
 
-def grow_capacity(old_capacity: int, needed: int) -> int:
-    """The paper's ArrayList growth function, clamped to ``needed``."""
-    grown = (old_capacity * 3) // 2 + 1
-    return max(grown, needed)
-
-
-class ArrayListImpl(ListImpl):
+class ArrayListImpl(ArrayStorage, ListImpl):
     """Resizable-array list (``java.util.ArrayList``)."""
 
     IMPL_NAME = "ArrayList"
@@ -66,25 +60,6 @@ class ArrayListImpl(ListImpl):
         if self.initial_capacity is not None:
             return self.initial_capacity
         return self.DEFAULT_CAPACITY
-
-    # ------------------------------------------------------------------
-    # Backing array management
-    # ------------------------------------------------------------------
-    def _grow_to(self, capacity: int) -> None:
-        """(Re)allocate the backing array at exactly ``capacity`` slots."""
-        old = self._array
-        new = self.vm.allocate("Object[]",
-                               self.vm.model.ref_array_size(capacity),
-                               context_id=self.context_id)
-        if old is not None:
-            for ref_id, count in old.refs.items():
-                new.refs[ref_id] = count
-            old.clear_refs()
-            self.anchor.remove_ref(old.obj_id)
-            self.charge(self.vm.costs.copy_per_element * len(self._items))
-        self.anchor.add_ref(new.obj_id)
-        self._array = new
-        self._capacity = capacity
 
     def _ensure_capacity(self, needed: int) -> None:
         if self._array is None:
@@ -164,32 +139,8 @@ class ArrayListImpl(ListImpl):
     def size(self) -> int:
         return len(self._items)
 
-    @property
-    def capacity(self) -> int:
-        """Current backing-array capacity (0 before lazy allocation)."""
-        return self._capacity
-
     def peek_values(self) -> List[Any]:
         return list(self._items)
-
-    # ------------------------------------------------------------------
-    # Footprint
-    # ------------------------------------------------------------------
-    def adt_footprint(self) -> FootprintTriple:
-        model = self.vm.model
-        n = len(self._items)
-        array_live = self._array.size if self._array is not None else 0
-        array_used = (model.align(model.array_header_bytes
-                                  + n * model.pointer_bytes)
-                      if self._array is not None else 0)
-        live = self.anchor.size + array_live
-        used = self.anchor.size + array_used
-        core = model.core_size(n) if n else 0
-        return FootprintTriple(live, used, core)
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        if self._array is not None:
-            yield self._array.obj_id
 
 
 class LazyArrayListImpl(ArrayListImpl):
@@ -463,130 +414,3 @@ class EmptyListImpl(ListImpl):
 
     def adt_internal_ids(self) -> Iterator[int]:
         return iter(())
-
-
-class IntArrayImpl(ListImpl):
-    """Primitive ``int[]`` list: no boxing, 4 bytes per element.
-
-    Only integral values are accepted; storing anything else is a type
-    error, matching the paper's per-primitive specialised arrays.
-    """
-
-    IMPL_NAME = "IntArray"
-    DEFAULT_CAPACITY = 10
-
-    def __init__(self, vm, initial_capacity: Optional[int] = None,
-                 context_id: Optional[int] = None) -> None:
-        super().__init__(vm, initial_capacity, context_id)
-        self._items: List[int] = []
-        self._array: Optional[HeapObject] = None
-        self._capacity = 0
-        self._allocate_anchor(ref_fields=1, int_fields=2)
-        self._grow_to(self.initial_capacity
-                      if self.initial_capacity is not None
-                      else self.DEFAULT_CAPACITY)
-
-    @staticmethod
-    def _check_value(value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"IntArray stores ints, not {type(value).__name__}")
-        return int(value)
-
-    def _grow_to(self, capacity: int) -> None:
-        old = self._array
-        new = self.vm.allocate("int[]", self.vm.model.int_array_size(capacity),
-                               context_id=self.context_id)
-        if old is not None:
-            self.anchor.remove_ref(old.obj_id)
-            self.charge(self.vm.costs.copy_per_element * len(self._items))
-        self.anchor.add_ref(new.obj_id)
-        self._array = new
-        self._capacity = capacity
-
-    def _ensure_capacity(self, needed: int) -> None:
-        if needed > self._capacity:
-            self._grow_to(grow_capacity(self._capacity, needed))
-
-    def add(self, value: Any) -> None:
-        value = self._check_value(value)
-        self._ensure_capacity(len(self._items) + 1)
-        self._items.append(value)
-        self.charge(self.vm.costs.array_access)
-
-    def add_at(self, index: int, value: Any) -> None:
-        value = self._check_value(value)
-        size = len(self._items)
-        if not 0 <= index <= size:
-            raise IndexError(f"index {index} out of range [0, {size}]")
-        self._ensure_capacity(size + 1)
-        self._items.insert(index, value)
-        self.charge(self.vm.costs.array_access
-                    + self.vm.costs.copy_per_element * (size - index))
-
-    def get(self, index: int) -> int:
-        self._check_index(index, len(self._items))
-        self.charge(self.vm.costs.array_access)
-        return self._items[index]
-
-    def set_at(self, index: int, value: Any) -> int:
-        value = self._check_value(value)
-        self._check_index(index, len(self._items))
-        old = self._items[index]
-        self._items[index] = value
-        self.charge(self.vm.costs.array_access)
-        return old
-
-    def remove_at(self, index: int) -> int:
-        self._check_index(index, len(self._items))
-        old = self._items.pop(index)
-        self.charge(self.vm.costs.array_access
-                    + self.vm.costs.copy_per_element
-                    * (len(self._items) - index))
-        return old
-
-    def index_of(self, value: Any) -> int:
-        scanned = 0
-        found = -1
-        for i, item in enumerate(self._items):
-            scanned += 1
-            # values_equal, not ==: 1 must not match True/1.0 (Java-like
-            # element equality, consistent with every boxed impl).
-            if values_equal(item, value):
-                found = i
-                break
-        self.charge(self.vm.costs.array_scan_per_element * max(scanned, 1))
-        return found
-
-    def clear(self) -> None:
-        self.charge(self.vm.costs.array_access)
-        self._items.clear()
-
-    def iter_values(self) -> Iterator[int]:
-        # Snapshot at iteration start (uniform across impls).
-        for item in list(self._items):
-            self.charge(self.vm.costs.array_access)
-            yield item
-
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
-    @property
-    def capacity(self) -> int:
-        """Current backing-array capacity."""
-        return self._capacity
-
-    def peek_values(self) -> List[int]:
-        return list(self._items)
-
-    def adt_footprint(self) -> FootprintTriple:
-        model = self.vm.model
-        n = len(self._items)
-        live = self.anchor.size + self._array.size
-        used = self.anchor.size + model.align(model.array_header_bytes
-                                              + n * model.int_bytes)
-        core = model.int_array_size(n) if n else 0
-        return FootprintTriple(live, used, core)
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        yield self._array.obj_id

@@ -20,8 +20,9 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.collections.base import MapImpl, values_equal
-from repro.collections.hashing import (_MISSING, HashTableEngine,
-                                      next_power_of_two)
+from repro.collections.hashing import _MISSING, HashTableEngine
+from repro.collections.storage import (ArrayStorage, SizeAdaptingImpl,
+                                       grow_capacity)
 from repro.memory.heap import HeapObject
 from repro.memory.semantic_maps import FootprintTriple
 
@@ -114,7 +115,7 @@ class LazyMapImpl(HashMapImpl):
     LAZY = True
 
 
-class ArrayMapImpl(MapImpl):
+class ArrayMapImpl(ArrayStorage, MapImpl):
     """Interleaved key/value array map with linear lookup.
 
     Stores pairs in one ``Object[2*capacity]``; lookup scans keys at even
@@ -124,6 +125,7 @@ class ArrayMapImpl(MapImpl):
 
     IMPL_NAME = "ArrayMap"
     DEFAULT_CAPACITY = 4
+    SLOTS_PER_ELEMENT = 2
 
     def __init__(self, vm, initial_capacity: Optional[int] = None,
                  context_id: Optional[int] = None) -> None:
@@ -135,21 +137,6 @@ class ArrayMapImpl(MapImpl):
         self._allocate_anchor(ref_fields=1, int_fields=1)
         self._grow_to(initial_capacity if initial_capacity is not None
                       else self.DEFAULT_CAPACITY)
-
-    def _grow_to(self, pair_capacity: int) -> None:
-        old = self._array
-        new = self.vm.allocate(
-            "Object[]", self.vm.model.ref_array_size(2 * pair_capacity),
-            context_id=self.context_id)
-        if old is not None:
-            for ref_id, count in old.refs.items():
-                new.refs[ref_id] = count
-            old.clear_refs()
-            self.anchor.remove_ref(old.obj_id)
-            self.charge(self.vm.costs.copy_per_element * 2 * len(self._keys))
-        self.anchor.add_ref(new.obj_id)
-        self._array = new
-        self._capacity = pair_capacity
 
     def _scan(self, key: Any) -> int:
         found = -1
@@ -180,7 +167,7 @@ class ArrayMapImpl(MapImpl):
             return old
         needed = len(self._keys) + 1
         if needed > self._capacity:
-            self._grow_to(max((self._capacity * 3) // 2 + 1, needed))
+            self._grow_to(grow_capacity(self._capacity, needed))
         self._array.add_ref(self.boxes.ref_for(key))
         self._array.add_ref(self.boxes.ref_for(value))
         self._keys.append(key)
@@ -227,71 +214,21 @@ class ArrayMapImpl(MapImpl):
     def size(self) -> int:
         return len(self._keys)
 
-    @property
-    def capacity(self) -> int:
-        """Current capacity in key/value pairs."""
-        return self._capacity
-
     def peek_items(self) -> List[Tuple[Any, Any]]:
         return list(zip(self._keys, self._values))
 
-    def adt_footprint(self) -> FootprintTriple:
-        model = self.vm.model
-        n = len(self._keys)
-        live = self.anchor.size + (self._array.size if self._array else 0)
-        used = self.anchor.size + (model.align(model.array_header_bytes
-                                               + 2 * n * model.pointer_bytes)
-                                   if self._array else 0)
-        core = model.core_size(2 * n) if n else 0
-        return FootprintTriple(live, used, core)
 
-    def adt_internal_ids(self) -> Iterator[int]:
-        if self._array is not None:
-            yield self._array.obj_id
-
-
-class SizeAdaptingMapImpl(MapImpl):
-    """Hybrid map: ArrayMap until ``conversion_threshold``, then HashMap.
-
-    One-way conversion, matching section 2.3: "whenever the size of the
-    collection increases beyond a certain bound, we can convert the array
-    structure to the original implementation".
-    """
+class SizeAdaptingMapImpl(SizeAdaptingImpl, MapImpl):
+    """Hybrid map: ArrayMap until ``conversion_threshold``, then a
+    one-way conversion to HashMap (ablated in the E-Hybrid benchmark)."""
 
     IMPL_NAME = "SizeAdaptingMap"
-    DEFAULT_CAPACITY = 4
-    DEFAULT_THRESHOLD = 16
+    ARRAY_CLASS = ArrayMapImpl
+    HASH_CLASS = HashMapImpl
 
-    def __init__(self, vm, initial_capacity: Optional[int] = None,
-                 context_id: Optional[int] = None,
-                 conversion_threshold: Optional[int] = None) -> None:
-        super().__init__(vm, initial_capacity, context_id)
-        self.conversion_threshold = (conversion_threshold
-                                     if conversion_threshold is not None
-                                     else self.DEFAULT_THRESHOLD)
-        if self.conversion_threshold < 1:
-            raise ValueError("conversion threshold must be >= 1")
-        self._allocate_anchor(ref_fields=1, int_fields=1)
-        self._inner: MapImpl = ArrayMapImpl(vm, initial_capacity, context_id)
-        self.anchor.add_ref(self._inner.anchor_id)
-        self._inner.adopt()
-        self.conversions = 0
-
-    def _maybe_convert(self) -> None:
-        if (isinstance(self._inner, ArrayMapImpl)
-                and self._inner.size > self.conversion_threshold):
-            hashed = HashMapImpl(
-                self.vm,
-                initial_capacity=next_power_of_two(self._inner.size * 2),
-                context_id=self.context_id)
-            for key, value in list(self._inner.iter_items()):
-                hashed.put(key, value)
-            self._inner.clear()
-            self.anchor.remove_ref(self._inner.anchor_id)
-            self.anchor.add_ref(hashed.anchor_id)
-            hashed.adopt()
-            self._inner = hashed
-            self.conversions += 1
+    def _refill(self, hashed: MapImpl) -> None:
+        for key, value in list(self._inner.iter_items()):
+            hashed.put(key, value)
 
     def put(self, key: Any, value: Any) -> Any:
         old = self._inner.put(key, value)
@@ -307,36 +244,8 @@ class SizeAdaptingMapImpl(MapImpl):
     def contains_key(self, key: Any) -> bool:
         return self._inner.contains_key(key)
 
-    def clear(self) -> None:
-        self._inner.clear()
-
     def iter_items(self) -> Iterator[Tuple[Any, Any]]:
         return self._inner.iter_items()
 
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    @property
-    def is_hashed(self) -> bool:
-        """Whether the one-way conversion has happened."""
-        return isinstance(self._inner, HashMapImpl)
-
     def peek_items(self) -> List[Tuple[Any, Any]]:
         return self._inner.peek_items()
-
-    def adt_footprint(self) -> FootprintTriple:
-        inner = self._inner.adt_footprint()
-        return FootprintTriple(self.anchor.size + inner.live,
-                               self.anchor.size + inner.used,
-                               inner.core)
-
-    def adt_footprint_token(self) -> Optional[int]:
-        # Pre-conversion the array inner has no token (no caching);
-        # post-conversion the hash engine's version is safe to reuse
-        # because the conversion is one-way -- no stale cross-phase hits.
-        return self._inner.adt_footprint_token()
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        yield self._inner.anchor_id
-        yield from self._inner.adt_internal_ids()

@@ -1,12 +1,13 @@
 """Primitive-array list family: "IntArray -- array of ints. (Similar for
 other primitives)" (section 4.2).
 
-:class:`~repro.collections.lists.IntArrayImpl` is the hand-written member
-of the family; this module generates the siblings from a slot description,
-so ``LongArray``, ``DoubleArray``, ``BoolArray`` (and any user-defined
+Every member is generated from a slot description, so ``IntArray``,
+``LongArray``, ``DoubleArray``, ``BoolArray`` (and any user-defined
 primitive) share one implementation of the storage logic while differing
 in slot width and accepted values -- exactly how such families are stamped
-out in real collection libraries.
+out in real collection libraries.  No member boxes its elements: storing
+the int ``7`` takes a 4-byte ``int[]`` slot, not a reference to a 16-byte
+box.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import numbers
 from typing import Any, Callable, Iterator, List, Optional, Type
 
 from repro.collections.base import ListImpl, values_equal
-from repro.collections.lists import grow_capacity
+from repro.collections.storage import ArrayStorage
 from repro.memory.heap import HeapObject
-from repro.memory.semantic_maps import FootprintTriple
 
 __all__ = ["PrimitiveArrayImpl", "make_primitive_array_impl",
-           "LongArrayImpl", "DoubleArrayImpl", "BoolArrayImpl"]
+           "IntArrayImpl", "LongArrayImpl", "DoubleArrayImpl",
+           "BoolArrayImpl"]
 
 
-class PrimitiveArrayImpl(ListImpl):
+class PrimitiveArrayImpl(ArrayStorage, ListImpl):
     """Generic unboxed array list; subclasses fix slot width and checks.
 
     Class attributes set by :func:`make_primitive_array_impl`:
@@ -49,29 +50,10 @@ class PrimitiveArrayImpl(ListImpl):
         self._grow_to(initial_capacity if initial_capacity is not None
                       else self.DEFAULT_CAPACITY)
 
-    # ------------------------------------------------------------------
-    # Storage
-    # ------------------------------------------------------------------
-    def _array_bytes(self, slots: int) -> int:
+    def _array_bytes(self, elements: int) -> int:
         model = self.vm.model
         return model.align(model.array_header_bytes
-                           + slots * self.SLOT_BYTES)
-
-    def _grow_to(self, capacity: int) -> None:
-        old = self._array
-        new = self.vm.allocate(self.ARRAY_TYPE_NAME,
-                               self._array_bytes(capacity),
-                               context_id=self.context_id)
-        if old is not None:
-            self.anchor.remove_ref(old.obj_id)
-            self.charge(self.vm.costs.copy_per_element * len(self._items))
-        self.anchor.add_ref(new.obj_id)
-        self._array = new
-        self._capacity = capacity
-
-    def _ensure_capacity(self, needed: int) -> None:
-        if needed > self._capacity:
-            self._grow_to(grow_capacity(self._capacity, needed))
+                           + elements * self.SLOT_BYTES)
 
     # ------------------------------------------------------------------
     # List operations
@@ -141,24 +123,6 @@ class PrimitiveArrayImpl(ListImpl):
     def size(self) -> int:
         return len(self._items)
 
-    @property
-    def capacity(self) -> int:
-        """Current backing-array capacity in slots."""
-        return self._capacity
-
-    # ------------------------------------------------------------------
-    # Footprint
-    # ------------------------------------------------------------------
-    def adt_footprint(self) -> FootprintTriple:
-        n = len(self._items)
-        live = self.anchor.size + self._array.size
-        used = self.anchor.size + self._array_bytes(n)
-        core = self._array_bytes(n) if n else 0
-        return FootprintTriple(live, used, min(core, used))
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        yield self._array.obj_id
-
 
 def make_primitive_array_impl(name: str, slot_bytes: int,
                               check: Callable[[Any], Any],
@@ -202,6 +166,7 @@ def _check_bool(value: Any) -> bool:
     return value
 
 
+IntArrayImpl = make_primitive_array_impl("IntArray", 4, _check_integral)
 LongArrayImpl = make_primitive_array_impl("LongArray", 8, _check_integral)
 DoubleArrayImpl = make_primitive_array_impl("DoubleArray", 8, _check_real)
 BoolArrayImpl = make_primitive_array_impl("BoolArray", 1, _check_bool)

@@ -20,11 +20,11 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.collections.base import CollectionImpl, CollectionKind
 from repro.collections.hashed_list import HashBackedListImpl
 from repro.collections.lists import (ArrayListImpl, EmptyListImpl,
-                                     IntArrayImpl, LazyArrayListImpl,
-                                     LinkedListImpl, SingletonListImpl)
+                                     LazyArrayListImpl, LinkedListImpl,
+                                     SingletonListImpl)
 from repro.collections.primitive_arrays import (BoolArrayImpl,
                                                 DoubleArrayImpl,
-                                                LongArrayImpl)
+                                                IntArrayImpl, LongArrayImpl)
 from repro.collections.maps import (ArrayMapImpl, HashMapImpl, LazyMapImpl,
                                     LinkedHashMapImpl, SizeAdaptingMapImpl)
 from repro.collections.sets import (ArraySetImpl, HashSetImpl, LazySetImpl,

@@ -20,8 +20,9 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional
 
 from repro.collections.base import SetImpl, values_equal
-from repro.collections.hashing import (_MISSING, HashTableEngine,
-                                      next_power_of_two)
+from repro.collections.hashing import _MISSING, HashTableEngine
+from repro.collections.storage import (ArrayStorage, SizeAdaptingImpl,
+                                       grow_capacity)
 from repro.memory.heap import HeapObject
 from repro.memory.semantic_maps import FootprintTriple
 
@@ -109,7 +110,7 @@ class LazySetImpl(HashSetImpl):
     LAZY = True
 
 
-class ArraySetImpl(SetImpl):
+class ArraySetImpl(ArrayStorage, SetImpl):
     """Array-backed set: linear membership, zero per-element overhead."""
 
     IMPL_NAME = "ArraySet"
@@ -124,21 +125,6 @@ class ArraySetImpl(SetImpl):
         self._allocate_anchor(ref_fields=1, int_fields=1)
         self._grow_to(initial_capacity if initial_capacity is not None
                       else self.DEFAULT_CAPACITY)
-
-    def _grow_to(self, capacity: int) -> None:
-        old = self._array
-        new = self.vm.allocate("Object[]",
-                               self.vm.model.ref_array_size(capacity),
-                               context_id=self.context_id)
-        if old is not None:
-            for ref_id, count in old.refs.items():
-                new.refs[ref_id] = count
-            old.clear_refs()
-            self.anchor.remove_ref(old.obj_id)
-            self.charge(self.vm.costs.copy_per_element * len(self._items))
-        self.anchor.add_ref(new.obj_id)
-        self._array = new
-        self._capacity = capacity
 
     def _scan(self, value: Any) -> int:
         scanned = 0
@@ -156,7 +142,7 @@ class ArraySetImpl(SetImpl):
             return False
         needed = len(self._items) + 1
         if needed > self._capacity:
-            self._grow_to(max((self._capacity * 3) // 2 + 1, needed))
+            self._grow_to(grow_capacity(self._capacity, needed))
         self._array.add_ref(self.boxes.ref_for(value))
         self._items.append(value)
         self.charge(self.vm.costs.array_access)
@@ -191,73 +177,21 @@ class ArraySetImpl(SetImpl):
     def size(self) -> int:
         return len(self._items)
 
-    @property
-    def capacity(self) -> int:
-        """Current backing-array capacity."""
-        return self._capacity
-
     def peek_values(self) -> List[Any]:
         return list(self._items)
 
-    def adt_footprint(self) -> FootprintTriple:
-        model = self.vm.model
-        n = len(self._items)
-        live = self.anchor.size + (self._array.size if self._array else 0)
-        used = self.anchor.size + (model.align(model.array_header_bytes
-                                               + n * model.pointer_bytes)
-                                   if self._array else 0)
-        core = model.core_size(n) if n else 0
-        return FootprintTriple(live, used, core)
 
-    def adt_internal_ids(self) -> Iterator[int]:
-        if self._array is not None:
-            yield self._array.obj_id
-
-
-class SizeAdaptingSetImpl(SetImpl):
-    """Hybrid set: array storage until ``conversion_threshold``, then a
-    one-way conversion to a hash set (section 2.3's second solution).
-
-    The threshold is the knob the paper found "very tricky": 16 gave TVLA
-    a low footprint at an 8% slowdown, 13 gave no footprint win, and
-    larger values only degraded time.  The E-Hybrid ablation benchmark
-    sweeps it.
-    """
+class SizeAdaptingSetImpl(SizeAdaptingImpl, SetImpl):
+    """Hybrid set: ArraySet until ``conversion_threshold``, then a
+    one-way conversion to HashSet (ablated in the E-Hybrid benchmark)."""
 
     IMPL_NAME = "SizeAdaptingSet"
-    DEFAULT_CAPACITY = 4
-    DEFAULT_THRESHOLD = 16
+    ARRAY_CLASS = ArraySetImpl
+    HASH_CLASS = HashSetImpl
 
-    def __init__(self, vm, initial_capacity: Optional[int] = None,
-                 context_id: Optional[int] = None,
-                 conversion_threshold: Optional[int] = None) -> None:
-        super().__init__(vm, initial_capacity, context_id)
-        self.conversion_threshold = (conversion_threshold
-                                     if conversion_threshold is not None
-                                     else self.DEFAULT_THRESHOLD)
-        if self.conversion_threshold < 1:
-            raise ValueError("conversion threshold must be >= 1")
-        self._allocate_anchor(ref_fields=1, int_fields=1)
-        self._inner: SetImpl = ArraySetImpl(vm, initial_capacity, context_id)
-        self.anchor.add_ref(self._inner.anchor_id)
-        self._inner.adopt()
-        self.conversions = 0
-
-    def _maybe_convert(self) -> None:
-        if (isinstance(self._inner, ArraySetImpl)
-                and self._inner.size > self.conversion_threshold):
-            hashed = HashSetImpl(
-                self.vm,
-                initial_capacity=next_power_of_two(self._inner.size * 2),
-                context_id=self.context_id)
-            for value in list(self._inner.iter_values()):
-                hashed.add(value)
-            self._inner.clear()
-            self.anchor.remove_ref(self._inner.anchor_id)
-            self.anchor.add_ref(hashed.anchor_id)
-            hashed.adopt()
-            self._inner = hashed
-            self.conversions += 1
+    def _refill(self, hashed: SetImpl) -> None:
+        for value in list(self._inner.iter_values()):
+            hashed.add(value)
 
     def add(self, value: Any) -> bool:
         added = self._inner.add(value)
@@ -271,35 +205,8 @@ class SizeAdaptingSetImpl(SetImpl):
     def contains(self, value: Any) -> bool:
         return self._inner.contains(value)
 
-    def clear(self) -> None:
-        self._inner.clear()
-
     def iter_values(self) -> Iterator[Any]:
         return self._inner.iter_values()
 
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    @property
-    def is_hashed(self) -> bool:
-        """Whether the one-way conversion has happened."""
-        return isinstance(self._inner, HashSetImpl)
-
     def peek_values(self) -> List[Any]:
         return self._inner.peek_values()
-
-    def adt_footprint(self) -> FootprintTriple:
-        inner = self._inner.adt_footprint()
-        return FootprintTriple(self.anchor.size + inner.live,
-                               self.anchor.size + inner.used,
-                               inner.core)
-
-    def adt_footprint_token(self) -> Optional[int]:
-        # One-way array->hash conversion: no token until hashed, then the
-        # engine version (never a stale cross-phase hit).
-        return self._inner.adt_footprint_token()
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        yield self._inner.anchor_id
-        yield from self._inner.adt_internal_ids()

@@ -1,0 +1,172 @@
+"""Storage code the array-backed and size-adapting implementations share.
+
+* :class:`ArrayStorage` -- one backing array regrown by copying: the
+  ``Object[]`` of ArrayList, ArraySet and ArrayMap (one or two reference
+  slots per element) and the unboxed arrays of the primitive-array
+  family.  It owns the regrow, the capacity and the footprint triple,
+  which is the same for all of them: ``used`` counts the array slots the
+  elements occupy and ``core`` is that array's size.
+* :class:`SizeAdaptingImpl` -- the section 2.3 hybrid: an array-backed
+  inner impl until a size threshold, then a one-way conversion to the
+  hashed impl of the same kind.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Optional
+
+from repro.collections.base import CollectionImpl
+from repro.collections.hashing import next_power_of_two
+from repro.memory.semantic_maps import FootprintTriple
+
+__all__ = ["grow_capacity", "ArrayStorage", "SizeAdaptingImpl"]
+
+
+def grow_capacity(old_capacity: int, needed: int) -> int:
+    """The paper's ArrayList growth function, clamped to ``needed``."""
+    grown = (old_capacity * 3) // 2 + 1
+    return max(grown, needed)
+
+
+class ArrayStorage:
+    """Mixin: a collection stored in one backing array of elements
+    that take ``SLOTS_PER_ELEMENT`` reference slots each.
+
+    Mixed in ahead of the kind's operation surface (``ListImpl``...).
+    The host's constructor sets ``_array = None`` and ``_capacity = 0``
+    (then allocates with :meth:`_grow_to`, unless lazy); the host keeps
+    ``size`` and the array's ``refs`` in step with its elements, and a
+    regrow moves those refs to the new array.  Primitive arrays override
+    :meth:`_array_bytes` for their slot width.
+    """
+
+    ARRAY_TYPE_NAME = "Object[]"
+    SLOTS_PER_ELEMENT = 1
+
+    def _array_bytes(self, elements: int) -> int:
+        """Aligned size of a backing array holding ``elements``."""
+        return self.vm.model.ref_array_size(self.SLOTS_PER_ELEMENT * elements)
+
+    def _grow_to(self, capacity: int) -> None:
+        """(Re)allocate the backing array at exactly ``capacity`` elements."""
+        old = self._array
+        new = self.vm.allocate(self.ARRAY_TYPE_NAME,
+                               self._array_bytes(capacity),
+                               context_id=self.context_id)
+        if old is not None:
+            for ref_id, count in old.refs.items():
+                new.refs[ref_id] = count
+            old.clear_refs()
+            self.anchor.remove_ref(old.obj_id)
+            self.charge(self.vm.costs.copy_per_element
+                        * self.SLOTS_PER_ELEMENT * self.size)
+        self.anchor.add_ref(new.obj_id)
+        self._array = new
+        self._capacity = capacity
+
+    def _ensure_capacity(self, needed: int) -> None:
+        if needed > self._capacity:
+            self._grow_to(grow_capacity(self._capacity, needed))
+
+    @property
+    def capacity(self) -> int:
+        """Current backing-array capacity in elements (0 before a lazy
+        list's first update)."""
+        return self._capacity
+
+    def adt_footprint(self) -> FootprintTriple:
+        anchor = self.anchor.size
+        if self._array is None:
+            return FootprintTriple(anchor, anchor, 0)
+        n = self.size
+        used = self._array_bytes(n)
+        return FootprintTriple(anchor + self._array.size, anchor + used,
+                               used if n else 0)
+
+    def adt_internal_ids(self) -> Iterator[int]:
+        if self._array is not None:
+            yield self._array.obj_id
+
+
+class SizeAdaptingImpl(CollectionImpl):
+    """Hybrid: ``ARRAY_CLASS`` storage until ``conversion_threshold``,
+    then a one-way conversion to ``HASH_CLASS`` (section 2.3's second
+    solution: "whenever the size of the collection increases beyond a
+    certain bound, we can convert the array structure to the original
+    implementation").
+
+    The threshold is the knob the paper found "very tricky": 16 gave TVLA
+    a low footprint at an 8% slowdown, 13 gave no footprint win, and
+    larger values only degraded time.  The E-Hybrid ablation benchmark
+    sweeps it.  Subclasses mix in their kind's operation surface, forward
+    it to ``_inner`` and copy the elements over in :meth:`_refill`.
+    """
+
+    DEFAULT_CAPACITY = 4
+    DEFAULT_THRESHOLD = 16
+    ARRAY_CLASS: type
+    HASH_CLASS: type
+
+    def __init__(self, vm, initial_capacity: Optional[int] = None,
+                 context_id: Optional[int] = None,
+                 conversion_threshold: Optional[int] = None) -> None:
+        super().__init__(vm, initial_capacity, context_id)
+        self.conversion_threshold = (conversion_threshold
+                                     if conversion_threshold is not None
+                                     else self.DEFAULT_THRESHOLD)
+        if self.conversion_threshold < 1:
+            raise ValueError("conversion threshold must be >= 1")
+        self._allocate_anchor(ref_fields=1, int_fields=1)
+        self._inner: CollectionImpl = self.ARRAY_CLASS(vm, initial_capacity,
+                                                       context_id)
+        self.anchor.add_ref(self._inner.anchor_id)
+        self._inner.adopt()
+        self.conversions = 0
+
+    def _refill(self, hashed: CollectionImpl) -> None:
+        """Store every element of the array-backed ``_inner`` in
+        ``hashed``."""
+        raise NotImplementedError
+
+    def _maybe_convert(self) -> None:
+        if (isinstance(self._inner, self.ARRAY_CLASS)
+                and self._inner.size > self.conversion_threshold):
+            hashed = self.HASH_CLASS(
+                self.vm,
+                initial_capacity=next_power_of_two(self._inner.size * 2),
+                context_id=self.context_id)
+            self._refill(hashed)
+            self._inner.clear()
+            self.anchor.remove_ref(self._inner.anchor_id)
+            self.anchor.add_ref(hashed.anchor_id)
+            hashed.adopt()
+            self._inner = hashed
+            self.conversions += 1
+
+    def clear(self) -> None:
+        self._inner.clear()
+
+    @property
+    def size(self) -> int:
+        return self._inner.size
+
+    @property
+    def is_hashed(self) -> bool:
+        """Whether the one-way conversion has happened."""
+        return isinstance(self._inner, self.HASH_CLASS)
+
+    def adt_footprint(self) -> FootprintTriple:
+        inner = self._inner.adt_footprint()
+        return FootprintTriple(self.anchor.size + inner.live,
+                               self.anchor.size + inner.used,
+                               inner.core)
+
+    def adt_footprint_token(self) -> Optional[int]:
+        # Pre-conversion the array inner has no token (no caching);
+        # post-conversion the hash engine's version is safe to reuse
+        # because the conversion is one-way -- no stale cross-phase hits.
+        return self._inner.adt_footprint_token()
+
+    def adt_internal_ids(self) -> Iterator[int]:
+        yield self._inner.anchor_id
+        yield from self._inner.adt_internal_ids()

@@ -90,7 +90,12 @@ class ReplacementMap:
             top: Apply only the first ``top`` auto-applicable suggestions
                 (the paper applied the handful of top contexts per
                 benchmark); ``None`` applies all.
+
+        Raises:
+            ValueError: ``top`` is negative.
         """
+        if top is not None and top < 0:
+            raise ValueError(f"top must be >= 0, not {top}")
         policy = cls()
         applied = 0
         for suggestion in suggestions:

@@ -54,6 +54,10 @@ class _Script:
             self.vm.add_root(record)
             self.records.append(record)
 
+    def new(self, factory):
+        """The collection under test, built on this script's VM."""
+        return factory(self.vm)
+
     def op(self, name, fn, *args):
         before = self.vm.now
         result = fn(*args)
@@ -79,10 +83,10 @@ class _Script:
                 hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
-def _run_map(impl_class):
-    s = _Script()
+def _run_map(impl_class, script_class=_Script):
+    s = script_class()
     r = s.records
-    m = impl_class(s.vm)
+    m = s.new(impl_class)
     s.op("get", m.get, INTS[0])
     s.op("remove", m.remove_key, INTS[0])
     s.op("contains", m.contains_key, STRS[0])
@@ -177,6 +181,13 @@ SCRIPTS = {
     # size-adapting map converts to a pre-sized HashMap mid-script.
     "ArrayMap": lambda: _run_map(ArrayMapImpl),
     "SizeAdaptingMap": lambda: _run_map(SizeAdaptingMapImpl),
+    # Growth from an empty pair array, and a conversion at size 4 out of
+    # a one-pair array.
+    "ArrayMap@0": lambda: _run_map(
+        lambda vm: ArrayMapImpl(vm, initial_capacity=0)),
+    "SizeAdaptingMap@1/t3": lambda: _run_map(
+        lambda vm: SizeAdaptingMapImpl(vm, initial_capacity=1,
+                                       conversion_threshold=3)),
 }
 
 #: (ticks, GC cycles, allocated objects, freed objects, record digest).
@@ -189,6 +200,8 @@ GOLDEN = {
     "LinkedHashMap": (16493, 7, 67, 56, "5b4c931b57331914"),
     "LinkedHashSet": (16311, 7, 52, 43, "9e3243ac898d220a"),
     "SizeAdaptingMap": (21295, 9, 103, 91, "adac9b0453880643"),
+    "ArrayMap@0": (13615, 6, 50, 40, "13f5fcfa57ca5a45"),
+    "SizeAdaptingMap@1/t3": (18698, 8, 80, 68, "e97181e7dc3b58f0"),
 }
 
 

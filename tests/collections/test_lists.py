@@ -3,10 +3,11 @@
 import pytest
 
 from repro.collections.lists import (ArrayListImpl, EmptyListImpl,
-                                     IntArrayImpl, LazyArrayListImpl,
-                                     LinkedListImpl, SingletonListImpl,
-                                     grow_capacity)
+                                     LazyArrayListImpl, LinkedListImpl,
+                                     SingletonListImpl)
 from repro.collections.base import UnsupportedOperation
+from repro.collections.primitive_arrays import IntArrayImpl
+from repro.collections.storage import grow_capacity
 
 
 class TestGrowthFormula:

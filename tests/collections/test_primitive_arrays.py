@@ -3,17 +3,39 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.collections
 from repro.collections.base import CollectionKind
 from repro.collections.lists import ArrayListImpl
 from repro.collections.primitive_arrays import (BoolArrayImpl,
                                                 DoubleArrayImpl,
-                                                LongArrayImpl,
+                                                IntArrayImpl, LongArrayImpl,
                                                 make_primitive_array_impl)
 from repro.collections.registry import default_registry
 from repro.runtime.vm import RuntimeEnvironment
 
+#: Every built-in member: (class, slot bytes, three distinct values).
+FAMILY = {
+    "IntArray": (IntArrayImpl, 4, (5, -7, 9)),
+    "LongArray": (LongArrayImpl, 8, (5, 1 << 40, -9)),
+    "DoubleArray": (DoubleArrayImpl, 8, (0.5, -7.0, 9.25)),
+    "BoolArray": (BoolArrayImpl, 1, (True, False, True)),
+}
+
+#: The members that store ints.
+INTEGRAL = (IntArrayImpl, LongArrayImpl)
+
 
 class TestFamilyMembers:
+    def test_int_array_stores_ints(self, vm):
+        arr = IntArrayImpl(vm)
+        arr.add(-(1 << 20))
+        assert arr.get(0) == -(1 << 20)
+        assert arr.ARRAY_TYPE_NAME == "int[]"
+        with pytest.raises(TypeError, match="expected an int, not float"):
+            arr.add(1.5)
+        with pytest.raises(TypeError):
+            arr.add(True)
+
     def test_long_array_stores_ints(self, vm):
         arr = LongArrayImpl(vm)
         arr.add(1 << 40)
@@ -41,28 +63,35 @@ class TestFamilyMembers:
 
     def test_slot_widths_drive_footprint(self, vm):
         model = vm.model
-        wide = LongArrayImpl(vm, initial_capacity=16)
-        narrow = BoolArrayImpl(vm, initial_capacity=16)
-        assert (wide.adt_footprint().live - wide.anchor.size
-                == model.align(model.array_header_bytes + 16 * 8))
-        assert (narrow.adt_footprint().live - narrow.anchor.size
-                == model.align(model.array_header_bytes + 16 * 1))
+        for impl_class, slot_bytes, values in FAMILY.values():
+            arr = impl_class(vm, initial_capacity=16)
+            for value in values:
+                arr.add(value)
+            array = model.align(model.array_header_bytes + 16 * slot_bytes)
+            used = model.align(model.array_header_bytes + 3 * slot_bytes)
+            assert arr.adt_footprint().live - arr.anchor.size == array
+            assert arr.adt_footprint().used - arr.anchor.size == used
+            assert arr.adt_footprint().core == used
 
     def test_no_boxing(self, vm):
-        arr = DoubleArrayImpl(vm)
-        for i in range(10):
-            arr.add(float(i))
-        assert arr.boxes.box_count == 0
+        for impl_class, _, values in FAMILY.values():
+            arr = impl_class(vm)
+            for _ in range(4):
+                for value in values:
+                    arr.add(value)
+            assert arr.boxes.box_count == 0
 
     def test_unboxed_beats_boxed_list(self, vm):
         boxed = ArrayListImpl(vm, initial_capacity=16)
-        unboxed = LongArrayImpl(vm, initial_capacity=16)
         for i in range(16):
             boxed.add(i)
-            unboxed.add(i)
         boxed_total = (boxed.adt_footprint().live
                        + boxed.boxes.box_count * vm.model.box_size())
-        assert unboxed.adt_footprint().live < boxed_total
+        for impl_class in INTEGRAL:
+            unboxed = impl_class(vm, initial_capacity=16)
+            for i in range(16):
+                unboxed.add(i)
+            assert unboxed.adt_footprint().live < boxed_total
 
 
 class TestListSemantics:
@@ -71,8 +100,13 @@ class TestListSemantics:
         st.sampled_from(["add", "remove", "set", "insert"]),
         st.integers(-5, 5)), max_size=30))
     def test_long_array_matches_python_list(self, ops):
+        for impl_class in INTEGRAL:
+            self._check_against_python_list(impl_class, ops)
+
+    @staticmethod
+    def _check_against_python_list(impl_class, ops):
         vm = RuntimeEnvironment(gc_threshold_bytes=None)
-        arr = LongArrayImpl(vm)
+        arr = impl_class(vm)
         reference = []
         for name, value in ops:
             if name == "add":
@@ -94,13 +128,14 @@ class TestListSemantics:
         assert arr.peek_values() == reference
 
     def test_index_of_and_clear(self, vm):
-        arr = LongArrayImpl(vm)
-        for i in (5, 7, 9):
-            arr.add(i)
-        assert arr.index_of(7) == 1
-        assert arr.index_of(8) == -1
-        arr.clear()
-        assert arr.size == 0
+        for impl_class, _, values in FAMILY.values():
+            arr = impl_class(vm)
+            for value in values:
+                arr.add(value)
+            assert arr.index_of(values[1]) == 1
+            assert arr.index_of("absent") == -1
+            arr.clear()
+            assert arr.size == 0
 
 
 class TestFactory:
@@ -120,7 +155,12 @@ class TestFactory:
 
     def test_registered_in_default_registry(self, vm):
         registry = default_registry()
-        for name in ("LongArray", "DoubleArray", "BoolArray"):
-            assert registry.supports(name, CollectionKind.LIST)
-        impl = registry.create(vm, "LongArray", CollectionKind.LIST)
-        assert impl.IMPL_NAME == "LongArray"
+        for name, (impl_class, _, _) in FAMILY.items():
+            assert registry.factory(name, CollectionKind.LIST) is impl_class
+            impl = registry.create(vm, name, CollectionKind.LIST)
+            assert type(impl) is impl_class
+            assert impl.IMPL_NAME == name
+        # One IntArray: the package export is the class the registry
+        # builds.
+        assert (registry.factory("IntArray", CollectionKind.LIST)
+                is repro.collections.IntArrayImpl)

@@ -48,6 +48,13 @@ class TestBasics:
         assert "ArrayMap" in text and "capacity=8" in text
         assert "empty" in ReplacementMap().render()
 
+    def test_from_suggestions_rejects_negative_top(self):
+        # A negative top would apply nothing while a render sliced with
+        # the same number lists all but the last suggestion.
+        with pytest.raises(ValueError, match="top"):
+            ReplacementMap.from_suggestions([], top=-1)
+        assert len(ReplacementMap.from_suggestions([], top=0)) == 0
+
 
 class TestEndToEnd:
     def test_policy_survives_across_vms(self):

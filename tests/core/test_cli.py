@@ -95,6 +95,24 @@ class TestCommands:
         with pytest.raises(SystemExit, match="--jobs"):
             main(["experiment", "fig3", "--scale", "0.1", "--jobs", "0"])
 
+    @pytest.mark.parametrize("message,argv", [
+        ("--top must be >= 0", ["optimize", "tvla", "--top", "-1"]),
+        ("--top must be >= 0", ["profile", "tvla", "--top", "-1"]),
+        ("--limit must be >= 0", ["histogram", "tvla", "--limit", "-1"]),
+        ("--repeats must be >= 1", ["perf", "--repeats", "0",
+                                    "--no-index"]),
+    ], ids=["optimize-top", "profile-top", "histogram-limit",
+            "perf-repeats"])
+    def test_out_of_range_counts_exit(self, message, argv, tmp_path):
+        """A negative count would be sliced as ``[:-1]`` and a zero
+        repeat count run once, so the CLI refuses both before running
+        anything."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--scale", "0.05",
+                  *(["--output", str(tmp_path / "BENCH.json")]
+                    if argv[0] == "perf" else [])])
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("flag,argv", [
         ("--resolution", ["experiment", "fig6", "--resolution", "0"]),
         ("--suite-resolution", ["perf", "--suite", "--jobs", "2",
