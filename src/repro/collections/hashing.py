@@ -72,6 +72,7 @@ class HashTableEngine:
         vm = owner.vm
         self.vm = vm
         self.clock = vm.clock
+        self._operands = vm.heap.operands
         self.anchor = owner.anchor
         self.boxes = owner.boxes
         self.charge = owner.charge
@@ -209,22 +210,27 @@ class HashTableEngine:
                 entry.heap_obj.add_ref(boxes.ref_for(value))
             entry.value = value
             return old
-        vm = self.vm
-        heap_entry = vm.allocate(self._entry_type, self._entry_size,
-                                 context_id=self.context_id)
+        heap_entry = self.vm.allocate(self._entry_type, self._entry_size,
+                                      context_id=self.context_id)
         # The entry is unreachable until linked into the table, and
-        # ref_for() may allocate boxes (and hence trigger a GC); keep it
-        # pinned across that window -- unless every element it stores is
-        # a record, for which ref_for() allocates nothing.
-        pin = not (record_key and (not is_map or type(value) is HeapObject))
-        if pin:
-            vm.add_root(heap_entry)
-        heap_entry.add_ref(boxes.ref_for(key))
-        if is_map:
-            heap_entry.add_ref(boxes.ref_for(value))
+        # ref_for() may allocate boxes (and hence trigger a GC, or raise
+        # OutOfMemoryError); keep it on the operand stack across that
+        # window, popped on every path -- unless every element it stores
+        # is a record, which needs no box.
+        if record_key and (not is_map or type(value) is HeapObject):
+            heap_entry.add_ref(key.obj_id)
+            if is_map:
+                heap_entry.add_ref(value.obj_id)
+        else:
+            operands = self._operands
+            operands.append(heap_entry)
+            try:
+                heap_entry.add_ref(boxes.ref_for(key))
+                if is_map:
+                    heap_entry.add_ref(boxes.ref_for(value))
+            finally:
+                operands.pop()
         self._table_obj.add_ref(heap_entry.obj_id)
-        if pin:
-            vm.remove_root(heap_entry)
         new_entry = HashEntry(key, value, hash_code, heap_entry)
         if not bucket:
             self._occupied += 1

@@ -45,7 +45,9 @@ __all__ = ["ChameleonCollection", "ChameleonList", "ChameleonSet",
 # `clock.pending` (folded at every vm.now read; see VMClock) and bump the
 # op counter *before* the impl call, so a raising op stays counted; the
 # size watermark is updated *after* it, and heap-object arguments are
-# rooted for the span of the delegated operation in argument order.
+# pushed on the heap's operand stack (`SimHeap.operands`, the caller's
+# stack slots) in argument order before the delegated operation and
+# popped in its `finally`, so the stack is empty between operations.
 # Bulk operations (add_all, put_all, ...) charge through `_record`
 # instead -- interleaving immediate `charge` calls with batched `pending`
 # adds commutes, so mixing the two lanes is unobservable.  The plain
@@ -160,12 +162,14 @@ class ChameleonCollection:
 
         # Recording state, fixed for the wrapper's lifetime: the clock
         # whose `pending` lane the single-element ops add to, their fused
-        # per-op constant (RuntimeEnvironment rejects negative ones), and
-        # a sampled instance's profiling record and dense counter array.
+        # per-op constant (RuntimeEnvironment rejects negative ones), the
+        # heap's operand stack, and a sampled instance's profiling record
+        # and dense counter array.
         # The death hook folds the record into its context aggregate,
         # bound by the profiler.
         self._clock = vm.clock
         self._ticks = vm.costs.wrapper_delegation
+        self._operands = vm.heap.operands
         self._oci = self._counts = None
         on_death = None
         if profile:
@@ -236,23 +240,26 @@ class ChameleonCollection:
         if self._oci is not None:
             self._oci.record_size(self.impl.size)
 
-    def _pin_args(self, values: Iterable[Any]) -> List[HeapObject]:
-        """Model Java stack roots for heap-object arguments.
+    def _pin_args(self, values: Iterable[Any]) -> int:
+        """Model Java stack slots for heap-object arguments; returns how
+        many were pushed, for :meth:`_unpin_args`.
 
         The caller holds its argument in a local for the duration of the
         call, keeping it reachable even while the ADT allocates (array
         growth, entry objects) *before* linking the element in.  The
-        simulated heap cannot see Python locals, so the wrapper roots
-        heap-object arguments for the span of the delegated operation.
+        simulated heap cannot see Python locals, so the wrapper pushes
+        heap-object arguments on the heap's operand stack
+        (``SimHeap.operands``) for the span of the delegated operation.
+        The caller pops them with :meth:`_unpin_args` in a ``finally``.
         """
         pinned = [v for v in values if isinstance(v, HeapObject)]
-        for value in pinned:
-            self.vm.add_root(value)
-        return pinned
+        self.vm.heap.operands.extend(pinned)
+        return len(pinned)
 
-    def _unpin_args(self, pinned: List[HeapObject]) -> None:
-        for value in pinned:
-            self.vm.remove_root(value)
+    def _unpin_args(self, pinned: int) -> None:
+        """Pop the ``pinned`` operands :meth:`_pin_args` pushed."""
+        if pinned:
+            del self.vm.heap.operands[-pinned:]
 
     def record_copied(self) -> None:
         """This collection was the source of an addAll/putAll/copy-ctor."""
@@ -431,12 +438,12 @@ class ChameleonList(ChameleonCollection):
         if counts is not None:
             counts[_idx] += 1
         if isinstance(value, HeapObject):
-            heap = self.vm.heap
-            heap.add_root(value)
+            operands = self._operands
+            operands.append(value)
             try:
                 self.impl.add(value)
             finally:
-                heap.remove_root(value)
+                operands.pop()
         else:
             self.impl.add(value)
         oci = self._oci
@@ -454,12 +461,12 @@ class ChameleonList(ChameleonCollection):
         if counts is not None:
             counts[_idx] += 1
         if isinstance(value, HeapObject):
-            heap = self.vm.heap
-            heap.add_root(value)
+            operands = self._operands
+            operands.append(value)
             try:
                 self.impl.add_at(index, value)
             finally:
-                heap.remove_root(value)
+                operands.pop()
         else:
             self.impl.add_at(index, value)
         oci = self._oci
@@ -502,11 +509,12 @@ class ChameleonList(ChameleonCollection):
         """``(values, pinned)`` for a bulk insert.
 
         Elements of a wrapped source stay reachable through the source
-        itself; plain Python iterables get stack-root treatment.
+        itself; the heap objects of a plain Python iterable are pushed
+        on the operand stack (``pinned`` counts them).
         """
         if isinstance(source, ChameleonCollection):
             source.record_copied()
-            return source.impl.iter_values(), []
+            return source.impl.iter_values(), 0
         values = list(source)
         return values, self._pin_args(values)
 
@@ -627,12 +635,12 @@ class ChameleonSet(ChameleonCollection):
         if counts is not None:
             counts[_idx] += 1
         if isinstance(value, HeapObject):
-            heap = self.vm.heap
-            heap.add_root(value)
+            operands = self._operands
+            operands.append(value)
             try:
                 added = self.impl.add(value)
             finally:
-                heap.remove_root(value)
+                operands.pop()
         else:
             added = self.impl.add(value)
         oci = self._oci
@@ -649,7 +657,7 @@ class ChameleonSet(ChameleonCollection):
         self._record(Op.ADD_ALL)
         if isinstance(source, ChameleonCollection):
             source.record_copied()
-            values, pinned = source.impl.iter_values(), []
+            values, pinned = source.impl.iter_values(), 0
         else:
             values = list(source)
             pinned = self._pin_args(values)
@@ -711,18 +719,18 @@ class ChameleonMap(ChameleonCollection):
         key_pinned = isinstance(key, HeapObject)
         value_pinned = isinstance(value, HeapObject)
         if key_pinned or value_pinned:
-            heap = self.vm.heap
+            operands = self._operands
             if key_pinned:
-                heap.add_root(key)
+                operands.append(key)
             if value_pinned:
-                heap.add_root(value)
+                operands.append(value)
             try:
                 old = self.impl.put(key, value)
             finally:
                 if key_pinned:
-                    heap.remove_root(key)
+                    operands.pop()
                 if value_pinned:
-                    heap.remove_root(value)
+                    operands.pop()
         else:
             old = self.impl.put(key, value)
         oci = self._oci
@@ -779,7 +787,7 @@ class ChameleonMap(ChameleonCollection):
         self._record(Op.PUT_ALL)
         if isinstance(source, ChameleonMap):
             source.record_copied()
-            items, pinned = source.impl.iter_items(), []
+            items, pinned = source.impl.iter_items(), 0
         else:
             items = list(source.items())
             pinned = self._pin_args(

@@ -156,16 +156,21 @@ class MarkSweepGC:
     # Phases
     # ------------------------------------------------------------------
     def _mark(self) -> Set[int]:
-        """Transitive closure via whole-frontier set algebra.
+        """Transitive closure via whole-frontier set algebra, seeded
+        from the named roots and the operand stack.
 
         Instead of testing every edge against the marked set one by one,
         each round unions the frontier's complete out-edge sets and
         subtracts/intersects at the C level.  Visits the same edges, so
         the result is identical to the reference BFS.
         """
-        objects = self.heap._objects
+        heap = self.heap
+        objects = heap._objects
         keys = objects.keys()
-        marked = {rid for rid in self.heap._roots if rid in objects}
+        marked = {rid for rid in heap._roots if rid in objects}
+        for obj in heap.operands:
+            if obj.obj_id in objects:
+                marked.add(obj.obj_id)
         frontier = marked
         while frontier:
             if len(frontier) <= 8:

@@ -28,7 +28,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.memory.layout import MemoryModel
 
@@ -161,7 +161,16 @@ class HeapObject:
 
 
 class SimHeap:
-    """A growable object graph with named GC roots and a byte budget.
+    """A growable object graph with GC roots and a byte budget.
+
+    Two kinds of root keep an object alive.  *Named roots*
+    (:meth:`add_root`/:meth:`remove_root`: a workload's globals, a
+    pinned collection, a half-built ADT) are pin counts that may be
+    released in any order.  The *operand stack* (:attr:`operands`)
+    models the Java caller's stack slots: a collection operation pushes
+    each heap-object operand before it delegates and pops it in a
+    ``finally``, so the stack is strictly last-in-first-out and empty
+    between operations.  Marking seeds from both (:meth:`root_ids`).
 
     The heap does not collect by itself; :class:`repro.memory.gc.MarkSweepGC`
     owns the mark/sweep logic.  The heap *does* know its occupancy so the
@@ -178,6 +187,9 @@ class SimHeap:
         # Root pin counts, {obj_id: count}; a plain dict for the same
         # reason HeapObject.refs is one (see its docstring).
         self._roots: Dict[int, int] = {}
+        # In-flight operands: a plain list, so a pin is one C-level
+        # append and its release one pop.
+        self.operands: List[HeapObject] = []
         self._next_id = 1
         # Monotonic accounting across the whole run.
         self.total_allocated_bytes = 0
@@ -312,7 +324,11 @@ class SimHeap:
     # Roots
     # ------------------------------------------------------------------
     def add_root(self, obj: HeapObject) -> None:
-        """Pin ``obj`` as a GC root (thread stack / static analog)."""
+        """Pin ``obj`` as a named GC root (a static or long-lived local).
+
+        For an operand held only for the span of one operation, push it
+        on :attr:`operands` instead.
+        """
         roots = self._roots
         roots[obj.obj_id] = roots.get(obj.obj_id, 0) + 1
 
@@ -327,12 +343,15 @@ class SimHeap:
             self._roots[obj.obj_id] = count - 1
 
     def root_ids(self) -> Iterator[int]:
-        """Iterate over the ids of the current root set."""
-        return iter(self._roots.keys())
+        """Iterate over the ids of the current root set: the named roots,
+        then the operands not already among them, each id once."""
+        ids = list(self._roots)
+        ids.extend(obj.obj_id for obj in self.operands)
+        return iter(dict.fromkeys(ids))
 
     def is_root(self, obj: HeapObject) -> bool:
-        """Whether ``obj`` is currently pinned as a root."""
-        return obj.obj_id in self._roots
+        """Whether ``obj`` is currently a named root or an operand."""
+        return obj.obj_id in self._roots or obj in self.operands
 
     # ------------------------------------------------------------------
     # Occupancy

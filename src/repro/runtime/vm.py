@@ -336,7 +336,7 @@ class RuntimeEnvironment:
     # Roots
     # ------------------------------------------------------------------
     def add_root(self, obj: HeapObject) -> None:
-        """Pin ``obj`` as a GC root."""
+        """Pin ``obj`` as a named GC root (see :meth:`SimHeap.add_root`)."""
         self.heap.add_root(obj)
 
     def remove_root(self, obj: HeapObject) -> None:

@@ -153,11 +153,31 @@ class TestIncrementalBookkeeping:
         assert table.internal_ids() == fresh_ids()
 
 
+class _RecordingStack(list):
+    """An operand stack that logs every push in ``pushed``."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = []
+
+    def append(self, value):
+        self.pushed.append(value)
+        super().append(value)
+
+
+def _record_pushes(collection):
+    """Give ``collection``'s heap and hash engine one recording operand
+    stack; returns it."""
+    operands = collection.vm.heap.operands = _RecordingStack()
+    collection._table._operands = operands
+    return operands
+
+
 class TestConstructionPin:
     """A new entry is unreachable until linked into the table.  It is
-    pinned across that window only when storing an element can allocate
-    a box (and hence collect): never for a record key (plus, in a map, a
-    record value)."""
+    held on the heap's operand stack across that window only when
+    storing an element can allocate a box (and hence collect): never for
+    a record key (plus, in a map, a record value)."""
 
     @pytest.mark.parametrize("impl", [HashMapImpl, HashSetImpl])
     def test_record_put_allocates_one_object_and_no_root(self, vm, impl):
@@ -166,11 +186,28 @@ class TestConstructionPin:
         heap = vm.heap
         roots = dict(heap._roots)
         allocated = heap.total_allocated_objects
+        operands = _record_pushes(collection)
         if impl is HashMapImpl:
             collection.put(key, value)
         else:
             collection.add(key)
         assert heap.total_allocated_objects == allocated + 1
+        assert operands.pushed == [] and operands == []
+        assert heap._roots == roots
+
+    @pytest.mark.parametrize("impl", [HashMapImpl, HashSetImpl])
+    def test_boxing_put_holds_the_entry_as_an_operand(self, vm, impl):
+        collection = impl(vm)
+        heap = vm.heap
+        roots = dict(heap._roots)
+        operands = _record_pushes(collection)
+        if impl is HashMapImpl:
+            collection.put(1, 2)
+        else:
+            collection.add(1)
+        (entry,) = collection._table._order
+        assert operands.pushed == [entry.heap_obj]
+        assert operands == []
         assert heap._roots == roots
 
     @pytest.mark.parametrize("impl", [HashMapImpl, LinkedHashMapImpl,
