@@ -1,12 +1,10 @@
-"""Cross-run experiment index: run directories, ``runs.sqlite``, gating.
+"""Cross-run experiment index: run directories and ``runs.sqlite``.
 
-BENCH documents are point snapshots: each ``perf`` invocation overwrote
-the last one, so the perf *trajectory* -- the thing the ROADMAP's scale
-push needs to steer by -- was unrecoverable.  This module makes every
-``experiment`` and ``perf`` invocation leave a durable, queryable trace,
-following the run-directory + SQLite-index experimentation layer of the
-ghostty-analysis pack (SNIPPETS.md) and the search-over-benchmarks
-framing of Darwinian Data Structure Selection (PAPERS.md):
+This module makes every ``experiment`` and ``perf`` invocation leave a
+durable, queryable trace, following the run-directory + SQLite-index
+experimentation layer of the ghostty-analysis pack (SNIPPETS.md) and
+the search-over-benchmarks framing of Darwinian Data Structure
+Selection (PAPERS.md):
 
 * :class:`RunDirectory` -- one directory per invocation under a *runs
   root* (default ``benchmarks/runs/``), holding a ``manifest.json``
@@ -16,12 +14,8 @@ framing of Darwinian Data Structure Selection (PAPERS.md):
 * :class:`RunIndex` -- the ``runs.sqlite`` database at the runs root:
   one ``runs`` row per invocation, one ``benchmarks`` row per measured
   benchmark, upserted so re-indexing a run directory is idempotent.
-* :func:`gate_document` -- regression gating against indexed history:
-  the latest wall clock is compared to the median of the last *N*
-  indexed runs per benchmark, and rows whose simulated ticks differ are
-  *refused* (:class:`GateDivergenceError`), naming each benchmark and
-  both tick values -- a wall ratio over different simulated work is
-  meaningless.
+* :func:`render_runs` / :func:`render_history` -- what the ``history``
+  command prints: the indexed runs, or one benchmark's series.
 * :class:`SessionStore` -- the content-addressed profiling-session
   store (``<runs-root>/store/``) attached behind a
   :class:`SessionCache`: one atomically-written pickle per cache entry,
@@ -38,23 +32,20 @@ import json
 import os
 import pickle
 import sqlite3
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 import uuid
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MANIFEST_SCHEMA", "MANIFEST_SCHEMA_VERSION", "INDEX_SCHEMA_VERSION",
     "MANIFEST_NAME", "INDEX_NAME", "STORE_DIRNAME",
     "git_revision", "interpreter_hashseed", "atomic_write_text",
     "validate_manifest", "RunDirectory", "RunIndex",
-    "GateRow", "GateReport", "GateDivergenceError", "gate_document",
-    "render_history", "render_trends", "SessionStore",
+    "render_runs", "render_history", "SessionStore",
 ]
 
 MANIFEST_SCHEMA = "chameleon-run-manifest"
@@ -389,13 +380,6 @@ class RunIndex:
                  record.get("ticks"), record.get("gc_cycles"),
                  record.get("allocated_objects")))
 
-    def index_perf_document(self, run_id: str, doc: Dict[str, Any]) -> int:
-        """Upsert one benchmarks row per record of a BENCH document;
-        returns how many rows were written."""
-        for record in doc.get("benchmarks", []):
-            self.record_benchmark(run_id, record)
-        return len(doc.get("benchmarks", []))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -419,221 +403,62 @@ class RunIndex:
             "SELECT DISTINCT name FROM benchmarks ORDER BY name")
         return [row["name"] for row in rows]
 
-    def history(self, name: str, last: Optional[int] = None,
-                exclude_run: Optional[str] = None) -> List[sqlite3.Row]:
+    def history(self, name: str,
+                last: Optional[int] = None) -> List[sqlite3.Row]:
         """Indexed rows for one benchmark, newest first (joined with the
         owning run's metadata)."""
         sql = """SELECT b.*, r.started_at, r.git_rev, r.pythonhashseed
                  FROM benchmarks b JOIN runs r ON r.run_id = b.run_id
-                 WHERE b.name = ?"""
+                 WHERE b.name = ?
+                 ORDER BY r.started_at DESC, b.rowid DESC"""
         args: List[Any] = [name]
-        if exclude_run is not None:
-            sql += " AND b.run_id != ?"
-            args.append(exclude_run)
-        sql += " ORDER BY r.started_at DESC, b.rowid DESC"
         if last is not None:
             sql += " LIMIT ?"
             args.append(last)
         return self._conn.execute(sql, args).fetchall()
 
-    def trend(self, name: str, window: int = 5) -> Optional[Dict[str, Any]]:
-        """Latest-vs-median-of-last-``window`` delta for one benchmark.
-
-        Returns ``None`` with no rows; with a single row the delta is
-        ``None`` (nothing to compare against).  The median spans the up
-        to ``window`` rows *preceding* the latest.
-        """
-        rows = self.history(name, last=window + 1)
-        if not rows:
-            return None
-        latest = rows[0]
-        previous = [row for row in rows[1:]
-                    if row["wall_seconds"] is not None]
-        result: Dict[str, Any] = {
-            "name": name,
-            "runs": len(self.history(name)),
-            "latest_wall_seconds": latest["wall_seconds"],
-            "latest_run_id": latest["run_id"],
-            "latest_ticks": latest["ticks"],
-            "median_wall_seconds": None,
-            "delta": None,
-            "window": len(previous),
-        }
-        if previous and latest["wall_seconds"] is not None:
-            median = statistics.median(
-                row["wall_seconds"] for row in previous)
-            result["median_wall_seconds"] = median
-            if median:
-                result["delta"] = latest["wall_seconds"] / median - 1.0
-        return result
-
-
-# ----------------------------------------------------------------------
-# Gating against indexed history
-# ----------------------------------------------------------------------
-@dataclass
-class GateRow:
-    """One benchmark's gate verdict."""
-
-    name: str
-    status: str                      # "ok" | "regression" | "no-history"
-    current_wall: float
-    reference_wall: Optional[float]  # median of the compared window
-    ratio: Optional[float]           # current / reference
-    window: int                      # rows the median spans
-
-
-@dataclass
-class GateReport:
-    """Every benchmark's verdict plus the gate parameters."""
-
-    rows: List[GateRow]
-    window: int
-    threshold: float
-
-    @property
-    def regressions(self) -> List[GateRow]:
-        return [row for row in self.rows if row.status == "regression"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def render(self) -> str:
-        lines = [f"perf gate (median of last {self.window} indexed runs, "
-                 f"threshold +{100 * self.threshold:.0f}%):"]
-        for row in self.rows:
-            if row.status == "no-history":
-                lines.append(f"  {row.name:<20} no indexed history -- "
-                             f"skipped")
-                continue
-            lines.append(
-                f"  {row.name:<20} {row.current_wall:>9.4f}s vs median "
-                f"{row.reference_wall:>9.4f}s over {row.window} run(s) "
-                f"({row.ratio:.2f}x) {row.status.upper()}")
-        lines.append("gate: " + ("ok" if self.ok else
-                                 f"{len(self.regressions)} regression(s)"))
-        return "\n".join(lines)
-
-
-class GateDivergenceError(ValueError):
-    """Indexed history measured different simulated work.
-
-    A wall-clock ratio over different tick counts is meaningless, so
-    the gate refuses, naming every offending benchmark with both tick
-    values.
-    """
-
-    def __init__(self, diverged: List[Tuple[str, int, int]]) -> None:
-        self.diverged = diverged
-        details = "; ".join(
-            f"benchmark {name!r}: ticks {indexed_ticks} (indexed) vs "
-            f"{current_ticks} (current)"
-            for name, indexed_ticks, current_ticks in diverged)
-        super().__init__(
-            "the indexed history measured different simulated work -- "
-            + details)
-
-
-def gate_document(index: RunIndex, doc: Dict[str, Any], *,
-                  window: int = 5, threshold: float = 0.3,
-                  exclude_run: Optional[str] = None) -> GateReport:
-    """Gate a BENCH document against the index's per-benchmark history.
-
-    For every benchmark in ``doc``, the last ``window`` indexed rows
-    (excluding ``exclude_run``, normally the row just written for this
-    very invocation) form the reference: the gate fails the benchmark
-    when its wall clock exceeds the reference *median* by more than
-    ``threshold`` (0.3 = +30%).  Rows whose simulated ticks differ from
-    the current document raise :class:`GateDivergenceError`, naming
-    the benchmark and both tick values.
-    Benchmarks with no indexed history are skipped, so the first gated
-    run of a fresh index always passes.
-    """
-    rows: List[GateRow] = []
-    diverged: List[Tuple[str, int, int]] = []
-    for record in doc.get("benchmarks", []):
-        name = record["name"]
-        history = index.history(name, last=window, exclude_run=exclude_run)
-        history = [row for row in history
-                   if row["wall_seconds"] is not None]
-        if not history:
-            rows.append(GateRow(name=name, status="no-history",
-                                current_wall=record["wall_seconds"],
-                                reference_wall=None, ratio=None, window=0))
-            continue
-        bad = [row for row in history
-               if row["ticks"] is not None
-               and row["ticks"] != record.get("ticks")]
-        if bad:
-            diverged.append((name, bad[0]["ticks"], record.get("ticks")))
-            continue
-        reference = statistics.median(
-            row["wall_seconds"] for row in history)
-        ratio = (record["wall_seconds"] / reference) if reference else 1.0
-        status = "regression" if ratio > 1.0 + threshold else "ok"
-        rows.append(GateRow(name=name, status=status,
-                            current_wall=record["wall_seconds"],
-                            reference_wall=reference, ratio=ratio,
-                            window=len(history)))
-    if diverged:
-        raise GateDivergenceError(diverged)
-    return GateReport(rows=rows, window=window, threshold=threshold)
-
 
 # ----------------------------------------------------------------------
 # Rendering for the ``history`` CLI subcommand
 # ----------------------------------------------------------------------
+def _seconds(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.4f}"
+
+
+def render_runs(index: RunIndex, last: Optional[int] = None) -> str:
+    """The indexed runs, newest first, then every benchmark name that
+    ``history NAME`` can show."""
+    rows = index.runs(last=last)
+    if not rows:
+        return f"no indexed runs in {index.path}"
+    lines = [f"{len(rows)} indexed run(s) in {index.path}, newest first",
+             f"{'run id':<35} {'wall s':>9} {'hashseed':>8} {'git rev':>9}"]
+    for row in rows:
+        lines.append(
+            f"{row['run_id']:<35} {_seconds(row['wall_seconds']):>9} "
+            f"{row['pythonhashseed']:>8} {(row['git_rev'] or '-')[:9]:>9}")
+    lines.append("benchmarks: " + (", ".join(index.benchmark_names())
+                                   or "none"))
+    return "\n".join(lines)
+
+
 def render_history(index: RunIndex, name: str,
                    last: Optional[int] = None) -> str:
-    """One benchmark's indexed series, newest first."""
+    """One benchmark's indexed series, newest first; a wall or run time
+    the row does not carry (schema-v5 ``perf`` rows have neither) shows
+    as ``-``."""
     rows = index.history(name, last=last)
     if not rows:
         return f"no indexed rows for benchmark {name!r}"
     lines = [f"{name}: {len(rows)} indexed run(s), newest first",
-             f"{'run id':<34} {'wall s':>9} {'run s':>9} {'ticks':>12} "
+             f"{'run id':<35} {'wall s':>9} {'run s':>9} {'ticks':>12} "
              f"{'hashseed':>8} {'git rev':>9}"]
     for row in rows:
         ticks = "-" if row["ticks"] is None else row["ticks"]
-        run_s = ("-" if row["run_seconds"] is None
-                 else f"{row['run_seconds']:.4f}")
-        git_rev = (row["git_rev"] or "-")[:9]
         lines.append(
-            f"{row['run_id']:<34} {row['wall_seconds']:>9.4f} "
-            f"{run_s:>9} {ticks:>12} {row['pythonhashseed']:>8} "
-            f"{git_rev:>9}")
-    return "\n".join(lines)
-
-
-def render_trends(index: RunIndex, window: int = 5) -> str:
-    """Per-benchmark latest-vs-median-of-last-``window`` summary."""
-    names = index.benchmark_names()
-    run_rows = index.runs()
-    kinds: Dict[str, int] = {}
-    for row in run_rows:
-        kinds[row["kind"]] = kinds.get(row["kind"], 0) + 1
-    kind_summary = ", ".join(f"{count} {kind}"
-                             for kind, count in sorted(kinds.items()))
-    lines = [f"{len(run_rows)} indexed run(s)"
-             + (f" ({kind_summary})" if kind_summary else "")
-             + f" in {index.path}"]
-    if not names:
-        lines.append("no benchmarks indexed yet")
-        return "\n".join(lines)
-    lines.append(f"{'benchmark':<24} {'runs':>5} {'latest s':>9} "
-                 f"{'median s':>9} {'delta':>7}")
-    for name in names:
-        trend = index.trend(name, window=window)
-        if trend is None:
-            continue
-        median = ("-" if trend["median_wall_seconds"] is None
-                  else f"{trend['median_wall_seconds']:.4f}")
-        delta = ("-" if trend["delta"] is None
-                 else f"{100 * trend['delta']:+.1f}%")
-        latest = ("-" if trend["latest_wall_seconds"] is None
-                  else f"{trend['latest_wall_seconds']:.4f}")
-        lines.append(f"{name:<24} {trend['runs']:>5} {latest:>9} "
-                     f"{median:>9} {delta:>7}")
+            f"{row['run_id']:<35} {_seconds(row['wall_seconds']):>9} "
+            f"{_seconds(row['run_seconds']):>9} {ticks:>12} "
+            f"{row['pythonhashseed']:>8} {(row['git_rev'] or '-')[:9]:>9}")
     return "\n".join(lines)
 
 

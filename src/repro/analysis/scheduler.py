@@ -23,8 +23,9 @@ each worker at pool creation (attach the shared session store,
 pre-import the tool stack), so per-job latency is pure work.  A pooled
 run submits every job at once and folds results in as they arrive.
 Per-run overhead (pool spawn, queue wait, in-worker wall, transfer,
-merge) is accumulated in :attr:`Scheduler.stats` so the perf harness can
-record a measured breakdown instead of asserting the win.
+merge) is accumulated in :attr:`Scheduler.stats`, and ``experiment``
+records it in each run's manifest, so the breakdown is measured rather
+than asserted.
 
 Submission rule: longest processing time first, learned per scheduler.
 The scheduler remembers each job id's last in-worker wall.  A pooled
@@ -137,7 +138,8 @@ class SchedulerStats:
     merge_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        """JSON-ready snapshot (what the BENCH suite section records)."""
+        """JSON-ready snapshot (what an ``experiment`` run's manifest
+        records under ``results.scheduler``)."""
         return asdict(self)
 
 

@@ -13,9 +13,7 @@ Examples::
     chameleon-repro experiment fig6 --scale 0.4 --jobs 4
     chameleon-repro experiment all --jobs 4 \\
         --session-cache benchmarks/runs/store
-    chameleon-repro perf --scale 0.2 --repeats 3
-    chameleon-repro perf --suite --jobs 4
-    chameleon-repro perf --gate --gate-window 5
+    chameleon-repro perf
     chameleon-repro history
     chameleon-repro history tvla_capture_on --last 10
     chameleon-repro fuzz --adt all --seeds 50
@@ -143,70 +141,30 @@ def build_parser() -> argparse.ArgumentParser:
                                  "indexing this invocation")
 
     perf = sub.add_parser(
-        "perf", help="wall-clock perf harness; emits BENCH_chameleon.json")
-    perf.add_argument("--scale", type=float, default=0.2,
-                      help="workload scale for every benchmark")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="runs per benchmark (the median wall clock "
-                           "is reported; every repeat is recorded)")
-    perf.add_argument("--seed", type=int, default=2009)
+        "perf", help="run the microbenchmarks once each; emits their "
+                     "simulated counts as BENCH_chameleon.json")
     perf.add_argument("--output", default=None, metavar="PATH",
                       help="write the JSON document here "
                            "(default benchmarks/perf/BENCH_chameleon.json)")
-    perf.add_argument("--no-gc-heavy", action="store_true",
-                      help="skip the GC-stress configuration")
-    perf.add_argument("--check", metavar="PATH", default=None,
-                      help="validate an existing BENCH json and exit")
-    perf.add_argument("--gate", action="store_true",
-                      help="fail (non-zero) when a benchmark's wall "
-                           "clock regresses past the median of its "
-                           "indexed history; refuses history that "
-                           "measured different ticks")
-    perf.add_argument("--gate-window", type=int, default=5, metavar="N",
-                      help="indexed runs per benchmark the gate medians "
-                           "over (default 5)")
-    perf.add_argument("--gate-threshold", type=float, default=0.3,
-                      metavar="F",
-                      help="allowed wall-clock growth over the median "
-                           "before the gate fails (default 0.3 = +30%%)")
     perf.add_argument("--runs-root", metavar="DIR", default=None,
                       help="write the manifest'd run directory and index "
                            "the run here (default benchmarks/runs)")
     perf.add_argument("--no-index", action="store_true",
                       help="skip writing a run directory and indexing "
                            "this invocation")
-    perf.add_argument("--suite", action="store_true",
-                      help="also benchmark the experiment scheduler "
-                           "(fig6+fig7 serial vs parallel)")
-    perf.add_argument("--jobs", type=int, default=4,
-                      help="worker processes for the --suite section "
-                           "(at least 2: it compares serial against a "
-                           "pool)")
-    perf.add_argument("--suite-scale", type=float, default=0.1,
-                      help="workload scale for the --suite section")
-    perf.add_argument("--suite-resolution", type=int, default=16384,
-                      help="min-heap resolution for the --suite section")
 
     history = sub.add_parser(
-        "history", help="query the cross-run index: per-benchmark "
-                        "trends, one benchmark's series, or ingest an "
-                        "existing BENCH document")
+        "history", help="query the cross-run index: the indexed runs, "
+                        "or one benchmark's series")
     history.add_argument("benchmark", nargs="?", default=None,
                          help="benchmark name to print the indexed "
-                              "series for (default: trend summary of "
-                              "every benchmark)")
+                              "series for (default: list the indexed "
+                              "runs)")
     history.add_argument("--runs-root", metavar="DIR", default=None,
                          help="runs root holding runs.sqlite (default "
                               "benchmarks/runs)")
     history.add_argument("--last", type=int, default=None, metavar="N",
-                         help="limit a benchmark series to the newest N "
-                              "rows")
-    history.add_argument("--window", type=int, default=5, metavar="N",
-                         help="runs the trend summary medians over "
-                              "(default 5)")
-    history.add_argument("--ingest", metavar="BENCH_JSON", default=None,
-                         help="index an existing BENCH document as a new "
-                              "run (seeds gating history, e.g. in CI)")
+                         help="show only the newest N runs or rows")
 
     lint = sub.add_parser(
         "lint", help="static analysis: check rule sets, lint collection "
@@ -264,7 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_positive_scale(args) -> None:
+    if not args.scale > 0:
+        raise SystemExit("--scale must be > 0")
+
+
 def _make_workload(args):
+    _require_positive_scale(args)
     registry = default_workload_registry()
     try:
         return registry.create(args.workload, seed=args.seed,
@@ -368,6 +332,7 @@ def _cmd_experiment(args) -> str:
         raise SystemExit("--jobs must be >= 1")
     if args.resolution < 1:
         raise SystemExit("--resolution must be >= 1")
+    _require_positive_scale(args)
     if args.session_cache and pathlib.Path(args.session_cache).is_file():
         raise SystemExit(f"--session-cache {args.session_cache}: a "
                          f"file, not a session-store directory")
@@ -379,6 +344,7 @@ def _cmd_experiment(args) -> str:
                                (args.session_cache,))) as scheduler:
             output = _EXPERIMENTS[args.name](args, scheduler)
         wall_seconds = time.perf_counter() - start
+        scheduler_stats = scheduler.stats.as_dict()
     finally:
         experiments.attach_session_store(None)
     if not args.no_index:
@@ -389,12 +355,12 @@ def _cmd_experiment(args) -> str:
                     "resolution": args.resolution, "jobs": args.jobs},
             results={"wall_seconds": wall_seconds,
                      "cache_hits": cache.hits,
-                     "cache_misses": cache.misses},
+                     "cache_misses": cache.misses,
+                     "scheduler": scheduler_stats},
             artifacts={"output.txt": output + "\n"},
             wall_seconds=wall_seconds,
-            # Experiment wall clocks have no tick identity (many runs
-            # fold into one number), so the row carries ticks=None and
-            # is never gate-compared against perf benchmarks.
+            # Many runs fold into one experiment wall clock, so the row
+            # has no tick count of its own.
             benchmarks=[{"name": f"experiment:{args.name}",
                          "wall_seconds": wall_seconds}])
         output += f"\n\nindexed run {run_id}"
@@ -402,116 +368,41 @@ def _cmd_experiment(args) -> str:
 
 
 def _cmd_perf(args) -> str:
-    import json
-
     from repro.analysis import perf
 
-    if args.check is not None:
-        try:
-            perf.load_document(args.check)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{args.check}: {exc}")
-        return f"{args.check}: valid {perf.SCHEMA} v{perf.SCHEMA_VERSION}"
-
-    if args.repeats < 1:
-        raise SystemExit("--repeats must be >= 1")
-    if args.gate and args.no_index:
-        raise SystemExit("--gate needs the index; drop --no-index")
-    if args.suite and args.jobs < 2:
-        raise SystemExit("--suite compares serial against a pool; "
-                         "pass --jobs 2 or more")
-    if args.suite_resolution < 1:
-        raise SystemExit("--suite-resolution must be >= 1")
-
     start = time.perf_counter()
-    doc = perf.run_suite(scale=args.scale, repeats=args.repeats,
-                         seed=args.seed,
-                         include_gc_heavy=not args.no_gc_heavy,
-                         suite_jobs=args.jobs if args.suite else None,
-                         suite_scale=args.suite_scale,
-                         suite_resolution=args.suite_resolution)
+    doc = perf.run_suite()
     wall_seconds = time.perf_counter() - start
-    output = args.output
-    if output is None:
-        output = pathlib.Path(__file__).resolve().parents[2] \
-            / "benchmarks" / "perf" / "BENCH_chameleon.json"
-    pathlib.Path(output).parent.mkdir(parents=True, exist_ok=True)
+    output = pathlib.Path(args.output) if args.output else (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "benchmarks" / "perf" / "BENCH_chameleon.json")
+    output.parent.mkdir(parents=True, exist_ok=True)
     perf.write_document(doc, str(output))
-    parts = [perf.render_summary(doc), "", f"wrote {output}"]
-
-    run_id = None
-    runs_root = None
+    summary = perf.render_summary(doc)
+    parts = [summary, "", f"wrote {output}"]
     if not args.no_index:
         run_id, runs_root = _index_invocation(
             args, "perf", ["perf"],
-            params={"scale": args.scale, "seed": args.seed,
-                    "repeats": args.repeats,
-                    "suite_jobs": args.jobs if args.suite else None},
-            results={"benchmarks": {r["name"]: r["wall_seconds"]
-                                    for r in doc["benchmarks"]},
-                     "ticks": {r["name"]: r["ticks"]
+            params={"scale": perf.SCALE, "seed": perf.SEED},
+            results={"ticks": {r["name"]: r["ticks"]
                                for r in doc["benchmarks"]}},
-            artifacts={"BENCH_chameleon.json":
-                       json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                       "summary.txt": perf.render_summary(doc) + "\n"},
+            artifacts={"BENCH_chameleon.json": output.read_text(),
+                       "summary.txt": summary + "\n"},
             wall_seconds=wall_seconds,
             benchmarks=doc["benchmarks"])
         parts.append(f"indexed run {run_id} under {runs_root}")
-
-    if args.gate:
-        from repro.analysis.index import (GateDivergenceError, RunIndex,
-                                          gate_document)
-
-        with RunIndex.at_root(runs_root) as index:
-            try:
-                report = gate_document(
-                    index, doc, window=args.gate_window,
-                    threshold=args.gate_threshold, exclude_run=run_id)
-            except GateDivergenceError as exc:
-                raise SystemExit(
-                    f"cannot gate against {index.path}: {exc}")
-        parts.append("")
-        parts.append(report.render())
-        if not report.ok:
-            print("\n".join(parts))
-            raise SystemExit(1)
     return "\n".join(parts)
 
 
 def _cmd_history(args) -> str:
-    from repro.analysis import perf
-    from repro.analysis.index import (RunDirectory, RunIndex,
-                                      render_history, render_trends)
-
-    runs_root = args.runs_root or default_runs_root()
-    if args.ingest is not None:
-        import json
-
-        try:
-            doc = perf.load_document(args.ingest)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{args.ingest}: {exc}")
-        run = RunDirectory.create(
-            runs_root, "perf", command=["history", "--ingest"],
-            params={"scale": doc["scale"], "seed": doc["seed"],
-                    "repeats": doc["repeats"], "ingested_from": args.ingest},
-            config_fingerprint=ToolConfig().fingerprint())
-        run.add_artifact("BENCH_chameleon.json",
-                         json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        manifest_path = run.finalize(
-            results={"benchmarks": {r["name"]: r["wall_seconds"]
-                                    for r in doc["benchmarks"]}},
-            wall_seconds=0.0)
-        with RunIndex.at_root(runs_root) as index:
-            index.record_run(run.manifest, manifest_path=manifest_path)
-            rows = index.index_perf_document(run.run_id, doc)
-        return (f"ingested {args.ingest} as run {run.run_id} "
-                f"({rows} benchmark row(s))")
-
     import os
 
-    from repro.analysis.index import INDEX_NAME
+    from repro.analysis.index import (INDEX_NAME, RunIndex, render_history,
+                                      render_runs)
 
+    if args.last is not None and args.last < 1:
+        raise SystemExit("--last must be >= 1")
+    runs_root = args.runs_root or default_runs_root()
     db_path = os.path.join(runs_root, INDEX_NAME)
     if not os.path.exists(db_path):
         raise SystemExit(
@@ -520,7 +411,7 @@ def _cmd_history(args) -> str:
     with RunIndex.at_root(runs_root) as index:
         if args.benchmark is not None:
             return render_history(index, args.benchmark, last=args.last)
-        return render_trends(index, window=args.window)
+        return render_runs(index, last=args.last)
 
 
 def _cmd_lint(args) -> str:
@@ -600,6 +491,7 @@ def _cmd_fuzz(args) -> str:
 
     sanitize = not args.no_sanitize
     if args.record is not None:
+        _require_positive_scale(args)
         traces = record_workload(args.record, scale=args.scale,
                                  seed=args.seed, out_dir=args.save_corpus)
         lines = [f"recorded {len(traces)} trace(s) from "

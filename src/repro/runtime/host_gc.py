@@ -7,8 +7,7 @@ cyclic collector keeps re-scanning a heap the simulator already manages.
 It finds nothing to free there: a swept collection and a released VM die
 by reference counting (DESIGN.md section 3.5).  The run drivers --
 ``Chameleon.profile``, ``Chameleon.plain_run`` and the online driver --
-therefore run with the host collector paused, and
-:mod:`repro.analysis.perf` times its repeats under the same pause.
+therefore run with the host collector paused.
 
 This module is the one place that turns the host collector off.  Code
 that drives a VM directly (a trace replay, a bare

@@ -1,6 +1,5 @@
-"""Cross-run experiment index: manifests, runs.sqlite, gating, store."""
+"""Cross-run experiment index: manifests, runs.sqlite, history, store."""
 
-import copy
 import json
 import os
 import shutil
@@ -8,9 +7,7 @@ import shutil
 import pytest
 
 from repro.analysis import index as run_index
-from repro.analysis import perf
-from repro.analysis.index import (GateDivergenceError, RunDirectory,
-                                  RunIndex, SessionStore, gate_document)
+from repro.analysis.index import RunDirectory, RunIndex, SessionStore
 from repro.cli import main
 
 
@@ -164,9 +161,9 @@ class TestRunIndex:
             rows = index.history("bench")
             assert [row["run_id"] for row in rows] == ["r3", "r2", "r1"]
             assert rows[0]["pythonhashseed"] == "2009"
-            assert index.history("bench", last=2)[0]["run_id"] == "r3"
-            excluded = index.history("bench", exclude_run="r3")
-            assert [row["run_id"] for row in excluded] == ["r2", "r1"]
+            assert [row["run_id"]
+                    for row in index.history("bench", last=2)] == ["r3",
+                                                                  "r2"]
 
     def test_benchmark_names_are_distinct_and_sorted(self, tmp_path):
         with RunIndex.at_root(str(tmp_path)) as index:
@@ -176,32 +173,6 @@ class TestRunIndex:
             index.record_run(make_manifest("r2", started_at=1001.0))
             index.record_benchmark("r2", make_record(name="alpha"))
             assert index.benchmark_names() == ["alpha", "zeta"]
-
-    def test_trend_with_no_rows_is_none(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            assert index.trend("absent") is None
-
-    def test_trend_with_one_row_has_no_delta(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            index.record_run(make_manifest("r1"))
-            index.record_benchmark("r1", make_record(wall=1.0))
-            trend = index.trend("bench")
-            assert trend["latest_wall_seconds"] == 1.0
-            assert trend["delta"] is None
-            assert trend["median_wall_seconds"] is None
-
-    def test_trend_latest_vs_median_of_preceding(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            for i, wall in enumerate([1.0, 2.0, 3.0, 3.0]):
-                index.record_run(make_manifest(f"r{i}",
-                                               started_at=1000.0 + i))
-                index.record_benchmark(f"r{i}", make_record(wall=wall))
-            trend = index.trend("bench", window=3)
-            # latest 3.0 vs median(3.0, 2.0, 1.0) = 2.0 -> +50%
-            assert trend["latest_wall_seconds"] == 3.0
-            assert trend["median_wall_seconds"] == 2.0
-            assert trend["delta"] == pytest.approx(0.5)
-            assert trend["runs"] == 4
 
     def test_refuses_newer_index_schema(self, tmp_path):
         import sqlite3
@@ -213,84 +184,6 @@ class TestRunIndex:
         conn.close()
         with pytest.raises(ValueError, match="newer"):
             RunIndex(str(path))
-
-
-class TestGateDocument:
-    def _doc(self, *records):
-        return {"benchmarks": list(records)}
-
-    def _seed(self, index, walls, ticks=100, name="bench"):
-        for i, wall in enumerate(walls):
-            index.record_run(make_manifest(f"seed{name}{i}",
-                                           started_at=1000.0 + i))
-            index.record_benchmark(
-                f"seed{name}{i}",
-                make_record(name=name, wall=wall, ticks=ticks))
-
-    def test_fresh_index_skips_every_benchmark(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            report = gate_document(index, self._doc(make_record()))
-        assert report.ok
-        assert report.rows[0].status == "no-history"
-        assert "no indexed history" in report.render()
-
-    def test_ok_within_threshold(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            self._seed(index, [1.0, 1.0, 1.0])
-            report = gate_document(index, self._doc(make_record(wall=1.2)))
-        assert report.ok
-        assert report.rows[0].status == "ok"
-        assert report.rows[0].ratio == pytest.approx(1.2)
-        assert "gate: ok" in report.render()
-
-    def test_regression_past_threshold(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            self._seed(index, [1.0, 1.0, 1.0])
-            report = gate_document(index, self._doc(make_record(wall=1.5)))
-        assert not report.ok
-        assert report.rows[0].status == "regression"
-        rendered = report.render()
-        assert "REGRESSION" in rendered
-        assert "1 regression(s)" in rendered
-
-    def test_median_is_robust_to_one_outlier(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            self._seed(index, [1.0, 1.0, 100.0])
-            report = gate_document(index, self._doc(make_record(wall=1.2)))
-        assert report.ok  # median 1.0, not mean ~34
-
-    def test_exclude_run_skips_the_current_row(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            self._seed(index, [1.0])
-            # The gated invocation's own row is already indexed…
-            index.record_run(make_manifest("current", started_at=2000.0))
-            index.record_benchmark("current", make_record(wall=5.0))
-            # …and must not dilute the reference it is gated against.
-            report = gate_document(index, self._doc(make_record(wall=5.0)),
-                                   exclude_run="current")
-        assert not report.ok
-        assert report.rows[0].reference_wall == 1.0
-
-    def test_refuses_tick_diverged_history(self, tmp_path):
-        with RunIndex.at_root(str(tmp_path)) as index:
-            self._seed(index, [1.0], ticks=101)
-            with pytest.raises(GateDivergenceError) as excinfo:
-                gate_document(index,
-                              self._doc(make_record(wall=1.0, ticks=100)))
-        message = str(excinfo.value)
-        assert "'bench'" in message
-        assert "101" in message      # indexed ticks
-        assert "100" in message      # current ticks
-        assert "different simulated work" in message
-
-    def test_untracked_tick_rows_do_not_diverge(self, tmp_path):
-        """Rows with ticks=NULL (experiment wall clocks) never refuse."""
-        with RunIndex.at_root(str(tmp_path)) as index:
-            index.record_run(make_manifest("r1"))
-            index.record_benchmark(
-                "r1", {"name": "bench", "wall_seconds": 1.0})
-            report = gate_document(index, self._doc(make_record(wall=1.0)))
-        assert report.ok
 
 
 class TestSessionStore:
@@ -362,49 +255,69 @@ class TestSessionStore:
         assert load_sessions(str(tmp_path)) == ["session-a"]
 
 
-@pytest.fixture(scope="module")
-def bench_doc():
-    """One tiny suite document for CLI-level ingest/gate tests."""
-    return perf.run_suite(scale=0.05, repeats=1, workloads=("tvla",),
-                          include_gc_heavy=False)
-
-
-class TestCliHistoryAndGate:
-    def _write(self, doc, path):
-        perf.write_document(doc, str(path))
-        return str(path)
+class TestCliHistory:
+    def _index(self, root):
+        """An index as ``perf`` at schema v4 wrote it (rows with wall
+        and run times) plus a schema-v5 ``perf`` row and an experiment
+        row (neither has a run time; the v5 row has no wall time)."""
+        with RunIndex.at_root(str(root)) as index:
+            index.record_run(make_manifest("20200101T000000-perf-aaaa",
+                                           started_at=1000.0))
+            index.record_benchmark("20200101T000000-perf-aaaa",
+                                   make_record(name="tvla_capture_on",
+                                               wall=0.5, ticks=204278))
+            index.record_run(make_manifest("20200102T000000-perf-bbbb",
+                                           started_at=2000.0))
+            index.record_benchmark(
+                "20200102T000000-perf-bbbb",
+                {"name": "tvla_capture_on", "workload": "tvla",
+                 "capture": True, "ticks": 204278, "gc_cycles": 1,
+                 "allocated_objects": 1773})
+            index.record_run(make_manifest(
+                "20200103T000000-experiment-cccc", started_at=3000.0,
+                kind="experiment"))
+            index.record_benchmark("20200103T000000-experiment-cccc",
+                                   {"name": "experiment:fig6",
+                                    "wall_seconds": 2.5})
 
     def test_history_errors_without_an_index(self, tmp_path):
         with pytest.raises(SystemExit, match="no index"):
             main(["history", "--runs-root", str(tmp_path / "empty")])
 
-    def test_ingest_then_trends_and_series(self, bench_doc, tmp_path,
-                                           capsys):
-        root = tmp_path / "runs"
-        doc_path = self._write(bench_doc, tmp_path / "BENCH.json")
-        assert main(["history", "--ingest", doc_path,
-                     "--runs-root", str(root)]) == 0
+    def test_lists_runs_newest_first(self, tmp_path, capsys):
+        self._index(tmp_path)
+        assert main(["history", "--runs-root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "ingested" in out
-        assert "2 benchmark row(s)" in out
-        assert main(["history", "--runs-root", str(root)]) == 0
-        trends = capsys.readouterr().out
-        assert "tvla_capture_on" in trends
-        assert "tvla_capture_off" in trends
-        assert "1 indexed run(s) (1 perf)" in trends
+        assert "3 indexed run(s)" in out
+        assert out.index("experiment-cccc") < out.index("perf-bbbb") \
+            < out.index("perf-aaaa")
+        assert "benchmarks: experiment:fig6, tvla_capture_on" in out
+        assert main(["history", "--last", "1",
+                     "--runs-root", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 indexed run(s)" in out and "perf-bbbb" not in out
+
+    def test_series_shows_rows_with_and_without_wall_times(self, tmp_path,
+                                                           capsys):
+        self._index(tmp_path)
         assert main(["history", "tvla_capture_on",
-                     "--runs-root", str(root)]) == 0
-        series = capsys.readouterr().out
-        assert "1 indexed run(s), newest first" in series
-        assert "-perf-" in series  # run id embeds the kind
+                     "--runs-root", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("tvla_capture_on: 2 indexed run(s), newest "
+                            "first")
+        v5, v4 = lines[2].split(), lines[3].split()
+        assert v5[:4] == ["20200102T000000-perf-bbbb", "-", "-", "204278"]
+        assert v4[:4] == ["20200101T000000-perf-aaaa", "0.5000", "0.2500",
+                          "204278"]
+        assert main(["history", "experiment:fig6",
+                     "--runs-root", str(tmp_path)]) == 0
+        assert "2.5000" in capsys.readouterr().out
 
     def test_perf_run_writes_manifest_and_rows(self, tmp_path, capsys):
         from repro.analysis.index import MANIFEST_NAME
 
         root = tmp_path / "runs"
-        assert main(["perf", "--scale", "0.05", "--repeats", "1",
-                     "--no-gc-heavy",
-                     "--output", str(tmp_path / "BENCH.json"),
+        assert main(["perf", "--output", str(tmp_path / "BENCH.json"),
                      "--runs-root", str(root)]) == 0
         capsys.readouterr()
         manifests = list(root.glob(f"*/{MANIFEST_NAME}"))
@@ -417,82 +330,3 @@ class TestCliHistoryAndGate:
         with RunIndex.at_root(str(root)) as index:
             assert len(index.runs(kind="perf")) == 1
             assert "tvla_capture_on" in index.benchmark_names()
-
-    def test_gate_fails_on_injected_slowdown(self, bench_doc, tmp_path,
-                                             capsys):
-        """History seeded with a 100x-faster doctored doc makes the real
-        run look like a regression: the gate must exit non-zero."""
-        root = tmp_path / "runs"
-        fast = copy.deepcopy(bench_doc)
-        for record in fast["benchmarks"]:
-            record["wall_seconds"] /= 100.0
-            record["phases"] = {phase: seconds / 100.0
-                                for phase, seconds in
-                                record["phases"].items()}
-        assert main(["history", "--ingest",
-                     self._write(fast, tmp_path / "fast.json"),
-                     "--runs-root", str(root)]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as excinfo:
-            main(["perf", "--scale", "0.05", "--repeats", "1",
-                  "--no-gc-heavy",
-                  "--output", str(tmp_path / "BENCH.json"),
-                  "--gate", "--runs-root", str(root)])
-        assert excinfo.value.code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "regression(s)" in out
-
-    def test_gate_passes_against_honest_history(self, bench_doc, tmp_path,
-                                                capsys):
-        root = tmp_path / "runs"
-        assert main(["history", "--ingest",
-                     self._write(bench_doc, tmp_path / "honest.json"),
-                     "--runs-root", str(root)]) == 0
-        capsys.readouterr()
-        assert main(["perf", "--scale", "0.05", "--repeats", "1",
-                     "--no-gc-heavy",
-                     "--output", str(tmp_path / "BENCH.json"),
-                     "--gate", "--gate-threshold", "100",
-                     "--runs-root", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "gate: ok" in out
-
-    def test_gate_refuses_tick_diverged_history(self, bench_doc, tmp_path,
-                                                capsys):
-        """Indexed rows measuring different simulated work must be
-        refused, naming the benchmark and both tick values."""
-        root = tmp_path / "runs"
-        doctored = copy.deepcopy(bench_doc)
-        name = doctored["benchmarks"][0]["name"]
-        true_ticks = doctored["benchmarks"][0]["ticks"]
-        doctored["benchmarks"][0]["ticks"] = true_ticks + 1
-        assert main(["history", "--ingest",
-                     self._write(doctored, tmp_path / "diverged.json"),
-                     "--runs-root", str(root)]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as excinfo:
-            main(["perf", "--scale", "0.05", "--repeats", "1",
-                  "--no-gc-heavy",
-                  "--output", str(tmp_path / "BENCH.json"),
-                  "--gate", "--runs-root", str(root)])
-        message = str(excinfo.value)
-        assert excinfo.value.code != 0
-        assert name in message
-        assert str(true_ticks + 1) in message   # indexed ticks
-        assert str(true_ticks) in message       # current ticks
-        assert "cannot gate" in message
-
-    def test_gate_requires_the_index(self, tmp_path):
-        with pytest.raises(SystemExit, match="--gate needs the index"):
-            main(["perf", "--scale", "0.05", "--repeats", "1",
-                  "--no-gc-heavy",
-                  "--output", str(tmp_path / "BENCH.json"),
-                  "--gate", "--no-index"])
-
-    def test_ingest_rejects_invalid_documents(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(SystemExit):
-            main(["history", "--ingest", str(bad),
-                  "--runs-root", str(tmp_path / "runs")])

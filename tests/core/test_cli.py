@@ -91,33 +91,59 @@ class TestCommands:
         assert code == 0
         assert "original minimal heap" in out
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_experiment_manifest_records_the_scheduler_split(
+            self, capsys, tmp_path, jobs):
+        import json
+
+        from repro.analysis.scheduler import SchedulerStats
+
+        run_cli(capsys, "experiment", "fig7", "--scale", "0.05",
+                "--resolution", "32768", "--jobs", str(jobs),
+                "--runs-root", str(tmp_path))
+        [manifest] = tmp_path.glob("*/manifest.json")
+        split = json.loads(manifest.read_text())["results"]["scheduler"]
+        assert split.keys() == SchedulerStats().as_dict().keys()
+        assert split["jobs_executed"] > 0
+        # Only a pool has a spawn cost and measures in-worker time.
+        assert (split["spawn_seconds"] > 0) == (jobs > 1)
+        assert (split["worker_seconds"] > 0) == (jobs > 1)
+
     def test_experiment_rejects_zero_jobs(self):
         with pytest.raises(SystemExit, match="--jobs"):
             main(["experiment", "fig3", "--scale", "0.1", "--jobs", "0"])
 
     @pytest.mark.parametrize("message,argv", [
-        ("--top must be >= 0", ["optimize", "tvla", "--top", "-1"]),
-        ("--top must be >= 0", ["profile", "tvla", "--top", "-1"]),
-        ("--limit must be >= 0", ["histogram", "tvla", "--limit", "-1"]),
-        ("--repeats must be >= 1", ["perf", "--repeats", "0",
-                                    "--no-index"]),
+        ("--top must be >= 0", ["optimize", "tvla", "--top", "-1",
+                                "--scale", "0.05"]),
+        ("--top must be >= 0", ["profile", "tvla", "--top", "-1",
+                                "--scale", "0.05"]),
+        ("--limit must be >= 0", ["histogram", "tvla", "--limit", "-1",
+                                  "--scale", "0.05"]),
+        ("--scale must be > 0", ["profile", "tvla", "--scale", "0"]),
+        ("--scale must be > 0", ["optimize", "tvla", "--scale", "-1"]),
+        ("--scale must be > 0", ["online", "tvla", "--scale", "0"]),
+        ("--scale must be > 0", ["experiment", "fig6", "--scale", "-1",
+                                 "--no-index"]),
+        ("--scale must be > 0", ["fuzz", "--record", "tvla",
+                                 "--scale", "0"]),
+        ("--last must be >= 1", ["history", "--last", "-1"]),
     ], ids=["optimize-top", "profile-top", "histogram-limit",
-            "perf-repeats"])
+            "profile-scale", "optimize-scale", "online-scale",
+            "experiment-scale", "fuzz-scale", "history-last"])
     def test_out_of_range_counts_exit(self, message, argv, tmp_path):
-        """A negative count would be sliced as ``[:-1]`` and a zero
-        repeat count run once, so the CLI refuses both before running
-        anything."""
+        """A negative count would be sliced as ``[:-1]``, a non-positive
+        scale builds no workload, and ``--last -1`` would mean no limit,
+        so the CLI refuses them before running anything."""
+        if argv[0] == "history":
+            argv = [*argv, "--runs-root", str(tmp_path)]
         with pytest.raises(SystemExit) as excinfo:
-            main([*argv, "--scale", "0.05",
-                  *(["--output", str(tmp_path / "BENCH.json")]
-                    if argv[0] == "perf" else [])])
+            main(argv)
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("flag,argv", [
         ("--resolution", ["experiment", "fig6", "--resolution", "0"]),
-        ("--suite-resolution", ["perf", "--suite", "--jobs", "2",
-                                "--suite-resolution", "0"]),
-    ], ids=["experiment", "perf-suite"])
+    ], ids=["experiment"])
     def test_resolution_below_one_exits(self, flag, argv, tmp_path):
         """A min-heap search at resolution 0 never ends, so the CLI
         refuses it before running anything.  In a subprocess so a
