@@ -39,8 +39,11 @@ class ImplementationRegistry:
     """Named collection-implementation factories, queried by ADT kind."""
 
     def __init__(self) -> None:
-        self._factories: Dict[CollectionKind, Dict[str, ImplFactory]] = {
-            kind: {} for kind in CollectionKind}
+        # Factory tables keyed by the kind's value: wrappers look them up
+        # on every construction, and a str hashes in C where the enum's
+        # __hash__ is a Python call.
+        self._factories: Dict[str, Dict[str, ImplFactory]] = {
+            kind.value: {} for kind in CollectionKind}
         self._defaults: Dict[str, str] = {}
         self._src_kinds: Dict[str, CollectionKind] = {}
 
@@ -54,12 +57,12 @@ class ImplementationRegistry:
         if not kinds:
             raise ValueError("an implementation must back at least one kind")
         for kind in kinds:
-            self._factories[kind][name] = factory
+            self._factories[kind.value][name] = factory
 
     def register_source_type(self, src_type: str, kind: CollectionKind,
                              default_impl: str) -> None:
         """Declare a program-visible source type and its default backing."""
-        if default_impl not in self._factories[kind]:
+        if default_impl not in self._factories[kind.value]:
             raise KeyError(f"unknown implementation {default_impl!r} "
                            f"for kind {kind.value}")
         self._defaults[src_type] = default_impl
@@ -72,7 +75,7 @@ class ImplementationRegistry:
         """The factory of implementation ``name`` backing ADT ``kind``,
         called as ``factory(vm, initial_capacity=..., context_id=...,
         **kwargs)``."""
-        factory = self._factories[kind].get(name)
+        factory = self._factories[kind.value].get(name)
         if factory is None:
             raise KeyError(
                 f"no implementation named {name!r} can back a {kind.value}")
@@ -89,11 +92,11 @@ class ImplementationRegistry:
 
     def supports(self, name: str, kind: CollectionKind) -> bool:
         """Whether ``name`` can back ADT ``kind``."""
-        return name in self._factories[kind]
+        return name in self._factories[kind.value]
 
     def names_for_kind(self, kind: CollectionKind) -> Iterable[str]:
         """All implementation names registered for ``kind``."""
-        return sorted(self._factories[kind].keys())
+        return sorted(self._factories[kind.value].keys())
 
     def default_impl_for(self, src_type: str) -> str:
         """The default implementation behind a source type."""

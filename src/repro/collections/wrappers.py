@@ -67,6 +67,8 @@ class ChameleonCollection:
     """Common wrapper machinery for the three ADT kinds."""
 
     KIND: CollectionKind
+    #: ``KIND.value``: the key of the registry's factory tables.
+    _KIND_KEY: str
     DEFAULT_SRC_TYPE: str
 
     def __new__(cls, vm: "RuntimeEnvironment", *args: Any, **kwargs: Any):
@@ -137,53 +139,65 @@ class ChameleonCollection:
                     merged_kwargs = {**(impl_kwargs or {}),
                                      **choice.impl_kwargs}
         # The default name and the factory straight from the registry's
-        # tables (no method hop); a miss falls through to the method,
-        # which raises the registry's KeyError.
+        # tables (no method hop, keyed by the kind's value, not the
+        # enum); a miss falls through to the method, which raises the
+        # registry's KeyError.
         if impl_name is None:
             impl_name = (registry._defaults.get(src_type)
                          or registry.default_impl_for(src_type))
-        factory = (registry._factories[self.KIND].get(impl_name)
+        factory = (registry._factories[self._KIND_KEY].get(impl_name)
                    or registry.factory(impl_name, self.KIND))
-        if merged_kwargs:
-            impl = factory(vm, initial_capacity=capacity,
-                           context_id=context_id, **merged_kwargs)
-        else:
-            impl = factory(vm, initial_capacity=capacity,
-                           context_id=context_id)
-        self.impl: CollectionImpl = impl
+        # The impl leaves its anchor pinned on the operand stack until
+        # `adopt`; if anything before the wrapper's own object exists
+        # raises (an OutOfMemoryError), cut the stack back to this depth
+        # so no half-built impl stays rooted.
+        operands = vm.heap.operands
+        depth = len(operands)
+        try:
+            if merged_kwargs:
+                impl = factory(vm, initial_capacity=capacity,
+                               context_id=context_id, **merged_kwargs)
+            else:
+                impl = factory(vm, initial_capacity=capacity,
+                               context_id=context_id)
+            self.impl: CollectionImpl = impl
 
-        # Per-cycle footprint caches, keyed on the impl's structural
-        # token (None = impl opted out of caching).  Invalidated on
-        # swap_to, which replaces the impl outright.
-        self._fp_token: Optional[int] = None
-        self._fp_triple: Optional[FootprintTriple] = None
-        self._ids_token: Optional[int] = None
-        self._ids_list: List[int] = []
+            # Per-cycle footprint caches, keyed on the impl's structural
+            # token (None = impl opted out of caching).  Invalidated on
+            # swap_to, which replaces the impl outright.
+            self._fp_token: Optional[int] = None
+            self._fp_triple: Optional[FootprintTriple] = None
+            self._ids_token: Optional[int] = None
+            self._ids_list: List[int] = []
 
-        # Recording state, fixed for the wrapper's lifetime: the clock
-        # whose `pending` lane the single-element ops add to, their fused
-        # per-op constant (RuntimeEnvironment rejects negative ones), the
-        # heap's operand stack, and a sampled instance's profiling record
-        # and dense counter array.
-        # The death hook folds the record into its context aggregate,
-        # bound by the profiler.
-        self._clock = vm.clock
-        self._ticks = vm.costs.wrapper_delegation
-        self._operands = vm.heap.operands
-        self._oci = self._counts = None
-        on_death = None
-        if profile:
-            oci, on_death = profiler.on_profiled_allocation(
-                context_id, src_type, impl_name, initial_capacity)
-            self._oci = oci
-            self._counts = oci.counts
-            self._ticks += vm.costs.profile_op
+            # Recording state, fixed for the wrapper's lifetime: the
+            # clock whose `pending` lane the single-element ops add to,
+            # their fused per-op constant (RuntimeEnvironment rejects
+            # negative ones), the heap's operand stack, and a sampled
+            # instance's profiling record and dense counter array.
+            # The death hook folds the record into its context
+            # aggregate, bound by the profiler.
+            self._clock = vm.clock
+            self._ticks = vm.costs.wrapper_delegation
+            self._operands = operands
+            self._oci = self._counts = None
+            on_death = None
+            if profile:
+                oci, on_death = profiler.on_profiled_allocation(
+                    context_id, src_type, impl_name, initial_capacity)
+                self._oci = oci
+                self._counts = oci.counts
+                self._ticks += vm.costs.profile_op
 
-        # The wrapper object: a header and its single impl field.
-        heap_obj = self.heap_obj = vm.allocate(
-            src_type, vm.object_sizes[1, 0], payload=self,
-            context_id=context_id, on_death=on_death)
-        heap_obj.add_ref(impl.anchor.obj_id)
+            # The wrapper object: a header and its single impl field.
+            heap_obj = self.heap_obj = vm.allocate(
+                src_type, vm.object_sizes[1, 0], payload=self,
+                context_id=context_id, on_death=on_death)
+        except BaseException:
+            del operands[depth:]
+            raise
+        # A fresh object: its one edge is set directly.
+        heap_obj.refs[impl.anchor.obj_id] = 1
         impl.adopt()
 
         if copy_from is not None:
@@ -298,23 +312,26 @@ class ChameleonCollection:
         capacity = initial_capacity
         if capacity is None:
             capacity = max(self.impl.size, 1)
-        new_impl = self.registry.create(
-            self.vm, impl_name, kind=self.KIND, initial_capacity=capacity,
-            context_id=self.context_id, **(impl_kwargs or {}))
         old_impl = self.impl
-        self.impl = new_impl
-        self._fp_token = None
-        self._ids_token = None
+        operands = self.vm.heap.operands
+        depth = len(operands)
         try:
+            new_impl = self.registry.create(
+                self.vm, impl_name, kind=self.KIND,
+                initial_capacity=capacity, context_id=self.context_id,
+                **(impl_kwargs or {}))
+            self.impl = new_impl
+            self._fp_token = None
+            self._ids_token = None
             self._migrate(old_impl, new_impl)
         except BaseException:
             # The old impl is still linked from the wrapper and intact;
-            # the new one loses its construction root without gaining an
+            # a new one loses its construction pin without gaining an
             # owner, so the next cycle frees it.
             self.impl = old_impl
             self._fp_token = None
             self._ids_token = None
-            new_impl.adopt()
+            del operands[depth:]
             raise
         self.heap_obj.remove_ref(old_impl.anchor_id)
         self.heap_obj.add_ref(new_impl.anchor_id)
@@ -427,6 +444,7 @@ class ChameleonList(ChameleonCollection):
     """The wrapped List ADT."""
 
     KIND = CollectionKind.LIST
+    _KIND_KEY = KIND.value
     DEFAULT_SRC_TYPE = "ArrayList"
 
     impl: ListImpl
@@ -624,6 +642,7 @@ class ChameleonSet(ChameleonCollection):
     """The wrapped Set ADT."""
 
     KIND = CollectionKind.SET
+    _KIND_KEY = KIND.value
     DEFAULT_SRC_TYPE = "HashSet"
 
     impl: SetImpl
@@ -706,6 +725,7 @@ class ChameleonMap(ChameleonCollection):
     """The wrapped Map ADT."""
 
     KIND = CollectionKind.MAP
+    _KIND_KEY = KIND.value
     DEFAULT_SRC_TYPE = "HashMap"
 
     impl: MapImpl

@@ -165,12 +165,14 @@ class SimHeap:
 
     Two kinds of root keep an object alive.  *Named roots*
     (:meth:`add_root`/:meth:`remove_root`: a workload's globals, a
-    pinned collection, a half-built ADT) are pin counts that may be
-    released in any order.  The *operand stack* (:attr:`operands`)
-    models the Java caller's stack slots: a collection operation pushes
-    each heap-object operand before it delegates and pops it in a
-    ``finally``, so the stack is strictly last-in-first-out and empty
-    between operations.  Marking seeds from both (:meth:`root_ids`).
+    pinned collection) are pin counts that may be released in any
+    order.  The *operand stack* (:attr:`operands`) models the Java
+    caller's stack slots: a collection operation pushes each heap-object
+    operand before it delegates and pops it in a ``finally``, and a
+    collection under construction holds its impl's anchor there until
+    the owner adopts it (or cuts the stack back if building raised), so
+    the stack is strictly last-in-first-out and empty between
+    operations.  Marking seeds from both (:meth:`root_ids`).
 
     The heap does not collect by itself; :class:`repro.memory.gc.MarkSweepGC`
     owns the mark/sweep logic.  The heap *does* know its occupancy so the

@@ -204,29 +204,38 @@ class _ReferenceOps:
         if impl_name is None:
             impl_name = self.registry.default_impl_for(self.src_type)
 
-        self.impl = self.registry.create(
-            vm, impl_name, kind=self.KIND, initial_capacity=capacity,
-            context_id=self.context_id, **merged_kwargs)
+        # The new impl's anchor stays on the operand stack until
+        # adopted; a construction that raises first leaves the stack as
+        # it found it.
+        operands = vm.heap.operands
+        depth = len(operands)
+        try:
+            self.impl = self.registry.create(
+                vm, impl_name, kind=self.KIND, initial_capacity=capacity,
+                context_id=self.context_id, **merged_kwargs)
 
-        self._fp_token = None
-        self._fp_triple = None
-        self._ids_token = None
-        self._ids_list = []
+            self._fp_token = None
+            self._fp_triple = None
+            self._ids_token = None
+            self._ids_list = []
 
-        self._oci = None
-        on_death = None
-        if profile:
-            self._oci = vm.profiler.on_allocation(
-                self.context_id, self.src_type, impl_name,
-                initial_capacity=initial_capacity)
-            oci = self._oci
-            profiler = vm.profiler
-            on_death = lambda heap_obj: profiler.on_death(oci)
+            self._oci = None
+            on_death = None
+            if profile:
+                self._oci = vm.profiler.on_allocation(
+                    self.context_id, self.src_type, impl_name,
+                    initial_capacity=initial_capacity)
+                oci = self._oci
+                profiler = vm.profiler
+                on_death = lambda heap_obj: profiler.on_death(oci)
 
-        wrapper_size = vm.model.object_size(ref_fields=1)
-        self.heap_obj = vm.allocate(
-            self.src_type, wrapper_size, payload=self,
-            context_id=self.context_id, on_death=on_death)
+            wrapper_size = vm.model.object_size(ref_fields=1)
+            self.heap_obj = vm.allocate(
+                self.src_type, wrapper_size, payload=self,
+                context_id=self.context_id, on_death=on_death)
+        except BaseException:
+            del operands[depth:]
+            raise
         self.heap_obj.add_ref(self.impl.anchor_id)
         self.impl.adopt()
 

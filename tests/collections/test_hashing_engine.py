@@ -6,6 +6,8 @@ from repro.collections.hashing import HashTableEngine, next_power_of_two
 from repro.collections.maps import (HashMapImpl, LazyMapImpl,
                                     LinkedHashMapImpl)
 from repro.collections.sets import HashSetImpl, LinkedHashSetImpl
+from repro.collections.wrappers import ChameleonMap
+from repro.memory.heap import OutOfMemoryError
 from repro.runtime.vm import RuntimeEnvironment
 from repro.verify.sanitizer import HeapSanitizer
 
@@ -239,3 +241,88 @@ class TestConstructionPin:
             for ref_id in entry.heap_obj.refs:
                 assert vm.heap.contains(ref_id)
         assert sanitizer.ok, sanitizer.report()
+
+
+class TestPutOutOfMemory:
+    """An ``OutOfMemoryError`` raised while ``put`` boxes an element
+    leaves the map as it was: its mappings, its box pool and its heap
+    edges.  Ticks move only on the raising path."""
+
+    def _map(self, **kwargs):
+        vm = RuntimeEnvironment(gc_threshold_bytes=None, **kwargs)
+        sanitizer = HeapSanitizer().attach(vm)
+        return vm, sanitizer, ChameleonMap(vm).pin()
+
+    def _assert_consistent(self, vm, sanitizer, mapping):
+        """Every mapping removes cleanly, and the emptied map's pool
+        holds no box, with no dangling edge at any cycle."""
+        vm.collect()
+        for key, value in mapping.snapshot_items():
+            assert mapping.remove_key(key) == value
+        assert mapping.impl.boxes.box_count == 0
+        vm.collect()
+        assert sanitizer.ok, sanitizer.report()
+
+    def test_insert_returns_the_key_box_when_boxing_the_value_raises(self):
+        vm, sanitizer, mapping = self._map(heap_limit=168)
+        record = vm.allocate_data("Rec")
+        vm.add_root(record)
+        with pytest.raises(OutOfMemoryError):
+            mapping.put(0, -1000)
+        assert mapping.snapshot_items() == []
+        assert mapping.impl.boxes.box_count == 0
+        vm.collect()
+        # The key's box was swept with the unlinked entry; a later put
+        # of the same primitive boxes it afresh (and, with a record
+        # value, just fits).
+        mapping.put(0, record)
+        assert mapping.get(0) is record
+        self._assert_consistent(vm, sanitizer, mapping)
+
+    def test_update_keeps_the_old_value_box_when_boxing_the_new_raises(self):
+        vm, sanitizer, mapping = self._map(heap_limit=200)
+        mapping.put(0, 1)
+        mapping.put(1, 1)
+        edges = {entry.heap_obj.obj_id: dict(entry.heap_obj.refs)
+                 for entry in mapping.impl._table._order}
+        with pytest.raises(OutOfMemoryError):
+            mapping.put(0, -1000)
+        assert mapping.snapshot_items() == [(0, 1), (1, 1)]
+        assert {entry.heap_obj.obj_id: dict(entry.heap_obj.refs)
+                for entry in mapping.impl._table._order} == edges
+        assert mapping.remove_key(0) == 1
+        self._assert_consistent(vm, sanitizer, mapping)
+
+    def test_update_reboxes_an_old_value_whose_box_was_swept(self):
+        """The old value's box had no other count, so the collection
+        before the OOM (here a GC-overhead one) swept it; the entry gets
+        a fresh box for the value it keeps."""
+        vm, sanitizer, mapping = self._map(
+            heap_limit=200, gc_overhead_fraction=1.0, gc_overhead_limit=1)
+        mapping.put(0, 5)
+        while vm.heap.occupied_bytes + 16 <= 200:
+            vm.add_root(vm.allocate_data("Filler", int_fields=1))
+        (entry,) = mapping.impl._table._order
+        old_box = next(ref for ref in entry.heap_obj.refs
+                       if vm.heap.get(ref).type_name == "Box"
+                       and ref != mapping.impl.boxes.peek(0))
+        with pytest.raises(OutOfMemoryError):
+            mapping.put(0, 6)
+        assert not vm.heap.contains(old_box)
+        assert mapping.get(0) == 5
+        new_box = mapping.impl.boxes.peek(5)
+        assert new_box != old_box and vm.heap.contains(new_box)
+        assert new_box in entry.heap_obj.refs
+        self._assert_consistent(vm, sanitizer, mapping)
+
+    def test_puts_that_do_not_raise_are_unchanged(self):
+        """The update path's order is release-then-box, as before: a
+        re-put of a value whose box held the last count boxes it anew,
+        and a cycle inside that allocation sweeps the old box."""
+        vm = RuntimeEnvironment(gc_threshold_bytes=1)
+        mapping = ChameleonMap(vm).pin()
+        mapping.put(0, 5)
+        box = mapping.impl.boxes.peek(5)
+        mapping.put(0, 5)
+        assert mapping.impl.boxes.peek(5) != box
+        assert not vm.heap.contains(box)
