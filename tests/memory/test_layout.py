@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memory.layout import MemoryModel
+from repro.memory.layout import MemoryModel, RefArraySizes
 
 
 class TestAlignment:
@@ -87,6 +87,14 @@ class TestArraySizes:
 
     def test_core_size_is_bare_pointer_array(self, model):
         assert model.core_size(5) == model.ref_array_size(5)
+
+    def test_ref_array_sizes_table_sizes_by_the_model(self, model):
+        table = RefArraySizes(model)
+        assert [table[n] for n in (0, 5, 16, 5)] == [
+            model.ref_array_size(n) for n in (0, 5, 16, 5)]
+        with pytest.raises(ValueError):
+            table[-1]
+        assert -1 not in table
 
     @given(st.integers(min_value=0, max_value=100_000))
     def test_ref_array_monotonic_in_length(self, n):
