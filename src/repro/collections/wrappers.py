@@ -90,7 +90,7 @@ class ChameleonCollection:
                  use_shared_empty_iterator: bool = False,
                  impl_kwargs: Optional[Dict[str, Any]] = None) -> None:
         """Sampling decision, context capture, policy consultation, impl
-        creation, profiler registration, wrapper heap allocation,
+        creation, wrapper heap allocation, profiler registration,
         adoption, copy fill and tracer callback, in that order.
 
         Context resolution is skipped when nothing captures (no explicit
@@ -174,28 +174,31 @@ class ChameleonCollection:
             # clock whose `pending` lane the single-element ops add to,
             # their fused per-op constant (RuntimeEnvironment rejects
             # negative ones), the heap's operand stack, and a sampled
-            # instance's profiling record and dense counter array.
-            # The death hook folds the record into its context
-            # aggregate, bound by the profiler.
+            # instance's profiling record and dense counter array (set
+            # below, once the wrapper's object exists).
             self._clock = vm.clock
             self._ticks = vm.costs.wrapper_delegation
             self._operands = operands
             self._oci = self._counts = None
-            on_death = None
-            if profile:
-                oci, on_death = profiler.on_profiled_allocation(
-                    context_id, src_type, impl_name, initial_capacity)
-                self._oci = oci
-                self._counts = oci.counts
-                self._ticks += vm.costs.profile_op
 
             # The wrapper object: a header and its single impl field.
             heap_obj = self.heap_obj = vm.allocate(
                 src_type, vm.object_sizes[1, 0], payload=self,
-                context_id=context_id, on_death=on_death)
+                context_id=context_id)
         except BaseException:
             del operands[depth:]
             raise
+        if profile:
+            # Registered only now, so a construction that ran out of
+            # memory leaves no record, count or live entry behind.  The
+            # death hook folds the record into its context aggregate;
+            # registration charges nothing and no cycle can start
+            # between the allocation and this binding.
+            oci, heap_obj.on_death = profiler.on_profiled_allocation(
+                context_id, src_type, impl_name, initial_capacity)
+            self._oci = oci
+            self._counts = oci.counts
+            self._ticks += vm.costs.profile_op
         # A fresh object: its one edge is set directly.
         heap_obj.refs[impl.anchor.obj_id] = 1
         impl.adopt()

@@ -338,29 +338,76 @@ class SiteState:
         return merged
 
 
-class _State:
-    """Abstract program state: environment plus site table."""
+class _Watch:
+    """The pre-existing sites a loop's trial run must not write.
 
-    __slots__ = ("env", "sites", "dead")
+    The widened base of :meth:`_FuncInterp._run_loop` zeroes the
+    op/growth anchors only of the sites its probe wrote; the others
+    (``frozen``) keep their pre-loop counters, which the trial may read
+    but never change.  The copy-on-write step records a write to a
+    frozen site in any state derived from the trial in ``hits``, and
+    the trial is rerun with that site zeroed too.  A nested loop's
+    base and result states belong to the enclosing trial, so a write
+    inside the nested loop reaches the enclosing watch through them.
+    """
+
+    __slots__ = ("frozen", "hits")
+
+    def __init__(self, frozen: Set[int]):
+        self.frozen = frozen
+        self.hits: Set[int] = set()
+
+
+class _State:
+    """Abstract program state: environment plus site table.
+
+    Copies share their :class:`SiteState` objects (copy-on-write).
+    ``owned`` holds the ids of the sites no other state holds, which
+    this state may change in place; every other write goes through
+    :meth:`own`, which copies the site on its first write.  ``watch`` is
+    the loop trial this state belongs to, if any (:class:`_Watch`).
+    """
+
+    __slots__ = ("env", "sites", "dead", "owned", "watch")
 
     def __init__(self, env: Optional[Dict[str, Any]] = None,
                  sites: Optional[Dict[int, SiteState]] = None,
-                 dead: bool = False):
+                 dead: bool = False, watch: Optional[_Watch] = None):
         self.env: Dict[str, Any] = env or {}
         self.sites: Dict[int, SiteState] = sites or {}
         self.dead = dead
+        self.owned: Set[int] = set()
+        self.watch = watch
 
     def clone(self) -> "_State":
-        return _State(dict(self.env),
-                      {sid: site.clone()
-                       for sid, site in self.sites.items()},
-                      self.dead)
+        # Both copies now share every site, so neither owns one.
+        if self.owned:
+            self.owned = set()
+        return _State(dict(self.env), dict(self.sites), self.dead,
+                      self.watch)
+
+    def own(self, sid: int) -> SiteState:
+        """The site ``sid``, private to this state and safe to write."""
+        site = self.sites[sid]
+        if sid not in self.owned:
+            watch = self.watch
+            if watch is not None and sid in watch.frozen:
+                watch.hits.add(sid)
+            site = site.clone()
+            self.sites[sid] = site
+            self.owned.add(sid)
+        return site
+
+    def adopt(self, sid: int, site: SiteState) -> None:
+        """Add a site object no other state holds."""
+        self.sites[sid] = site
+        self.owned.add(sid)
 
     def escape(self, refs: Iterable[int]) -> None:
         for sid in refs:
             site = self.sites.get(sid)
-            if site is not None:
-                site.escaped = True
+            if site is not None and not site.escaped:
+                self.own(sid).escaped = True
 
     def escape_value(self, value: Any) -> None:
         self.escape(_refs_in(value))
@@ -371,8 +418,9 @@ class _State:
             return
         if self.dead:
             self.env = dict(other.env)
-            self.sites = {sid: s.clone()
-                          for sid, s in other.sites.items()}
+            self.sites = dict(other.sites)
+            self.owned = set()
+            other.owned = set()
             self.dead = False
             return
         env: Dict[str, Any] = {}
@@ -387,8 +435,12 @@ class _State:
                                              other.env[name])
                 lost |= sub
         sites: Dict[int, SiteState] = {}
+        owned: Set[int] = set()
         for sid in set(self.sites) | set(other.sites):
             mine, theirs = self.sites.get(sid), other.sites.get(sid)
+            if mine is theirs:
+                sites[sid] = mine
+                continue
             if mine is None or theirs is None:
                 only = (mine or theirs).clone()
                 only.conditional = True
@@ -396,8 +448,10 @@ class _State:
                 sites[sid] = only
             else:
                 sites[sid] = mine.join_with(theirs)
+            owned.add(sid)
         self.env = env
         self.sites = sites
+        self.owned = owned
         self.escape(lost)
 
 
@@ -466,7 +520,9 @@ class _ModuleAnalysis:
         self.module_consts: Dict[str, Optional[ast.expr]] = {}
         self.class_consts: Dict[str, Dict[str, Optional[ast.expr]]] = {}
         self.next_site_id = 1
-        self.used_summaries: Set[Tuple[Optional[str], str]] = set()
+        # Insertion-ordered (a dict, not a set) so rollback() can drop
+        # the entries a discarded loop trial added.
+        self.used_summaries: Dict[Tuple[Optional[str], str], None] = {}
         self._summaries: Dict[Tuple[Optional[str], str],
                               Optional[_Summary]] = {}
         self._in_progress: Set[Tuple[Optional[str], str]] = set()
@@ -588,6 +644,19 @@ class _ModuleAnalysis:
         self.budget -= 1
         if self.budget < 0:
             raise _Bailout()
+
+    def checkpoint(self) -> Tuple[int, int, int]:
+        return (self.budget, len(self._summaries), len(self.used_summaries))
+
+    def rollback(self, mark: Tuple[int, int, int]) -> None:
+        """Forget the work done since ``checkpoint()``: its statement
+        budget and the summaries it computed and applied, so a rerun
+        spends and records exactly what one run would."""
+        self.budget, summaries, used = mark
+        for key in list(self._summaries)[summaries:]:
+            del self._summaries[key]
+        for key in list(self.used_summaries)[used:]:
+            del self.used_summaries[key]
 
     # -- constants -----------------------------------------------------
     def const_value(self, name: str,
@@ -801,6 +870,19 @@ def _tri_value(tri: Tri) -> Interval:
     return MAYBE
 
 
+def _zero_anchor(state: _State, sid: int, widen: bool) -> None:
+    """Make site ``sid`` of a loop's widened base a per-iteration
+    anchor: counters zeroed, and for a site the probe mutated, the size
+    widened to every iteration entry."""
+    site = state.own(sid)
+    site.ops = {}
+    site.growth = ZERO
+    site.peak = 0.0
+    if widen:
+        site.size = UNBOUNDED
+        site.max_size = site.max_size.hull(UNBOUNDED)
+
+
 def _as_load(node: ast.expr) -> ast.expr:
     """An assignment target reused as the read side of ``x op= v``.
 
@@ -855,7 +937,7 @@ class _FuncInterp:
                 file=self.owner.path, line=self.node.lineno,
                 coarse_location=self.location,
                 coarse_line=self.node.lineno)
-            state.sites[sid] = site
+            state.adopt(sid, site)
             state.env[arg.arg] = _Ref({sid})
             self.param_sites[arg.arg] = sid
         # Keyword-only args with evaluable defaults participate too.
@@ -973,8 +1055,8 @@ class _FuncInterp:
             if self.root and isinstance(value, _Ref):
                 for sid in value.sites:
                     site = state.sites.get(sid)
-                    if site is not None:
-                        site.returned = True
+                    if site is not None and not site.returned:
+                        state.own(sid).returned = True
             if self._loop_depth > 0:
                 self._pending_returns.append(value)
                 if loop_exits is not None:
@@ -1045,11 +1127,11 @@ class _FuncInterp:
         # can undo an add mid-body.
         entry = pre.clone()
         entry.join_into(state)
-        for sid, site in entry.sites.items():
-            before = pre.sites.get(sid)
+        for sid, before in pre.sites.items():
             after = state.sites.get(sid)
-            if before is not None and after is not None \
+            if after is not None and after is not before \
                     and before.ops != after.ops:
+                site = entry.own(sid)
                 site.size = Interval(0.0, site.max_size.hi)
         for handler in stmt.handlers:
             branch = entry.clone()
@@ -1073,9 +1155,10 @@ class _FuncInterp:
     def _bind(self, target: ast.expr, value: Any, state: _State) -> None:
         if isinstance(target, ast.Name):
             if isinstance(value, _Ref) and len(value.sites) == 1:
-                site = state.sites.get(next(iter(value.sites)))
+                sid = next(iter(value.sites))
+                site = state.sites.get(sid)
                 if site is not None and not site.variable:
-                    site.variable = target.id
+                    state.own(sid).variable = target.id
             state.env[target.id] = value
         elif isinstance(target, (ast.Tuple, ast.List)):
             parts = self._split_iterable(value, len(target.elts), state)
@@ -1100,7 +1183,9 @@ class _FuncInterp:
                 for sid in base.sites:
                     site = state.sites.get(sid)
                     if site is not None and site.kind == "pylist":
-                        site.elem, lost = _join_elem(site.elem, value)
+                        elem, lost = _join_elem(site.elem, value)
+                        if elem is not site.elem:
+                            state.own(sid).elem = elem
                         state.escape(lost)
                         if not _refs_in(value) <= lost:
                             stored = True
@@ -1394,9 +1479,9 @@ class _FuncInterp:
             exact = self._exact_ref(copy_src, state)
             length = ZERO
             for src_sid in copy_src.sites:
-                src_site = state.sites.get(src_sid)
-                if src_site is None:
+                if src_sid not in state.sites:
                     continue
+                src_site = state.own(src_sid)
                 src_site.charge("#copied", ONE, exact)
                 length = length.hull(src_site.size)
             if kind == "list":
@@ -1408,7 +1493,7 @@ class _FuncInterp:
             site.size = UNBOUNDED
             site.max_size = UNBOUNDED
             state.escape_value(copy_src)
-        state.sites[sid] = site
+        state.adopt(sid, site)
         return _Ref({sid})
 
     def _alloc_pylist(self, node: ast.List, state: _State) -> _Ref:
@@ -1429,7 +1514,7 @@ class _FuncInterp:
             line=node.lineno, coarse_location=self.location,
             coarse_line=node.lineno, size=size, max_size=size,
             elem=elem, conditional=self._cond_depth > 0)
-        state.sites[sid] = site
+        state.adopt(sid, site)
         return _Ref({sid})
 
     # -- tracked-method application ------------------------------------
@@ -1459,17 +1544,21 @@ class _FuncInterp:
                      else _METHOD_SPECS.get(site.kind, {}))
             spec = table.get(method)
             if spec is None:
-                site.escaped = True
+                state.escape((sid,))
                 for value in args:
                     state.escape_value(value)
                 continue
             handled = True
             dsl, size_mode, ret, elem_arg = spec
+            if dsl is not None or size_mode is not None:
+                site = state.own(sid)
             if dsl is not None:
                 site.charge(dsl, ONE, exact)
             self._apply_size(site, size_mode, args, state, exact)
             if elem_arg is not None and elem_arg < len(args):
-                site.elem, lost = _join_elem(site.elem, args[elem_arg])
+                elem, lost = _join_elem(site.elem, args[elem_arg])
+                if elem is not site.elem:
+                    state.own(sid).elem = elem
                 state.escape(lost)
             if dsl in ("#addAll", "#addAll(int)", "#putAll") and args:
                 source = args[-1] if dsl != "#addAll(int)" else (
@@ -1480,8 +1569,9 @@ class _FuncInterp:
                         src_site = state.sites.get(src_sid)
                         if src_site is not None \
                                 and src_site.kind in REAL_KINDS:
-                            src_site.charge("#copied", ONE, src_exact)
-            value = self._method_result(site, ref, ret)
+                            state.own(src_sid).charge("#copied", ONE,
+                                                      src_exact)
+            value = self._method_result(state.sites[sid], ref, ret)
             result, lost = _join_value(result, value) \
                 if not (result is _NONE and value is not _NONE) \
                 else (value, set())
@@ -1682,7 +1772,7 @@ class _FuncInterp:
             for value in by_name.values():
                 state.escape_value(value)
             return None
-        self.owner.used_summaries.add((cls, name))
+        self.owner.used_summaries[(cls, name)] = None
         # Replay parameter effects onto the argument sites.
         param_ids = set(summ.param_sites.values())
         idmap: Dict[int, FrozenSet[int]] = {}
@@ -1699,9 +1789,9 @@ class _FuncInterp:
                 continue
             exact = self._exact_ref(value, state)
             for sid in value.sites:
-                site = state.sites.get(sid)
-                if site is None:
+                if sid not in state.sites:
                     continue
+                site = state.own(sid)
                 for dsl, count in ps.ops.items():
                     site.charge(dsl, count, exact)
                 pre_hi = site.size.hi
@@ -1735,7 +1825,7 @@ class _FuncInterp:
             site.conditional |= self._cond_depth > 0
             site.returned = False
             site.elem = self._remap_value(site.elem, idmap, state)
-            state.sites[new_id] = site
+            state.adopt(new_id, site)
             if summ.returns[0] == "site" and summ.returns[1] == sid:
                 returned_new = new_id
         tag = summ.returns[0]
@@ -1844,58 +1934,53 @@ class _FuncInterp:
                         target_names.add(sub.id)
 
             # 2. Widened base: over-approximates *every* iteration
-            # entry.  Op/growth anchors are zeroed so the trial run
-            # yields pure per-iteration deltas.
+            # entry.  The op/growth anchors of the sites the probe wrote
+            # are zeroed so the trial run yields pure per-iteration
+            # deltas; the others stay shared and unzeroed (their delta
+            # is zero), and the trial's watch reruns it if it writes one.
+            written = {sid for sid, site in state.sites.items()
+                       if probe.sites.get(sid) is not site}
             base = state.clone()
             for name in changed_vars - target_names:
                 old = base.env.get(name)
                 base.escape_value(old)
                 base.env[name] = None
-            for site in base.sites.values():
-                site.ops = {}
-                site.growth = ZERO
-                site.peak = 0.0
-                if site.site_id in mutated:
-                    site.size = UNBOUNDED
-                    site.max_size = site.max_size.hull(UNBOUNDED)
+            for sid in written:
+                _zero_anchor(base, sid, widen=sid in mutated)
+            watch = _Watch(set(base.sites) - written)
 
             # 3. Trials: iterate to a fixpoint on element abstractions
             # (an iteration may read values appended by earlier ones).
-            trial: Optional[_State] = None
-            trial_exits: List[_State] = []
             for _attempt in range(3):
-                del self._pending_returns[ret_mark:]
-                self.owner.reset_site_counter(site_mark)
-                trial = base.clone()
-                trial_exits = []
-                self._run_one_body(body, trial, target, element, test,
-                                   trial_exits)
+                trial, trial_exits = self._run_trial(
+                    body, base, watch, target, element, test, ret_mark,
+                    site_mark)
                 stable = True
-                for sid, bsite in base.sites.items():
+                for sid, bsite in list(base.sites.items()):
                     tsite = trial.sites.get(sid)
-                    if tsite is None:
+                    if tsite is None or tsite is bsite:
                         continue
                     joined, lost = _join_elem(bsite.elem, tsite.elem)
                     if not _val_eq(joined, bsite.elem) or lost:
-                        bsite.elem = joined
+                        base.own(sid).elem = joined
                         base.escape(lost)
                         stable = False
                 if stable:
                     break
             else:
-                for bsite in base.sites.values():
-                    base.escape_value(bsite.elem)
-                    bsite.elem = None
-                del self._pending_returns[ret_mark:]
-                self.owner.reset_site_counter(site_mark)
-                trial = base.clone()
-                trial_exits = []
-                self._run_one_body(body, trial, target, element, test,
-                                   trial_exits)
+                for sid in list(base.sites):
+                    elem = base.sites[sid].elem
+                    base.escape_value(elem)
+                    if elem is not None:
+                        base.own(sid).elem = None
+                trial, trial_exits = self._run_trial(
+                    body, base, watch, target, element, test, ret_mark,
+                    site_mark)
             had_exit = had_exit or bool(trial_exits)
 
             # 4. Restoration: before + delta * trips.
-            result = self._restore(state, trial, trips, had_exit)
+            result = self._restore(state, trial, trips, had_exit,
+                                   watch.frozen)
             for exit_state in trial_exits:
                 for name, value in exit_state.env.items():
                     if name in result.env \
@@ -1909,6 +1994,7 @@ class _FuncInterp:
                 result.join_into(state)
             state.env = result.env
             state.sites = result.sites
+            state.owned = result.owned
             state.dead = False
         finally:
             self._loop_depth -= 1
@@ -1916,6 +2002,42 @@ class _FuncInterp:
             for value in self._pending_returns:
                 self.exit_states.append((value, state.clone()))
             del self._pending_returns[:]
+
+    def _run_trial(self, body: Sequence[ast.stmt], base: _State,
+                   watch: _Watch, target: Optional[ast.expr], element: Any,
+                   test: Optional[ast.expr], ret_mark: int,
+                   site_mark: int) -> Tuple[_State, List[_State]]:
+        """One trial run of a loop body from its widened ``base``.
+
+        A run that writes a site ``watch`` holds frozen is discarded
+        (with the budget and summaries it spent) and run again with
+        those sites zeroed in ``base``, so the accepted run equals one
+        from a base with every site zeroed.  A budget bailout counts
+        only in a run that wrote no frozen site.
+        """
+        owner = self.owner
+        depths = (self._loop_depth, self._cond_depth)
+        while True:
+            del self._pending_returns[ret_mark:]
+            owner.reset_site_counter(site_mark)
+            mark = owner.checkpoint()
+            trial = base.clone()
+            trial.watch = watch
+            exits: List[_State] = []
+            try:
+                self._run_one_body(body, trial, target, element, test,
+                                   exits)
+            except _Bailout:
+                if not watch.hits:
+                    raise
+                self._loop_depth, self._cond_depth = depths
+            if not watch.hits:
+                return trial, exits
+            owner.rollback(mark)
+            for sid in watch.hits:
+                _zero_anchor(base, sid, widen=False)
+            watch.frozen -= watch.hits
+            watch.hits = set()
 
     def _run_one_body(self, body: Sequence[ast.stmt], run: _State,
                       target: Optional[ast.expr], element: Any,
@@ -1940,7 +2062,7 @@ class _FuncInterp:
         mutated: Set[int] = set()
         for sid, bsite in before.sites.items():
             asite = after.sites.get(sid)
-            if asite is None:
+            if asite is None or asite is bsite:
                 continue
             if (bsite.ops != asite.ops or bsite.size != asite.size
                     or not _val_eq(bsite.elem, asite.elem)
@@ -1953,7 +2075,7 @@ class _FuncInterp:
         return mutated, changed
 
     def _restore(self, pre: _State, trial: _State, trips: Interval,
-                 had_exit: bool) -> _State:
+                 had_exit: bool, frozen: Set[int]) -> _State:
         if had_exit:
             trips = Interval(0.0, trips.hi)
         result = pre.clone()
@@ -1968,18 +2090,28 @@ class _FuncInterp:
                 if trips.lo < 1.0:
                     site.conditional = True
                     site.instances = site.instances.hull(ZERO)
-                result.sites[sid] = site
+                result.adopt(sid, site)
                 continue
-            delta_ops = tsite.ops
-            delta_g = tsite.growth
-            peak = tsite.peak
+            if tsite is before:
+                continue                # untouched: a zero delta
+            if sid in frozen:
+                # Unzeroed in the base and unwritten by the trial: its
+                # per-iteration delta is zero; escapes and element joins
+                # the base took still merge below.
+                delta_ops: Dict[str, Interval] = {}
+                delta_g = ZERO
+                peak = 0.0
+            else:
+                delta_ops = tsite.ops
+                delta_g = tsite.growth
+                peak = tsite.peak
             if had_exit:
                 delta_ops = {op: Interval(0.0, max(0.0, d.hi))
                              for op, d in delta_ops.items()}
                 delta_g = Interval(min(0.0, delta_g.lo),
                                    max(0.0, delta_g.hi))
                 peak = max(0.0, peak)
-            site = before.clone()
+            site = result.own(sid)
             for op, delta in delta_ops.items():
                 site.ops[op] = site.ops.get(op, ZERO) + delta * trips
             total_g = delta_g * trips
@@ -2003,7 +2135,6 @@ class _FuncInterp:
             site.elem, lost = _join_elem(before.elem, tsite.elem)
             lost_refs |= lost
             site.variable = before.variable or tsite.variable
-            result.sites[sid] = site
         # Escape only after every site is in place: an element lost at
         # one site may reference a site processed later in the walk.
         result.escape(lost_refs)
@@ -2288,9 +2419,8 @@ def _collect_sites(owner: _ModuleAnalysis) -> List[SiteState]:
         if root_key[1] in owner.address_taken:
             # Address-taken function: unknown callers receive whatever
             # it returns, so returned sites escape the analysis.
-            for site in final.sites.values():
-                if site.returned:
-                    site.escaped = True
+            final.escape([sid for sid, site in final.sites.items()
+                          if site.returned])
         # Escape cascade: anything held inside an escaped container is
         # itself reachable from unknown code.
         pending = [site for site in final.sites.values() if site.escaped]
@@ -2299,8 +2429,8 @@ def _collect_sites(owner: _ModuleAnalysis) -> List[SiteState]:
             for sid in _refs_in(holder.elem):
                 inner = final.sites.get(sid)
                 if inner is not None and not inner.escaped:
-                    inner.escaped = True
-                    pending.append(inner)
+                    final.escape((sid,))
+                    pending.append(final.sites[sid])
         for site in final.sites.values():
             if site.kind not in REAL_KINDS:
                 continue

@@ -643,15 +643,19 @@ def lint_source_detailed(
 
 
 def _expand_paths(paths: Sequence[str]) -> List[str]:
+    """Every file under ``paths``, each once: paths are normalised
+    (``os.path.normpath``) before duplicates are dropped, so a file
+    named both inside a directory and on its own is read once."""
     files: List[str] = []
     for path in paths:
         if os.path.isdir(path):
             for root, _dirs, names in os.walk(path):
                 for name in sorted(names):
                     if name.endswith(".py"):
-                        files.append(os.path.join(root, name))
+                        files.append(os.path.normpath(
+                            os.path.join(root, name)))
         else:
-            files.append(path)
+            files.append(os.path.normpath(path))
     return sorted(set(files))
 
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.profiler.counters import OPS
@@ -108,15 +108,43 @@ _TRI_NOT = {Tri.TRUE: Tri.FALSE, Tri.FALSE: Tri.TRUE,
             Tri.UNKNOWN: Tri.UNKNOWN}
 
 
-@dataclass(frozen=True)
 class Interval:
     """A closed-ended real interval ``[lo, hi]`` (bounds may be infinite).
 
-    ``lo > hi`` encodes the empty interval.
+    ``lo > hi`` encodes the empty interval.  Immutable and hashable with
+    the value semantics of a frozen dataclass (assignment raises
+    :class:`~dataclasses.FrozenInstanceError`, ``==`` compares the
+    bounds of two intervals, the hash is ``hash((lo, hi))``), but a
+    slotted class: the interval analysis builds tens of thousands per
+    run, and a frozen dataclass pays two ``object.__setattr__`` calls
+    and an instance dict for each.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float) -> None:
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return type(self), (self.lo, self.hi)
 
     @property
     def is_empty(self) -> bool:
@@ -131,9 +159,9 @@ class Interval:
 
     def hull(self, other: "Interval") -> "Interval":
         """Smallest interval containing both (the join of the domain)."""
-        if self.is_empty:
+        if self.lo > self.hi:
             return other
-        if other.is_empty:
+        if other.lo > other.hi:
             return self
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
@@ -159,7 +187,7 @@ class Interval:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: "Interval") -> "Interval":
-        if self.is_empty or other.is_empty:
+        if self.lo > self.hi or other.lo > other.hi:
             return EMPTY
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
@@ -193,6 +221,10 @@ class Interval:
         lo = "-inf" if self.lo == -_INF else f"{self.lo:g}"
         hi = "+inf" if self.hi == _INF else f"{self.hi:g}"
         return f"[{lo}, {hi}]"
+
+
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
 
 
 def _safe_mul(a: float, b: float) -> float:

@@ -220,22 +220,22 @@ class _ReferenceOps:
             self._ids_list = []
 
             self._oci = None
-            on_death = None
-            if profile:
-                self._oci = vm.profiler.on_allocation(
-                    self.context_id, self.src_type, impl_name,
-                    initial_capacity=initial_capacity)
-                oci = self._oci
-                profiler = vm.profiler
-                on_death = lambda heap_obj: profiler.on_death(oci)
 
             wrapper_size = vm.model.object_size(ref_fields=1)
             self.heap_obj = vm.allocate(
                 self.src_type, wrapper_size, payload=self,
-                context_id=self.context_id, on_death=on_death)
+                context_id=self.context_id)
         except BaseException:
             del operands[depth:]
             raise
+        # A sampled instance is registered once its object exists, so an
+        # out-of-memory construction leaves the profiler untouched.
+        if profile:
+            self._oci = oci = vm.profiler.on_allocation(
+                self.context_id, self.src_type, impl_name,
+                initial_capacity=initial_capacity)
+            profiler = vm.profiler
+            self.heap_obj.on_death = lambda heap_obj: profiler.on_death(oci)
         self.heap_obj.add_ref(self.impl.anchor_id)
         self.impl.adopt()
 

@@ -9,8 +9,13 @@ metric schema (every identifier is a count, size or byte aggregate, or
 a fractional average of one).
 """
 
+import copy
+import dataclasses
+import math
+import pickle
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +45,52 @@ class TestIntervalArithmetic:
     def test_intersect_empty(self):
         assert Interval(0, 1).intersect(Interval(2, 3)).is_empty
         assert EMPTY.is_empty and not NON_NEGATIVE.is_empty
+
+
+class TestIntervalValue:
+    """An interval is an immutable value with frozen-dataclass semantics."""
+
+    def test_equality_across_int_and_float_bounds(self):
+        assert Interval(1, 2) == Interval(1.0, 2.0)
+        assert Interval(0, math.inf) == NON_NEGATIVE
+        assert Interval(1, 2) != Interval(1, 3)
+        assert len({Interval(1, 2), Interval(1.0, 2.0)}) == 1
+
+    def test_hash_is_the_bounds_tuple_hash(self):
+        for interval in (Interval(1, 2), Interval(0.5, math.inf), TOP,
+                         EMPTY):
+            assert hash(interval) == hash((interval.lo, interval.hi))
+
+    def test_repr(self):
+        assert repr(Interval(1.0, math.inf)) == "Interval(lo=1.0, hi=inf)"
+        assert repr(Interval(1, 2)) == "Interval(lo=1, hi=2)"
+
+    def test_assignment_and_deletion_raise(self):
+        interval = Interval(1.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interval.lo = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interval.extra = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del interval.hi
+        assert (interval.lo, interval.hi) == (1.0, 2.0)
+
+    def test_not_equal_to_a_tuple(self):
+        assert Interval(1.0, 2.0) != (1.0, 2.0)
+        assert (1.0, 2.0) != Interval(1.0, 2.0)
+
+    def test_copies_are_equal_values(self):
+        interval = Interval(0.0, math.inf)
+        assert copy.copy(interval) == interval
+        assert copy.deepcopy(interval) == interval
+        assert pickle.loads(pickle.dumps(interval)) == interval
+
+    def test_hull_and_add_of_empty(self):
+        assert EMPTY.hull(Interval(1, 2)) == Interval(1, 2)
+        assert Interval(1, 2).hull(EMPTY) == Interval(1, 2)
+        assert Interval(1, 2).hull(Interval(4, 5)) == Interval(1, 5)
+        assert (EMPTY + Interval(1, 2)).is_empty
+        assert (Interval(1, 2) + EMPTY).is_empty
 
 
 class TestUnsatisfiable:

@@ -218,6 +218,23 @@ class TestInfrastructure:
         assert predictions == []
         assert analyze_paths(paths).findings == findings
 
+    def test_a_file_named_twice_is_read_once(self, monkeypatch):
+        # A file reached through its directory and named again with a
+        # redundant "./" is one file to both source passes.
+        import os
+
+        from repro.lint.interproc import analyze_paths
+
+        monkeypatch.chdir(os.path.join(os.path.dirname(__file__),
+                                       os.pardir, os.pardir))
+        once = ["src/repro/workloads"]
+        twice = once + ["./src/repro/workloads/pmd.py"]
+        findings, predictions, _ = lint_paths_detailed(twice)
+        assert (findings, predictions) == lint_paths_detailed(once)[:2]
+        report = analyze_paths(twice)
+        assert len(report.sites) == len(analyze_paths(once).sites) == 31
+        assert report.proposal_rows() == analyze_paths(once).proposal_rows()
+
     def test_lint_paths_walks_directories(self, tmp_path):
         package = tmp_path / "repro" / "workloads"
         package.mkdir(parents=True)

@@ -1,8 +1,13 @@
 """The semantic profiler facade: sampling, death, flush."""
 
+import pytest
+
+from repro.collections.wrappers import ChameleonList, ChameleonMap
+from repro.memory.heap import OutOfMemoryError
 from repro.profiler.counters import Op
 from repro.profiler.profiler import SemanticProfiler
 from repro.runtime.sampling import NeverSample, RateSampler
+from repro.verify.oracle import PIPELINES, oracle_vm
 
 
 class TestAllocationSide:
@@ -90,3 +95,37 @@ class TestQueries:
 
     def test_unknown_context_is_none(self):
         assert SemanticProfiler().context_info(99) is None
+
+
+class TestWrapperConstruction:
+    """A sampled wrapper is registered only once its heap object exists."""
+
+    @pytest.mark.parametrize("ops", PIPELINES)
+    def test_out_of_memory_wrapper_leaves_no_record(self, ops):
+        # The anchor and its array fit in 80 bytes; the wrapper does not.
+        profiler = SemanticProfiler()
+        vm = oracle_vm(ops=ops, gc="production", heap_limit=80,
+                       gc_threshold_bytes=None, profiler=profiler)
+        with pytest.raises(OutOfMemoryError):
+            ChameleonList(vm)
+        assert profiler.sampled_allocations == 0
+        assert profiler.live_instance_count == 0
+        assert [c.instances_allocated for c in profiler.contexts()] == []
+        assert profiler.flush() == 0
+
+    @pytest.mark.parametrize("ops", PIPELINES)
+    def test_sampled_wrapper_death_folds_its_record(self, ops):
+        profiler = SemanticProfiler()
+        vm = oracle_vm(ops=ops, gc="production", gc_threshold_bytes=None,
+                       profiler=profiler)
+        wrapper = ChameleonMap(vm)
+        wrapper.put(1, 2)
+        context = profiler.context_info(wrapper.context_id)
+        assert (profiler.sampled_allocations, context.instances_allocated,
+                profiler.live_instance_count) == (1, 1, 1)
+        assert wrapper.heap_obj.on_death is not None
+        del wrapper
+        vm.collect()
+        assert profiler.live_instance_count == 0
+        assert context.instances_dead == 1
+        assert context.op_total(Op.PUT) == 1
