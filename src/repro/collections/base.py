@@ -350,6 +350,10 @@ class CollectionImpl:
         """Remove every element."""
         raise NotImplementedError
 
+    def _check_index(self, index: int, upper: int) -> None:
+        if not 0 <= index < upper:
+            raise IndexError(f"index {index} out of range [0, {upper})")
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.IMPL_NAME} size={self.size}>"
 
@@ -400,10 +404,6 @@ class ListImpl(CollectionImpl):
     def contains(self, value: Any) -> bool:
         """Whether ``value`` occurs in the list."""
         return self.index_of(value) >= 0
-
-    def _check_index(self, index: int, upper: int) -> None:
-        if not 0 <= index < upper:
-            raise IndexError(f"index {index} out of range [0, {upper})")
 
 
 class SetImpl(CollectionImpl):

@@ -16,32 +16,19 @@ that it optimises selection and leaves equivalence to the user/rules.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any
 
 from repro.collections.base import ListImpl, UnsupportedOperation, values_equal
-from repro.collections.hashing import (_MISSING, HashTableEngine,
-                                       engine_boxes)
-from repro.memory.semantic_maps import FootprintTriple
+from repro.collections.storage import HashKeyStorage
 
 __all__ = ["HashBackedListImpl"]
 
 
-class HashBackedListImpl(ListImpl):
+class HashBackedListImpl(HashKeyStorage, ListImpl):
     """Insertion-ordered, deduplicating hash-backed list."""
 
     IMPL_NAME = "LinkedHashSet"
-    DEFAULT_CAPACITY = 16
-
-    boxes = engine_boxes
-
-    def __init__(self, vm, initial_capacity: Optional[int] = None,
-                 context_id: Optional[int] = None) -> None:
-        super().__init__(vm, initial_capacity, context_id)
-        self._allocate_anchor(ref_fields=1, int_fields=3)
-        self._table = HashTableEngine(
-            self, is_map=False, linked=True,
-            initial_capacity=(initial_capacity if initial_capacity is not None
-                              else self.DEFAULT_CAPACITY))
+    LINKED = True
 
     def add(self, value: Any) -> None:
         self._table.put(value, None)
@@ -66,9 +53,6 @@ class HashBackedListImpl(ListImpl):
         self._table.remove(value)
         return value
 
-    def remove_value(self, value: Any) -> bool:
-        return self._table.remove(value) is not _MISSING
-
     def index_of(self, value: Any) -> int:
         # Membership is a hash probe; the position (rarely wanted by the
         # workloads this backs) costs an order walk.
@@ -78,33 +62,3 @@ class HashBackedListImpl(ListImpl):
             if values_equal(entry.key, value):
                 return i
         raise AssertionError("unreachable: entry known present")
-
-    def contains(self, value: Any) -> bool:
-        return self._table.get_entry(value) is not None
-
-    def clear(self) -> None:
-        self._table.clear()
-
-    def iter_values(self) -> Iterator[Any]:
-        for entry in self._table.iter_entries():
-            yield entry.key
-
-    @property
-    def size(self) -> int:
-        return self._table.count
-
-    def peek_values(self) -> list:
-        return self._table.peek_keys()
-
-    def adt_footprint(self) -> FootprintTriple:
-        n = self._table.count
-        live = self.anchor.size + self._table.live_bytes()
-        used = self.anchor.size + self._table.used_bytes()
-        core = self.vm.model.core_size(n) if n else 0
-        return FootprintTriple(live, used, core)
-
-    def adt_footprint_token(self) -> Optional[int]:
-        return self._table.footprint_version
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        return self._table.internal_ids()

@@ -11,6 +11,8 @@ entry and iterates in insertion order without scanning empty buckets.
 The engine is *not* an ADT itself: it attaches its table array and entry
 objects to an owning :class:`~repro.collections.base.CollectionImpl`'s
 anchor, and the owner reports them as ADT internals to the collector.
+Every hash-backed impl owns its engine through one layer,
+:class:`~repro.collections.storage.HashStorage`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from repro.collections.base import (_HASH_MASK, _IDENTITY_MULTIPLIER,
                                     java_hash_code)
 from repro.memory.heap import HeapObject
 
-__all__ = ["HashEntry", "HashTableEngine", "engine_boxes",
-           "next_power_of_two"]
+__all__ = ["HashEntry", "HashTableEngine", "next_power_of_two"]
 
 #: The not-present sentinel :meth:`HashTableEngine.put` and
 #: :meth:`HashTableEngine.remove` return.
@@ -51,11 +52,6 @@ class HashEntry:
         self.heap_obj = heap_obj
 
 
-#: ``boxes`` of an impl that stores its elements through a
-#: :class:`HashTableEngine` (as ``_table``): the engine's own pool.
-engine_boxes = property(lambda impl: impl._table.boxes)
-
-
 class HashTableEngine:
     """Bucket table + entry-object management for an owning ADT.
 
@@ -69,7 +65,7 @@ class HashTableEngine:
 
     The engine boxes primitive elements in its own :class:`BoxPool`,
     built on first use, which the owner reads as its ``boxes``
-    (:data:`engine_boxes`).
+    (:attr:`repro.collections.storage.HashStorage.boxes`).
     """
 
     boxes = _LazyBoxPool()

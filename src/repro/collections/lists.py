@@ -26,7 +26,7 @@ from typing import Any, Iterator, List, Optional
 
 from repro.collections.base import (ListImpl, UnsupportedOperation,
                                     values_equal)
-from repro.collections.storage import ArrayStorage, grow_capacity
+from repro.collections.storage import ItemArrayStorage, grow_capacity
 from repro.memory.heap import HeapObject
 from repro.memory.semantic_maps import FootprintTriple
 
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class ArrayListImpl(ArrayStorage, ListImpl):
+class ArrayListImpl(ItemArrayStorage, ListImpl):
     """Resizable-array list (``java.util.ArrayList``)."""
 
     IMPL_NAME = "ArrayList"
@@ -103,11 +103,6 @@ class ArrayListImpl(ArrayStorage, ListImpl):
         self.charge(self.vm.costs.array_access
                     + self.vm.costs.copy_per_element * (size - index))
 
-    def get(self, index: int) -> Any:
-        self._check_index(index, len(self._items))
-        self.charge(self.vm.costs.array_access)
-        return self._items[index]
-
     def set_at(self, index: int, value: Any) -> Any:
         self._check_index(index, len(self._items))
         old = self._items[index]
@@ -126,36 +121,11 @@ class ArrayListImpl(ArrayStorage, ListImpl):
                     * (len(self._items) - index))
         return old
 
-    def index_of(self, value: Any) -> int:
-        scanned = 0
-        found = -1
-        for i, item in enumerate(self._items):
-            scanned += 1
-            if values_equal(item, value):
-                found = i
-                break
-        self.charge(self.vm.costs.array_scan_per_element * max(scanned, 1))
-        return found
-
     def clear(self) -> None:
         for item in self._items:
             self._array.remove_ref(self.boxes.release(item))
         self.charge(self.vm.costs.array_access * len(self._items))
         self._items.clear()
-
-    def iter_values(self) -> Iterator[Any]:
-        # Snapshot at iteration start: all impls pin snapshot semantics
-        # for mutation-during-iteration (tests/collections/test_iterators).
-        for item in list(self._items):
-            self.charge(self.vm.costs.array_access)
-            yield item
-
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
-    def peek_values(self) -> List[Any]:
-        return list(self._items)
 
 
 class LazyArrayListImpl(ArrayListImpl):

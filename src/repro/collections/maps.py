@@ -20,12 +20,10 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.collections.base import MapImpl, values_equal
-from repro.collections.hashing import (_MISSING, HashTableEngine,
-                                       engine_boxes)
-from repro.collections.storage import (ArrayStorage, SizeAdaptingImpl,
-                                       grow_capacity)
+from repro.collections.hashing import _MISSING
+from repro.collections.storage import (ArrayStorage, HashStorage,
+                                       SizeAdaptingImpl, grow_capacity)
 from repro.memory.heap import HeapObject
-from repro.memory.semantic_maps import FootprintTriple
 
 __all__ = [
     "HashMapImpl",
@@ -36,25 +34,11 @@ __all__ = [
 ]
 
 
-class HashMapImpl(MapImpl):
+class HashMapImpl(HashStorage, MapImpl):
     """Chained hash map (``java.util.HashMap``)."""
 
     IMPL_NAME = "HashMap"
-    DEFAULT_CAPACITY = 16
-    LINKED = False
-    LAZY = False
-
-    boxes = engine_boxes
-
-    def __init__(self, vm, initial_capacity: Optional[int] = None,
-                 context_id: Optional[int] = None) -> None:
-        super().__init__(vm, initial_capacity, context_id)
-        self._allocate_anchor(ref_fields=1, int_fields=3)
-        self._table = HashTableEngine(
-            self, is_map=True, linked=self.LINKED,
-            initial_capacity=(initial_capacity if initial_capacity is not None
-                              else self.DEFAULT_CAPACITY),
-            lazy=self.LAZY)
+    IS_MAP = True
 
     def put(self, key: Any, value: Any) -> Any:
         previous = self._table.put(key, value)
@@ -71,37 +55,12 @@ class HashMapImpl(MapImpl):
     def contains_key(self, key: Any) -> bool:
         return self._table.get_entry(key) is not None
 
-    def clear(self) -> None:
-        self._table.clear()
-
     def iter_items(self) -> Iterator[Tuple[Any, Any]]:
         for entry in self._table.iter_entries():
             yield entry.key, entry.value
 
-    @property
-    def size(self) -> int:
-        return self._table.count
-
-    @property
-    def capacity(self) -> int:
-        """Current bucket-table capacity."""
-        return self._table.capacity
-
     def peek_items(self) -> List[Tuple[Any, Any]]:
         return self._table.peek_pairs()
-
-    def adt_footprint(self) -> FootprintTriple:
-        n = self._table.count
-        live = self.anchor.size + self._table.live_bytes()
-        used = self.anchor.size + self._table.used_bytes()
-        core = self.vm.model.core_size(2 * n) if n else 0
-        return FootprintTriple(live, used, core)
-
-    def adt_footprint_token(self) -> Optional[int]:
-        return self._table.footprint_version
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        return self._table.internal_ids()
 
 
 class LinkedHashMapImpl(HashMapImpl):

@@ -13,10 +13,10 @@ box.
 from __future__ import annotations
 
 import numbers
-from typing import Any, Callable, Iterator, List, Optional, Type
+from typing import Any, Callable, List, Optional, Type
 
-from repro.collections.base import ListImpl, values_equal
-from repro.collections.storage import ArrayStorage
+from repro.collections.base import ListImpl
+from repro.collections.storage import ItemArrayStorage
 from repro.memory.heap import HeapObject
 
 __all__ = ["PrimitiveArrayImpl", "make_primitive_array_impl",
@@ -24,7 +24,7 @@ __all__ = ["PrimitiveArrayImpl", "make_primitive_array_impl",
            "BoolArrayImpl"]
 
 
-class PrimitiveArrayImpl(ArrayStorage, ListImpl):
+class PrimitiveArrayImpl(ItemArrayStorage, ListImpl):
     """Generic unboxed array list; subclasses fix slot width and checks.
 
     Class attributes set by :func:`make_primitive_array_impl`:
@@ -74,11 +74,6 @@ class PrimitiveArrayImpl(ArrayStorage, ListImpl):
         self.charge(self.vm.costs.array_access
                     + self.vm.costs.copy_per_element * (size - index))
 
-    def get(self, index: int) -> Any:
-        self._check_index(index, len(self._items))
-        self.charge(self.vm.costs.array_access)
-        return self._items[index]
-
     def set_at(self, index: int, value: Any) -> Any:
         value = self.CHECK(value)
         self._check_index(index, len(self._items))
@@ -95,33 +90,9 @@ class PrimitiveArrayImpl(ArrayStorage, ListImpl):
                     * (len(self._items) - index))
         return old
 
-    def index_of(self, value: Any) -> int:
-        scanned = 0
-        found = -1
-        for i, item in enumerate(self._items):
-            scanned += 1
-            if values_equal(item, value):
-                found = i
-                break
-        self.charge(self.vm.costs.array_scan_per_element * max(scanned, 1))
-        return found
-
     def clear(self) -> None:
         self.charge(self.vm.costs.array_access)
         self._items.clear()
-
-    def iter_values(self) -> Iterator[Any]:
-        # Snapshot at iteration start (uniform across impls).
-        for item in list(self._items):
-            self.charge(self.vm.costs.array_access)
-            yield item
-
-    def peek_values(self) -> List[Any]:
-        return list(self._items)
-
-    @property
-    def size(self) -> int:
-        return len(self._items)
 
 
 def make_primitive_array_impl(name: str, slot_bytes: int,

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional
 
-from repro.collections.base import SetImpl, values_equal
-from repro.collections.hashing import (_MISSING, HashTableEngine,
-                                       engine_boxes)
-from repro.collections.storage import (ArrayStorage, SizeAdaptingImpl,
-                                       grow_capacity)
+from repro.collections.base import SetImpl
+from repro.collections.hashing import _MISSING
+from repro.collections.storage import (HashKeyStorage, ItemArrayStorage,
+                                       SizeAdaptingImpl, grow_capacity)
 from repro.memory.heap import HeapObject
-from repro.memory.semantic_maps import FootprintTriple
 
 __all__ = [
     "HashSetImpl",
@@ -36,67 +34,14 @@ __all__ = [
 ]
 
 
-class HashSetImpl(SetImpl):
+class HashSetImpl(HashKeyStorage, SetImpl):
     """Hash-table backed set (``java.util.HashSet``)."""
 
     IMPL_NAME = "HashSet"
-    DEFAULT_CAPACITY = 16
-    LINKED = False
-    LAZY = False
-
-    boxes = engine_boxes
-
-    def __init__(self, vm, initial_capacity: Optional[int] = None,
-                 context_id: Optional[int] = None) -> None:
-        super().__init__(vm, initial_capacity, context_id)
-        self._allocate_anchor(ref_fields=1, int_fields=3)
-        self._table = HashTableEngine(
-            self, is_map=False, linked=self.LINKED,
-            initial_capacity=(initial_capacity if initial_capacity is not None
-                              else self.DEFAULT_CAPACITY),
-            lazy=self.LAZY)
 
     def add(self, value: Any) -> bool:
         previous = self._table.put(value, None)
         return previous is _MISSING
-
-    def remove_value(self, value: Any) -> bool:
-        return self._table.remove(value) is not _MISSING
-
-    def contains(self, value: Any) -> bool:
-        return self._table.get_entry(value) is not None
-
-    def clear(self) -> None:
-        self._table.clear()
-
-    def iter_values(self) -> Iterator[Any]:
-        for entry in self._table.iter_entries():
-            yield entry.key
-
-    @property
-    def size(self) -> int:
-        return self._table.count
-
-    @property
-    def capacity(self) -> int:
-        """Current bucket-table capacity."""
-        return self._table.capacity
-
-    def peek_values(self) -> List[Any]:
-        return self._table.peek_keys()
-
-    def adt_footprint(self) -> FootprintTriple:
-        n = self._table.count
-        live = self.anchor.size + self._table.live_bytes()
-        used = self.anchor.size + self._table.used_bytes()
-        core = self.vm.model.core_size(n) if n else 0
-        return FootprintTriple(live, used, core)
-
-    def adt_footprint_token(self) -> Optional[int]:
-        return self._table.footprint_version
-
-    def adt_internal_ids(self) -> Iterator[int]:
-        return self._table.internal_ids()
 
 
 class LinkedHashSetImpl(HashSetImpl):
@@ -113,7 +58,7 @@ class LazySetImpl(HashSetImpl):
     LAZY = True
 
 
-class ArraySetImpl(ArrayStorage, SetImpl):
+class ArraySetImpl(ItemArrayStorage, SetImpl):
     """Array-backed set: linear membership, zero per-element overhead."""
 
     IMPL_NAME = "ArraySet"
@@ -129,19 +74,8 @@ class ArraySetImpl(ArrayStorage, SetImpl):
         self._grow_to(initial_capacity if initial_capacity is not None
                       else self.DEFAULT_CAPACITY)
 
-    def _scan(self, value: Any) -> int:
-        scanned = 0
-        found = -1
-        for i, item in enumerate(self._items):
-            scanned += 1
-            if values_equal(item, value):
-                found = i
-                break
-        self.charge(self.vm.costs.array_scan_per_element * max(scanned, 1))
-        return found
-
     def add(self, value: Any) -> bool:
-        if self._scan(value) >= 0:
+        if self.index_of(value) >= 0:
             return False
         needed = len(self._items) + 1
         if needed > self._capacity:
@@ -152,7 +86,7 @@ class ArraySetImpl(ArrayStorage, SetImpl):
         return True
 
     def remove_value(self, value: Any) -> bool:
-        index = self._scan(value)
+        index = self.index_of(value)
         if index < 0:
             return False
         old = self._items.pop(index)
@@ -162,26 +96,13 @@ class ArraySetImpl(ArrayStorage, SetImpl):
         return True
 
     def contains(self, value: Any) -> bool:
-        return self._scan(value) >= 0
+        return self.index_of(value) >= 0
 
     def clear(self) -> None:
         for item in self._items:
             self._array.remove_ref(self.boxes.release(item))
         self.charge(self.vm.costs.array_access * len(self._items))
         self._items.clear()
-
-    def iter_values(self) -> Iterator[Any]:
-        # Snapshot at iteration start (uniform across impls).
-        for item in list(self._items):
-            self.charge(self.vm.costs.array_access)
-            yield item
-
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
-    def peek_values(self) -> List[Any]:
-        return list(self._items)
 
 
 class SizeAdaptingSetImpl(SizeAdaptingImpl, SetImpl):

@@ -1,4 +1,6 @@
-"""Storage code the array-backed and size-adapting implementations share.
+"""Storage code the array-backed, hash-backed and size-adapting
+implementations share: one body per representation, whatever ADT kind
+it backs.
 
 * :class:`ArrayStorage` -- one backing array regrown by copying: the
   ``Object[]`` of ArrayList, ArraySet and ArrayMap (one or two reference
@@ -6,20 +8,42 @@
   family.  It owns the regrow, the capacity and the footprint triple,
   which is the same for all of them: ``used`` counts the array slots the
   elements occupy and ``core`` is that array's size.
+* :class:`ItemArrayStorage` -- an :class:`ArrayStorage` whose elements
+  sit in one Python list ``_items``: ArrayList (and LazyArrayList), the
+  primitive arrays and ArraySet.  It owns the positional read, the
+  linear scan (``index_of``, ArraySet's membership test), iteration,
+  ``size`` and ``peek_values``; each impl keeps its own stores, which
+  box (or, for primitives, check) what they store.
+* :class:`HashStorage` -- a collection stored in a
+  :class:`~repro.collections.hashing.HashTableEngine`: HashMap,
+  LinkedHashMap and LazyMap directly, and through
+  :class:`HashKeyStorage` HashSet, LinkedHashSet, LazySet and the
+  LinkedHashSet-backed list (:mod:`repro.collections.hashed_list`).  It
+  owns the constructor, ``clear``, ``size``, ``capacity``, the footprint
+  triple and token, the internal ids and the engine's box pool; the
+  class constants ``LINKED``, ``LAZY`` and ``IS_MAP`` pick the variant.
+  :class:`HashKeyStorage` adds the key operations a set and the hashed
+  list share (``contains``, ``remove_value``, ``iter_values``,
+  ``peek_values``).
 * :class:`SizeAdaptingImpl` -- the section 2.3 hybrid: an array-backed
   inner impl until a size threshold, then a one-way conversion to the
   hashed impl of the same kind.
+
+ArrayMap (interleaved key/value scan) and the SizeAdapting forwarders
+keep their own operations.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, List, Optional
 
-from repro.collections.base import CollectionImpl
-from repro.collections.hashing import next_power_of_two
+from repro.collections.base import BoxPool, CollectionImpl, values_equal
+from repro.collections.hashing import (_MISSING, HashTableEngine,
+                                       next_power_of_two)
 from repro.memory.semantic_maps import FootprintTriple
 
-__all__ = ["grow_capacity", "ArrayStorage", "SizeAdaptingImpl"]
+__all__ = ["grow_capacity", "ArrayStorage", "ItemArrayStorage",
+           "HashStorage", "HashKeyStorage", "SizeAdaptingImpl"]
 
 
 def grow_capacity(old_capacity: int, needed: int) -> int:
@@ -87,6 +111,123 @@ class ArrayStorage:
     def adt_internal_ids(self) -> Iterator[int]:
         if self._array is not None:
             yield self._array.obj_id
+
+
+class ItemArrayStorage(ArrayStorage):
+    """Mixin: an :class:`ArrayStorage` whose elements are the Python list
+    ``_items``, in array order.
+
+    The reads every such impl charges alike: one array access per
+    element read or iterated, one scan step per element compared.
+    """
+
+    def get(self, index: int) -> Any:
+        self._check_index(index, len(self._items))
+        self.charge(self.vm.costs.array_access)
+        return self._items[index]
+
+    def index_of(self, value: Any) -> int:
+        scanned = 0
+        found = -1
+        for i, item in enumerate(self._items):
+            scanned += 1
+            if values_equal(item, value):
+                found = i
+                break
+        self.charge(self.vm.costs.array_scan_per_element * max(scanned, 1))
+        return found
+
+    def iter_values(self) -> Iterator[Any]:
+        # Snapshot at iteration start: all impls pin snapshot semantics
+        # for mutation-during-iteration (tests/collections/test_iterators).
+        for item in list(self._items):
+            self.charge(self.vm.costs.array_access)
+            yield item
+
+    @property
+    def size(self) -> int:
+        return len(self._items)
+
+    def peek_values(self) -> List[Any]:
+        return list(self._items)
+
+
+class HashStorage:
+    """Mixin: a collection stored in a chained hash table (``_table``).
+
+    Mixed in ahead of the kind's operation surface (``MapImpl``...).
+    The constructor allocates the anchor and then the engine, which
+    allocates the bucket table unless ``LAZY``; ``LINKED`` selects the
+    insertion-ordered variant with heavier entries, and ``IS_MAP`` makes
+    each entry store a value beside its key (two core slots per element
+    instead of one).  Entries box primitive elements in the engine's
+    pool, which is this impl's ``boxes``.
+    """
+
+    DEFAULT_CAPACITY = 16
+    LINKED = False
+    LAZY = False
+    IS_MAP = False
+
+    def __init__(self, vm, initial_capacity: Optional[int] = None,
+                 context_id: Optional[int] = None) -> None:
+        super().__init__(vm, initial_capacity, context_id)
+        self._allocate_anchor(ref_fields=1, int_fields=3)
+        self._table = HashTableEngine(
+            self, is_map=self.IS_MAP, linked=self.LINKED,
+            initial_capacity=(initial_capacity if initial_capacity is not None
+                              else self.DEFAULT_CAPACITY),
+            lazy=self.LAZY)
+
+    @property
+    def boxes(self) -> BoxPool:
+        return self._table.boxes
+
+    def clear(self) -> None:
+        self._table.clear()
+
+    @property
+    def size(self) -> int:
+        return self._table.count
+
+    @property
+    def capacity(self) -> int:
+        """Current bucket-table capacity (0 before a lazy table's first
+        update)."""
+        return self._table.capacity
+
+    def adt_footprint(self) -> FootprintTriple:
+        table = self._table
+        n = table.count
+        anchor = self.anchor.size
+        core = (self.vm.model.core_size(2 * n if self.IS_MAP else n)
+                if n else 0)
+        return FootprintTriple(anchor + table.live_bytes(),
+                               anchor + table.used_bytes(), core)
+
+    def adt_footprint_token(self) -> Optional[int]:
+        return self._table.footprint_version
+
+    def adt_internal_ids(self) -> Iterator[int]:
+        return self._table.internal_ids()
+
+
+class HashKeyStorage(HashStorage):
+    """Mixin: a :class:`HashStorage` of keys alone, with the operations
+    a hash set and the hash-backed list share."""
+
+    def contains(self, value: Any) -> bool:
+        return self._table.get_entry(value) is not None
+
+    def remove_value(self, value: Any) -> bool:
+        return self._table.remove(value) is not _MISSING
+
+    def iter_values(self) -> Iterator[Any]:
+        for entry in self._table.iter_entries():
+            yield entry.key
+
+    def peek_values(self) -> List[Any]:
+        return self._table.peek_keys()
 
 
 class SizeAdaptingImpl(CollectionImpl):

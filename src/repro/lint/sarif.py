@@ -60,9 +60,9 @@ _RULE_DESCRIPTIONS: Dict[str, str] = {
     "L2I-interval-must": "Inferred statistic intervals prove a rule "
                          "fires for every run reaching the site.",
     "L2-syntax-error": "Source file could not be parsed.",
+    "L2-io-error": "Source file could not be read.",
     "L3-drift-agreement": "Static prediction confirmed by the dynamic "
                           "profile.",
-    "L3-static-only": "Static prediction with no dynamic confirmation.",
     "L3-dynamic-only": "Dynamic suggestion the static pass could not "
                        "predict.",
     "L3-refuted": "Coarse static prediction the interval analysis "

@@ -19,6 +19,7 @@ paper's tunable thresholds.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -28,6 +29,21 @@ from repro.rules.parser import parse_rule
 from repro.rules.suggestions import RuleCategory
 
 __all__ = ["RuleSpec", "DEFAULT_CONSTANTS", "BUILTIN_RULES", "builtin_rules"]
+
+#: The directory that holds the ``repro`` package (``src/`` in a
+#: checkout, ``site-packages`` when installed).
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+def _portable_filename(filename: str) -> str:
+    """``filename`` as ``repro/...`` when it lies in the ``repro``
+    package, so a finding's span is the same in every checkout; other
+    files keep the name their code object carries."""
+    path = os.path.abspath(filename)
+    if path.startswith(_SOURCE_ROOT + os.sep):
+        return os.path.relpath(path, _SOURCE_ROOT).replace(os.sep, "/")
+    return filename
 
 
 @dataclass(frozen=True)
@@ -52,11 +68,13 @@ class RuleSpec:
         """Parse ``text`` and wrap it with metadata.
 
         The caller's source position is recorded as the spec's origin
-        (builtin rules thereby point into ``builtin.py``).
+        (builtin rules thereby point into ``repro/rules/builtin.py``,
+        relative to the package's directory).
         """
         try:
             caller = sys._getframe(1)
-            origin = (caller.f_code.co_filename, caller.f_lineno)
+            origin = (_portable_filename(caller.f_code.co_filename),
+                      caller.f_lineno)
         except ValueError:  # pragma: no cover - no caller frame
             origin = None
         return cls(name, parse_rule(text), category, message,

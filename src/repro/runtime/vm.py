@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Protocol, runtime_checkable)
 
-from repro.memory.gc import GcCostParameters, MarkSweepGC
+from repro.memory.gc import MarkSweepGC
 from repro.memory.heap import HeapObject, OutOfMemoryError, SimHeap
 from repro.memory.layout import MemoryModel, ObjectSizes, RefArraySizes
 from repro.memory.semantic_maps import SemanticMapRegistry
@@ -139,7 +139,6 @@ class RuntimeEnvironment:
                  context_depth: int = DEFAULT_CONTEXT_DEPTH,
                  profiler: Optional["SemanticProfiler"] = None,
                  policy: Optional[ReplacementPolicyProtocol] = None,
-                 gc_costs: Optional[GcCostParameters] = None,
                  gc_overhead_fraction: float = 0.04,
                  gc_overhead_limit: int = 4,
                  collector_factory: Optional[Callable[..., MarkSweepGC]]
@@ -167,7 +166,7 @@ class RuntimeEnvironment:
         # ``gc_attribution=False`` builds a counting collector (see
         # repro.memory.gc): same ticks and cycles, no Table 3 breakdown.
         self.gc = factory(self.heap, self.semantic_maps,
-                          charge=self.clock.charge, costs=gc_costs,
+                          charge=self.clock.charge,
                           attribute=gc_attribution)
         from repro.profiler.profiler import SemanticProfiler
 

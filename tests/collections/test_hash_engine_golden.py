@@ -11,7 +11,8 @@ values, under a GC threshold small enough that collections land
 mid-operation.  Every op's tick delta and result, the per-cycle GC
 statistics and the heap's allocation totals are folded into a digest;
 the golden values were recorded before the engine's probe loop was
-inlined and its charges batched, and must never move.
+inlined and its charges batched (LazySet's before the hash impls shared
+one table body), and must never move.
 """
 
 import dataclasses
@@ -23,7 +24,8 @@ import pytest
 from repro.collections.hashed_list import HashBackedListImpl
 from repro.collections.maps import (ArrayMapImpl, HashMapImpl, LazyMapImpl,
                                     LinkedHashMapImpl, SizeAdaptingMapImpl)
-from repro.collections.sets import HashSetImpl, LinkedHashSetImpl
+from repro.collections.sets import (HashSetImpl, LazySetImpl,
+                                    LinkedHashSetImpl)
 from repro.memory.heap import HeapObject
 from repro.runtime.vm import RuntimeEnvironment
 
@@ -176,6 +178,7 @@ SCRIPTS = {
     "LazyMap": lambda: _run_map(LazyMapImpl),
     "HashSet": lambda: _run_set(HashSetImpl),
     "LinkedHashSet": lambda: _run_set(LinkedHashSetImpl),
+    "LazySet": lambda: _run_set(LazySetImpl),
     "HashBackedList": lambda: _run_list(HashBackedListImpl),
     # ArrayMap's scan shares the record-identity fast path; the
     # size-adapting map converts to a pre-sized HashMap mid-script.
@@ -197,6 +200,7 @@ GOLDEN = {
     "HashMap": (16518, 7, 67, 56, "b7d5fdd2d7335bcb"),
     "HashSet": (14247, 6, 52, 43, "86e76eecb8ac6554"),
     "LazyMap": (16518, 7, 67, 56, "e9cdc5e3f8944033"),
+    "LazySet": (14247, 6, 52, 43, "e5226bf2370400bd"),
     "LinkedHashMap": (16493, 7, 67, 56, "5b4c931b57331914"),
     "LinkedHashSet": (16311, 7, 52, 43, "9e3243ac898d220a"),
     "SizeAdaptingMap": (21295, 9, 103, 91, "adac9b0453880643"),

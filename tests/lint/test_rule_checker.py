@@ -38,6 +38,16 @@ class TestBuiltinRuleHygiene:
         assert "L1-unsatisfiable" not in found
         assert "L1-tautology" not in found
 
+    def test_findings_name_the_rule_file_relative_to_the_package(self):
+        # Not the checkout's absolute path: the same commit must give the
+        # same report wherever it is checked out.
+        findings = check_rules(BUILTIN_RULES)
+        files = {f.span.file for f in findings}
+        files |= {step.file for f in findings for step in f.related}
+        assert findings
+        assert files == {"repro/rules/builtin.py"}
+        assert {s.origin[0] for s in BUILTIN_RULES} == files
+
     def test_validate_rules_accepts_builtins(self):
         validate_rules(BUILTIN_RULES)  # must not raise
 

@@ -1,12 +1,16 @@
 """SARIF 2.1.0 emitter: structure, levels, and schema validation."""
 
+import ast
 import json
+import os
+import re
 
 import pytest
 
+import repro.lint
 from repro.lint.findings import Finding, Severity, Span
-from repro.lint.sarif import (SARIF_CORE_SCHEMA, SARIF_VERSION, emit_sarif,
-                              validate_sarif)
+from repro.lint.sarif import (_RULE_DESCRIPTIONS, SARIF_CORE_SCHEMA,
+                              SARIF_VERSION, emit_sarif, validate_sarif)
 
 
 @pytest.fixture()
@@ -107,3 +111,29 @@ class TestValidator:
         document["runs"][0]["results"][0]["level"] = "fatal"
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(document, SARIF_CORE_SCHEMA)
+
+
+def _emitted_finding_ids():
+    """Every finding id spelled as a string literal in the lint passes
+    (each pass names its ids literally)."""
+    finding_id = re.compile(r"L[0-9]I?-[a-z]+(-[a-z]+)*\Z")
+    package = os.path.dirname(repro.lint.__file__)
+    ids = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "sarif.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        ids.update(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)
+                   and finding_id.match(node.value))
+    return ids
+
+
+class TestRuleTable:
+
+    def test_lists_exactly_the_ids_the_passes_emit(self):
+        emitted = _emitted_finding_ids()
+        assert "L2-io-error" in emitted  # the scan sees every pass
+        assert set(_RULE_DESCRIPTIONS) == emitted
